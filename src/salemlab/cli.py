@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,15 @@ from . import __version__
 from .construction import (
     Construction, ConstructionError, build_construction, check_level_invariants,
 )
-from .energy import energy_lower_bound, sum_distribution
+from .energy import EnergyError, energy_lower_bound, sum_distribution
 from .norms import (
     NormError, ball_condition_report, direct_mass, holder_chain_check,
-    lp_norm, lq_mass, restriction_ratio, thresholds,
+    lp_norm, lq_mass, pick_r, restriction_ratio, thresholds,
 )
 from .params import ParamError, derive_params
 from .spectral import (
-    SpectralError, compute_spectrum, exp_sum_all, f_mu_hat, mu_hat,
-    restricted_atoms, telescope_check, trivial_bound_check,
+    SpectralError, compute_spectrum, decay_report, exp_sum_all, f_mu_hat,
+    mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
 )
 from .storage import (
     StorageError, atomic_write_text, load_construction, write_construction,
@@ -161,8 +162,6 @@ def cmd_analyze(args) -> int:
             manifest["outputs"].append(str(out_dir / name))
 
     if args.decay:
-        from .spectral import decay_report
-
         ks = np.arange(1, args.kmax, dtype=np.int64)
         spec = compute_spectrum(params, level, ks)
         rep = decay_report(spec.ks, spec.coefficients, args.beta)
@@ -288,8 +287,6 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
             worst = max(
                 worst, abs(complex(f_mu_hat(params, level, ell, 0)) - expected)
             )
-            from fractions import Fraction
-
             ok = ok and direct_mass(params, level, ell) == Fraction(
                 1, params.sqrt_t**ell
             )
@@ -344,8 +341,6 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
 
     # interpolation chain at the top level
     level = con.levels[-1]
-    from .norms import pick_r
-
     r = pick_r(params, 4)
     ok = True
     worst = None
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (SpectralError, NormError, MemoryError) as exc:
+    except (SpectralError, NormError, EnergyError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

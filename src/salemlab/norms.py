@@ -61,12 +61,10 @@ def _periodic_samples(params, level, ell, h):
     n_per = period * inv_h
     if n_per > params.fft_budget:
         raise NormError(f"lattice of {n_per} points per period exceeds the budget")
-    atoms = restricted_atoms(params, level, ell)
     # zero-padding the length-N^j indicator to n_per points samples the
     # exponential sum at the refined frequencies xi = k*h
-    ind = np.zeros(n_per)
-    ind[np.asarray(atoms)] = 1.0
-    T = np.abs(np.fft.fft(ind))
+    T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per,
+                           params.fft_budget))
     eta = np.arange(n_per) / n_per
     return T, eta, n_per
 

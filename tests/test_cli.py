@@ -3,6 +3,7 @@ import json
 import pytest
 
 from salemlab.cli import main
+from salemlab.energy import EnergyError
 from salemlab.storage import level_filename
 
 
@@ -132,3 +133,12 @@ def test_analyze_bad_level_exits_2(built, capsys):
 def test_threads_env_var(built, monkeypatch):
     monkeypatch.setenv("SALEMLAB_THREADS", "2")
     assert main(["verify", str(built)]) == 0
+
+
+def test_energy_overflow_exits_3(built, capsys, monkeypatch):
+    def overflow(Y, r):
+        raise EnergyError("|Y|^(2r) overflows int64")
+
+    monkeypatch.setattr("salemlab.cli.sum_distribution", overflow)
+    assert main(["verify", str(built)]) == 3
+    assert "resource limit: |Y|^(2r) overflows int64" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,11 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from salemlab import (
-    SpectralError, compute_spectrum, decay_report, exp_sum, exp_sum_all,
-    f_mu_hat, f_mu_hat_real, mu_hat, restricted_atoms, telescope_check,
-    trivial_bound_check,
+    SpectralError, build_construction, compute_spectrum, decay_report,
+    derive_params, exp_sum, exp_sum_all, f_mu_hat, f_mu_hat_real, mu_hat,
+    restricted_atoms, telescope_check, trivial_bound_check,
 )
+from salemlab import spectral
+from salemlab.cli import _verify_frequencies
 from salemlab.spectral import prefactor, series_bound_check, series_lhs
+
+
+@pytest.fixture(scope="module")
+def odd_base():
+    """The odd-base config N0 = 3 (N = 9, t = 4): periods are powers of 9."""
+    params = derive_params(3, 2, 1, j_max=5, seed=7)
+    return params, build_construction(params)
 
 
 @given(st.data())
@@ -24,6 +34,67 @@ def test_exp_sum_fft_vs_naive(data):
     naive = exp_sum(atoms, ks, period, method="naive")
     fft = exp_sum(atoms, ks, period, method="fft")
     assert np.abs(naive - fft).max() < 1e-9 * max(1.0, len(atoms))
+
+
+def _reference_sum(atoms, k, period):
+    """S(k) with the residue a * k mod period taken in Python integers."""
+    return sum(cmath.exp(-2j * math.pi * ((a * k) % period) / period) for a in atoms)
+
+
+def test_exp_sum_residues_do_not_wrap():
+    # (P - 1) * (P - 5) overflows int64 unless both factors are reduced and
+    # the product is taken by the split-word mulmod
+    P = 9**14
+    atoms, ks = [P - 1, P // 3 + 7], [P - 5, 3 * P + 11]
+    got = exp_sum(atoms, ks, P)
+    want = [_reference_sum(atoms, k, P) for k in ks]
+    assert np.abs(got - want).max() < 1e-12
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exp_sum_matches_python_int_reference(data):
+    period = 9 ** data.draw(st.integers(1, 19))
+    atoms = data.draw(st.lists(st.integers(0, period - 1), min_size=1, max_size=6))
+    ks = data.draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=6))
+    got = exp_sum(atoms, np.array(ks, dtype=np.int64), period)
+    want = np.array([_reference_sum(atoms, k, period) for k in ks])
+    assert np.abs(got - want).max() < 1e-9 * len(atoms)
+
+
+def test_lone_frequency_sums_like_a_batch(odd_base):
+    params, con = odd_base
+    atoms = con.levels[5].atoms
+    ks = np.array([30437, 28612, 5], dtype=np.int64)
+    batch = exp_sum(atoms, ks, params.period(5))
+    for i, k in enumerate(ks):
+        assert exp_sum(atoms, ks[i : i + 1], params.period(5))[0] == batch[i]
+        assert exp_sum(atoms, int(k), params.period(5)) == batch[i]
+
+
+@pytest.mark.parametrize("side", [-1, 0])
+def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
+    params, con = odd_base
+    atoms = restricted_atoms(params, con.levels[4], 2)
+    period = params.period(4)
+    # smallest |ks| for which one FFT costs no more than the direct terms
+    n_table = math.ceil(period * math.log2(period) / len(atoms))
+    ks = np.arange(1, n_table + side + 1, dtype=np.int64) * 7919
+    tables = []
+    monkeypatch.setattr(spectral, "exp_sum_all",
+                        lambda *a: tables.append(a) or exp_sum_all(*a))
+    got = spectral._atom_sums(atoms, ks, period, params.fft_budget)
+    assert len(tables) == (side == 0)
+    direct = exp_sum(atoms, ks, period, method="naive")
+    assert np.abs(got - direct).max() < 1e-11 * len(atoms)
+
+
+def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
+    params, con = odd_base
+    monkeypatch.setattr(spectral, "exp_sum_all", None)
+    atoms = con.levels[5].atoms
+    assert spectral._atom_sums(atoms, 30437, params.period(5), params.fft_budget) \
+        == exp_sum(atoms, 30437, params.period(5))
 
 
 def test_exp_sum_scalar_and_zero():
@@ -147,3 +218,39 @@ def test_series_bound(desk_params):
     assert rep["ratio"] <= 1.0 + 1e-9
     assert max(vals) < 4.0 * vals[0]           # bounded, no runaway growth
     assert series_lhs(desk_params, 1) > series_lhs(desk_params, 10**6)
+
+
+def test_trivial_bound_witness_is_the_direct_one(odd_base):
+    # k = 30437 and its twin 59049 - 30437 = 28612 tie in exact arithmetic;
+    # the table alone can pick either, the direct sum picks 30437
+    params, con = odd_base
+    level = con.levels[5]
+    ks = _verify_frequencies(params, 4, full=False)
+    rep = trivial_bound_check(params, level, 5, ks)
+    assert rep["worst_k"] == 30437
+    ks = ks[ks != 0]
+    sums = exp_sum(restricted_atoms(params, level, 5), ks, params.period(5))
+    coeffs = np.abs(prefactor(ks, params.period(5)) * sums * 4.0 ** -5)
+    bound = 9**5 * 4.0 ** (-5 / 2) / (np.pi * np.abs(ks).astype(np.float64))
+    ratio = coeffs / bound
+    assert rep["max_ratio"] == ratio.max()
+    assert rep["worst_k"] == ks[ratio.argmax()]
+
+
+def test_telescope_witness_is_the_direct_one(odd_base):
+    params, con = odd_base
+    lo, hi = con.levels[4], con.levels[5]
+    ks = _verify_frequencies(params, 4, full=False)
+    rep = telescope_check(params, lo, hi, ks, ell=4)
+    ks = ks[ks != 0]
+
+    def coef(level):
+        period = params.period(level.j)
+        sums = exp_sum(restricted_atoms(params, level, 4), ks, period)
+        return prefactor(ks, period) * sums * 4.0 ** -level.j
+
+    envelope = np.minimum(1.0, 9**5 / np.abs(ks).astype(np.float64))
+    rhs = rep.constant * envelope * 4 ** (-5 / 2) * math.log(8 * 9**5)
+    ratio = np.abs(coef(hi) - coef(lo)) / rhs
+    assert rep.max_ratio == ratio.max()
+    assert rep.worst_k == ks[ratio.argmax()]
