@@ -29,7 +29,8 @@ class EnergyError(RuntimeError):
 class EnergyTable:
     r: int
     z_min: int               # offset: g[i] counts r-fold sums equal to z_min + i
-    g: np.ndarray            # int64 counts, dense
+    g: np.ndarray | None     # int64 counts, dense; None where only M and
+                             # the correlations are kept
     M: int                   # sum of g^2, the order-r additive energy
     correlation: dict        # d -> sum_z g(z) g(z+d), for |d| < r
     support_size: int
@@ -41,9 +42,31 @@ class EnergyTable:
         return out
 
 
+# Cost of one element add of the integer loop, in units of one point * log2(n)
+# of a rounded rfft convolution step of power-of-two length n (transforms,
+# product, rounding and certificate). Measured on a 2-vCPU Xeon guest with
+# numpy 2.4.6: 0.6-1.1 ns per add against 2.3-5.1 ns per unit, a ratio of
+# 0.15-0.29 for n from 2^16 to 2^22.
+_LOOP_ADD_WEIGHT = 0.2
+
+# Constant of the a-priori roundoff bound c * log2(n) * 2^-53 * |x|_2 * |y|_2
+# of an FFT convolution of length n (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., sec. 24.1; Percival, Math. Comp. 72 (2003),
+# Thm. 2.1, whose first-order constant is 3 + 3 sqrt(5) + 3 / sqrt(2), about
+# 11.8, for a radix-2 transform with accurate twiddles). Taken with margin for
+# the real-input, mixed-radix transforms of pocketfft.
+_FFT_ERROR_C = 32.0
+
+
 def sum_distribution(Y, r: int) -> EnergyTable:
     """Exact distribution g(z) of r-fold sums over Y, with energy and the
-    short-range correlation table needed by the B-spline norm identity."""
+    short-range correlation table needed by the B-spline norm identity.
+
+    g comes from the integer loop or from r - 1 rounded FFT convolutions,
+    whichever the cost rule prices lower. Each rounded convolution must carry
+    its certificate (an a-priori roundoff bound below 1/2 and the first two
+    moments of g); otherwise the loop recomputes g.
+    """
     Y = np.unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
         raise EnergyError("empty set")
@@ -56,14 +79,13 @@ def sum_distribution(Y, r: int) -> EnergyTable:
         raise EnergyError(
             f"|Y|^(2r) = {len(Y)}^{2 * r} would overflow exact int64 energy counts"
         )
-    g = np.zeros(1, dtype=np.int64)
-    g[0] = 1
-    width = 0
-    for _ in range(r):
-        new = np.zeros(width + top + 1, dtype=np.int64)
-        for y in Y0:
-            new[y : y + width + 1] += g
-        g, width = new, width + top
+    n = 1 << (r * top).bit_length()   # power-of-two length above r * top
+    loop_adds = len(Y) * (r + top * r * (r - 1) // 2)
+    g = None
+    if (r - 1) * n * math.log2(n) <= _LOOP_ADD_WEIGHT * loop_adds:
+        g = _fft_counts(Y0, r, n)
+    if g is None:
+        g = _loop_counts(Y0, r)
     M = int(np.dot(g, g))
     corr = {}
     for d in range(0, r):
@@ -77,6 +99,56 @@ def sum_distribution(Y, r: int) -> EnergyTable:
         r=r, z_min=r * base, g=g, M=M, correlation=corr,
         support_size=int(np.count_nonzero(g)),
     )
+
+
+def _loop_counts(Y0, r: int) -> np.ndarray:
+    """r-fold sum counts over Y0 (min 0) by shifted integer adds."""
+    top = int(Y0.max())
+    g = np.ones(1, dtype=np.int64)
+    width = 0
+    for _ in range(r):
+        new = np.zeros(width + top + 1, dtype=np.int64)
+        for y in Y0:
+            new[y : y + width + 1] += g
+        g, width = new, width + top
+    return g
+
+
+def _fft_counts(Y0, r: int, n: int) -> np.ndarray | None:
+    """r-fold sum counts over Y0 (min 0) by the rounded convolutions
+    g_s = rint(g_{s-1} * 1_Y) of length n, or None when a step lacks its
+    certificate.
+
+    A step is accepted when the a-priori roundoff bound is below 1/2, so that
+    rounding recovers every exact count, and when the rounded g_s has the
+    exact moments sum g_s = |Y|^s and sum z g_s(z) = s |Y|^(s-1) sum Y0.
+    """
+    size, top = len(Y0), int(Y0.max())
+    ind = np.zeros(top + 1)
+    ind[Y0] = 1.0
+    if r == 1:
+        return ind.astype(np.int64)
+    # the moment sum z g(z) is at most (len(g) - 1) |Y|^r, exact in int64 below
+    if r * top * size**r >= 2**63:
+        return None
+    y_hat = np.fft.rfft(ind, n)
+    first = int(Y0.sum())
+    gf = ind
+    for s in range(2, r + 1):
+        bound = _FFT_ERROR_C * math.log2(n) * 2.0**-53 * math.sqrt(
+            float(np.dot(gf, gf)) * size
+        )
+        if bound >= 0.5:
+            return None
+        spectrum = y_hat * (y_hat if s == 2 else np.fft.rfft(gf, n))
+        gf = np.rint(np.fft.irfft(spectrum, n)[: s * top + 1])
+        del spectrum
+        g = gf.astype(np.int64)
+        if (int(g.sum()) != size**s
+                or int(np.dot(np.arange(len(g), dtype=np.int64), g))
+                != s * size ** (s - 1) * first):
+            return None
+    return g
 
 
 def brute_force_energy(Y, r: int) -> int:

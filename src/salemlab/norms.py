@@ -10,6 +10,7 @@ tail bound is reported alongside for the truncated window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,9 +19,9 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .construction import Construction, LevelSet
-from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
+from .energy import EnergyTable, bspline_integers, exact_l2r_norm, l2r_lower_bound
 from .params import ConstructionParams
-from .spectral import exp_sum_all, restricted_atoms
+from .spectral import restricted_atoms
 
 
 class NormError(RuntimeError):
@@ -48,25 +49,58 @@ class NormEstimate:
 # ---------------------------------------------------------------------------
 # quadrature on the lattice
 
-def _periodic_samples(params, level, ell, h):
-    """|T(xi_i)|, sin(pi eta_i) at the lattice points of one period.
+def _lattice_spectrum(params: ConstructionParams, atoms, period: int, h: float):
+    """|T(i*h)| for 0 <= i <= n_per // 2, and n_per = period / h.
 
     T is the atom exponential sum, period N^j; the lattice is xi_i = i*h
-    with 1/h an integer, so one period of samples tiles the whole line.
+    with 1/h an integer, so one period of samples tiles the whole line. The
+    atoms are real, so T(-xi) is the conjugate of T(xi): |T| at i and at
+    n_per - i agree, and the half period holds every sample.
     """
     inv_h = round(1.0 / h)
     if abs(inv_h - 1.0 / h) > 1e-12 or inv_h < 1:
         raise NormError(f"step h={h} must be the reciprocal of a positive integer")
-    period = params.period(level.j)
     n_per = period * inv_h
     if n_per > params.fft_budget:
         raise NormError(f"lattice of {n_per} points per period exceeds the budget")
+    ind = np.zeros(period)
+    ind[np.asarray(atoms, dtype=np.int64)] = 1.0
     # zero-padding the length-N^j indicator to n_per points samples the
     # exponential sum at the refined frequencies xi = k*h
-    T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per,
-                           params.fft_budget))
-    eta = np.arange(n_per) / n_per
-    return T, eta, n_per
+    return np.abs(np.fft.rfft(ind, n_per)), n_per
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice_weights(n_per: int, p: float, m_cut: int):
+    """Head and tail weights of the half lattice 1 <= i <= n_per/2.
+
+    The sample at eta = i / n_per stands for the points eta + m of every
+    period m >= 0 and, by the evenness of |T|, for their mirrors
+    1 - eta + m. Its weight |sin(pi eta)|^p / (pi (eta + m))^p summed over
+    m < m_cut is the head weight; summed over m >= m_cut it is the Hurwitz
+    tail pi^-p zeta(p, eta + m_cut). Each is folded with its mirror, and
+    eta = 1/2, its own mirror, counts once. The weights depend on neither
+    the level's atoms nor the window, so the windows of one lattice share
+    them; the arrays are read-only.
+    """
+    i = np.arange(1, n_per // 2 + 1)
+    eta, mirror = i / n_per, (n_per - i) / n_per
+    del i
+    head = np.zeros(len(eta))
+    for m in range(m_cut):
+        head += (np.pi * (eta + m)) ** (-p)
+        head += (np.pi * (mirror + m)) ** (-p)
+    tail = hurwitz_zeta(p, eta + m_cut)
+    tail += hurwitz_zeta(p, mirror + m_cut)
+    tail *= math.pi ** (-p)
+    if n_per % 2 == 0:
+        head[-1] /= 2
+        tail[-1] /= 2
+    sin_p = np.abs(np.sin(np.pi * eta)) ** p
+    head *= sin_p
+    tail *= sin_p
+    head.flags.writeable = tail.flags.writeable = False
+    return head, tail
 
 
 def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
@@ -79,6 +113,12 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     directly and the remaining periods are folded through Hurwitz zeta
     values, which is exact for the lattice. ``tail_bound`` is the analytic
     envelope bound on the |xi| > K contribution.
+
+    For even p = 2r the lattice sum is the integral itself, up to roundoff:
+    the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
+    transform of its r-fold autocorrelation, supported in [-r, r], and by
+    Poisson summation the h-lattice sum equals the integral whenever
+    r <= 1/h.
     """
     if p < 1:
         raise NormError(f"need p >= 1, got {p}")
@@ -93,21 +133,15 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     if K % period != 0 or K <= 0:
         raise NormError(f"cutoff K={K} must be a positive multiple of N^j={period}")
 
-    T, eta, n_per = _periodic_samples(params, level, ell, h)
+    T, n_per = _lattice_spectrum(params, restricted_atoms(params, level, ell),
+                                 period, h)
     tj = float(params.t) ** (-j)
-    # weight at lattice point eta + m (m-th period): sin^p(pi eta)/(pi(eta+m))^p
-    P = (T * tj) ** p * np.abs(np.sin(np.pi * eta)) ** p
-
-    m_cut = K // period
-    # head: the origin plus periods 0..m_cut-1 on each side; lattice points at
-    # nonzero multiples of the period carry sin = 0 and drop out
-    head = (T[0] * tj) ** p
-    for m in range(m_cut):
-        head += 2.0 * float(np.dot(P[1:], (np.pi * (eta[1:] + m)) ** (-p)))
-    # tail: periods m >= m_cut, folded exactly via the Hurwitz zeta function
-    tail = 2.0 * math.pi ** (-p) * float(
-        np.dot(P[1:], hurwitz_zeta(p, eta[1:] + m_cut))
-    )
+    # the origin, then each half-lattice sample for both signs of xi; lattice
+    # points at nonzero multiples of the period carry sin = 0 and drop out
+    head_w, tail_w = _lattice_weights(n_per, float(p), K // period)
+    A = (T[1:] * tj) ** p
+    head = (T[0] * tj) ** p + 2.0 * float(np.dot(A, head_w))
+    tail = 2.0 * float(np.dot(A, tail_w))
     value = h * (head + tail)
 
     env_peak = float(params.t) ** (-ell / 2)
@@ -226,17 +260,19 @@ def restriction_ratio(params: ConstructionParams, level: LevelSet, ell: int,
 # interpolation chain
 
 def holder_chain_check(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float, r: int, **kw) -> dict:
+                       p: float, r: int, table: EnergyTable | None = None,
+                       **kw) -> dict:
     """Check the interpolation chain on the windowed transform phi:
 
         ||phi||_{2r}^{2r} <= ||phi||_p^p * ||phi||_inf^{2r-p},
 
     with ||phi||_inf <= t^(-ell/2) (attained at 0), and the implied lower
-    bound on ||phi||_p^p against the structured-energy bound.
+    bound on ||phi||_p^p against the structured-energy bound. ``table`` is
+    the order-r energy table of the window, built here when not given.
     """
     if not 1 <= p < 2 * r:
         raise NormError(f"need 1 <= p < 2r, got p={p}, r={r}")
-    exact = exact_l2r_norm(params, level, ell, r)
+    exact = exact_l2r_norm(params, level, ell, r, table=table)
     lhs = exact["value_float"]
     pp = lp_norm(params, level, ell, p, **kw).value
     sup = float(params.t) ** (-ell / 2)
@@ -265,16 +301,14 @@ def energy_integral(params: ConstructionParams, level: LevelSet, gamma: float,
     with partial values at dyadic cutoffs to expose growth in K."""
     if not 0 < gamma < 1:
         raise NormError(f"need 0 < gamma < 1, got {gamma}")
-    inv_h = round(1.0 / h)
     period = params.period(level.j)
-    n_per = period * inv_h
-    if n_per > params.fft_budget:
-        raise NormError("lattice exceeds the transform budget")
-    table = np.abs(exp_sum_all(level.atoms, n_per, params.fft_budget))
-
-    xi = np.arange(inv_h, int(K * inv_h) + 1) / inv_h
-    idx = np.arange(inv_h, int(K * inv_h) + 1) % n_per
-    mu2 = (np.sinc(xi / period) * table[idx] * float(params.t) ** (-level.j)) ** 2
+    T, n_per = _lattice_spectrum(params, level.atoms, period, h)
+    inv_h = n_per // period
+    i = np.arange(inv_h, int(K * inv_h) + 1)
+    xi = i / inv_h
+    idx = i % n_per
+    idx = np.minimum(idx, n_per - idx)   # |T| is even
+    mu2 = (np.sinc(xi / period) * T[idx] * float(params.t) ** (-level.j)) ** 2
     integrand = mu2 * xi ** (-(1.0 - gamma))
     cumulative = 2.0 * h * np.cumsum(integrand)   # both signs by symmetry
     partials = {}

@@ -64,17 +64,27 @@ def exp_sum_all(atoms, period, fft_budget=2**26):
     return np.fft.fft(ind)
 
 
+# Cost of one direct-sum term in units of one point * log2 of the dense
+# table's FFT. Measured on a 2-vCPU Xeon guest with numpy 2.4.6: 55-61 ns per
+# direct term against about 5 ns per point * log2 over a traced desk verify,
+# and 86-115 ns against 2.4-4.4 ns for isolated batches of 4096 frequencies
+# at periods 9^5, 2^16 and 2^20. The low end is taken, which leaves cases
+# near the boundary to the direct sum.
+_DIRECT_TERM_WEIGHT = 10
+
+
 def _atom_sums(atoms, k, period, fft_budget):
     """S(k) at integer frequencies under one cost rule.
 
     An array of frequencies reads the dense table when the period fits the
     budget and one FFT, period * log2(period), costs no more than the
-    |atoms| * |ks| terms of the direct sum. Everything else, scalar k
-    included, takes the direct sum.
+    |atoms| * |ks| terms of the direct sum, each weighted by
+    ``_DIRECT_TERM_WEIGHT``. Everything else, scalar k included, takes the
+    direct sum.
     """
     n_terms = np.size(atoms) * np.size(k)
     if (np.ndim(k) and period <= fft_budget
-            and period * math.log2(period) <= n_terms):
+            and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
         return _table_sums(atoms, k, period, fft_budget)
     return exp_sum(atoms, k, period)
 

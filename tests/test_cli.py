@@ -142,3 +142,10 @@ def test_energy_overflow_exits_3(built, capsys, monkeypatch):
     monkeypatch.setattr("salemlab.cli.sum_distribution", overflow)
     assert main(["verify", str(built)]) == 3
     assert "resource limit: |Y|^(2r) overflows int64" in capsys.readouterr().err
+
+
+def test_analyze_rejects_order_below_one_at_parse_time(built, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(built), "--energy", "--r", "2,0"])
+    assert exc.value.code == 2
+    assert "need every r >= 1" in capsys.readouterr().err

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from salemlab import energy
 from salemlab import (
     EnergyError, additive_energy, brute_force_energy, bspline_integers,
     energy_lower_bound, exact_l2r_norm, l2r_lower_bound, sum_distribution,
@@ -26,6 +28,54 @@ def test_energy_translation_invariant(Y, r, shift):
     assert a.M == b.M
     assert a.correlation == b.correlation
     assert np.array_equal(a.g, b.g)
+
+
+def _table_by(Y, r, fft):
+    """sum_distribution with the cost rule pinned to one path; the forced FFT
+    path may not fall back to the loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_LOOP_ADD_WEIGHT", math.inf if fft else -math.inf)
+        if fft:
+            mp.setattr(energy, "_loop_counts", None)
+        return sum_distribution(Y, r)
+
+
+def _same_table(a, b):
+    return (a.z_min == b.z_min and np.array_equal(a.g, b.g) and a.M == b.M
+            and a.correlation == b.correlation
+            and a.support_size == b.support_size)
+
+
+@given(Y=st.lists(st.integers(0, 3000), min_size=1, max_size=40, unique=True),
+       r=st.integers(1, 3), shift=st.integers(-10**6, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_fft_counts_equal_the_loop(Y, r, shift):
+    Y = [y + shift for y in Y]
+    assert _same_table(_table_by(Y, r, fft=True), _table_by(Y, r, fft=False))
+
+
+@pytest.mark.parametrize("fault", ["bound", "moment"])
+def test_failed_certificate_falls_back_to_the_loop(monkeypatch, fault):
+    Y = np.random.default_rng(3).choice(5000, size=60, replace=False) + 17
+    want = _table_by(Y, 3, fft=False)
+    if fault == "bound":
+        monkeypatch.setattr(energy, "_FFT_ERROR_C", 1e300)
+    else:
+        irfft = np.fft.irfft
+
+        def off_by_one(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[5] += 1.0        # a wrong count the moments must catch
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    loops = []
+    loop_counts = energy._loop_counts
+    monkeypatch.setattr(energy, "_loop_counts",
+                        lambda *a: loops.append(a) or loop_counts(*a))
+    monkeypatch.setattr(energy, "_LOOP_ADD_WEIGHT", math.inf)
+    assert _same_table(sum_distribution(Y, 3), want)
+    assert len(loops) == 1
 
 
 def test_sum_distribution_basics():

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import zeta as hurwitz_zeta
 
 from salemlab import (
-    NormError, ball_condition_report, direct_mass, energy_integral,
-    holder_chain_check, lp_norm, lp_norm_quadrature, lq_mass,
-    restriction_ratio, thresholds,
+    NormError, ball_condition_report, build_construction, derive_params,
+    direct_mass, energy_integral, holder_chain_check, lp_norm,
+    lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
+from salemlab.energy import sum_distribution
 from salemlab.norms import pick_r
+from salemlab.spectral import exp_sum_all, restricted_atoms
 
 
 def test_quadrature_matches_exact_even_orders(desk_params, desk):
@@ -20,6 +23,48 @@ def test_quadrature_matches_exact_even_orders(desk_params, desk):
                 exact = lp_norm(desk_params, desk.levels[j], ell, p)
                 assert exact.method == "exact-bspline"
                 assert quad.value == pytest.approx(exact.value, rel=1e-9)
+
+
+def _full_lattice_quadrature(params, level, ell, p, h=0.25):
+    """The lattice sum over every point of a period, each weighted directly:
+    the reference for the folded half-lattice weights."""
+    period = params.period(level.j)
+    n_per = period * round(1 / h)
+    T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per))
+    eta = np.arange(n_per) / n_per
+    tj = float(params.t) ** (-level.j)
+    P = (T * tj) ** p * np.abs(np.sin(np.pi * eta)) ** p
+    head = (T[0] * tj) ** p
+    for m in range(32):
+        head += 2.0 * float(np.dot(P[1:], (np.pi * (eta[1:] + m)) ** (-p)))
+    tail = 2.0 * math.pi ** (-p) * float(np.dot(P[1:], hurwitz_zeta(p, eta[1:] + 32)))
+    return h * (head + tail), h * head, h * tail
+
+
+def test_folded_quadrature_matches_full_lattice(desk_params, desk):
+    for j in (2, 3, 4):
+        for ell in (0, 1):
+            for p in (2.5, 3.0):
+                est = lp_norm_quadrature(desk_params, desk.levels[j], ell, p)
+                value, head, tail = _full_lattice_quadrature(
+                    desk_params, desk.levels[j], ell, p)
+                assert est.value == pytest.approx(value, rel=1e-13)
+                assert est.head_value == pytest.approx(head, rel=1e-13)
+                assert est.tail_value == pytest.approx(tail, rel=1e-13)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.2])
+def test_folded_quadrature_odd_base(h):
+    # N = 9: |T| at the midpoint eta = 1/2 is nonzero for h = 1/4, and h = 1/5
+    # makes the number of points per period odd, with no midpoint
+    params = derive_params(3, 2, 1, j_max=3, seed=7)
+    level = build_construction(params).levels[3]
+    for p in (2.5, 3.0):
+        est = lp_norm_quadrature(params, level, 1, p, h=h)
+        value, head, tail = _full_lattice_quadrature(params, level, 1, p, h=h)
+        assert est.value == pytest.approx(value, rel=1e-13)
+        assert est.head_value == pytest.approx(head, rel=1e-13)
+        assert est.tail_value == pytest.approx(tail, rel=1e-13)
 
 
 def test_quadrature_unit_mass_case(desk_params, desk):
@@ -102,6 +147,16 @@ def test_holder_chain(desk_params, desk):
             assert rep["implied_holds"], rep
             assert rep["bound_3_1_holds"], rep
             assert rep["slack"] >= -1e-9
+
+
+def test_holder_chain_takes_the_energy_table(desk_params, desk):
+    level = desk.levels[3]
+    for ell in (0, 2):
+        table = sum_distribution(restricted_atoms(desk_params, level, ell), 3)
+        table.g = None         # the chain reads M and the correlations only
+        for p in (2.0, 3.0):
+            assert holder_chain_check(desk_params, level, ell, p, 3, table=table) \
+                == holder_chain_check(desk_params, level, ell, p, 3)
 
 
 def test_holder_chain_rejects_bad_p(desk_params, desk):

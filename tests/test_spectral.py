@@ -77,8 +77,9 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
     params, con = odd_base
     atoms = restricted_atoms(params, con.levels[4], 2)
     period = params.period(4)
-    # smallest |ks| for which one FFT costs no more than the direct terms
-    n_table = math.ceil(period * math.log2(period) / len(atoms))
+    # smallest |ks| for which one FFT costs no more than the weighted direct terms
+    n_table = math.ceil(period * math.log2(period)
+                        / (spectral._DIRECT_TERM_WEIGHT * len(atoms)))
     ks = np.arange(1, n_table + side + 1, dtype=np.int64) * 7919
     tables = []
     monkeypatch.setattr(spectral, "exp_sum_all",
