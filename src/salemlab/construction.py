@@ -8,11 +8,11 @@ verified against explicit deviation thresholds with retry on failure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .expsums import _atom_sums
 from .params import ConstructionParams, make_progression
 
 
@@ -97,29 +97,15 @@ def uniform_sum(ks: np.ndarray, period: int, N: int) -> np.ndarray:
 
 
 def block_deviations(members, ks, period, N, t, fft_budget=0) -> np.ndarray:
-    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x.
-
-    A dense FFT of the rotated indicator replaces the direct sum when the
-    period fits the budget and the frequency set is large enough to pay for it.
-    """
+    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x,
+    each S_{B_x} from the one cost rule of ``expsums._atom_sums``."""
     ks = np.asarray(ks, dtype=np.int64)
     base = uniform_sum(ks, period, N) / N
     mem = np.asarray(members, dtype=np.int64)
-    out = np.empty((N, len(ks)), dtype=np.complex128)
-    use_fft = period <= fft_budget and len(ks) * len(mem) >= period
-    kmod = ks % period if use_fft else None
-    for x in range(N):
-        rot = (x + mem) % N
-        if use_fft:
-            ind = np.zeros(period)
-            ind[rot] = 1.0
-            s = np.fft.fft(ind)[kmod]
-        else:
-            s = np.exp(
-                -2j * np.pi * ((rot[:, None] * ks[None, :]) % period) / period
-            ).sum(axis=0)
-        out[x] = s / t - base
-    return out
+    return np.array([
+        _atom_sums((x + mem) % N, ks, period, fft_budget) / t - base
+        for x in range(N)
+    ])
 
 
 def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
@@ -192,42 +178,41 @@ def structured_mask(params: ConstructionParams, level: LevelSet, ell: int) -> np
     return np.isin(prefixes, struct_prefixes)
 
 
-def _chi_sums(params, level, dev_by_x, x_of_atom, ks, masks):
-    """For each atom mask, the sum over masked atoms of chi_a(k) at every k.
+def rotation_sums(params: ConstructionParams, level: LevelSet, members, xs,
+                  ks, sampled: bool):
+    """Deviation sums of the rotation draw ``xs``, one array over ``ks`` per
+    mask ell = 0, 1, ..., j, yielded lazily. With e(x) = exp(-2 pi i x),
+    P = N^(j+1), Q = N^j, A_ell the atoms of mask ell and B_x the block
+    ``members`` rotated by x,
 
-    The atom phase e^{-2 pi i a k / N^j} has period N^j in k, so grouping
-    atoms by their rotation value and running one dense FFT per group costs
-    O(N^j log N^j) per group instead of O(|atoms| |ks|) overall.
+        s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{B_{x_a}}(k)/t - S_[N](k)/N)
+                 = S_P(C_ell)(k)/t - S_[N](k)/N * S_Q(A_ell)(k),
+
+    where C_ell = {aN + d : a in A_ell, d in B_{x_a}} is the candidate next
+    level. An exhaustive set reads S_P(C_ell) like any atom sum. A sampled
+    set splits C_ell by its last digit d, S_P(C_ell)(k) = sum_d e(dk/P)
+    S_Q(C_{ell,d})(k) with C_{ell,d} the parents of the digit-d points, so
+    no table is longer than Q.
     """
-    N = params.N
-    period_j = params.N**level.j
-    atoms = level.atoms
-    nk = len(ks)
-    sums = [np.zeros(nk, dtype=np.complex128) for _ in masks]
-    use_fft = period_j <= params.fft_budget and nk * len(atoms) > 4 * period_j
-    if use_fft:
-        kmod = ks % period_j
-        for x in range(N):
-            in_x = x_of_atom == x
-            if not in_x.any():
-                continue
-            dev = dev_by_x[x]
-            for s, mask in zip(sums, masks):
-                sel = atoms[in_x & mask]
-                if len(sel) == 0:
-                    continue
-                ind = np.zeros(period_j)
-                ind[sel] = 1.0
-                s += np.fft.fft(ind)[kmod] * dev
-        return sums
-    chunk = max(1, 2**22 // max(len(atoms), 1))
-    for lo in range(0, nk, chunk):
-        kc = ks[lo : lo + chunk]
-        phase = np.exp(-2j * np.pi * ((atoms[:, None] * kc[None, :]) % period_j) / period_j)
-        rows = phase * dev_by_x[x_of_atom][:, lo : lo + chunk]
-        for s, mask in zip(sums, masks):
-            s[lo : lo + chunk] = rows[mask].sum(axis=0)
-    return sums
+    N, t, j = params.N, params.t, level.j
+    period = N ** (j + 1)
+    budget = params.fft_budget
+    uniform = uniform_sum(ks, period, N) / N
+    w = np.exp(-2j * np.pi * (ks % period) / period) if sampled else None
+    digits = (xs[:, None] + np.asarray(members, dtype=np.int64)[None, :]) % N
+    candidate = level.atoms[:, None] * N + digits
+    for ell in range(j + 1):
+        mask = structured_mask(params, level, ell)
+        points = candidate[mask].ravel()
+        if sampled:
+            # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
+            last, parents = points % N, points // N
+            s = 0
+            for d in range(N - 1, -1, -1):
+                s = s * w + _atom_sums(parents[last == d], ks, period // N, budget)
+        else:
+            s = _atom_sums(points, ks, period, budget)
+        yield s / t - uniform * _atom_sums(level.atoms[mask], ks, period // N, budget)
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet,
@@ -239,25 +224,21 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     ks, mode = frequency_set(params, period, rng)
     lam = params.lambda_rot(j)
     lams = [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
-    dev_by_x = block_deviations(base_block.members, ks, period, N, t,
-                                params.fft_budget)
-
-    masks = [np.ones(len(level.atoms), dtype=bool)]
-    masks += [structured_mask(params, level, ell) for ell in range(1, j + 1)]
 
     worst = None
     for attempt in range(params.max_retries):
         xs = rng.integers(0, N, size=len(level.atoms))
-        sums = _chi_sums(params, level, dev_by_x, xs, ks, masks)
+        sums = rotation_sums(params, level, base_block.members, xs, ks,
+                             mode == "sampled")
         ok = True
         for ell, s in enumerate(sums):
             scale = t ** (-j + ell / 2)
             thresh = lam if ell == 0 else lams[ell - 1]
-            m = np.abs(scale * s).max()
+            mag = np.abs(scale * s)
+            m = mag.max()
             if m >= thresh:
                 ok = False
-                i = int(np.abs(scale * s).argmax())
-                worst = (m, thresh, int(ks[i]), ell)
+                worst = (m, thresh, int(ks[mag.argmax()]), ell)
                 break
         if ok:
             return RotationAssignment(

@@ -1,0 +1,125 @@
+"""Exponential sums over integer atoms.
+
+S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
+summed directly with exact residues or read from the dense real-input table,
+with one cost rule between them (``_atom_sums``). The construction's
+rotation checks and the spectral module's measure coefficients both
+evaluate through here.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+class SpectralError(RuntimeError):
+    pass
+
+
+def exp_sum(atoms, k, period, method="naive"):
+    """S(k) = sum over atoms of exp(-2 pi i a k / period).
+
+    ``method="naive"`` evaluates the direct sum at the given k (scalar or
+    array), with the residues a * k mod period exact in int64;
+    ``method="fft"`` reads the dense table at k mod period.
+    """
+    if method == "fft":
+        return _table_sums(atoms, k, period)
+    if method != "naive":
+        raise ValueError(f"unknown method {method!r}")
+    ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    residues = np.asarray(atoms, dtype=np.int64) % period
+    out = np.zeros(len(ks), dtype=np.complex128)
+    chunk = max(2, 2**22 // max(len(residues), 1))
+    for lo in range(0, len(ks), chunk):
+        kc = ks[lo : lo + chunk] % period
+        n = len(kc)
+        # numpy sums a single column pairwise but several columns atom by
+        # atom; a lone frequency goes in as a pair so that S(k) does not
+        # depend on which other frequencies share the call
+        if n == 1:
+            kc = np.repeat(kc, 2)
+        out[lo : lo + n] = np.exp(
+            -2j * np.pi * _mulmod(residues[:, None], kc[None, :], period) / period
+        ).sum(axis=0)[:n]
+    return out[0] if np.ndim(k) == 0 else out
+
+
+def exp_sum_all(atoms, period, fft_budget=2**26):
+    """Dense table of S(k) for all k in [0, period): the mirrored half table."""
+    return _table_sums(atoms, np.arange(period), period, fft_budget)
+
+
+def half_table(atoms, period, fft_budget=2**26):
+    """S(k) for k in [0, period // 2] via one real-input FFT.
+
+    The atoms are real positions, so the rest of the period is the mirror
+    image S(period - k) = conj S(k).
+    """
+    if period > fft_budget:
+        raise SpectralError(
+            f"period {period} exceeds the dense transform budget {fft_budget}"
+        )
+    ind = np.zeros(period)
+    ind[np.asarray(atoms, dtype=np.int64)] = 1.0
+    return np.fft.rfft(ind)
+
+
+# Cost of one direct-sum term in units of one point * log2 of the half
+# table, its real-input FFT and the mirrored gather included. Measured on a
+# 2-vCPU Xeon guest with numpy 2.4.6, periods 9^5 to 2^22 and 4096 to 2^20
+# frequencies: 51-89 ns per direct term against 0.9-4.2 ns per point * log2
+# (1.5-3.2 ns for a complex FFT table), a ratio of about 20 to 90. The low
+# end, where the gather of period-many frequencies dominates, is taken; it
+# leaves cases near the boundary to the direct sum.
+_DIRECT_TERM_WEIGHT = 20
+
+
+def _atom_sums(atoms, k, period, fft_budget):
+    """S(k) at integer frequencies under one cost rule.
+
+    An array of frequencies reads the dense table when the period fits the
+    budget and one FFT, period * log2(period), costs no more than the
+    |atoms| * |ks| terms of the direct sum, each weighted by
+    ``_DIRECT_TERM_WEIGHT``. Everything else, scalar k included, takes the
+    direct sum.
+    """
+    n_terms = np.size(atoms) * np.size(k)
+    if (np.ndim(k) and period <= fft_budget
+            and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
+        return _table_sums(atoms, k, period, fft_budget)
+    return exp_sum(atoms, k, period)
+
+
+def _table_sums(atoms, k, period, fft_budget=2**26):
+    """S(k) read from the half table at k mod period, mirrored above period/2."""
+    half = half_table(atoms, period, fft_budget)
+    m = np.atleast_1d(np.asarray(k, dtype=np.int64)) % period
+    mirrored = m > period // 2
+    np.subtract(period, m, out=m, where=mirrored)
+    s = half[m]
+    np.negative(s.imag, out=s.imag, where=mirrored)
+    return s[0] if np.ndim(k) == 0 else s
+
+
+def _mulmod(a, b, period):
+    """a * b mod period, exact in int64 for residues a, b in [0, period).
+
+    Below 2^31.5 the plain product fits in 63 bits. Above it, b is consumed
+    w bits at a time by Horner's rule, with w = 63 - bitlength(period) so
+    that neither r * 2^w nor a * (w-bit chunk) leaves int64.
+    """
+    period = int(period)
+    if (period - 1) ** 2 < 2**63:
+        return (a * b) % period
+    bits = period.bit_length()
+    if bits > 62:
+        raise SpectralError(f"period {period} needs more than 62 bits")
+    w = 63 - bits
+    mask = (1 << w) - 1
+    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+    for shift in range((bits - 1) // w * w, -1, -w):
+        out = ((out << w) % period + (a * ((b >> shift) & mask)) % period) % period
+    return out

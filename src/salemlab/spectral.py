@@ -1,9 +1,10 @@
 """Exponential sums and Fourier coefficients of the level measures.
 
-Integer-frequency coefficients come from exact exponential sums, read from a
-dense FFT table or summed directly under one cost rule (``_atom_sums``);
-real-frequency values use the closed sinc form. Decay bounds are verified
-against explicit thresholds with the worst slack reported.
+Integer-frequency coefficients come from the exact exponential sums of
+``expsums``, read from a dense table or summed directly under its one cost
+rule (``_atom_sums``); real-frequency values use the closed sinc form.
+Decay bounds are verified against explicit thresholds with the worst slack
+reported.
 """
 
 from __future__ import annotations
@@ -14,105 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import Construction, LevelSet, structured_mask
+from .expsums import SpectralError, _atom_sums, exp_sum, exp_sum_all
 from .params import ConstructionParams
 
 
-class SpectralError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# exponential sums
-
-def exp_sum(atoms, k, period, method="naive"):
-    """S(k) = sum over atoms of exp(-2 pi i a k / period).
-
-    ``method="naive"`` evaluates the direct sum at the given k (scalar or
-    array), with the residues a * k mod period exact in int64;
-    ``method="fft"`` reads the dense table at k mod period.
-    """
-    if method == "fft":
-        return _table_sums(atoms, k, period)
-    if method != "naive":
-        raise ValueError(f"unknown method {method!r}")
-    ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    residues = np.asarray(atoms, dtype=np.int64) % period
-    out = np.zeros(len(ks), dtype=np.complex128)
-    chunk = max(2, 2**22 // max(len(residues), 1))
-    for lo in range(0, len(ks), chunk):
-        kc = ks[lo : lo + chunk] % period
-        n = len(kc)
-        # numpy sums a single column pairwise but several columns atom by
-        # atom; a lone frequency goes in as a pair so that S(k) does not
-        # depend on which other frequencies share the call
-        if n == 1:
-            kc = np.repeat(kc, 2)
-        out[lo : lo + n] = np.exp(
-            -2j * np.pi * _mulmod(residues[:, None], kc[None, :], period) / period
-        ).sum(axis=0)[:n]
-    return out[0] if np.ndim(k) == 0 else out
-
-
-def exp_sum_all(atoms, period, fft_budget=2**26):
-    """Dense table of S(k) for all k in [0, period) via one FFT."""
-    if period > fft_budget:
-        raise SpectralError(
-            f"period {period} exceeds the dense transform budget {fft_budget}"
-        )
-    ind = np.zeros(period)
-    ind[np.asarray(atoms, dtype=np.int64)] = 1.0
-    return np.fft.fft(ind)
-
-
-# Cost of one direct-sum term in units of one point * log2 of the dense
-# table's FFT. Measured on a 2-vCPU Xeon guest with numpy 2.4.6: 55-61 ns per
-# direct term against about 5 ns per point * log2 over a traced desk verify,
-# and 86-115 ns against 2.4-4.4 ns for isolated batches of 4096 frequencies
-# at periods 9^5, 2^16 and 2^20. The low end is taken, which leaves cases
-# near the boundary to the direct sum.
-_DIRECT_TERM_WEIGHT = 10
-
-
-def _atom_sums(atoms, k, period, fft_budget):
-    """S(k) at integer frequencies under one cost rule.
-
-    An array of frequencies reads the dense table when the period fits the
-    budget and one FFT, period * log2(period), costs no more than the
-    |atoms| * |ks| terms of the direct sum, each weighted by
-    ``_DIRECT_TERM_WEIGHT``. Everything else, scalar k included, takes the
-    direct sum.
-    """
-    n_terms = np.size(atoms) * np.size(k)
-    if (np.ndim(k) and period <= fft_budget
-            and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
-        return _table_sums(atoms, k, period, fft_budget)
-    return exp_sum(atoms, k, period)
-
-
-def _table_sums(atoms, k, period, fft_budget=2**26):
-    return exp_sum_all(atoms, period, fft_budget)[np.asarray(k, dtype=np.int64) % period]
-
-
-def _mulmod(a, b, period):
-    """a * b mod period, exact in int64 for residues a, b in [0, period).
-
-    Below 2^31.5 the plain product fits in 63 bits. Above it, b is consumed
-    w bits at a time by Horner's rule, with w = 63 - bitlength(period) so
-    that neither r * 2^w nor a * (w-bit chunk) leaves int64.
-    """
-    period = int(period)
-    if (period - 1) ** 2 < 2**63:
-        return (a * b) % period
-    bits = period.bit_length()
-    if bits > 62:
-        raise SpectralError(f"period {period} needs more than 62 bits")
-    w = 63 - bits
-    mask = (1 << w) - 1
-    out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-    for shift in range((bits - 1) // w * w, -1, -w):
-        out = ((out << w) % period + (a * ((b >> shift) & mask)) % period) % period
-    return out
-
+# coefficient factors
 
 def prefactor(k, period):
     """(1 - e^{-2 pi i k/period}) / (2 pi i k/period), continued by 1 at k=0."""

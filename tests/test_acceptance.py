@@ -231,12 +231,13 @@ def test_criterion_12_norm_lower_bound(desk_params, desk, energy_table_cache):
     report(12, "exact 6th-norm power >= C_6 N^l r^(-l-1) t^(-7l/2), r = 3", ok)
 
 
-def test_criterion_13_holder_chain(desk_params, desk):
+def test_criterion_13_holder_chain(desk_params, desk, energy_table_cache):
     ok = True
     min_slack = None
     for ell in range(0, 3):
         for p in (2.0, 3.0, 4.0):
-            rep = holder_chain_check(desk_params, desk.levels[5], ell, p, 3)
+            rep = holder_chain_check(desk_params, desk.levels[5], ell, p, 3,
+                                     table=energy_table_cache(5, ell, 3))
             ok = (ok and rep["chain_holds"] and rep["implied_holds"]
                   and rep["bound_3_1_holds"] and rep["slack"] >= -1e-9)
             rel = rep["slack"] / rep["rhs"]

@@ -149,3 +149,12 @@ def test_analyze_rejects_order_below_one_at_parse_time(built, capsys):
         main(["analyze", str(built), "--energy", "--r", "2,0"])
     assert exc.value.code == 2
     assert "need every r >= 1" in capsys.readouterr().err
+
+
+def test_construct_exits_1_when_rotation_retries_run_out(tmp_path, capsys):
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["construct", "-c", str(cfg), "-o", str(tmp_path / "run"),
+                 "--set", "c_rot=0.2"]) == 1
+    assert ("rotation retries exhausted at j=1: |sum|=0.8252 >= 0.3812 "
+            "at k=18, ell=0") in capsys.readouterr().err

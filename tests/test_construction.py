@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,34 @@ from salemlab import (
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    frequency_set, patch_structured, rotate_block, uniform_sum,
+    frequency_set, patch_structured, rotate_block, rotation_sums, uniform_sum,
 )
+from salemlab.params import with_overrides
+from salemlab.storage import level_to_text
+
+# SHA-256 of each level file (storage.level_to_text), levels 0..5, seed 7,
+# as written before the rotation checks were rewritten
+DESK_SHA256 = [
+    "8f025232feebd42f901c82ec74ea12b47d68823f6d85141b4e4925fdbb3aa1c2",
+    "fad49c9c5ead3e28a0c12ed3ad099dea2f5d98b147b66a0ed0ca61d4bb80bc77",
+    "b577545a44f98bdb6b54fe3de883d2b8742f3a6a835c56ed988837445c666dbf",
+    "d231387fce2cefba9be64d310cc9a33935b6be9a5d7abb8c26dd332ead52bc02",
+    "ec0ce1ec89b6a9181c07126946c6abdeb8160764bb421b1a818643456af48a22",
+    "80df9b7c53d4f0076f639e7ef46f857c05102abfcf8f3d4f2d9957e29b7a9cbf",
+]
+ODD_BASE_SHA256 = [
+    "49d3d8dc1d9b61ee0ec120ef9eb7d7b803c1c6bc228c87c38fca46fa406adc34",
+    "29f4debe7952eed01175ff6cb2e31c84117628d13ab6864a345e3fe624e32df0",
+    "01d581c87e921bd8292bd20eb11fe85087af63947f78fa3c0ccb0d2a65fc65cf",
+    "896285f261251e2bed0f267dfb3c80b64b9036aefce9d9ec11495e3b3b7ab8b4",
+    "0a7cca03bf7e4d08bcdad2655cfac40517cf4d4fa7106de3379bfb6b3a41c025",
+    "17b035b457a88b2c63e1e18e250a4c0dbfd29ef54b3eae022ae48c09830c2e8b",
+]
+
+
+def _level_sha256(params, con):
+    return [hashlib.sha256(level_to_text(params, level).encode()).hexdigest()
+            for level in con.levels]
 
 
 def test_level_cardinalities(desk_params, desk):
@@ -97,9 +125,13 @@ def test_determinism(desk_params, desk):
         assert np.array_equal(a.structured, b.structured)
 
 
-def test_seed_changes_construction(desk_params):
-    from salemlab.params import with_overrides
+def test_level_bytes_are_pinned(desk_params, desk):
+    assert _level_sha256(desk_params, desk) == DESK_SHA256
+    odd = derive_params(3, 2, 1, j_max=5, seed=7)
+    assert _level_sha256(odd, build_construction(odd)) == ODD_BASE_SHA256
 
+
+def test_seed_changes_construction(desk_params):
     other = build_construction(with_overrides(desk_params, seed=8))
     # level 5 should differ somewhere (rotations are random)
     base = build_construction(desk_params)
@@ -173,3 +205,100 @@ def test_patch_structured_keeps_progression(desk_params, x):
     out = patch_structured(base, x, prog, desk_params)
     assert len(out) == desk_params.t
     assert set(prog) <= set(out)
+
+
+def _per_atom_sums(params, level, members, xs, ks):
+    """s_ell(k) = sum over the atoms a of mask ell of
+    e(ak/Q) (S_{B_{x_a}}(k)/t - S_[N](k)/N), atom by atom."""
+    N, t, j = params.N, params.t, level.j
+    P, Q = N ** (j + 1), N**j
+    assert P * P < 2**63          # every product a * k below is exact in int64
+
+    def e(r, period):
+        return np.exp(-2j * np.pi * (r % period) / period)
+
+    uniform = e(np.arange(N)[:, None] * ks, P).sum(axis=0) / N
+    dev = [e(((x + np.asarray(members)) % N)[:, None] * ks, P).sum(axis=0) / t
+           - uniform for x in range(N)]
+    out = []
+    for ell in range(j + 1):
+        mask = structured_mask(params, level, ell)
+        s = np.zeros(len(ks), dtype=np.complex128)
+        for a, x in zip(level.atoms[mask], xs[mask]):
+            s += e(int(a) * ks, Q) * dev[x]
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("N0, j, k_budget, mode", [
+    (4, 2, 2**20, "exhaustive"),
+    (4, 4, 2**16, "sampled"),      # P = 2^20: a genuine sample
+    (3, 3, 2**20, "exhaustive"),
+    (3, 4, 2**10, "sampled"),      # P = 9^5: the sample covers the period
+])
+def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode):
+    params = derive_params(N0, 2, 1, j_max=j, seed=7)
+    level = build_construction(params).levels[j]
+    rng = np.random.default_rng(N0 * 10 + j)
+    ks, got_mode = frequency_set(with_overrides(params, k_budget=k_budget),
+                                 params.N ** (j + 1), rng)
+    assert got_mode == mode
+    members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
+    xs = rng.integers(0, params.N, size=len(level.atoms))
+    got = list(rotation_sums(params, level, members, xs, ks, mode == "sampled"))
+    want = _per_atom_sums(params, level, members, xs, ks)
+    assert len(got) == j + 1
+    for ell, (g, w) in enumerate(zip(got, want)):
+        size = params.t * int(structured_mask(params, level, ell).sum())
+        assert np.abs(g - w).max() < 1e-9 * size
+
+
+# c_rot lowered until rotation draws get rejected; the level-2..4 SHA-256s
+# were written before the rotation checks were rewritten
+@pytest.mark.parametrize("N0, c_rot, retries, sha256", [
+    (4, 0.35, [0, 4, 0, 4], [
+        "dcbec2f5e213d6d1208474119005cab75269816ca4dddebe7abe5eabe565ca59",
+        "cb36ffbd51357194a3f5c798f1f33b95ab6cb9e34da0175bb09d5922c60f4772",
+        "92bc44676e73b592350005a5f3bad75f9221e076505aff6fd449ba501ff8f8ff",
+    ]),
+    (3, 0.3, [0, 4, 6, 23], [
+        "33a279716ac495b4914bcdddd72f2538495505e183c530fd23ac2808f4f59f7c",
+        "26d8b0dd025952f0f807acb30ebf3291f4c6f51f98a241c6aec121798b1c92fe",
+        "49fb207afbba744bfa0940abdd0a92b89c9867d7b1a9a85929568deddfbd705e",
+    ]),
+])
+def test_rotation_retries_run(N0, c_rot, retries, sha256):
+    params = derive_params(N0, 2, 1, j_max=4, seed=7, c_rot=c_rot)
+    con = build_construction(params)
+    assert [rec["retries"] for rec in con.audit] == retries
+    assert _level_sha256(params, con)[2:] == sha256
+    verify_construction(con)
+
+
+def test_rotation_retries_exhausted_names_the_witness():
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_rot=0.2)
+    with pytest.raises(ConstructionError) as info:
+        build_construction(params)
+    assert str(info.value) == ("rotation retries exhausted at j=1: "
+                               "|sum|=0.8252 >= 0.3812 at k=18, ell=0")
+
+
+def test_verified_base_blocks_run():
+    # c_eta lowered until eta_j < 2, so every base block is drawn and checked;
+    # the level-2..4 SHA-256s were written before the rewrite
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=1.0)
+    con = build_construction(params)
+    assert [rec["mode"] for rec in con.audit[1:]] == ["exhaustive"] * 3
+    assert _level_sha256(params, con)[2:] == [
+        "5a1e0226d892e2aaee2ecc570fd5d277cb3b90865e954e331a3296eb57c07db8",
+        "efd2e08182c8ed5532889ebe1505588ce3771ec0c93506f9b2a4e4c472fb3c59",
+        "649426bc92d9f32b7f879286d2fd6dd099edc98361baf3aed61a84a6240e2eec",
+    ]
+
+
+def test_base_block_retries_exhausted_names_the_worst_deviation():
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=0.5)
+    with pytest.raises(ConstructionError) as info:
+        build_construction(params)
+    assert str(info.value) == ("base block retries exhausted at j=1: "
+                               "worst deviation 1.085 vs threshold 0.57")

@@ -10,7 +10,7 @@ from salemlab import (
     derive_params, exp_sum, exp_sum_all, f_mu_hat, f_mu_hat_real, mu_hat,
     restricted_atoms, telescope_check, trivial_bound_check,
 )
-from salemlab import spectral
+from salemlab import expsums
 from salemlab.cli import _verify_frequencies
 from salemlab.spectral import prefactor, series_bound_check, series_lhs
 
@@ -79,12 +79,13 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
     period = params.period(4)
     # smallest |ks| for which one FFT costs no more than the weighted direct terms
     n_table = math.ceil(period * math.log2(period)
-                        / (spectral._DIRECT_TERM_WEIGHT * len(atoms)))
+                        / (expsums._DIRECT_TERM_WEIGHT * len(atoms)))
     ks = np.arange(1, n_table + side + 1, dtype=np.int64) * 7919
     tables = []
-    monkeypatch.setattr(spectral, "exp_sum_all",
-                        lambda *a: tables.append(a) or exp_sum_all(*a))
-    got = spectral._atom_sums(atoms, ks, period, params.fft_budget)
+    half_table = expsums.half_table
+    monkeypatch.setattr(expsums, "half_table",
+                        lambda *a: tables.append(a) or half_table(*a))
+    got = expsums._atom_sums(atoms, ks, period, params.fft_budget)
     assert len(tables) == (side == 0)
     direct = exp_sum(atoms, ks, period, method="naive")
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
@@ -92,10 +93,23 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
 
 def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
     params, con = odd_base
-    monkeypatch.setattr(spectral, "exp_sum_all", None)
+    monkeypatch.setattr(expsums, "half_table", None)
     atoms = con.levels[5].atoms
-    assert spectral._atom_sums(atoms, 30437, params.period(5), params.fft_budget) \
+    assert expsums._atom_sums(atoms, 30437, params.period(5), params.fft_budget) \
         == exp_sum(atoms, 30437, params.period(5))
+
+
+@pytest.mark.parametrize("period", [4096, 6561])
+def test_half_table_mirrors_to_the_direct_sums(period):
+    rng = np.random.default_rng(period)
+    atoms = rng.choice(period, size=40, replace=False)
+    ks = np.concatenate([np.arange(period), [-1, -period // 2, 3 * period + 5]])
+    got = expsums._table_sums(atoms, ks, period)
+    assert np.abs(got - exp_sum(atoms, ks, period)).max() < 1e-11 * len(atoms)
+    assert np.array_equal(exp_sum_all(atoms, period), got[:period])
+    # conjugate twins read the same table entry, mirrored
+    assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
+    assert expsums._table_sums(atoms, period - 7, period) == got[period - 7]
 
 
 def test_exp_sum_scalar_and_zero():
