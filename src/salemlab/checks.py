@@ -1,0 +1,162 @@
+"""The verification suite behind ``verify`` and the gates of ``analyze``.
+
+Every check is one JSON-ready record ``{name, inequality, passed, ...}``.
+A check over many cases goes through ``gate``: it passes when every case
+passes, and its ``worst`` is the first case at the extreme of ``worst_by``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from .construction import Construction, ConstructionError, verify_construction
+from .energy import energy_lower_bound, sum_distribution
+from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
+from .spectral import (
+    exp_sum_all, f_mu_hat, mu_hat, restricted_atoms, telescope_check,
+    trivial_bound_check,
+)
+
+
+def record(name: str, inequality: str, passed, **detail) -> dict:
+    return {"name": name, "inequality": inequality, "passed": bool(passed), **detail}
+
+
+def gate(name: str, inequality: str, cases: list[dict], worst_by) -> dict:
+    """The record of a check over ``cases``, each a dict with a ``passed``
+    flag: it passes when every case passes, and ``worst`` is the first case
+    that minimises ``worst_by``, without its flag (None without cases)."""
+    worst = min(cases, key=worst_by, default=None)
+    if worst is not None:
+        worst = {k: v for k, v in worst.items() if k != "passed"}
+    return record(name, inequality, all(c["passed"] for c in cases), worst=worst)
+
+
+def energy_case(params, level, ell: int, r: int, table) -> dict:
+    """The energy bounds 3.2 and 3.3 for one window and order, decided
+    exactly: M >= the rational bound and the support fits the sumset bound.
+    ``slack`` is M - bound rounded to a float, for reports only."""
+    lb = energy_lower_bound(params, level.j, ell, r)
+    z_holds = table.support_size <= lb["z_bound"]
+    return {
+        "j": level.j, "ell": ell, "r": r, "M": table.M,
+        "support_size": table.support_size,
+        "bound_3_2": lb["bound_float"], "slack": float(table.M - lb["bound"]),
+        "z_bound_3_3": lb["z_bound"], "z_bound_holds": bool(z_holds),
+        "inequality": "3.2",
+        "passed": bool(table.M >= lb["bound"] and z_holds),
+    }
+
+
+def _verify_frequencies(params, j, full: bool) -> np.ndarray:
+    period = params.N ** (j + 1)
+    top = min(period, 2**20 if full else 2**16)
+    ks = [np.arange(1, top, dtype=np.int64)]
+    if period > top:
+        rng = np.random.default_rng(params.seed ^ 0xA5A5)
+        ks.append(rng.integers(top, period, size=4096, dtype=np.int64))
+    # sampled frequencies beyond the period exercise the min(1, .) regime
+    rng = np.random.default_rng(params.seed ^ 0x5A5A)
+    ks.append(rng.integers(period, period * 64, size=2048, dtype=np.int64))
+    return np.unique(np.concatenate(ks))
+
+
+def run_verification(con: Construction, full: bool = False) -> list[dict]:
+    """The full invariant suite; one record per check."""
+    params = con.params
+    try:
+        verify_construction(con)
+    except ConstructionError as exc:
+        # downstream checks assume a consistent construction
+        return [record("construction-invariants", "nesting/cardinality", False,
+                       error=str(exc))]
+    checks = [record("construction-invariants", "nesting/cardinality", True)]
+
+    # Parseval per level
+    worst = 0.0
+    for level in con.levels:
+        period = params.period(level.j)
+        if period > params.fft_budget:
+            continue
+        table = exp_sum_all(level.atoms, period, params.fft_budget)
+        total = float(np.sum(np.abs(table) ** 2))
+        expected = period * len(level.atoms)
+        worst = max(worst, abs(total - expected) / expected)
+    checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst))
+
+    # normalization and window masses
+    ok = True
+    worst = 0.0
+    for level in con.levels:
+        worst = max(worst, abs(complex(mu_hat(params, level, 0)) - 1.0))
+        for ell in range(0, level.j + 1):
+            expected = float(params.t) ** (-ell / 2)
+            worst = max(
+                worst, abs(complex(f_mu_hat(params, level, ell, 0)) - expected)
+            )
+            ok = ok and direct_mass(params, level, ell) == Fraction(
+                1, params.sqrt_t**ell
+            )
+    checks.append(record("mass-identity", "3.1-mass", ok and worst < 1e-12,
+                         worst_abs_error=worst))
+
+    # telescoping decay and the trivial bound
+    reports = [
+        telescope_check(params, con.levels[j], con.levels[j + 1],
+                        _verify_frequencies(params, j, full), ell=ell)
+        for j in range(1, params.j_max) for ell in range(0, j + 1)
+    ]
+    if reports:
+        worst_rep = max(reports, key=lambda r: r.max_ratio)
+        checks.append(record(
+            "telescoping", "2.7/2.8", all(r.passed for r in reports),
+            max_ratio=worst_rep.max_ratio,
+            witness={"j": worst_rep.j, "ell": worst_rep.ell, "k": worst_rep.worst_k},
+        ))
+
+    cases = []
+    for level in con.levels[1:]:
+        ks = _verify_frequencies(params, level.j - 1, full)
+        cases += [trivial_bound_check(params, level, ell, ks)
+                  for ell in range(0, level.j + 1)]
+    checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
+
+    # energy lower bound; the interpolation chain below reuses the top-level
+    # tables of its order, kept without their dense counts
+    top = con.levels[-1]
+    chain_r = pick_r(params, 4)
+    chain_ells = range(0, min(top.j, 2) + 1)
+    chain_tables = {}
+    cases = []
+    for level in con.levels:
+        for ell in range(0, level.j + 1):
+            for r in (2, 3):
+                table = sum_distribution(restricted_atoms(params, level, ell), r)
+                case = energy_case(params, level, ell, r, table)
+                cases.append({k: case[k] for k in ("j", "ell", "r", "slack", "passed")})
+                if level is top and r == chain_r and ell in chain_ells:
+                    chain_tables[ell] = replace(table, g=None)
+    del table   # the last dense g is not needed by the chain's quadrature
+    checks.append(gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"]))
+
+    # interpolation chain at the top level
+    cases = []
+    for ell in chain_ells:
+        for p in (2, 3):
+            rep = holder_chain_check(params, top, ell, p, chain_r,
+                                     table=chain_tables.get(ell))
+            cases.append({"ell": ell, "p": p, "slack": rep["slack"],
+                          "passed": rep["chain_holds"] and rep["bound_3_1_holds"]})
+    checks.append(gate("holder-chain", "3.1", cases, lambda c: c["slack"]))
+
+    # ball condition
+    rep = ball_condition_report(params, top)
+    checks.append(record(
+        "ball-condition", "frostman",
+        rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
+        sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
+    ))
+    return checks

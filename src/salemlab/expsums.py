@@ -18,17 +18,11 @@ class SpectralError(RuntimeError):
     pass
 
 
-def exp_sum(atoms, k, period, method="naive"):
-    """S(k) = sum over atoms of exp(-2 pi i a k / period).
-
-    ``method="naive"`` evaluates the direct sum at the given k (scalar or
-    array), with the residues a * k mod period exact in int64;
-    ``method="fft"`` reads the dense table at k mod period.
+def exp_sum(atoms, k, period):
+    """S(k) = sum over atoms of exp(-2 pi i a k / period), summed directly at
+    the given k (scalar or array), with the residues a * k mod period exact
+    in int64. ``exp_sum_all`` gives the dense table of every k mod period.
     """
-    if method == "fft":
-        return _table_sums(atoms, k, period)
-    if method != "naive":
-        raise ValueError(f"unknown method {method!r}")
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
     residues = np.asarray(atoms, dtype=np.int64) % period
     out = np.zeros(len(ks), dtype=np.complex128)

@@ -102,7 +102,7 @@ def write_construction(out_dir, con: Construction) -> list[str]:
 
 def load_construction(in_dir, validate=True) -> Construction:
     in_dir = Path(in_dir)
-    manifest = read_manifest(in_dir)
+    manifest = read_manifest(in_dir) or {}
     levels = []
     header0 = None
     j = 0
@@ -119,17 +119,16 @@ def load_construction(in_dir, validate=True) -> Construction:
     if not levels:
         raise StorageError(f"no level files found in {in_dir}")
     N0, t0, n0, seed = header0
-    overrides = {}
-    if manifest and "params" in manifest:
-        p = manifest["params"]
-        overrides = {
-            k: p[k]
-            for k in ("c_eta", "c_rot", "ap_offset", "ap_gap", "k_budget",
-                      "max_retries", "fft_budget")
-            if k in p
-        }
+    p = manifest.get("params", {})
+    overrides = {
+        k: p[k]
+        for k in ("c_eta", "c_rot", "ap_offset", "ap_gap", "k_budget",
+                  "max_retries", "fft_budget")
+        if k in p
+    }
     params = derive_params(N0, t0, n0, j_max=len(levels) - 1, seed=seed, **overrides)
-    con = Construction(params=params, levels=levels)
+    con = Construction(params=params, levels=levels,
+                       audit=manifest.get("audit", []))
     if validate:
         try:
             verify_construction(con)
@@ -151,4 +150,10 @@ def read_manifest(in_dir) -> dict | None:
     path = Path(in_dir) / MANIFEST_NAME
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise StorageError(f"{path}: corrupt manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StorageError(f"{path}: manifest is not a JSON object")
+    return manifest

@@ -80,6 +80,61 @@ def test_verify_passes_on_good_construction(built, capsys):
         assert f"PASS {name}" in out
 
 
+# What verify records on the desk config at j_max=3, seed 7: the order of
+# the checks and the keys and values of each worst case. The benchmark's
+# reference compares these floats by position.
+VERIFY_RECORDS = [
+    ("construction-invariants", "nesting/cardinality"),
+    ("parseval", "plancherel"),
+    ("mass-identity", "3.1-mass"),
+    ("telescoping", "2.7/2.8"),
+    ("trivial-bound", "2.11"),
+    ("energy-lower-bound", "3.2/3.3"),
+    ("holder-chain", "3.1"),
+    ("ball-condition", "frostman"),
+]
+VERIFY_WORST = {
+    "trivial-bound": {"checked": 6136, "ell": 3, "j": 3,
+                      "max_ratio": 0.7269249499745858, "worst_k": 108098},
+    "energy-lower-bound": {"ell": 0, "j": 0, "r": 2, "slack": 0.5},
+    "holder-chain": {"ell": 2, "p": 3, "slack": 0.017533416396119703},
+}
+
+
+def test_verify_records_are_pinned(built):
+    assert main(["verify", str(built)]) == 0
+    checks = json.loads((built / "manifest.json").read_text())["checks"]
+    assert [(c["name"], c["inequality"]) for c in checks] == VERIFY_RECORDS
+    assert all(c["passed"] is True for c in checks)
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["parseval"]["worst_rel_error"] == 0.0
+    assert by_name["mass-identity"]["worst_abs_error"] == 0.0
+    tele = by_name["telescoping"]
+    assert tele["max_ratio"] == pytest.approx(3.4342190736385464e-05, rel=1e-9)
+    assert tele["witness"] == {"j": 2, "ell": 0, "k": 180}
+    for name, worst in VERIFY_WORST.items():
+        assert by_name[name]["worst"] == pytest.approx(worst, rel=1e-9), name
+    ball = by_name["ball-condition"]
+    assert ball["sup_adic"] == 1.0
+    assert ball["sup_window"] == pytest.approx(1.414213562373095, rel=1e-9)
+
+
+def test_verify_keeps_the_construct_audit(built):
+    audit = json.loads((built / "manifest.json").read_text())["audit"]
+    assert audit
+    assert main(["verify", str(built)]) == 0
+    manifest = json.loads((built / "manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["audit"] == audit
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_corrupt_manifest_exits_2(built, capsys, command):
+    (built / "manifest.json").write_text('{"params": ')
+    assert main([command, str(built)]) == 2
+    assert "corrupt manifest" in capsys.readouterr().err
+
+
 def test_verify_detects_planted_fault(built, capsys):
     path = built / level_filename(2)
     lines = path.read_text().splitlines()
@@ -130,18 +185,25 @@ def test_analyze_bad_level_exits_2(built, capsys):
     assert main(["analyze", str(built), "--level", "9", "--spectrum"]) == 2
 
 
-def test_threads_env_var(built, monkeypatch):
-    monkeypatch.setenv("SALEMLAB_THREADS", "2")
-    assert main(["verify", str(built)]) == 0
-
-
 def test_energy_overflow_exits_3(built, capsys, monkeypatch):
     def overflow(Y, r):
         raise EnergyError("|Y|^(2r) overflows int64")
 
-    monkeypatch.setattr("salemlab.cli.sum_distribution", overflow)
+    monkeypatch.setattr("salemlab.checks.sum_distribution", overflow)
     assert main(["verify", str(built)]) == 3
     assert "resource limit: |Y|^(2r) overflows int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--level", "-1", "need >= 0, got -1"),
+    ("--kmax", "1", "need >= 2, got 1"),
+])
+def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
+                                                   message):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(built), "--energy", "--decay", flag, value])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_analyze_rejects_order_below_one_at_parse_time(built, capsys):

@@ -11,7 +11,7 @@ from salemlab import (
     restricted_atoms, telescope_check, trivial_bound_check,
 )
 from salemlab import expsums
-from salemlab.cli import _verify_frequencies
+from salemlab.checks import _verify_frequencies
 from salemlab.spectral import prefactor, series_bound_check, series_lhs
 
 
@@ -31,8 +31,8 @@ def test_exp_sum_fft_vs_naive(data):
     )
     ks = data.draw(st.lists(st.integers(0, 10 * period), min_size=1, max_size=8))
     ks = np.array(ks, dtype=np.int64)
-    naive = exp_sum(atoms, ks, period, method="naive")
-    fft = exp_sum(atoms, ks, period, method="fft")
+    naive = exp_sum(atoms, ks, period)
+    fft = exp_sum_all(atoms, period)[ks % period]
     assert np.abs(naive - fft).max() < 1e-9 * max(1.0, len(atoms))
 
 
@@ -87,7 +87,7 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
                         lambda *a: tables.append(a) or half_table(*a))
     got = expsums._atom_sums(atoms, ks, period, params.fft_budget)
     assert len(tables) == (side == 0)
-    direct = exp_sum(atoms, ks, period, method="naive")
+    direct = exp_sum(atoms, ks, period)
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
 
 
