@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ def base_manifest(args, params) -> dict:
         "argv": sys.argv[1:],
         "version": __version__,
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "params": params.as_dict(),
+        "params": asdict(params),
         "checks": [],
         "outputs": [],
     }
@@ -128,6 +129,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out or (Path(args.dir) / "reports"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = base_manifest(args, params)
+    manifest["audit"] = con.audit
     j = args.level if args.level is not None else params.j_max
     if j > params.j_max:
         raise ParamError(f"--level {j} exceeds j_max={params.j_max}")
@@ -147,7 +149,7 @@ def cmd_analyze(args) -> int:
         spec = compute_spectrum(params, level, ks)
         rep = decay_report(spec.ks, spec.coefficients, args.beta)
         path = out_dir / f"decay_mu_j{j}.json"
-        atomic_write_text(path, json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        atomic_write_text(path, json.dumps(asdict(rep), indent=2) + "\n")
         manifest["outputs"].append(str(path))
 
     if args.energy:
@@ -167,10 +169,8 @@ def cmd_analyze(args) -> int:
         rows = []
         for ell in range(0, lmax + 1):
             for p in args.p:
-                est = lp_norm(params, level, ell, p)
-                d = est.to_json_dict()
-                d.update({"j": j, "ell": ell})
-                rows.append(d)
+                rows.append({**asdict(lp_norm(params, level, ell, p)),
+                             "j": j, "ell": ell})
         path = out_dir / f"norms_j{j}.json"
         atomic_write_text(path, json.dumps(rows, indent=2) + "\n")
         manifest["outputs"].append(str(path))
@@ -181,7 +181,7 @@ def cmd_analyze(args) -> int:
         for ell in range(0, lmax + 1):
             for p in args.p:
                 rep = restriction_ratio(params, level, ell, p, args.q)
-                reps.append(rep.to_json_dict())
+                reps.append(asdict(rep))
                 lines.append(
                     f"{ell},{p},{args.q},{rep.numerator!r},{rep.denominator!r},"
                     f"{rep.ratio!r},{rep.bound_3_1!r},{rep.slack!r}"
@@ -215,27 +215,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _at_least(lo: int):
-    """An argparse type: an integer no smaller than ``lo``."""
-    def parse(text) -> int:
+def _checked(kind, need: str, ok, many: bool = False):
+    """An argparse type: a ``kind`` number, or with ``many`` a comma-separated
+    list of them, each satisfying ``ok``; ``need`` states the rule."""
+    def parse(text):
         try:
-            value = int(text)
+            values = [kind(x) for x in text.split(",")] if many else [kind(text)]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"need >= {lo}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(
+                f"bad {kind.__name__} {text!r}") from None
+        if not all(ok(v) for v in values):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return values if many else values[0]
     return parse
-
-
-def _orders(text) -> list[int]:
-    try:
-        orders = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order list {text!r}") from None
-    if min(orders) < 1:
-        raise argparse.ArgumentTypeError(f"need every r >= 1, got {text}")
-    return orders
 
 
 def build_parser():
@@ -252,21 +244,26 @@ def build_parser():
     a = sub.add_parser("analyze", help="run analyses on a construction directory")
     a.add_argument("dir")
     a.add_argument("--out", help="report directory (default DIR/reports)")
-    a.add_argument("--level", type=_at_least(0),
+    a.add_argument("--level", type=_checked(int, ">= 0", lambda v: v >= 0),
                    help="level to analyze (default j_max)")
     a.add_argument("--spectrum", action="store_true")
     a.add_argument("--decay", action="store_true")
     a.add_argument("--energy", action="store_true")
     a.add_argument("--norms", action="store_true")
     a.add_argument("--ratio", action="store_true")
-    a.add_argument("--kmax", type=_at_least(2), default=4096)
+    a.add_argument("--kmax", type=_checked(int, ">= 2", lambda v: v >= 2),
+                   default=4096)
     a.add_argument("--beta", type=float, default=0.4)
-    a.add_argument("--lmax", type=_at_least(0), default=2)
-    a.add_argument("--r", type=_orders, default=[2, 3],
-                   help="comma-separated energy orders, each >= 1")
-    a.add_argument("--p", type=lambda s: [float(x) for x in s.split(",")],
-                   default=[2.0, 4.0])
-    a.add_argument("--q", type=float, default=2.0)
+    a.add_argument("--lmax", type=_checked(int, ">= 0", lambda v: v >= 0),
+                   default=2)
+    a.add_argument("--r", type=_checked(int, "every r >= 1", lambda v: v >= 1,
+                                        many=True),
+                   default=[2, 3], help="comma-separated energy orders, each >= 1")
+    a.add_argument("--p", type=_checked(float, "every p > 1", lambda v: v > 1,
+                                        many=True),
+                   default=[2.0, 4.0], help="comma-separated norm exponents, each > 1")
+    a.add_argument("--q", type=_checked(float, "q >= 1", lambda v: v >= 1),
+                   default=2.0)
     a.set_defaults(func=cmd_analyze)
 
     v = sub.add_parser("verify", help="run the full invariant suite")

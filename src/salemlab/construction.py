@@ -1,9 +1,10 @@
 """Level-by-level construction of the random Cantor digit sets.
 
 Atoms at level j are exact integers in [0, N^j); the integer a encodes the
-point a / N^j. Each level carries a structured sublist obtained by iterating
-an arithmetic progression, and the random part of the construction is
-verified against explicit deviation thresholds with retry on failure.
+point a / N^j. The structured sublist of each level iterates an arithmetic
+progression, so it follows from the params alone (``structured_atoms``), and
+the random part of the construction is verified against explicit deviation
+thresholds with retry on failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class ConstructionError(RuntimeError):
 class LevelSet:
     j: int
     atoms: np.ndarray        # sorted int64, values in [0, N^j)
-    structured: np.ndarray   # sorted int64 sublist of atoms
 
 
 @dataclass
@@ -40,7 +40,6 @@ class RotationAssignment:
     j: int
     x_of_atom: np.ndarray    # aligned with the level's atoms, values in [0, N)
     lambda_j: float
-    lambda_j_ell: list[float]
     retries_used: int
     verified_k_count: int = 0
     mode: str = "sampled"
@@ -166,16 +165,28 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
 # ---------------------------------------------------------------------------
 # rotations
 
+def structured_atoms(params: ConstructionParams, j: int) -> np.ndarray:
+    """The structured sublist of level j, sorted: the progression iterated
+    over j digits, i.e. every j-digit base-N number with all digits in P."""
+    out = np.zeros(1, dtype=np.int64)
+    progression = np.array(make_progression(params), dtype=np.int64)
+    for _ in range(j):
+        out = (out[:, None] * params.N + progression[None, :]).ravel()
+    return out
+
+
 def structured_mask(params: ConstructionParams, level: LevelSet, ell: int) -> np.ndarray:
-    """Boolean mask of the level's atoms whose top-ell digit prefix is structured."""
-    if ell == 0:
-        return np.ones(len(level.atoms), dtype=bool)
+    """Boolean mask of the level's atoms whose top ell digits all lie in the
+    progression, i.e. whose top-ell digit prefix is structured."""
     if ell > level.j:
         raise ValueError(f"ell={ell} exceeds level j={level.j}")
-    shift = params.N ** (level.j - ell)
-    prefixes = level.atoms // shift
-    struct_prefixes = np.unique(level.structured // shift)
-    return np.isin(prefixes, struct_prefixes)
+    N = params.N
+    in_progression = np.zeros(N, dtype=bool)
+    in_progression[make_progression(params)] = True
+    mask = np.ones(len(level.atoms), dtype=bool)
+    for i in range(1, ell + 1):
+        mask &= in_progression[(level.atoms // N ** (level.j - i)) % N]
+    return mask
 
 
 def rotation_sums(params: ConstructionParams, level: LevelSet, members, xs,
@@ -242,8 +253,8 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
                 break
         if ok:
             return RotationAssignment(
-                j=j, x_of_atom=xs, lambda_j=lam, lambda_j_ell=lams,
-                retries_used=attempt, verified_k_count=len(ks), mode=mode,
+                j=j, x_of_atom=xs, lambda_j=lam, retries_used=attempt,
+                verified_k_count=len(ks), mode=mode,
             )
     m, thresh, k, ell = worst
     raise ConstructionError(
@@ -281,31 +292,21 @@ def build_level(params: ConstructionParams, construction: Construction, rng) -> 
 
     if j == 0:
         members = _fix_cardinality(set(progression), t, N)
-        new = LevelSet(
-            j=1,
-            atoms=np.array(members, dtype=np.int64),
-            structured=np.array(sorted(progression), dtype=np.int64),
-        )
+        new = LevelSet(j=1, atoms=np.array(members, dtype=np.int64))
         construction.audit.append({"j": 1, "mode": "deterministic", "retries": 0})
     else:
         base = build_base_block(params, j, rng)
         rot = choose_rotations(params, level, base, rng)
-        struct_set = set(int(a) for a in level.structured)
+        patched = structured_mask(params, level, j)
         atoms_out = []
-        struct_out = []
-        for a, x in zip(level.atoms, rot.x_of_atom):
-            a = int(a)
-            if a in struct_set:
-                digits = patch_structured(base, int(x), progression, params)
-                struct_out.extend(a * N + m for m in progression)
+        for a, x, structured in zip(level.atoms.tolist(), rot.x_of_atom.tolist(),
+                                    patched.tolist()):
+            if structured:
+                digits = patch_structured(base, x, progression, params)
             else:
-                digits = rotate_block(base.members, int(x), N)
+                digits = rotate_block(base.members, x, N)
             atoms_out.extend(a * N + m for m in digits)
-        new = LevelSet(
-            j=j + 1,
-            atoms=np.array(sorted(atoms_out), dtype=np.int64),
-            structured=np.array(sorted(struct_out), dtype=np.int64),
-        )
+        new = LevelSet(j=j + 1, atoms=np.array(sorted(atoms_out), dtype=np.int64))
         construction.audit.append({
             "j": j + 1,
             "mode": base.mode,
@@ -325,8 +326,7 @@ def build_level(params: ConstructionParams, construction: Construction, rng) -> 
 def build_construction(params: ConstructionParams) -> Construction:
     """Build levels 0..j_max deterministically from (params, seed)."""
     rng = np.random.default_rng(params.seed)
-    root = LevelSet(j=0, atoms=np.array([0], dtype=np.int64),
-                    structured=np.array([0], dtype=np.int64))
+    root = LevelSet(j=0, atoms=np.array([0], dtype=np.int64))
     con = Construction(params=params, levels=[root])
     for _ in range(params.j_max):
         build_level(params, con, rng)
@@ -338,33 +338,25 @@ def build_construction(params: ConstructionParams) -> Construction:
 
 def check_level_invariants(params: ConstructionParams, prev: LevelSet | None,
                            level: LevelSet) -> None:
-    """Raise ConstructionError on any cardinality, range, order or nesting breach."""
+    """Raise ConstructionError on any cardinality, range, order or nesting
+    breach, or when an atom of the structured sublist is missing."""
     N, t = params.N, params.t
     j = level.j
-    a, s = level.atoms, level.structured
+    a = level.atoms
     if len(a) != t**j:
         raise ConstructionError(f"level {j}: |atoms|={len(a)} != t^j={t**j}")
-    if len(s) != params.sqrt_t**j:
+    if len(a) and (a[0] < 0 or a[-1] >= N**j):
+        raise ConstructionError(f"level {j}: atoms out of [0, N^j)")
+    if np.any(np.diff(a) <= 0):
+        raise ConstructionError(f"level {j}: atoms not strictly sorted")
+    # the atoms are distinct, so the count holds iff every structured atom is one
+    count = int(structured_mask(params, level, j).sum())
+    if count != params.sqrt_t**j:
         raise ConstructionError(
-            f"level {j}: |structured|={len(s)} != sqrt(t)^j={params.sqrt_t ** j}"
+            f"level {j}: {count} structured atoms != sqrt(t)^j={params.sqrt_t ** j}"
         )
-    for arr, name in ((a, "atoms"), (s, "structured")):
-        if len(arr) and (arr[0] < 0 or arr[-1] >= N**j):
-            raise ConstructionError(f"level {j}: {name} out of [0, N^j)")
-        if np.any(np.diff(arr) <= 0):
-            raise ConstructionError(f"level {j}: {name} not strictly sorted")
-    if not set(s.tolist()) <= set(a.tolist()):
-        raise ConstructionError(f"level {j}: structured not a subset of atoms")
-    if prev is not None:
-        if not set((a // N).tolist()) <= set(prev.atoms.tolist()):
-            raise ConstructionError(f"level {j}: nesting breach")
-        # structured nesting: v structured iff prefix structured and digit in P
-        pset = set(make_progression(params))
-        expected = {
-            int(b) * N + m for b in prev.structured for m in pset
-        }
-        if expected != set(s.tolist()):
-            raise ConstructionError(f"level {j}: structured nesting breach")
+    if prev is not None and not set((a // N).tolist()) <= set(prev.atoms.tolist()):
+        raise ConstructionError(f"level {j}: nesting breach")
 
 
 def verify_construction(con: Construction) -> None:

@@ -35,12 +35,6 @@ class EnergyTable:
     correlation: dict        # d -> sum_z g(z) g(z+d), for |d| < r
     support_size: int
 
-    def to_json_dict(self, extra=None):
-        out = {"r": self.r, "M": self.M, "support_size": self.support_size}
-        if extra:
-            out.update(extra)
-        return out
-
 
 # Cost of one element add of the integer loop, in units of one point * log2(n)
 # of a rounded rfft convolution step of power-of-two length n (transforms,
@@ -149,22 +143,6 @@ def _fft_counts(Y0, r: int, n: int) -> np.ndarray | None:
                 != s * size ** (s - 1) * first):
             return None
     return g
-
-
-def brute_force_energy(Y, r: int) -> int:
-    """Independent enumeration of 2r-tuples with equal r-fold sums."""
-    from collections import Counter
-    from itertools import product
-
-    counts = Counter(sum(tup) for tup in product(list(Y), repeat=r))
-    return sum(c * c for c in counts.values())
-
-
-def additive_energy(params: ConstructionParams, level: LevelSet, ell: int,
-                    r: int) -> int:
-    """Order-r additive energy of the structured-window atoms at this level."""
-    Y = restricted_atoms(params, level, ell)
-    return sum_distribution(Y, r).M
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Norms on the line, masses against the measure, restriction ratios,
-the interpolation chain, the energy-integral diagnostic, and the ball
-condition scan.
+the interpolation chain, and the ball condition scan.
 
 Quadrature uses a uniform lattice aligned with the integrand's period. The
 samples beyond the reported window [-K, K] are folded in exactly through
@@ -18,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .construction import Construction, LevelSet
+from .construction import LevelSet
 from .energy import EnergyTable, bspline_integers, exact_l2r_norm, l2r_lower_bound
 from .params import ConstructionParams
 from .spectral import restricted_atoms
@@ -37,13 +36,6 @@ class NormEstimate:
     grid: dict = field(default_factory=dict)   # {"K": cutoff, "h": step}
     head_value: float = 0.0  # lattice sum restricted to [-K, K]
     tail_value: float = 0.0  # exact lattice tail beyond K (included in value)
-
-    def to_json_dict(self):
-        return {
-            "p": self.p, "value": self.value, "method": self.method,
-            "tail_bound": self.tail_bound, "grid": self.grid,
-            "head_value": self.head_value, "tail_value": self.tail_value,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +96,8 @@ def _lattice_weights(n_per: int, p: float, m_cut: int):
 
 
 def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float, K: int | None = None, h: float = 0.25,
-                       self_check: bool = False) -> NormEstimate:
+                       p: float, K: int | None = None,
+                       h: float = 0.25) -> NormEstimate:
     """Lattice quadrature of the p-th power of the structured-window
     transform's norm over the line.
 
@@ -120,10 +112,10 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     Poisson summation the h-lattice sum equals the integral whenever
     r <= 1/h.
     """
-    if p < 1:
-        raise NormError(f"need p >= 1, got {p}")
-    if p <= 1:
-        raise NormError("p = 1 has a divergent tail under the 1/|xi| envelope")
+    if not p > 1:
+        raise NormError(
+            f"need p > 1, got {p}: the tail under the 1/|xi| envelope diverges"
+        )
     if h > 0.25:
         raise NormError(f"step h={h} too coarse; need h <= 1/4")
     j = level.j
@@ -147,17 +139,10 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     env_peak = float(params.t) ** (-ell / 2)
     tail_bound = 2.0 * (period * env_peak / math.pi) ** p * K ** (1 - p) / (p - 1)
 
-    est = NormEstimate(
+    return NormEstimate(
         p=p, value=value, method="quadrature", tail_bound=tail_bound,
         grid={"K": int(K), "h": h}, head_value=h * head, tail_value=h * tail,
     )
-    if self_check:
-        finer = lp_norm_quadrature(params, level, ell, p, K=K, h=h / 2)
-        if abs(finer.value - est.value) > 1e-3 * max(abs(est.value), 1e-300):
-            raise NormError(
-                f"grid self-check failed: value {est.value!r} vs {finer.value!r} at h/2"
-            )
-    return est
 
 
 def lp_norm(params: ConstructionParams, level: LevelSet, ell: int, p,
@@ -222,14 +207,6 @@ class RatioReport:
     bound_3_1: float         # structured lower bound on numerator^p
     slack: float             # numerator^p - bound
 
-    def to_json_dict(self):
-        return {
-            "j": self.j, "ell": self.ell, "p": self.p, "q": self.q,
-            "numerator": self.numerator, "denominator": self.denominator,
-            "ratio": self.ratio, "thresholds": self.thresholds,
-            "bound_3_1": self.bound_3_1, "slack": self.slack,
-        }
-
 
 def pick_r(params: ConstructionParams, p: float) -> int:
     """Smallest convolution order covering exponent p inside the standing
@@ -290,34 +267,6 @@ def holder_chain_check(params: ConstructionParams, level: LevelSet, ell: int,
         "implied_holds": pp >= implied * (1 - 1e-9),
         "bound_3_1_holds": pp >= bound31,
     }
-
-
-# ---------------------------------------------------------------------------
-# energy-integral diagnostic
-
-def energy_integral(params: ConstructionParams, level: LevelSet, gamma: float,
-                    K: float, h: float = 0.25) -> dict:
-    """Truncated energy integral of the level measure over 1 <= |xi| <= K,
-    with partial values at dyadic cutoffs to expose growth in K."""
-    if not 0 < gamma < 1:
-        raise NormError(f"need 0 < gamma < 1, got {gamma}")
-    period = params.period(level.j)
-    T, n_per = _lattice_spectrum(params, level.atoms, period, h)
-    inv_h = n_per // period
-    i = np.arange(inv_h, int(K * inv_h) + 1)
-    xi = i / inv_h
-    idx = i % n_per
-    idx = np.minimum(idx, n_per - idx)   # |T| is even
-    mu2 = (np.sinc(xi / period) * T[idx] * float(params.t) ** (-level.j)) ** 2
-    integrand = mu2 * xi ** (-(1.0 - gamma))
-    cumulative = 2.0 * h * np.cumsum(integrand)   # both signs by symmetry
-    partials = {}
-    c = 2.0
-    while c <= K:
-        partials[c] = float(cumulative[int(c * inv_h) - inv_h])
-        c *= 2.0
-    return {"gamma": gamma, "K": K, "value": float(cumulative[-1]),
-            "partials": partials}
 
 
 # ---------------------------------------------------------------------------

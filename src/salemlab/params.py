@@ -7,8 +7,7 @@ are validated here so the rest of the package can assume consistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 # Frequencies are manipulated as int64 indices into dense FFT arrays, so the
 # largest period N^(j_max+1) must stay below 2^62.
@@ -41,16 +40,6 @@ class ConstructionParams:
     def sqrt_t(self) -> int:
         return self.t0**self.n0
 
-    def alpha_fraction(self):
-        """Exact rational value of alpha when t0 is a perfect power of a
-        common base with N0 (e.g. alpha = 1/2 for N0=4, t0=2); None otherwise."""
-        for q in range(1, 65):
-            x = self.t0**q
-            p = round(q * self.alpha)
-            if p >= 1 and self.N0**p == x:
-                return Fraction(p, q)
-        return None
-
     def period(self, j: int) -> int:
         return self.N**j
 
@@ -69,17 +58,6 @@ class ConstructionParams:
             * self.t ** (-(j + 1) / 2 + ell / 4)
             * math.log(8 * self.N ** (j + 1))
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "N0": self.N0, "t0": self.t0, "n0": self.n0,
-            "N": self.N, "t": self.t, "alpha": self.alpha,
-            "j_max": self.j_max, "seed": self.seed,
-            "c_eta": self.c_eta, "c_rot": self.c_rot,
-            "ap_offset": self.ap_offset, "ap_gap": self.ap_gap,
-            "k_budget": self.k_budget, "max_retries": self.max_retries,
-            "fft_budget": self.fft_budget,
-        }
 
 
 def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParams:
@@ -131,9 +109,3 @@ def make_progression(params: ConstructionParams) -> list[int]:
     """The embedded arithmetic progression of length sqrt(t) inside [0, N)."""
     validate_progression(params)
     return [params.ap_offset + i * params.ap_gap for i in range(params.sqrt_t)]
-
-
-def with_overrides(params: ConstructionParams, **kw) -> ConstructionParams:
-    out = replace(params, **kw)
-    validate_progression(out)
-    return out

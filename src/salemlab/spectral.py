@@ -2,9 +2,8 @@
 
 Integer-frequency coefficients come from the exact exponential sums of
 ``expsums``, read from a dense table or summed directly under its one cost
-rule (``_atom_sums``); real-frequency values use the closed sinc form.
-Decay bounds are verified against explicit thresholds with the worst slack
-reported.
+rule (``_atom_sums``). Decay bounds are verified against explicit
+thresholds with the worst slack reported.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import Construction, LevelSet, structured_mask
+from .construction import LevelSet, structured_mask
 from .expsums import SpectralError, _atom_sums, exp_sum, exp_sum_all
 from .params import ConstructionParams
 
@@ -45,46 +44,24 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
     return prefactor(k, params.period(j)) * sums * float(params.t) ** (-j)
 
 
-def _window_coefficients(params: ConstructionParams, level: LevelSet, ell: int,
-                         k, table=None):
+def _window_coefficients(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Coefficients of the measure weighted by the structured window of
-    depth ell (ell = 0: the plain measure), from ``table`` when given."""
-    period = params.period(level.j)
-    if table is not None:
-        s = table[np.asarray(k, dtype=np.int64) % period]
-    else:
-        s = _atom_sums(restricted_atoms(params, level, ell), k, period,
-                       params.fft_budget)
+    depth ell (ell = 0: the plain measure)."""
+    s = _atom_sums(restricted_atoms(params, level, ell), k,
+                   params.period(level.j), params.fft_budget)
     return _coefficients(params, level.j, k, s)
 
 
-def mu_hat(params: ConstructionParams, level: LevelSet, k, table=None):
+def mu_hat(params: ConstructionParams, level: LevelSet, k):
     """Fourier coefficient of the level-j measure at integer frequency k."""
-    return _window_coefficients(params, level, 0, k, table)
+    return _window_coefficients(params, level, 0, k)
 
 
-def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k, table=None):
+def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Fourier coefficient of the structured-window weighted measure."""
     if ell > level.j:
         raise ValueError(f"ell={ell} exceeds level j={level.j}")
-    return _window_coefficients(params, level, ell, k, table)
-
-
-def f_mu_hat_real(params: ConstructionParams, level: LevelSet, ell: int, xi):
-    """Closed sinc-form transform at arbitrary real frequency xi."""
-    atoms = restricted_atoms(params, level, ell)
-    period = params.period(level.j)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=np.float64))
-    z = xi_arr / period
-    out = np.zeros(len(xi_arr), dtype=np.complex128)
-    chunk = max(1, 2**22 // max(len(atoms), 1))
-    for lo in range(0, len(xi_arr), chunk):
-        xc = xi_arr[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(
-            -2j * np.pi * atoms[:, None] * (xc[None, :] / period)
-        ).sum(axis=0)
-    out *= np.exp(-1j * np.pi * z) * np.sinc(z) * float(params.t) ** (-level.j)
-    return out[0] if np.ndim(xi) == 0 else out
+    return _window_coefficients(params, level, ell, k)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +196,6 @@ class DecayReport:
     dyadic_maxima: dict = field(default_factory=dict)   # octave -> max weighted coef
     fitted_exponent: float = float("nan")
 
-    def to_json_dict(self):
-        return {
-            "beta": self.beta,
-            "sup_constant": self.sup_constant,
-            "dyadic_maxima": {str(k): v for k, v in self.dyadic_maxima.items()},
-            "fitted_exponent": self.fitted_exponent,
-        }
-
 
 def decay_report(ks, coefficients, beta: float) -> DecayReport:
     """Octave-wise maxima of |coef(k)| (1+|k|)^(beta/2) and a power-law fit.
@@ -263,37 +232,3 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
         fitted_exponent=float(slope),
     )
 
-
-# ---------------------------------------------------------------------------
-# geometric series envelope
-
-def series_lhs(params: ConstructionParams, k: int, tol=1e-15) -> float:
-    """Sum over levels of min(1, N^(j+1)/|k|) t^(-(j+1)/2) ln(8 N^(j+1)),
-    truncated once terms drop below tol."""
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    N, t = params.N, params.t
-    total = 0.0
-    j = 0
-    while True:
-        term = (
-            min(1.0, N ** (j + 1) / abs(k))
-            * t ** (-(j + 1) / 2)
-            * math.log(8 * N ** (j + 1))
-        )
-        total += term
-        if term < tol and N ** (j + 1) > abs(k):
-            return total
-        j += 1
-
-
-def series_bound_check(params: ConstructionParams, beta: float, k: int,
-                       calibration_k: int = 1) -> dict:
-    """Compare the level-sum envelope against C |k|^(-beta/2) with C
-    calibrated so the bound is tight at the calibration frequency."""
-    if not 0 < beta < params.alpha:
-        raise ValueError(f"need 0 < beta < alpha={params.alpha}")
-    C = series_lhs(params, calibration_k) * abs(calibration_k) ** (beta / 2)
-    lhs = series_lhs(params, k)
-    rhs = C * abs(k) ** (-beta / 2)
-    return {"lhs_sum": lhs, "rhs": rhs, "ratio": lhs / rhs, "constant": C}

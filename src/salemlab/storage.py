@@ -1,7 +1,9 @@
 """Plain-text persistence for level sets and run manifests.
 
 Level-set file format: a header line ``N0 t0 n0 seed j``, one atom per line,
-a ``--`` separator, then the structured atoms. Round-trips exactly.
+a ``--`` separator, then the structured atoms. Round-trips exactly. The
+structured section is written from the params and checked against them on
+load.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .construction import Construction, LevelSet, verify_construction
+from .construction import (
+    Construction, LevelSet, structured_atoms, verify_construction,
+)
 from .params import ConstructionParams, derive_params
 
 SEPARATOR = "--"
@@ -40,7 +44,7 @@ def level_to_text(params: ConstructionParams, level: LevelSet) -> str:
     lines = [f"{params.N0} {params.t0} {params.n0} {params.seed} {level.j}"]
     lines += [str(int(a)) for a in level.atoms]
     lines.append(SEPARATOR)
-    lines += [str(int(a)) for a in level.structured]
+    lines += [str(a) for a in structured_atoms(params, level.j).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -49,6 +53,7 @@ def write_level(path, params: ConstructionParams, level: LevelSet) -> None:
 
 
 def parse_level_text(text: str, path="<string>"):
+    """(header, level, structured section) of a level file's text."""
     lines = text.splitlines()
     if not lines:
         raise StorageError(f"{path}: empty level file")
@@ -76,9 +81,8 @@ def parse_level_text(text: str, path="<string>"):
             raise StorageError(f"{path}:{lineno}: bad atom line {line!r}") from None
     if bucket is atoms:
         raise StorageError(f"{path}: missing separator")
-    level = LevelSet(j=j, atoms=np.array(atoms, dtype=np.int64),
-                     structured=np.array(structured, dtype=np.int64))
-    return (N0, t0, n0, seed), level
+    level = LevelSet(j=j, atoms=np.array(atoms, dtype=np.int64))
+    return (N0, t0, n0, seed), level, structured
 
 
 def read_level(path):
@@ -103,11 +107,11 @@ def write_construction(out_dir, con: Construction) -> list[str]:
 def load_construction(in_dir, validate=True) -> Construction:
     in_dir = Path(in_dir)
     manifest = read_manifest(in_dir) or {}
-    levels = []
+    levels, sections = [], []
     header0 = None
     j = 0
     while (in_dir / level_filename(j)).exists():
-        header, level = read_level(in_dir / level_filename(j))
+        header, level, structured = read_level(in_dir / level_filename(j))
         if level.j != j:
             raise StorageError(f"{level_filename(j)}: header level {level.j} != {j}")
         if header0 is None:
@@ -115,6 +119,7 @@ def load_construction(in_dir, validate=True) -> Construction:
         elif header != header0:
             raise StorageError(f"{level_filename(j)}: header mismatch across levels")
         levels.append(level)
+        sections.append(structured)
         j += 1
     if not levels:
         raise StorageError(f"no level files found in {in_dir}")
@@ -127,6 +132,12 @@ def load_construction(in_dir, validate=True) -> Construction:
         if k in p
     }
     params = derive_params(N0, t0, n0, j_max=len(levels) - 1, seed=seed, **overrides)
+    for j, structured in enumerate(sections):
+        if structured != structured_atoms(params, j).tolist():
+            raise StorageError(
+                f"{in_dir / level_filename(j)}: structured section differs from "
+                f"the progression iterated over {j} digits"
+            )
     con = Construction(params=params, levels=levels,
                        audit=manifest.get("audit", []))
     if validate:

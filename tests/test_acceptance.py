@@ -7,10 +7,9 @@ from fractions import Fraction
 import numpy as np
 
 from salemlab import (
-    brute_force_energy, bspline_integers, build_construction, derive_params,
-    energy_lower_bound, exact_l2r_norm, exp_sum, exp_sum_all, f_mu_hat,
-    l2r_lower_bound, mu_hat, sum_distribution, telescope_check,
-    trivial_bound_check, verify_construction,
+    bspline_integers, energy_lower_bound, exact_l2r_norm, exp_sum, exp_sum_all,
+    f_mu_hat, l2r_lower_bound, mu_hat, structured_mask, sum_distribution,
+    telescope_check, trivial_bound_check, verify_construction,
 )
 from salemlab.cli import main as cli_main
 from salemlab.energy import _centered_bspline_at
@@ -23,6 +22,7 @@ from salemlab.storage import level_filename
 
 
 from _acceptance_report import report
+from _oracles import brute_force_energy
 
 
 def test_criterion_01_determinism(tmp_path):
@@ -43,7 +43,8 @@ def test_criterion_01_determinism(tmp_path):
 
 def test_criterion_02_structure(desk_params, desk):
     ok = all(
-        len(level.atoms) == 4**level.j and len(level.structured) == 2**level.j
+        len(level.atoms) == 4**level.j
+        and structured_mask(desk_params, level, level.j).sum() == 2**level.j
         for level in desk.levels
     )
     verify_construction(desk)   # raises on any nesting breach

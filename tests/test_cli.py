@@ -128,6 +128,28 @@ def test_verify_keeps_the_construct_audit(built):
     assert manifest["audit"] == audit
 
 
+def test_analyze_into_the_run_keeps_the_construct_audit(built):
+    audit = json.loads((built / "manifest.json").read_text())["audit"]
+    assert audit
+    assert main(["analyze", str(built), "--out", str(built), "--energy",
+                 "--level", "2"]) == 0
+    assert json.loads((built / "manifest.json").read_text())["audit"] == audit
+    assert main(["verify", str(built)]) == 0
+    manifest = json.loads((built / "manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["audit"] == audit
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_edited_structured_section_exits_2(built, capsys, command):
+    path = built / level_filename(3)
+    lines = path.read_text().splitlines()
+    lines[lines.index("--") + 1] = "1"   # the first structured atom is 0
+    path.write_text("\n".join(lines) + "\n")
+    assert main([command, str(built)]) == 2
+    assert f"error: {path}: structured section" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 def test_corrupt_manifest_exits_2(built, capsys, command):
     (built / "manifest.json").write_text('{"params": ')
@@ -197,6 +219,9 @@ def test_energy_overflow_exits_3(built, capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value, message", [
     ("--level", "-1", "need >= 0, got -1"),
     ("--kmax", "1", "need >= 2, got 1"),
+    ("--p", "0", "need every p > 1, got 0"),
+    ("--p", "1", "need every p > 1, got 1"),
+    ("--q", "0.5", "need q >= 1, got 0.5"),
 ])
 def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
                                                    message):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from salemlab import (
     ConstructionError, build_construction, check_level_invariants,
-    derive_params, make_progression, structured_mask, verify_construction,
+    derive_params, make_progression, structured_atoms, structured_mask,
+    verify_construction,
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
     frequency_set, patch_structured, rotate_block, rotation_sums, uniform_sum,
 )
-from salemlab.params import with_overrides
 from salemlab.storage import level_to_text
 
 # SHA-256 of each level file (storage.level_to_text), levels 0..5, seed 7,
@@ -40,10 +41,30 @@ def _level_sha256(params, con):
             for level in con.levels]
 
 
+@pytest.fixture(scope="module")
+def bases(desk_params, desk):
+    """(params, construction) for N = 16 (desk), N = 9 and N = 25, so that
+    the digit tests also run where N is not a power of two."""
+    out = [(desk_params, desk)]
+    for N0, j_max in ((3, 5), (5, 3)):
+        params = derive_params(N0, 2, 1, j_max=j_max, seed=7)
+        out.append((params, build_construction(params)))
+    return out
+
+
+def _iterated_progression(params, j):
+    """The progression iterated over j digits, as a Python set."""
+    out = {0}
+    for _ in range(j):
+        out = {b * params.N + m for b in out for m in make_progression(params)}
+    return out
+
+
 def test_level_cardinalities(desk_params, desk):
     for level in desk.levels:
         assert len(level.atoms) == desk_params.t**level.j
-        assert len(level.structured) == desk_params.sqrt_t**level.j
+        assert (structured_mask(desk_params, level, level.j).sum()
+                == desk_params.sqrt_t**level.j)
 
 
 def test_invariants_exhaustive(desk):
@@ -54,18 +75,19 @@ def test_progression_embedded_every_level(desk_params, desk):
     prog = make_progression(desk_params)
     N = desk_params.N
     for level in desk.levels[1:]:
-        struct = set(level.structured.tolist())
+        struct = structured_atoms(desk_params, level.j)
+        assert np.isin(struct, level.atoms).all()
         # every structured atom carries a progression digit in its last place
-        assert all(a % N in prog for a in struct)
+        assert all(a % N in prog for a in struct.tolist())
 
 
-def test_structured_is_progression_iteration(desk_params, desk):
-    N = desk_params.N
-    prog = make_progression(desk_params)
-    expected = {0}
-    for level in desk.levels[1:]:
-        expected = {b * N + m for b in expected for m in prog}
-        assert set(level.structured.tolist()) == expected
+def test_structured_is_progression_iteration(bases):
+    for params, con in bases:
+        for level in con.levels:
+            expected = _iterated_progression(params, level.j)
+            assert structured_atoms(params, level.j).tolist() == sorted(expected)
+            mask = structured_mask(params, level, level.j)
+            assert set(level.atoms[mask].tolist()) == expected
 
 
 def test_atoms_nest(desk_params, desk):
@@ -100,7 +122,7 @@ def test_audit_records(desk_params, desk):
 
 def test_invariant_violation_detected(desk_params, desk):
     level = desk.levels[2]
-    bad = LevelSet(j=2, atoms=level.atoms.copy(), structured=level.structured.copy())
+    bad = LevelSet(j=2, atoms=level.atoms.copy())
     bad.atoms[0] = bad.atoms[1]
     with pytest.raises(ConstructionError, match="sorted|cardinality"):
         check_level_invariants(desk_params, desk.levels[1], bad)
@@ -110,11 +132,21 @@ def test_nesting_violation_detected(desk_params, desk):
     level = desk.levels[2]
     atoms = level.atoms.copy()
     # move one non-structured atom to a parent that does not exist at level 1
-    target = next(a for a in atoms if a not in set(level.structured.tolist()))
-    idx = int(np.where(atoms == target)[0][0])
+    idx = int(np.flatnonzero(~structured_mask(desk_params, level, 2))[0])
     atoms[idx] = 3 * desk_params.N + 5   # digit prefix 3 is not a level-1 atom
-    bad = LevelSet(j=2, atoms=np.sort(atoms), structured=level.structured.copy())
+    bad = LevelSet(j=2, atoms=np.sort(atoms))
     with pytest.raises(ConstructionError, match="nesting"):
+        check_level_invariants(desk_params, desk.levels[1], bad)
+
+
+def test_missing_structured_atom_detected(desk_params, desk):
+    level = desk.levels[2]
+    atoms = level.atoms.tolist()
+    # swap the structured atom 15 = 0 * 16 + 15 for a free digit under parent 0
+    free = next(d for d in range(desk_params.N) if d not in atoms)
+    atoms[atoms.index(15)] = free
+    bad = LevelSet(j=2, atoms=np.array(sorted(atoms), dtype=np.int64))
+    with pytest.raises(ConstructionError, match="3 structured atoms"):
         check_level_invariants(desk_params, desk.levels[1], bad)
 
 
@@ -122,7 +154,6 @@ def test_determinism(desk_params, desk):
     again = build_construction(desk_params)
     for a, b in zip(desk.levels, again.levels):
         assert np.array_equal(a.atoms, b.atoms)
-        assert np.array_equal(a.structured, b.structured)
 
 
 def test_level_bytes_are_pinned(desk_params, desk):
@@ -132,19 +163,23 @@ def test_level_bytes_are_pinned(desk_params, desk):
 
 
 def test_seed_changes_construction(desk_params):
-    other = build_construction(with_overrides(desk_params, seed=8))
+    other = build_construction(replace(desk_params, seed=8))
     # level 5 should differ somewhere (rotations are random)
     base = build_construction(desk_params)
     assert not np.array_equal(other.levels[5].atoms, base.levels[5].atoms)
 
 
-def test_structured_mask_counts(desk_params, desk):
-    s = desk_params.sqrt_t
-    t = desk_params.t
-    for level in desk.levels:
-        for ell in range(0, level.j + 1):
-            mask = structured_mask(desk_params, level, ell)
-            assert mask.sum() == s**ell * t ** (level.j - ell)
+def test_structured_mask_counts(bases):
+    for params, con in bases:
+        s, t = params.sqrt_t, params.t
+        for level in con.levels:
+            for ell in range(0, level.j + 1):
+                mask = structured_mask(params, level, ell)
+                assert mask.sum() == s**ell * t ** (level.j - ell)
+                # the digit test picks the atoms with a structured prefix
+                prefixes = level.atoms // params.N ** (level.j - ell)
+                structured = _iterated_progression(params, ell)
+                assert mask.tolist() == [p in structured for p in prefixes.tolist()]
 
 
 def test_frequency_set_modes(desk_params):
@@ -240,7 +275,7 @@ def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode):
     params = derive_params(N0, 2, 1, j_max=j, seed=7)
     level = build_construction(params).levels[j]
     rng = np.random.default_rng(N0 * 10 + j)
-    ks, got_mode = frequency_set(with_overrides(params, k_budget=k_budget),
+    ks, got_mode = frequency_set(replace(params, k_budget=k_budget),
                                  params.N ** (j + 1), rng)
     assert got_mode == mode
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from salemlab import energy
 from salemlab import (
-    EnergyError, additive_energy, brute_force_energy, bspline_integers,
-    energy_lower_bound, exact_l2r_norm, l2r_lower_bound, sum_distribution,
+    EnergyError, bspline_integers, energy_lower_bound, exact_l2r_norm,
+    l2r_lower_bound, sum_distribution,
 )
+from _oracles import brute_force_energy
 
 small_sets = st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)
 
@@ -127,12 +128,6 @@ def test_energy_lower_bound_values(desk_params):
     # j = 2, ell = 0, r = 2: (t^{2r}/N)^j = (256/16)^2 = 256
     lb = energy_lower_bound(desk_params, 2, 0, 2)
     assert lb["bound"] == Fraction(256, 2)
-
-
-def test_additive_energy_wrapper(desk_params, desk):
-    got = additive_energy(desk_params, desk.levels[2], 2, 2)
-    Y = desk.levels[2].structured
-    assert got == brute_force_energy(Y.tolist(), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,26 @@
+import ast
+from pathlib import Path
+
+import salemlab
+
+PACKAGE = Path(salemlab.__file__).parent
+
+
+def _names_used(path) -> set[str]:
+    """Every name a module reads, as a bare name or as an attribute."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a name only the tests reach belongs in the tests, not in __all__
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(path)
+    assert sorted(set(salemlab.__all__) - used) == []

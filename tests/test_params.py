@@ -1,18 +1,17 @@
 import math
-from fractions import Fraction
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from salemlab import ParamError, derive_params, make_progression
-from salemlab.params import validate_progression, with_overrides
+from salemlab.params import validate_progression
 
 
 def test_desk_derivation(desk_params):
     p = desk_params
     assert (p.N, p.t, p.sqrt_t) == (16, 4, 2)
     assert p.alpha == 0.5
-    assert p.alpha_fraction() == Fraction(1, 2)
     assert p.period(3) == 16**3
 
 
@@ -76,8 +75,8 @@ def test_progression_fits_block():
 
 
 def test_overrides_round_trip(desk_params):
-    q = with_overrides(desk_params, seed=11, c_rot=100.0)
+    q = replace(desk_params, seed=11, c_rot=100.0)
     assert q.seed == 11 and q.c_rot == 100.0
     assert q.N == desk_params.N
-    d = q.as_dict()
+    d = asdict(q)
     assert d["seed"] == 11 and d["c_rot"] == 100.0

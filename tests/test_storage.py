@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from salemlab import StorageError, load_construction, write_construction
+from salemlab import (
+    StorageError, load_construction, structured_atoms, write_construction,
+)
 from salemlab.storage import (
     level_filename, level_to_text, parse_level_text, read_level,
     write_manifest,
@@ -13,25 +16,25 @@ from salemlab.storage import (
 @pytest.fixture()
 def written(tmp_path, desk_params, desk):
     write_construction(tmp_path, desk)
-    write_manifest(tmp_path, {"params": desk_params.as_dict()})
+    write_manifest(tmp_path, {"params": asdict(desk_params)})
     return tmp_path
 
 
 def test_round_trip(written, desk_params, desk):
     loaded = load_construction(written)
-    assert loaded.params.as_dict() == desk_params.as_dict()
+    assert loaded.params == desk_params
     for a, b in zip(desk.levels, loaded.levels):
         assert a.j == b.j
         assert np.array_equal(a.atoms, b.atoms)
-        assert np.array_equal(a.structured, b.structured)
 
 
 def test_level_text_round_trip(desk_params, desk):
     text = level_to_text(desk_params, desk.levels[3])
-    header, level = parse_level_text(text)
+    header, level, structured = parse_level_text(text)
     assert header == (4, 2, 1, 7)
     assert level.j == 3
     assert np.array_equal(level.atoms, desk.levels[3].atoms)
+    assert structured == structured_atoms(desk_params, 3).tolist()
 
 
 def test_writes_are_byte_stable(tmp_path, desk_params, desk):
