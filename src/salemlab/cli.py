@@ -8,7 +8,6 @@ is sufficient to reproduce the run (params + seed + command). Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import asdict
@@ -25,7 +24,7 @@ from .params import ParamError, derive_params
 from .spectral import SpectralError, compute_spectrum, decay_report, restricted_atoms
 from .storage import (
     StorageError, atomic_write_text, load_construction, write_construction,
-    write_manifest,
+    write_json, write_manifest,
 )
 
 EXIT_OK = 0
@@ -149,7 +148,7 @@ def cmd_analyze(args) -> int:
         spec = compute_spectrum(params, level, ks)
         rep = decay_report(spec.ks, spec.coefficients, args.beta)
         path = out_dir / f"decay_mu_j{j}.json"
-        atomic_write_text(path, json.dumps(asdict(rep), indent=2) + "\n")
+        write_json(path, asdict(rep))
         manifest["outputs"].append(str(path))
 
     if args.energy:
@@ -159,7 +158,7 @@ def cmd_analyze(args) -> int:
             for ell in range(0, lmax + 1) for r in args.r
         ]
         path = out_dir / f"energy_j{j}.json"
-        atomic_write_text(path, json.dumps(rows, indent=2) + "\n")
+        write_json(path, rows)
         manifest["outputs"].append(str(path))
         manifest["checks"].append(
             gate("energy-lower-bound", "3.2/3.3", rows, lambda c: c["slack"])
@@ -172,7 +171,7 @@ def cmd_analyze(args) -> int:
                 rows.append({**asdict(lp_norm(params, level, ell, p)),
                              "j": j, "ell": ell})
         path = out_dir / f"norms_j{j}.json"
-        atomic_write_text(path, json.dumps(rows, indent=2) + "\n")
+        write_json(path, rows)
         manifest["outputs"].append(str(path))
 
     if args.ratio:
@@ -189,7 +188,7 @@ def cmd_analyze(args) -> int:
         path = out_dir / f"ratios_j{j}.csv"
         atomic_write_text(path, "\n".join(lines) + "\n")
         jpath = out_dir / f"ratios_j{j}.json"
-        atomic_write_text(jpath, json.dumps(reps, indent=2) + "\n")
+        write_json(jpath, reps)
         manifest["outputs"] += [str(path), str(jpath)]
         cases = [{**rep, "passed": rep["slack"] >= 0} for rep in reps]
         manifest["checks"].append(

@@ -187,10 +187,9 @@ def thresholds(alpha: float, beta: float | None = None, q: float | None = None) 
     if beta is not None:
         out["p_mock"] = 2.0 * (2.0 - 2.0 * alpha + beta) / beta
     if q is not None:
-        if q <= 1:
-            out["pq_bound"] = math.inf
-        else:
-            out["pq_bound"] = q * (2.0 - alpha) / (alpha * (q - 1.0))
+        # unbounded at q = 1; None keeps the reports strict JSON
+        out["pq_bound"] = (q * (2.0 - alpha) / (alpha * (q - 1.0))
+                           if q > 1 else None)
     return out
 
 

@@ -194,15 +194,15 @@ class DecayReport:
     beta: float
     sup_constant: float
     dyadic_maxima: dict = field(default_factory=dict)   # octave -> max weighted coef
-    fitted_exponent: float = float("nan")
+    fitted_exponent: float | None = None   # None below two octaves
 
 
 def decay_report(ks, coefficients, beta: float) -> DecayReport:
     """Octave-wise maxima of |coef(k)| (1+|k|)^(beta/2) and a power-law fit.
 
     The fitted exponent is the least-squares slope of log octave max of
-    |coef| against log k; more negative than -beta/2 means faster decay
-    than the target.
+    |coef| against log k, None below two octaves; more negative than
+    -beta/2 means faster decay than the target.
     """
     ks = np.abs(np.asarray(ks, dtype=np.int64))
     mags = np.abs(np.asarray(coefficients))
@@ -221,14 +221,11 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
             raw_max[m] = float(mags[sel].max())
     xs = np.array([m for m, v in raw_max.items() if v > 0], dtype=float)
     ys = np.log2([raw_max[int(m)] for m in xs])
-    if len(xs) >= 2:
-        slope = np.polyfit(xs, ys, 1)[0]
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
     return DecayReport(
         beta=beta,
         sup_constant=float(weighted.max()),
         dyadic_maxima=table,
-        fitted_exponent=float(slope),
+        fitted_exponent=slope,
     )
 

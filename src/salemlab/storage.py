@@ -40,6 +40,11 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def write_json(path, obj, **kw) -> None:
+    """Strict JSON (RFC 8259: a NaN or infinity raises), written atomically."""
+    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False, **kw) + "\n")
+
+
 def level_to_text(params: ConstructionParams, level: LevelSet) -> str:
     lines = [f"{params.N0} {params.t0} {params.n0} {params.seed} {level.j}"]
     lines += [str(int(a)) for a in level.atoms]
@@ -153,7 +158,7 @@ MANIFEST_NAME = "manifest.json"
 
 def write_manifest(out_dir, manifest: dict) -> str:
     path = Path(out_dir) / MANIFEST_NAME
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest, sort_keys=True)
     return str(path)
 
 

@@ -15,6 +15,22 @@ def brute_force_energy(Y, r: int) -> int:
     return sum(c * c for c in counts.values())
 
 
+def loop_counts(Y, r: int) -> np.ndarray:
+    """r-fold sum counts over Y, from r * min(Y) on, by adding one shifted
+    copy of the whole count array per element of Y."""
+    Y0 = np.unique(np.asarray(Y, dtype=np.int64))
+    Y0 -= Y0[0]
+    top = int(Y0.max())
+    g = np.ones(1, dtype=np.int64)
+    width = 0
+    for _ in range(r):
+        new = np.zeros(width + top + 1, dtype=np.int64)
+        for y in Y0:
+            new[y : y + width + 1] += g
+        g, width = new, width + top
+    return g
+
+
 def f_mu_hat_real(params, level, ell: int, xi):
     """Closed sinc-form transform of the structured-window weighted measure
     at arbitrary real frequency xi."""

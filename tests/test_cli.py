@@ -209,11 +209,11 @@ def test_analyze_bad_level_exits_2(built, capsys):
 
 def test_energy_overflow_exits_3(built, capsys, monkeypatch):
     def overflow(Y, r):
-        raise EnergyError("|Y|^(2r) overflows int64")
+        raise EnergyError("|Y|^r overflows int64")
 
     monkeypatch.setattr("salemlab.checks.sum_distribution", overflow)
     assert main(["verify", str(built)]) == 3
-    assert "resource limit: |Y|^(2r) overflows int64" in capsys.readouterr().err
+    assert "resource limit: |Y|^r overflows int64" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -245,3 +245,29 @@ def test_construct_exits_1_when_rotation_retries_run_out(tmp_path, capsys):
                  "--set", "c_rot=0.2"]) == 1
     assert ("rotation retries exhausted at j=1: |sum|=0.8252 >= 0.3812 "
             "at k=18, ell=0") in capsys.readouterr().err
+
+
+def test_verify_passes_where_energy_exceeds_int64(tmp_path):
+    # at (4, 3, 1, 4) the level-4 window has |Y|^(2r) = 6561^6 > 2^63, so M
+    # and its correlations need exact sums beyond int64; |Y|^r counts do not
+    out = tmp_path / "run"
+    sets = ["N0=4", "t0=3", "n0=1", "j_max=4", "seed=7"]
+    assert main(["construct", "-o", str(out)]
+                + [arg for s in sets for arg in ("--set", s)]) == 0
+    assert main(["verify", str(out)]) == 0
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_reports_are_strict_json(built, tmp_path):
+    # q = 1 has no finite pq bound, and kmax = 2 leaves one octave to fit
+    out = tmp_path / "reports"
+    assert main(["analyze", str(built), "--out", str(out), "--ratio",
+                 "--q", "1", "--decay", "--kmax", "2", "--lmax", "0"]) == 0
+    parsed = {path.name: json.loads(path.read_text(), parse_constant=_reject)
+              for path in out.glob("*.json")}
+    assert parsed["manifest.json"]["thresholds"]["pq_bound"] is None
+    assert parsed["ratios_j3.json"][0]["thresholds"]["pq_bound"] is None
+    assert parsed["decay_mu_j3.json"]["fitted_exponent"] is None

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from salemlab import energy
 from salemlab import (
-    EnergyError, bspline_integers, energy_lower_bound, exact_l2r_norm,
-    l2r_lower_bound, sum_distribution,
+    EnergyError, bspline_integers, build_construction, derive_params,
+    energy_lower_bound, exact_l2r_norm, l2r_lower_bound, sum_distribution,
 )
-from _oracles import brute_force_energy
+from salemlab.spectral import restricted_atoms
+from _oracles import brute_force_energy, loop_counts
 
 small_sets = st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True)
 
@@ -31,52 +33,59 @@ def test_energy_translation_invariant(Y, r, shift):
     assert np.array_equal(a.g, b.g)
 
 
-def _table_by(Y, r, fft):
-    """sum_distribution with the cost rule pinned to one path; the forced FFT
-    path may not fall back to the loop."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy, "_LOOP_ADD_WEIGHT", math.inf if fft else -math.inf)
-        if fft:
-            mp.setattr(energy, "_loop_counts", None)
-        return sum_distribution(Y, r)
+def _python_dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
 
 
-def _same_table(a, b):
-    return (a.z_min == b.z_min and np.array_equal(a.g, b.g) and a.M == b.M
-            and a.correlation == b.correlation
-            and a.support_size == b.support_size)
-
-
+@pytest.mark.parametrize("share", [0.0, math.inf], ids=["dense", "sparse"])
 @given(Y=st.lists(st.integers(0, 3000), min_size=1, max_size=40, unique=True),
        r=st.integers(1, 3), shift=st.integers(-10**6, 10**6))
-@settings(max_examples=80, deadline=None)
-def test_fft_counts_equal_the_loop(Y, r, shift):
+@settings(max_examples=60, deadline=None)
+def test_both_forms_equal_the_loop(share, Y, r, shift):
+    """Each step forced to the contiguous add (share 0) or to the support add
+    (share inf) gives the loop's counts and their exact energies."""
     Y = [y + shift for y in Y]
-    assert _same_table(_table_by(Y, r, fft=True), _table_by(Y, r, fft=False))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_DENSE_SHARE", share)
+        table = sum_distribution(Y, r)
+    g = loop_counts(Y, r)
+    assert table.z_min == r * min(Y)
+    assert np.array_equal(table.g, g)
+    assert table.M == _python_dot(g, g)
+    assert table.support_size == np.count_nonzero(g)
+    for d in range(1, r):
+        want = _python_dot(g[:-d], g[d:])
+        assert table.correlation[d] == table.correlation[-d] == want
 
 
-@pytest.mark.parametrize("fault", ["bound", "moment"])
-def test_failed_certificate_falls_back_to_the_loop(monkeypatch, fault):
-    Y = np.random.default_rng(3).choice(5000, size=60, replace=False) + 17
-    want = _table_by(Y, 3, fft=False)
-    if fault == "bound":
-        monkeypatch.setattr(energy, "_FFT_ERROR_C", 1e300)
-    else:
-        irfft = np.fft.irfft
+def test_energy_beyond_int64_is_exact():
+    # |Y|^3 = 2^39 counts fit in int64, but M and its neighbours exceed 2^63
+    Y = np.arange(2**13) + 5
+    table = sum_distribution(Y, 3)
+    g = loop_counts(Y, 3)
+    assert table.M == _python_dot(g, g) > 2**63
+    assert table.correlation[2] == _python_dot(g[:-2], g[2:]) > 2**63
 
-        def off_by_one(*args, **kwargs):
-            out = irfft(*args, **kwargs)
-            out[5] += 1.0        # a wrong count the moments must catch
-            return out
 
-        monkeypatch.setattr(np.fft, "irfft", off_by_one)
-    loops = []
-    loop_counts = energy._loop_counts
-    monkeypatch.setattr(energy, "_loop_counts",
-                        lambda *a: loops.append(a) or loop_counts(*a))
-    monkeypatch.setattr(energy, "_LOOP_ADD_WEIGHT", math.inf)
-    assert _same_table(sum_distribution(Y, 3), want)
-    assert len(loops) == 1
+# (j, ell, r, M, support_size, correlations) of every desk seed-7 table, and
+# of the N = 9 level-5 window whose g_2 covers 45% of its width (the dense
+# form), recorded from the earlier rounded-FFT and loop counts
+DESK_ENERGY_SHA256 = "6f57d4868f7ee6b0621a5095b3572a2f434c68a7ae3f45e4afb4183dd51df55c"
+ODD_BASE_L5_R3 = (13964206335430, 145700, {
+    0: 13964206335430, 1: 13961899552476, -1: 13961899552476,
+    2: 13956381447396, -2: 13956381447396,
+})
+
+
+def test_energy_integers_are_pinned(energy_table_cache):
+    rows = [(j, ell, r, t.M, t.support_size, sorted(t.correlation.items()))
+            for j in range(6) for ell in range(j + 1) for r in (2, 3)
+            for t in [energy_table_cache(j, ell, r)]]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == DESK_ENERGY_SHA256
+    odd = derive_params(3, 2, 1, j_max=5, seed=7)
+    Y = restricted_atoms(odd, build_construction(odd).levels[5], 0)
+    t = sum_distribution(Y, 3)
+    assert (t.M, t.support_size, t.correlation) == ODD_BASE_L5_R3
 
 
 def test_sum_distribution_basics():
@@ -96,8 +105,9 @@ def test_r1_energy_is_set_size():
 
 
 def test_overflow_guard():
+    # the counts sum to |Y|^r = 2^64
     with pytest.raises(EnergyError, match="overflow"):
-        sum_distribution(list(range(256)), 4)
+        sum_distribution(list(range(2**16)), 4)
 
 
 def test_empty_and_bad_order():

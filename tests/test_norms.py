@@ -110,7 +110,7 @@ def test_thresholds_formulas():
     assert th["pq_bound"] == 6.0
     # and its q -> infinity limit
     assert thresholds(0.5, q=1e12)["pq_bound"] == pytest.approx(3.0, rel=1e-6)
-    assert thresholds(0.5, q=1.0)["pq_bound"] == math.inf
+    assert thresholds(0.5, q=1.0)["pq_bound"] is None
 
 
 def test_p_mock_monotone_in_beta():
