@@ -7,7 +7,6 @@ passes, and its ``worst`` is the first case at the extreme of ``worst_by``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,12 +123,8 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
                   for ell in range(0, level.j + 1)]
     checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
 
-    # energy lower bound; the interpolation chain below reuses the top-level
-    # tables of its order, kept without their dense counts
-    top = con.levels[-1]
-    chain_r = pick_r(params, 4)
-    chain_ells = range(0, min(top.j, 2) + 1)
-    chain_tables = {}
+    # energy lower bound; the interpolation chain below rereads the top-level
+    # tables of its order from the memo of sum_distribution
     cases = []
     for level in con.levels:
         for ell in range(0, level.j + 1):
@@ -137,17 +132,14 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
                 table = sum_distribution(restricted_atoms(params, level, ell), r)
                 case = energy_case(params, level, ell, r, table)
                 cases.append({k: case[k] for k in ("j", "ell", "r", "slack", "passed")})
-                if level is top and r == chain_r and ell in chain_ells:
-                    chain_tables[ell] = replace(table, g=None)
-    del table   # the last dense g is not needed by the chain's quadrature
     checks.append(gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"]))
 
     # interpolation chain at the top level
+    top = con.levels[-1]
     cases = []
-    for ell in chain_ells:
+    for ell in range(0, min(top.j, 2) + 1):
         for p in (2, 3):
-            rep = holder_chain_check(params, top, ell, p, chain_r,
-                                     table=chain_tables.get(ell))
+            rep = holder_chain_check(params, top, ell, p, pick_r(params, 4))
             cases.append({"ell": ell, "p": p, "slack": rep["slack"],
                           "passed": rep["chain_holds"] and rep["bound_3_1_holds"]})
     checks.append(gate("holder-chain", "3.1", cases, lambda c: c["slack"]))

@@ -39,23 +39,28 @@ PARAM_KEYS = {
 }
 
 
+def parse_item(item: str, where: str) -> tuple:
+    """(key, typed value) of one ``key = value`` item of a config file or of
+    ``--set``; ``where`` names the item in the ParamError of a bad one."""
+    if "=" not in item:
+        raise ParamError(f"{where}: expected key = value, got {item!r}")
+    key, _, value = (part.strip() for part in item.partition("="))
+    if key not in PARAM_KEYS:
+        raise ParamError(f"{where}: unknown key {key!r}")
+    try:
+        return key, PARAM_KEYS[key](value)
+    except ValueError:
+        raise ParamError(f"{where}: bad value for {key}: {value!r}") from None
+
+
 def parse_config(path) -> dict:
     """Flat key = value text; # starts a comment."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParamError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in PARAM_KEYS:
-            raise ParamError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            out[key] = PARAM_KEYS[key](value.strip())
-        except ValueError:
-            raise ParamError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        if line:
+            key, value = parse_item(line, f"{path}:{lineno}")
+            out[key] = value
     return out
 
 
@@ -101,11 +106,7 @@ def finish(out_dir, manifest: dict) -> int:
 
 def cmd_construct(args) -> int:
     cfg = parse_config(args.config) if args.config else {}
-    for item in args.set or []:
-        key, _, value = item.partition("=")
-        if key not in PARAM_KEYS:
-            raise ParamError(f"--set: unknown key {key!r}")
-        cfg[key] = PARAM_KEYS[key](value)
+    cfg.update(parse_item(item, "--set") for item in args.set or [])
     params = params_from_config(cfg)
     manifest = base_manifest(args, params)
     con = build_construction(params)

@@ -7,10 +7,12 @@ so even-order norms come out as exact fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,14 +28,11 @@ class EnergyError(RuntimeError):
 # ---------------------------------------------------------------------------
 # sum distributions
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyTable:
     r: int
-    z_min: int               # offset: g[i] counts r-fold sums equal to z_min + i
-    g: np.ndarray | None     # int64 counts, dense; None where only M and
-                             # the correlations are kept
     M: int                   # sum of g^2, the order-r additive energy
-    correlation: dict        # d -> sum_z g(z) g(z+d), for |d| < r
+    correlation: MappingProxyType   # d -> sum_z g(z) g(z+d), for |d| < r
     support_size: int
 
 
@@ -44,14 +43,35 @@ class EnergyTable:
 # s); 1/16 took desk to 4.0-4.7 s, and 1/2 took N = 9 to 0.44 s.
 _DENSE_SHARE = 1 / 8
 
+# Tables kept by the memo of ``sum_distribution``. verify builds one per
+# window and order, and its interpolation chain rereads the 2(j_max + 1)
+# top-level ones; j_max + 1 <= 19 for every accepted base, so 64 keeps them.
+_TABLES_KEPT = 64
+
 
 def sum_distribution(Y, r: int) -> EnergyTable:
-    """Exact distribution g(z) of r-fold sums over Y, with energy and the
-    short-range correlation table needed by the B-spline norm identity.
+    """Exact order-r energy of Y and the short-range correlations that the
+    B-spline norm identity needs, summed exactly beyond int64. A table depends
+    on the set and r alone: each is built once per process, without counts."""
+    return _table(np.unique(np.asarray(Y, dtype=np.int64)).tobytes(), r)
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _table(key: bytes, r: int) -> EnergyTable:
+    g = _sum_counts(np.frombuffer(key, dtype=np.int64), r)
+    M = _exact_dot(g, g)
+    corr = {0: M}
+    for d in range(1, r):
+        corr[d] = corr[-d] = _exact_dot(g[:-d], g[d:]) if d < len(g) else 0
+    return EnergyTable(r=r, M=M, correlation=MappingProxyType(corr),
+                       support_size=int(np.count_nonzero(g)))
+
+
+def _sum_counts(Y, r: int) -> np.ndarray:
+    """g[i] = the number of r-tuples over Y summing to r * min(Y) + i.
 
     g_s = g_{s-1} (+) 1_Y is built by one int64 shift-add per element of Y,
-    so every count is an integer add. The counts sum to |Y|^r, which must fit
-    in int64; M and the correlations are summed exactly beyond that.
+    so every count is an integer add; the counts sum to |Y|^r < 2^63.
     """
     Y = np.unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
@@ -62,9 +82,8 @@ def sum_distribution(Y, r: int) -> EnergyTable:
         raise EnergyError(
             f"|Y|^r = {len(Y)}^{r} would overflow exact int64 energy counts"
         )
-    base = int(Y.min())
-    Y0 = Y - base          # translation leaves g's shape, M and correlations alone
-    top = int(Y0.max())
+    Y0 = Y - Y[0]          # translation leaves g's shape, M and correlations alone
+    top = int(Y0[-1])
     g = np.zeros(top + 1, dtype=np.int64)
     g[Y0] = 1
     for _ in range(r - 1):
@@ -79,14 +98,7 @@ def sum_distribution(Y, r: int) -> EnergyTable:
             for y in Y0:
                 new[supp + y] += vals
         g = new
-    M = _exact_dot(g, g)
-    corr = {0: M}
-    for d in range(1, r):
-        corr[d] = corr[-d] = _exact_dot(g[:-d], g[d:]) if d < len(g) else 0
-    return EnergyTable(
-        r=r, z_min=r * base, g=g, M=M, correlation=corr,
-        support_size=int(np.count_nonzero(g)),
-    )
+    return g
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
@@ -149,10 +161,7 @@ def bspline_integers(r: int) -> BsplineTable:
     the integers; the support is (-r, r) so only |d| < r is nonzero."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    n = 2 * r
-    values = {}
-    for d in range(-r, r + 1):
-        values[d] = _centered_bspline_at(n, Fraction(d))
+    values = {d: _centered_bspline_at(2 * r, Fraction(d)) for d in range(-r, r + 1)}
     return BsplineTable(r=r, values=values, C2r=values[0])
 
 
@@ -160,7 +169,7 @@ def bspline_integers(r: int) -> BsplineTable:
 # exact even-order norms
 
 def exact_l2r_norm(params: ConstructionParams, level: LevelSet, ell: int,
-                   r: int, table: EnergyTable | None = None) -> dict:
+                   r: int) -> dict:
     """Exact 2r-th power of the L^{2r} norm of the structured-window
     transform: (N^j / t^{2rj}) * sum over |d| < r of corr(d) * B_{2r}(d).
 
@@ -168,18 +177,11 @@ def exact_l2r_norm(params: ConstructionParams, level: LevelSet, ell: int,
     and the result is an exact rational.
     """
     j = level.j
-    N, t = params.N, params.t
-    if table is None:
-        Y = restricted_atoms(params, level, ell)
-        table = sum_distribution(Y, r)
-    if table.r != r:
-        raise ValueError("energy table order mismatch")
+    table = sum_distribution(restricted_atoms(params, level, ell), r)
     spline = bspline_integers(r)
-    scale = Fraction(N**j, t ** (2 * r * j))
-    total = Fraction(0)
-    for d in range(-(r - 1), r):
-        total += table.correlation[d] * spline.values[d]
-    value = scale * total
+    scale = Fraction(params.N**j, params.t ** (2 * r * j))
+    value = scale * sum(table.correlation[d] * spline.values[d]
+                        for d in range(-(r - 1), r))
     floor = scale * spline.C2r * table.M   # keeping only the d = 0 term
     return {
         "value": value, "value_float": float(value),

@@ -3,8 +3,8 @@
 S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
 summed directly with exact residues or read from the dense real-input table,
 with one cost rule between them (``_atom_sums``). The construction's
-rotation checks and the spectral module's measure coefficients both
-evaluate through here.
+rotation checks, the spectral module's measure coefficients and the norms'
+lattice samples all evaluate through here.
 """
 
 from __future__ import annotations
@@ -46,19 +46,21 @@ def exp_sum_all(atoms, period, fft_budget=2**26):
     return _table_sums(atoms, np.arange(period), period, fft_budget)
 
 
-def half_table(atoms, period, fft_budget=2**26):
+def half_table(atoms, period, fft_budget=2**26, n=None):
     """S(k) for k in [0, period // 2] via one real-input FFT.
 
     The atoms are real positions, so the rest of the period is the mirror
-    image S(period - k) = conj S(k).
+    image S(period - k) = conj S(k). A transform length ``n`` zero-pads the
+    indicator and samples S at k * period / n for k in [0, n // 2] instead.
     """
-    if period > fft_budget:
+    n = period if n is None else n
+    if n > fft_budget:
         raise SpectralError(
-            f"period {period} exceeds the dense transform budget {fft_budget}"
+            f"transform length {n} exceeds the dense transform budget {fft_budget}"
         )
     ind = np.zeros(period)
     ind[np.asarray(atoms, dtype=np.int64)] = 1.0
-    return np.fft.rfft(ind)
+    return np.fft.rfft(ind, n)
 
 
 # Cost of one direct-sum term in units of one point * log2 of the half

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .construction import LevelSet
-from .energy import EnergyTable, bspline_integers, exact_l2r_norm, l2r_lower_bound
+from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
+from .expsums import half_table
 from .params import ConstructionParams
 from .spectral import restricted_atoms
 
@@ -53,13 +54,9 @@ def _lattice_spectrum(params: ConstructionParams, atoms, period: int, h: float):
     if abs(inv_h - 1.0 / h) > 1e-12 or inv_h < 1:
         raise NormError(f"step h={h} must be the reciprocal of a positive integer")
     n_per = period * inv_h
-    if n_per > params.fft_budget:
-        raise NormError(f"lattice of {n_per} points per period exceeds the budget")
-    ind = np.zeros(period)
-    ind[np.asarray(atoms, dtype=np.int64)] = 1.0
     # zero-padding the length-N^j indicator to n_per points samples the
     # exponential sum at the refined frequencies xi = k*h
-    return np.abs(np.fft.rfft(ind, n_per)), n_per
+    return np.abs(half_table(atoms, period, params.fft_budget, n_per)), n_per
 
 
 @functools.lru_cache(maxsize=1)
@@ -145,15 +142,14 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     )
 
 
-def lp_norm(params: ConstructionParams, level: LevelSet, ell: int, p,
-            **kw) -> NormEstimate:
+def lp_norm(params: ConstructionParams, level: LevelSet, ell: int, p) -> NormEstimate:
     """p-th norm power; even integer p goes through the exact B-spline route."""
     if float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2:
         r = int(p) // 2
         res = exact_l2r_norm(params, level, ell, r)
         return NormEstimate(p=float(p), value=res["value_float"],
                             method="exact-bspline")
-    return lp_norm_quadrature(params, level, ell, float(p), **kw)
+    return lp_norm_quadrature(params, level, ell, float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +210,8 @@ def pick_r(params: ConstructionParams, p: float) -> int:
 
 
 def restriction_ratio(params: ConstructionParams, level: LevelSet, ell: int,
-                      p: float, q: float, **kw) -> RatioReport:
-    est = lp_norm(params, level, ell, p, **kw)
+                      p: float, q: float) -> RatioReport:
+    est = lp_norm(params, level, ell, p)
     numerator = est.value ** (1.0 / p)
     denominator = lq_mass(params, ell, q)["norm"]
     r = pick_r(params, p)
@@ -236,21 +232,19 @@ def restriction_ratio(params: ConstructionParams, level: LevelSet, ell: int,
 # interpolation chain
 
 def holder_chain_check(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float, r: int, table: EnergyTable | None = None,
-                       **kw) -> dict:
+                       p: float, r: int) -> dict:
     """Check the interpolation chain on the windowed transform phi:
 
         ||phi||_{2r}^{2r} <= ||phi||_p^p * ||phi||_inf^{2r-p},
 
     with ||phi||_inf <= t^(-ell/2) (attained at 0), and the implied lower
-    bound on ||phi||_p^p against the structured-energy bound. ``table`` is
-    the order-r energy table of the window, built here when not given.
+    bound on ||phi||_p^p against the structured-energy bound.
     """
     if not 1 <= p < 2 * r:
         raise NormError(f"need 1 <= p < 2r, got p={p}, r={r}")
-    exact = exact_l2r_norm(params, level, ell, r, table=table)
+    exact = exact_l2r_norm(params, level, ell, r)
     lhs = exact["value_float"]
-    pp = lp_norm(params, level, ell, p, **kw).value
+    pp = lp_norm(params, level, ell, p).value
     sup = float(params.t) ** (-ell / 2)
     rhs = pp * sup ** (2 * r - p)
     implied = lhs * float(params.t) ** (ell * (2 * r - p) / 2)

@@ -40,9 +40,10 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_json(path, obj, **kw) -> None:
+def write_json(path, obj, sort_keys: bool = False) -> None:
     """Strict JSON (RFC 8259: a NaN or infinity raises), written atomically."""
-    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False, **kw) + "\n")
+    text = json.dumps(obj, indent=2, allow_nan=False, sort_keys=sort_keys)
+    atomic_write_text(path, text + "\n")
 
 
 def level_to_text(params: ConstructionParams, level: LevelSet) -> str:
@@ -128,8 +129,12 @@ def load_construction(in_dir, validate=True) -> Construction:
         j += 1
     if not levels:
         raise StorageError(f"no level files found in {in_dir}")
-    N0, t0, n0, seed = header0
     p = manifest.get("params", {})
+    if p.get("j_max", j - 1) != j - 1:
+        # a truncated run would otherwise verify over the levels it kept
+        raise StorageError(f"{in_dir}: the manifest has j_max = {p['j_max']}, "
+                           f"but the level files stop before {level_filename(j)}")
+    N0, t0, n0, seed = header0
     overrides = {
         k: p[k]
         for k in ("c_eta", "c_rot", "ap_offset", "ap_gap", "k_budget",

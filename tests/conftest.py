@@ -10,8 +10,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from salemlab import build_construction, derive_params
-from salemlab.energy import sum_distribution
-from salemlab.spectral import restricted_atoms
 
 
 @pytest.fixture(scope="session")
@@ -23,19 +21,3 @@ def desk_params():
 @pytest.fixture(scope="session")
 def desk(desk_params):
     return build_construction(desk_params)
-
-
-@pytest.fixture(scope="session")
-def energy_table_cache(desk_params, desk):
-    """Shared (j, ell, r) -> EnergyTable cache; the top-level r = 3 tables
-    are the expensive ones and several tests need them."""
-    cache = {}
-
-    def get(j, ell, r):
-        key = (j, ell, r)
-        if key not in cache:
-            Y = restricted_atoms(desk_params, desk.levels[j], ell)
-            cache[key] = sum_distribution(Y, r)
-        return cache[key]
-
-    return get

@@ -17,7 +17,7 @@ from salemlab.norms import (
     ball_condition_report, direct_mass, holder_chain_check,
     lp_norm_quadrature, thresholds,
 )
-from salemlab.spectral import compute_spectrum
+from salemlab.spectral import compute_spectrum, restricted_atoms
 from salemlab.storage import level_filename
 
 
@@ -145,13 +145,14 @@ def test_criterion_08_energy_oracle(desk):
     report(8, "convolution energy equals brute-force enumeration, |Y| <= 12", ok)
 
 
-def test_criterion_09_energy_lower_bound(desk_params, energy_table_cache):
+def test_criterion_09_energy_lower_bound(desk_params, desk):
     ok = True
     min_slack = None
     for j in range(0, 6):
         for ell in range(0, j + 1):
             for r in (2, 3):
-                table = energy_table_cache(j, ell, r)
+                Y = restricted_atoms(desk_params, desk.levels[j], ell)
+                table = sum_distribution(Y, r)
                 lb = energy_lower_bound(desk_params, j, ell, r)
                 good = (table.M >= lb["bound"]
                         and table.support_size <= lb["z_bound"])
@@ -221,24 +222,22 @@ def test_criterion_11_bspline_table():
            f"C6 err {abs(richardson[3] - 0.55):.1e}")
 
 
-def test_criterion_12_norm_lower_bound(desk_params, desk, energy_table_cache):
+def test_criterion_12_norm_lower_bound(desk_params, desk):
     ok = True
     for j in range(0, 6):
         for ell in range(0, j + 1):
-            res = exact_l2r_norm(desk_params, desk.levels[j], ell, 3,
-                                 table=energy_table_cache(j, ell, 3))
+            res = exact_l2r_norm(desk_params, desk.levels[j], ell, 3)
             lb = l2r_lower_bound(desk_params, ell, 3)
             ok = ok and res["value"] >= lb["bound"]
     report(12, "exact 6th-norm power >= C_6 N^l r^(-l-1) t^(-7l/2), r = 3", ok)
 
 
-def test_criterion_13_holder_chain(desk_params, desk, energy_table_cache):
+def test_criterion_13_holder_chain(desk_params, desk):
     ok = True
     min_slack = None
     for ell in range(0, 3):
         for p in (2.0, 3.0, 4.0):
-            rep = holder_chain_check(desk_params, desk.levels[5], ell, p, 3,
-                                     table=energy_table_cache(5, ell, 3))
+            rep = holder_chain_check(desk_params, desk.levels[5], ell, p, 3)
             ok = (ok and rep["chain_holds"] and rep["implied_holds"]
                   and rep["bound_3_1_holds"] and rep["slack"] >= -1e-9)
             rel = rep["slack"] / rep["rhs"]

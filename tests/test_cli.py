@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from salemlab import energy
 from salemlab.cli import main
 from salemlab.energy import EnergyError
 from salemlab.storage import level_filename
@@ -62,6 +63,18 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     cfg.write_text("N0 = 4\nt0 = 2\nn0 = 1\nbogus = 3\n")
     assert main(["construct", "-c", str(cfg), "-o", str(tmp_path / "x")]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, message", [
+    ("N0=abc", "--set: bad value for N0: 'abc'"),
+    ("N0", "--set: expected key = value, got 'N0'"),
+    ("bogus=3", "--set: unknown key 'bogus'"),
+])
+def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
+    assert main(["construct", "-o", str(tmp_path / "x"), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_missing_required_key_exits_2(tmp_path, capsys):
@@ -150,6 +163,22 @@ def test_edited_structured_section_exits_2(built, capsys, command):
     assert f"error: {path}: structured section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["analyze", "--level", "1"]])
+def test_truncated_run_exits_2(built, capsys, command):
+    (built / level_filename(2)).unlink()
+    assert main([command[0], str(built), *command[1:]]) == 2
+    assert (f"error: {built}: the manifest has j_max = 3, but the level files "
+            f"stop before level_2.txt") in capsys.readouterr().err
+
+
+def test_run_without_manifest_takes_its_levels_from_the_files(built):
+    (built / "manifest.json").unlink()
+    (built / level_filename(3)).unlink()
+    assert main(["analyze", str(built), "--energy"]) == 0
+    manifest = json.loads((built / "reports" / "manifest.json").read_text())
+    assert manifest["params"]["j_max"] == 2
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 def test_corrupt_manifest_exits_2(built, capsys, command):
     (built / "manifest.json").write_text('{"params": ')
@@ -214,6 +243,31 @@ def test_energy_overflow_exits_3(built, capsys, monkeypatch):
     monkeypatch.setattr("salemlab.checks.sum_distribution", overflow)
     assert main(["verify", str(built)]) == 3
     assert "resource limit: |Y|^r overflows int64" in capsys.readouterr().err
+
+
+def test_energy_tables_are_counted_once_per_process(built, monkeypatch):
+    counted = []
+    count = energy._sum_counts
+    monkeypatch.setattr(energy, "_sum_counts",
+                        lambda Y, r: counted.append((bytes(Y), r)) or count(Y, r))
+    energy._table.cache_clear()
+    assert main(["analyze", str(built), "--energy", "--norms", "--ratio",
+                 "--p", "2,4,6"]) == 0
+    assert counted and len(counted) == len(set(counted))
+    n_analyze = len(counted)
+    assert main(["verify", str(built)]) == 0
+    assert len(counted) > n_analyze
+    assert len(counted) == len(set(counted))
+
+
+def test_lattice_beyond_the_budget_exits_3(tmp_path, capsys):
+    # the level-3 lattice at h = 1/4 has 16^3 * 4 points per period
+    out = tmp_path / "run"
+    sets = ["N0=4", "t0=2", "n0=1", "j_max=3", "seed=7", "fft_budget=4096"]
+    assert main(["construct", "-o", str(out)]
+                + [arg for s in sets for arg in ("--set", s)]) == 0
+    assert main(["analyze", str(out), "--norms", "--p", "3"]) == 3
+    assert "resource limit: transform length 16384 exceeds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [

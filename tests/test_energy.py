@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ def test_energy_translation_invariant(Y, r, shift):
     b = sum_distribution([y + shift for y in Y], r)
     assert a.M == b.M
     assert a.correlation == b.correlation
-    assert np.array_equal(a.g, b.g)
+    assert np.array_equal(energy._sum_counts(Y, r),
+                          energy._sum_counts([y + shift for y in Y], r))
 
 
 def _python_dot(a, b) -> int:
@@ -43,14 +47,15 @@ def _python_dot(a, b) -> int:
 @settings(max_examples=60, deadline=None)
 def test_both_forms_equal_the_loop(share, Y, r, shift):
     """Each step forced to the contiguous add (share 0) or to the support add
-    (share inf) gives the loop's counts and their exact energies."""
+    (share inf) gives the loop's counts, and the table their exact energies.
+    The uncached chain is called, since a table may predate the patch."""
     Y = [y + shift for y in Y]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_DENSE_SHARE", share)
-        table = sum_distribution(Y, r)
+        counts = energy._sum_counts(Y, r)
     g = loop_counts(Y, r)
-    assert table.z_min == r * min(Y)
-    assert np.array_equal(table.g, g)
+    assert np.array_equal(counts, g)
+    table = sum_distribution(Y, r)
     assert table.M == _python_dot(g, g)
     assert table.support_size == np.count_nonzero(g)
     for d in range(1, r):
@@ -77,10 +82,14 @@ ODD_BASE_L5_R3 = (13964206335430, 145700, {
 })
 
 
-def test_energy_integers_are_pinned(energy_table_cache):
+def _desk_table(params, con, j, ell, r):
+    return sum_distribution(restricted_atoms(params, con.levels[j], ell), r)
+
+
+def test_energy_integers_are_pinned(desk_params, desk):
     rows = [(j, ell, r, t.M, t.support_size, sorted(t.correlation.items()))
             for j in range(6) for ell in range(j + 1) for r in (2, 3)
-            for t in [energy_table_cache(j, ell, r)]]
+            for t in [_desk_table(desk_params, desk, j, ell, r)]]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == DESK_ENERGY_SHA256
     odd = derive_params(3, 2, 1, j_max=5, seed=7)
     Y = restricted_atoms(odd, build_construction(odd).levels[5], 0)
@@ -89,12 +98,31 @@ def test_energy_integers_are_pinned(energy_table_cache):
 
 
 def test_sum_distribution_basics():
-    table = sum_distribution([0, 1], 2)
     # 2-fold sums of {0,1}: 0 once, 1 twice, 2 once
-    assert table.g.tolist() == [1, 2, 1]
+    assert energy._sum_counts([0, 1], 2).tolist() == [1, 2, 1]
+    table = sum_distribution([0, 1], 2)
     assert table.M == 1 + 4 + 1
     assert table.correlation == {0: 6, 1: 4, -1: 4}
     assert table.support_size == 3
+
+
+@given(Y=small_sets, r=st.integers(1, 3), shift=st.integers(-50, 50))
+@settings(max_examples=30, deadline=None)
+def test_sum_counts_start_at_r_times_the_minimum(Y, r, shift):
+    Y = [y + shift for y in Y]
+    g = energy._sum_counts(Y, r)
+    counts = Counter(sum(tup) for tup in product(Y, repeat=r))
+    assert {r * min(Y) + i: int(c) for i, c in enumerate(g) if c} == counts
+
+
+def test_tables_cannot_be_mutated():
+    table = sum_distribution([0, 1, 3], 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.M = 0
+    with pytest.raises(TypeError):
+        table.correlation[0] = 0
+    assert sum_distribution([3, 1, 0], 2) is table
+    assert table.M == table.correlation[0] == brute_force_energy([0, 1, 3], 2)
 
 
 def test_r1_energy_is_set_size():
@@ -117,12 +145,11 @@ def test_empty_and_bad_order():
         sum_distribution([1], 0)
 
 
-def test_constructed_level_energies_exceed_bound(desk_params, desk,
-                                                 energy_table_cache):
+def test_constructed_level_energies_exceed_bound(desk_params, desk):
     for j in range(0, 6):
         for ell in range(0, j + 1):
             for r in (2, 3):
-                table = energy_table_cache(j, ell, r)
+                table = _desk_table(desk_params, desk, j, ell, r)
                 lb = energy_lower_bound(desk_params, j, ell, r)
                 assert table.M >= lb["bound"], (j, ell, r)
                 assert table.support_size <= lb["z_bound"], (j, ell, r)
@@ -191,18 +218,11 @@ def test_exact_l2_is_plancherel(desk_params, desk):
             assert res["value"] == expected
 
 
-def test_exact_l2r_exceeds_lower_bound(desk_params, desk, energy_table_cache):
+def test_exact_l2r_exceeds_lower_bound(desk_params, desk):
     for j in range(0, 6):
         for ell in range(0, j + 1):
-            table = energy_table_cache(j, ell, 3)
-            res = exact_l2r_norm(desk_params, desk.levels[j], ell, 3, table=table)
+            res = exact_l2r_norm(desk_params, desk.levels[j], ell, 3)
             lb = l2r_lower_bound(desk_params, ell, 3)
             assert lb["in_hypothesis"]
             assert res["value"] >= lb["bound"], (j, ell)
             assert res["value"] >= res["d0_floor"] > 0
-
-
-def test_exact_l2r_order_mismatch(desk_params, desk, energy_table_cache):
-    with pytest.raises(ValueError, match="order"):
-        exact_l2r_norm(desk_params, desk.levels[1], 0, 2,
-                       table=energy_table_cache(1, 0, 3))

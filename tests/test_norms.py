@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +7,10 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from salemlab import (
-    NormError, ball_condition_report, build_construction, derive_params,
+    NormError, SpectralError, ball_condition_report, build_construction, derive_params,
     direct_mass, holder_chain_check, lp_norm,
     lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
-from salemlab.energy import sum_distribution
 from salemlab.norms import pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
 
@@ -91,6 +90,14 @@ def test_quadrature_rejects_bad_grid(desk_params, desk):
         lp_norm_quadrature(desk_params, level, 0, 1.0)
 
 
+def test_lattice_beyond_the_budget_is_a_resource_limit(desk_params, desk):
+    # level 2 at h = 1/4 samples 16^2 * 4 = 1024 points per period
+    level = desk.levels[2]
+    lp_norm_quadrature(replace(desk_params, fft_budget=1024), level, 0, 2.5)
+    with pytest.raises(SpectralError, match="length 1024 exceeds"):
+        lp_norm_quadrature(replace(desk_params, fft_budget=1023), level, 0, 2.5)
+
+
 def test_masses(desk_params, desk):
     for level in desk.levels:
         for ell in range(0, level.j + 1):
@@ -143,16 +150,6 @@ def test_holder_chain(desk_params, desk):
             assert rep["implied_holds"], rep
             assert rep["bound_3_1_holds"], rep
             assert rep["slack"] >= -1e-9
-
-
-def test_holder_chain_takes_the_energy_table(desk_params, desk):
-    level = desk.levels[3]
-    for ell in (0, 2):
-        table = sum_distribution(restricted_atoms(desk_params, level, ell), 3)
-        table.g = None         # the chain reads M and the correlations only
-        for p in (2.0, 3.0):
-            assert holder_chain_check(desk_params, level, ell, p, 3, table=table) \
-                == holder_chain_check(desk_params, level, ell, p, 3)
 
 
 def test_holder_chain_rejects_bad_p(desk_params, desk):

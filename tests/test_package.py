@@ -24,3 +24,18 @@ def test_every_public_name_is_used_by_the_package():
         if path.name != "__init__.py":
             used |= _names_used(path)
     assert sorted(set(salemlab.__all__) - used) == []
+
+
+# A ** parameter whose keys become named fields: the detail of a check record
+# and the ConstructionParams overrides, which the dataclass itself checks.
+NAMED_FIELD_KWARGS = {("checks.py", "record"), ("params.py", "derive_params")}
+
+
+def test_no_function_takes_pass_through_keywords():
+    # a **kwargs knob forwarded to another function widens every API above it
+    found = {(path.name, node.name)
+             for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.args.kwarg is not None}
+    assert sorted(found - NAMED_FIELD_KWARGS) == []
