@@ -23,8 +23,8 @@ from .norms import NormError, lp_norm, restriction_ratio, thresholds
 from .params import ParamError, derive_params
 from .spectral import SpectralError, compute_spectrum, decay_report, restricted_atoms
 from .storage import (
-    StorageError, atomic_write_text, load_construction, write_construction,
-    write_json, write_manifest,
+    StorageError, atomic_write_text, level_sha256, load_construction,
+    write_construction, write_json, write_manifest,
 )
 
 EXIT_OK = 0
@@ -112,6 +112,7 @@ def cmd_construct(args) -> int:
     con = build_construction(params)
     manifest["audit"] = con.audit
     manifest["outputs"] = write_construction(args.out, con)
+    manifest["level_sha256"] = level_sha256(manifest["outputs"])
     manifest["checks"].append(record(
         "construction-invariants", "nesting/cardinality", True,
         detail=f"{params.j_max + 1} levels verified on assembly",
@@ -130,6 +131,7 @@ def cmd_analyze(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = base_manifest(args, params)
     manifest["audit"] = con.audit
+    manifest["level_sha256"] = con.level_sha256
     j = args.level if args.level is not None else params.j_max
     if j > params.j_max:
         raise ParamError(f"--level {j} exceeds j_max={params.j_max}")
@@ -208,6 +210,7 @@ def cmd_verify(args) -> int:
     con = load_construction(args.dir, validate=False)
     manifest = base_manifest(args, con.params)
     manifest["audit"] = con.audit
+    manifest["level_sha256"] = con.level_sha256
     manifest["checks"] = run_verification(con, full=args.full)
     return finish(args.dir, manifest)
 

@@ -50,6 +50,7 @@ class Construction:
     params: ConstructionParams
     levels: list[LevelSet]
     audit: list[dict] = field(default_factory=list)
+    level_sha256: dict = field(default_factory=dict)   # as the manifest records
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,12 @@ def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParam
         N0=N0, t0=t0, n0=n0, N=N, t=t, alpha=alpha, j_max=j_max, seed=int(seed),
         **overrides,
     )
+    for key in ("c_eta", "c_rot"):
+        value = getattr(params, key)
+        if not (math.isfinite(value) and value > 0):
+            raise ParamError(f"need a finite {key} > 0, got {value}")
+    if params.max_retries < 1:
+        raise ParamError(f"need max_retries >= 1, got {params.max_retries}")
     validate_progression(params)
     return params
 

@@ -3,11 +3,12 @@
 Level-set file format: a header line ``N0 t0 n0 seed j``, one atom per line,
 a ``--`` separator, then the structured atoms. Round-trips exactly. The
 structured section is written from the params and checked against them on
-load.
+load, and so is the SHA-256 of each level file when the manifest records it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -92,7 +93,11 @@ def parse_level_text(text: str, path="<string>"):
 
 
 def read_level(path):
-    return parse_level_text(Path(path).read_text(), path=str(path))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise StorageError(f"{path}: not a text level file: {exc}") from None
+    return parse_level_text(text, path=str(path))
 
 
 def level_filename(j: int) -> str:
@@ -108,6 +113,12 @@ def write_construction(out_dir, con: Construction) -> list[str]:
         write_level(p, con.params, level)
         paths.append(str(p))
     return paths
+
+
+def level_sha256(paths) -> dict:
+    """{file name: SHA-256 hex digest} of the given files."""
+    return {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            for p in paths}
 
 
 def load_construction(in_dir, validate=True) -> Construction:
@@ -148,8 +159,15 @@ def load_construction(in_dir, validate=True) -> Construction:
                 f"{in_dir / level_filename(j)}: structured section differs from "
                 f"the progression iterated over {j} digits"
             )
+    recorded = manifest.get("level_sha256", {})
+    if recorded:
+        found = level_sha256(in_dir / level_filename(j) for j in range(len(levels)))
+        for name, digest in recorded.items():
+            if found.get(name) != digest:
+                raise StorageError(f"{in_dir / name}: SHA-256 differs from the "
+                                   f"manifest's level_sha256")
     con = Construction(params=params, levels=levels,
-                       audit=manifest.get("audit", []))
+                       audit=manifest.get("audit", []), level_sha256=recorded)
     if validate:
         try:
             verify_construction(con)

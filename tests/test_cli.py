@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,24 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 ])
 def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
     assert main(["construct", "-o", str(tmp_path / "x"), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("item, message", [
+    ("c_eta=-1", "need a finite c_eta > 0, got -1.0"),
+    ("c_eta=0", "need a finite c_eta > 0, got 0.0"),
+    ("c_rot=nan", "need a finite c_rot > 0, got nan"),
+    ("c_rot=inf", "need a finite c_rot > 0, got inf"),
+    ("max_retries=-1", "need max_retries >= 1, got -1"),
+    ("max_retries=0", "need max_retries >= 1, got 0"),
+])
+def test_out_of_range_override_exits_2(tmp_path, capsys, item, message):
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["construct", "-c", str(cfg), "-o", str(tmp_path / "x"),
+                 "--set", item]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
@@ -153,6 +172,56 @@ def test_analyze_into_the_run_keeps_the_construct_audit(built):
     assert manifest["audit"] == audit
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_construct_records_the_level_hashes(built):
+    manifest = json.loads((built / "manifest.json").read_text())
+    assert manifest["level_sha256"] == {
+        level_filename(j): _sha256(built / level_filename(j)) for j in range(4)
+    }
+
+
+def _edit_one_byte(path):
+    # the final newline becomes a space: the atoms, the structured section
+    # and every invariant still read the same, so only the hash can tell
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + b" ")
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_one_byte_edit_exits_2(built, capsys, command):
+    path = built / level_filename(2)
+    _edit_one_byte(path)
+    assert main([command, str(built)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: SHA-256 differs from the manifest's level_sha256" in err
+    assert "Traceback" not in err
+
+
+def test_level_hashes_survive_analyze_into_the_run(built, capsys):
+    recorded = json.loads((built / "manifest.json").read_text())["level_sha256"]
+    assert main(["analyze", str(built), "--out", str(built), "--energy",
+                 "--level", "2"]) == 0
+    assert json.loads((built / "manifest.json").read_text())["level_sha256"] == recorded
+    assert main(["verify", str(built)]) == 0
+    assert json.loads((built / "manifest.json").read_text())["level_sha256"] == recorded
+    _edit_one_byte(built / level_filename(3))
+    assert main(["verify", str(built)]) == 2
+    assert "level_3.txt: SHA-256 differs" in capsys.readouterr().err
+
+
+def test_non_text_level_file_exits_2(built, capsys):
+    path = built / level_filename(1)
+    data = path.read_bytes()
+    path.write_bytes(data[:2] + b"\xff" + data[3:])
+    assert main(["analyze", str(built), "--spectrum"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: not a text level file" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 def test_edited_structured_section_exits_2(built, capsys, command):
     path = built / level_filename(3)
@@ -187,6 +256,10 @@ def test_corrupt_manifest_exits_2(built, capsys, command):
 
 
 def test_verify_detects_planted_fault(built, capsys):
+    # without recorded hashes the planted fault reaches the invariant check
+    manifest = json.loads((built / "manifest.json").read_text())
+    del manifest["level_sha256"]
+    (built / "manifest.json").write_text(json.dumps(manifest))
     path = built / level_filename(2)
     lines = path.read_text().splitlines()
     sep = lines.index("--")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
 from salemlab import (
@@ -11,7 +12,7 @@ from salemlab import (
     direct_mass, holder_chain_check, lp_norm,
     lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
-from salemlab.norms import pick_r
+from salemlab.norms import _EM_START, _hurwitz, pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
 
 
@@ -25,9 +26,16 @@ def test_quadrature_matches_exact_even_orders(desk_params, desk):
                 assert quad.value == pytest.approx(exact.value, rel=1e-9)
 
 
-def _full_lattice_quadrature(params, level, ell, p, h=0.25):
-    """The lattice sum over every point of a period, each weighted directly:
-    the reference for the folded half-lattice weights."""
+@given(st.floats(1.1, 8.0), st.floats(float(_EM_START), 1e6))
+@example(8.0, float(_EM_START))   # the largest remainder; at a = 8 it is 2e-10
+def test_hurwitz_matches_scipy(p, a):
+    assert _hurwitz(p, a) == pytest.approx(hurwitz_zeta(p, a), rel=1e-14, abs=0)
+
+
+def _full_lattice_quadrature(params, level, ell, p, h=0.25, m_cut=32):
+    """The lattice sum over every point of a period, each weighted directly
+    over the periods m < m_cut, with scipy's Hurwitz zeta beyond: the
+    reference for the folded half-lattice weights."""
     period = params.period(level.j)
     n_per = period * round(1 / h)
     T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per))
@@ -35,9 +43,10 @@ def _full_lattice_quadrature(params, level, ell, p, h=0.25):
     tj = float(params.t) ** (-level.j)
     P = (T * tj) ** p * np.abs(np.sin(np.pi * eta)) ** p
     head = (T[0] * tj) ** p
-    for m in range(32):
+    for m in range(m_cut):
         head += 2.0 * float(np.dot(P[1:], (np.pi * (eta[1:] + m)) ** (-p)))
-    tail = 2.0 * math.pi ** (-p) * float(np.dot(P[1:], hurwitz_zeta(p, eta[1:] + 32)))
+    tail = 2.0 * math.pi ** (-p) * float(
+        np.dot(P[1:], hurwitz_zeta(p, eta[1:] + m_cut)))
     return h * (head + tail), h * head, h * tail
 
 
@@ -48,9 +57,27 @@ def test_folded_quadrature_matches_full_lattice(desk_params, desk):
                 est = lp_norm_quadrature(desk_params, desk.levels[j], ell, p)
                 value, head, tail = _full_lattice_quadrature(
                     desk_params, desk.levels[j], ell, p)
-                assert est.value == pytest.approx(value, rel=1e-13)
-                assert est.head_value == pytest.approx(head, rel=1e-13)
-                assert est.tail_value == pytest.approx(tail, rel=1e-13)
+                assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+                assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
+                assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("m_cut", [4, 64])
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.5])
+def test_folded_quadrature_at_other_cutoffs(desk_params, desk, p, m_cut):
+    # below 16 periods the tail sums the periods m_cut <= m < 16 term by
+    # term before the expansion takes over; above, the head takes zeta
+    # differences
+    level = desk.levels[3]
+    K = m_cut * desk_params.period(3)
+    for ell in (0, 1):
+        est = lp_norm_quadrature(desk_params, level, ell, p, K=K)
+        value, head, tail = _full_lattice_quadrature(
+            desk_params, level, ell, p, m_cut=m_cut)
+        assert est.grid["K"] == K
+        assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
+        assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.2])
@@ -62,9 +89,9 @@ def test_folded_quadrature_odd_base(h):
     for p in (2.5, 3.0):
         est = lp_norm_quadrature(params, level, 1, p, h=h)
         value, head, tail = _full_lattice_quadrature(params, level, 1, p, h=h)
-        assert est.value == pytest.approx(value, rel=1e-13)
-        assert est.head_value == pytest.approx(head, rel=1e-13)
-        assert est.tail_value == pytest.approx(tail, rel=1e-13)
+        assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
+        assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
 
 
 def test_quadrature_unit_mass_case(desk_params, desk):

@@ -1,5 +1,11 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import salemlab
 
@@ -39,3 +45,24 @@ def test_no_function_takes_pass_through_keywords():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.args.kwarg is not None}
     assert sorted(found - NAMED_FIELD_KWARGS) == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is the tests' oracle only; the stage processes never pay its import
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = ("import sys, salemlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    runtime = {re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]}
+    test = {re.match(r"[\w.-]+", spec).group()
+            for spec in project["optional-dependencies"]["test"]}
+    assert "scipy" not in runtime
+    assert "scipy" in test
