@@ -27,8 +27,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="desk_run", help="output directory")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--full", action="store_true",
-                    help="exhaustive frequency verification up to 2^20")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -40,7 +38,7 @@ def main():
         f"seed = {args.seed}\n"
     )
     run(["construct", "-c", str(cfg), "-o", str(out)], "construct")
-    run(["verify", str(out)] + (["--full"] if args.full else []), "verify")
+    run(["verify", str(out)], "verify")
     run(["analyze", str(out), "--level", "4", "--kmax", "65536",
          "--spectrum", "--decay", "--energy", "--norms", "--ratio"], "analyze")
     print(f"done; reports in {out / 'reports'}")

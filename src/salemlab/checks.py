@@ -50,9 +50,9 @@ def energy_case(params, level, ell: int, r: int, table) -> dict:
     }
 
 
-def _verify_frequencies(params, j, full: bool) -> np.ndarray:
+def _verify_frequencies(params, j) -> np.ndarray:
     period = params.N ** (j + 1)
-    top = min(period, 2**20 if full else 2**16)
+    top = min(period, 2**16)
     ks = [np.arange(1, top, dtype=np.int64)]
     if period > top:
         rng = np.random.default_rng(params.seed ^ 0xA5A5)
@@ -63,7 +63,7 @@ def _verify_frequencies(params, j, full: bool) -> np.ndarray:
     return np.unique(np.concatenate(ks))
 
 
-def run_verification(con: Construction, full: bool = False) -> list[dict]:
+def run_verification(con: Construction) -> list[dict]:
     """The full invariant suite; one record per check."""
     params = con.params
     try:
@@ -105,7 +105,7 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
     # telescoping decay and the trivial bound
     reports = [
         telescope_check(params, con.levels[j], con.levels[j + 1],
-                        _verify_frequencies(params, j, full), ell=ell)
+                        _verify_frequencies(params, j), ell=ell)
         for j in range(1, params.j_max) for ell in range(0, j + 1)
     ]
     if reports:
@@ -118,7 +118,7 @@ def run_verification(con: Construction, full: bool = False) -> list[dict]:
 
     cases = []
     for level in con.levels[1:]:
-        ks = _verify_frequencies(params, level.j - 1, full)
+        ks = _verify_frequencies(params, level.j - 1)
         cases += [trivial_bound_check(params, level, ell, ks)
                   for ell in range(0, level.j + 1)]
     checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))

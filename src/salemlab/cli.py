@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
     manifest = base_manifest(args, con.params)
     manifest["audit"] = con.audit
     manifest["level_sha256"] = con.level_sha256
-    manifest["checks"] = run_verification(con, full=args.full)
+    manifest["checks"] = run_verification(con)
     return finish(args.dir, manifest)
 
 
@@ -271,8 +271,6 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run the full invariant suite")
     v.add_argument("dir")
-    v.add_argument("--full", action="store_true",
-                   help="exhaustive frequency range up to 2^20")
     v.set_defaults(func=cmd_verify)
     return top
 

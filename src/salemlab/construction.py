@@ -36,16 +36,6 @@ class BaseBlock:
 
 
 @dataclass
-class RotationAssignment:
-    j: int
-    x_of_atom: np.ndarray    # aligned with the level's atoms, values in [0, N)
-    lambda_j: float
-    retries_used: int
-    verified_k_count: int = 0
-    mode: str = "sampled"
-
-
-@dataclass
 class Construction:
     params: ConstructionParams
     levels: list[LevelSet]
@@ -79,10 +69,6 @@ def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndar
 
 # ---------------------------------------------------------------------------
 # base blocks
-
-def rotate_block(members, x, N) -> list[int]:
-    return sorted((x + y) % N for y in members)
-
 
 def uniform_sum(ks: np.ndarray, period: int, N: int) -> np.ndarray:
     """Exponential sum of the full digit set {0..N-1}/period at frequencies ks."""
@@ -190,47 +176,76 @@ def structured_mask(params: ConstructionParams, level: LevelSet, ell: int) -> np
     return mask
 
 
-def rotation_sums(params: ConstructionParams, level: LevelSet, members, xs,
-                  ks, sampled: bool):
-    """Deviation sums of the rotation draw ``xs``, one array over ``ks`` per
-    mask ell = 0, 1, ..., j, yielded lazily. With e(x) = exp(-2 pi i x),
-    P = N^(j+1), Q = N^j, A_ell the atoms of mask ell and B_x the block
-    ``members`` rotated by x,
+def patch_structured(members, x, params) -> list[int]:
+    """Block ``members`` rotated by x with the progression forced in,
+    cardinality kept at t. Surplus non-progression members are removed
+    largest-first.
+    """
+    N, t = params.N, params.t
+    pset = set(make_progression(params))
+    out = {(x + m) % N for m in members} | pset
+    extras = sorted(out - pset)
+    while len(out) > t:
+        out.discard(extras.pop())
+    if len(out) != t or not pset <= out:
+        raise ConstructionError("patched block lost the progression or cardinality")
+    return sorted(out)
 
-        s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{B_{x_a}}(k)/t - S_[N](k)/N)
+
+def child_digits(params: ConstructionParams, level: LevelSet, members,
+                 xs) -> np.ndarray:
+    """Last digits of level j+1, one row of t per atom a of ``level``: the
+    block ``members`` rotated by x_a, or under an atom of the structured
+    sublist its ``patch_structured`` row, so that level j+1 is
+    {aN + d : d in row a}."""
+    N = params.N
+    table = np.array([
+        (np.arange(N)[:, None] + np.asarray(members, dtype=np.int64)) % N,
+        [patch_structured(members, x, params) for x in range(N)],
+    ])
+    return table[structured_mask(params, level, level.j).astype(np.intp), xs]
+
+
+def rotation_sums(params: ConstructionParams, level: LevelSet, digits,
+                  ks, sampled: bool):
+    """Deviation sums of the next level given by ``digits`` (one row of t
+    last digits per atom, as from ``child_digits``), one array over ``ks``
+    per mask ell = 0, 1, ..., j, yielded lazily. With e(x) = exp(-2 pi i x),
+    P = N^(j+1), Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
+
+        s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N)
                  = S_P(C_ell)(k)/t - S_[N](k)/N * S_Q(A_ell)(k),
 
-    where C_ell = {aN + d : a in A_ell, d in B_{x_a}} is the candidate next
-    level. An exhaustive set reads S_P(C_ell) like any atom sum. A sampled
-    set splits C_ell by its last digit d, S_P(C_ell)(k) = sum_d e(dk/P)
-    S_Q(C_{ell,d})(k) with C_{ell,d} the parents of the digit-d points, so
-    no table is longer than Q.
+    where C_ell = {aN + d : a in A_ell, d in D_a} is the part of level j+1
+    under A_ell, structured rows patched as written. An exhaustive set reads
+    S_P(C_ell) like any atom sum. A sampled set splits C_ell by its last
+    digit d, S_P(C_ell)(k) = sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d}
+    the parents of the digit-d points, so no table is longer than Q.
     """
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     budget = params.fft_budget
     uniform = uniform_sum(ks, period, N) / N
     w = np.exp(-2j * np.pi * (ks % period) / period) if sampled else None
-    digits = (xs[:, None] + np.asarray(members, dtype=np.int64)[None, :]) % N
-    candidate = level.atoms[:, None] * N + digits
     for ell in range(j + 1):
         mask = structured_mask(params, level, ell)
-        points = candidate[mask].ravel()
+        atoms, rows = level.atoms[mask], digits[mask]
         if sampled:
             # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
-            last, parents = points % N, points // N
+            parents = np.broadcast_to(atoms[:, None], rows.shape)
             s = 0
             for d in range(N - 1, -1, -1):
-                s = s * w + _atom_sums(parents[last == d], ks, period // N, budget)
+                s = s * w + _atom_sums(parents[rows == d], ks, period // N, budget)
         else:
-            s = _atom_sums(points, ks, period, budget)
-        yield s / t - uniform * _atom_sums(level.atoms[mask], ks, period // N, budget)
+            s = _atom_sums((atoms[:, None] * N + rows).ravel(), ks, period, budget)
+        yield s / t - uniform * _atom_sums(atoms, ks, period // N, budget)
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet,
-                     base_block: BaseBlock, rng) -> RotationAssignment:
-    """Draw per-atom rotations and accept only when every deviation sum stays
-    strictly below its threshold on the checked frequency set."""
+                     base_block: BaseBlock, rng) -> tuple[LevelSet, dict]:
+    """Draw per-atom rotations and accept the next level only when every
+    deviation sum stays strictly below its threshold on the checked
+    frequency set; returns that level and its audit fields."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
@@ -240,8 +255,8 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     worst = None
     for attempt in range(params.max_retries):
         xs = rng.integers(0, N, size=len(level.atoms))
-        sums = rotation_sums(params, level, base_block.members, xs, ks,
-                             mode == "sampled")
+        digits = child_digits(params, level, base_block.members, xs)
+        sums = rotation_sums(params, level, digits, ks, mode == "sampled")
         ok = True
         for ell, s in enumerate(sums):
             scale = t ** (-j + ell / 2)
@@ -253,10 +268,11 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
                 worst = (m, thresh, int(ks[mag.argmax()]), ell)
                 break
         if ok:
-            return RotationAssignment(
-                j=j, x_of_atom=xs, lambda_j=lam, retries_used=attempt,
-                verified_k_count=len(ks), mode=mode,
-            )
+            atoms = np.sort((level.atoms[:, None] * N + digits).ravel())
+            return LevelSet(j=j + 1, atoms=atoms), {
+                "rotation_mode": mode, "rotation_verified_k": len(ks),
+                "retries": attempt, "lambda_j": lam,
+            }
     m, thresh, k, ell = worst
     raise ConstructionError(
         f"rotation retries exhausted at j={j}: |sum|={m:.4g} >= {thresh:.4g} "
@@ -267,56 +283,25 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
 # ---------------------------------------------------------------------------
 # assembling levels
 
-def patch_structured(base_block: BaseBlock, x_a: int, progression, params) -> list[int]:
-    """Rotated block with the progression forced in, cardinality kept at t.
-
-    Surplus non-progression members are removed largest-first.
-    """
-    N, t = params.N, params.t
-    block = set(rotate_block(base_block.members, x_a, N))
-    pset = set(progression)
-    out = block | pset
-    extras = sorted(out - pset)
-    while len(out) > t:
-        out.discard(extras.pop())
-    if len(out) != t or not pset <= out:
-        raise ConstructionError("patched block lost the progression or cardinality")
-    return sorted(out)
-
-
 def build_level(params: ConstructionParams, construction: Construction, rng) -> LevelSet:
     """Extend the construction by one level and append the audit record."""
     level = construction.levels[-1]
     j = level.j
     N, t = params.N, params.t
-    progression = make_progression(params)
 
     if j == 0:
-        members = _fix_cardinality(set(progression), t, N)
+        members = _fix_cardinality(set(make_progression(params)), t, N)
         new = LevelSet(j=1, atoms=np.array(members, dtype=np.int64))
         construction.audit.append({"j": 1, "mode": "deterministic", "retries": 0})
     else:
         base = build_base_block(params, j, rng)
-        rot = choose_rotations(params, level, base, rng)
-        patched = structured_mask(params, level, j)
-        atoms_out = []
-        for a, x, structured in zip(level.atoms.tolist(), rot.x_of_atom.tolist(),
-                                    patched.tolist()):
-            if structured:
-                digits = patch_structured(base, x, progression, params)
-            else:
-                digits = rotate_block(base.members, x, N)
-            atoms_out.extend(a * N + m for m in digits)
-        new = LevelSet(j=j + 1, atoms=np.array(sorted(atoms_out), dtype=np.int64))
+        new, rotation = choose_rotations(params, level, base, rng)
         construction.audit.append({
             "j": j + 1,
             "mode": base.mode,
             "eta": base.eta,
             "block_verified_k": base.verified_k_count,
-            "rotation_mode": rot.mode,
-            "rotation_verified_k": rot.verified_k_count,
-            "retries": rot.retries_used,
-            "lambda_j": rot.lambda_j,
+            **rotation,
         })
 
     construction.levels.append(new)

@@ -59,8 +59,6 @@ def mu_hat(params: ConstructionParams, level: LevelSet, k):
 
 def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Fourier coefficient of the structured-window weighted measure."""
-    if ell > level.j:
-        raise ValueError(f"ell={ell} exceeds level j={level.j}")
     return _window_coefficients(params, level, ell, k)
 
 

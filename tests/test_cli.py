@@ -370,8 +370,8 @@ def test_construct_exits_1_when_rotation_retries_run_out(tmp_path, capsys):
     cfg.write_text(CONFIG)
     assert main(["construct", "-c", str(cfg), "-o", str(tmp_path / "run"),
                  "--set", "c_rot=0.2"]) == 1
-    assert ("rotation retries exhausted at j=1: |sum|=0.8252 >= 0.3812 "
-            "at k=18, ell=0") in capsys.readouterr().err
+    assert ("rotation retries exhausted at j=1: |sum|=0.634 >= 0.3812 "
+            "at k=17, ell=0") in capsys.readouterr().err
 
 
 def test_verify_passes_where_energy_exceeds_int64(tmp_path):

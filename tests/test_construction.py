@@ -12,7 +12,7 @@ from salemlab import (
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    frequency_set, patch_structured, rotate_block, rotation_sums, uniform_sum,
+    child_digits, frequency_set, patch_structured, rotation_sums, uniform_sum,
 )
 from salemlab.storage import level_to_text
 
@@ -210,15 +210,6 @@ def test_block_deviations_fft_matches_direct():
     assert np.abs(fft - direct).max() < 1e-8
 
 
-@given(x=st.integers(0, 15))
-def test_rotate_block_preserves_size(x):
-    members = [0, 1, 2, 15]
-    rot = rotate_block(members, x, 16)
-    assert len(rot) == len(members)
-    assert rot == sorted(rot)
-    assert all(0 <= m < 16 for m in rot)
-
-
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=16), st.integers(2, 8))
 def test_fix_cardinality(members, t):
     out = _fix_cardinality(members, t, 16)
@@ -232,19 +223,16 @@ def test_fix_cardinality(members, t):
 
 @given(x=st.integers(0, 15))
 def test_patch_structured_keeps_progression(desk_params, x):
-    from salemlab.construction import BaseBlock
-
     prog = make_progression(desk_params)
-    base = BaseBlock(members=[1, 2, 3, 4], eta=3.0, verified_k_count=0,
-                     mode="trivial")
-    out = patch_structured(base, x, prog, desk_params)
+    out = patch_structured([1, 2, 3, 4], x, desk_params)
     assert len(out) == desk_params.t
     assert set(prog) <= set(out)
 
 
-def _per_atom_sums(params, level, members, xs, ks):
+def _per_atom_sums(params, level, digits, ks):
     """s_ell(k) = sum over the atoms a of mask ell of
-    e(ak/Q) (S_{B_{x_a}}(k)/t - S_[N](k)/N), atom by atom."""
+    e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N), atom by atom, D_a the digit row
+    of a."""
     N, t, j = params.N, params.t, level.j
     P, Q = N ** (j + 1), N**j
     assert P * P < 2**63          # every product a * k below is exact in int64
@@ -253,14 +241,16 @@ def _per_atom_sums(params, level, members, xs, ks):
         return np.exp(-2j * np.pi * (r % period) / period)
 
     uniform = e(np.arange(N)[:, None] * ks, P).sum(axis=0) / N
-    dev = [e(((x + np.asarray(members)) % N)[:, None] * ks, P).sum(axis=0) / t
-           - uniform for x in range(N)]
+    dev = {}                      # digit row -> S_{D_a}(k)/t - S_[N](k)/N
     out = []
     for ell in range(j + 1):
         mask = structured_mask(params, level, ell)
         s = np.zeros(len(ks), dtype=np.complex128)
-        for a, x in zip(level.atoms[mask], xs[mask]):
-            s += e(int(a) * ks, Q) * dev[x]
+        for a, row in zip(level.atoms[mask], digits[mask]):
+            key = tuple(row.tolist())
+            if key not in dev:
+                dev[key] = e(row[:, None] * ks, P).sum(axis=0) / t - uniform
+            s += e(int(a) * ks, Q) * dev[key]
         out.append(s)
     return out
 
@@ -280,26 +270,28 @@ def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode):
     assert got_mode == mode
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
     xs = rng.integers(0, params.N, size=len(level.atoms))
-    got = list(rotation_sums(params, level, members, xs, ks, mode == "sampled"))
-    want = _per_atom_sums(params, level, members, xs, ks)
+    digits = child_digits(params, level, members, xs)
+    got = list(rotation_sums(params, level, digits, ks, mode == "sampled"))
+    want = _per_atom_sums(params, level, digits, ks)
     assert len(got) == j + 1
     for ell, (g, w) in enumerate(zip(got, want)):
         size = params.t * int(structured_mask(params, level, ell).sum())
         assert np.abs(g - w).max() < 1e-9 * size
 
 
-# c_rot lowered until rotation draws get rejected; the level-2..4 SHA-256s
-# were written before the rotation checks were rewritten
+# c_rot lowered until rotation draws get rejected; the retries and the
+# level-2..4 SHA-256s are those of acceptance on the level as written, with
+# the structured rows patched
 @pytest.mark.parametrize("N0, c_rot, retries, sha256", [
-    (4, 0.35, [0, 4, 0, 4], [
-        "dcbec2f5e213d6d1208474119005cab75269816ca4dddebe7abe5eabe565ca59",
-        "cb36ffbd51357194a3f5c798f1f33b95ab6cb9e34da0175bb09d5922c60f4772",
-        "92bc44676e73b592350005a5f3bad75f9221e076505aff6fd449ba501ff8f8ff",
+    (4, 0.35, [0, 1, 4, 4], [
+        "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
+        "611a936035fd2e31e0ab1d9820eb24d58f03b10477cd614754e7480ab32ca817",
+        "dcacf11664531f863868d2957f21d55f799187701cdbba135f6246736178dfde",
     ]),
-    (3, 0.3, [0, 4, 6, 23], [
-        "33a279716ac495b4914bcdddd72f2538495505e183c530fd23ac2808f4f59f7c",
-        "26d8b0dd025952f0f807acb30ebf3291f4c6f51f98a241c6aec121798b1c92fe",
-        "49fb207afbba744bfa0940abdd0a92b89c9867d7b1a9a85929568deddfbd705e",
+    (3, 0.3, [0, 1, 6, 7], [
+        "862b06a8e633424a32fe749492a90af0a77949fba5a1160da5a323a76f1c2bb5",
+        "db1e31f5c9b606aefebe5216569c2e1bd2c11733b1977c91003210545b3692b0",
+        "085ca36d001fe09d36659c9371f45a0ddcf271ffbefcd0332bc3519e15a45760",
     ]),
 ])
 def test_rotation_retries_run(N0, c_rot, retries, sha256):
@@ -310,12 +302,44 @@ def test_rotation_retries_run(N0, c_rot, retries, sha256):
     verify_construction(con)
 
 
+def test_written_level_meets_its_rotation_thresholds():
+    # biting constants with every level j <= 4 accepted over all residues
+    # mod P = N^(j+1): the level written must be the level that was checked
+    params = derive_params(4, 2, 1, j_max=5, seed=1, c_eta=1.0, c_rot=0.35)
+    con = build_construction(params)
+    N, t = params.N, params.t
+
+    def sums(atoms, period):
+        """S(k) = sum_a e(ak/period) for every k in [0, period)."""
+        ind = np.zeros(period)
+        ind[atoms] = 1.0
+        return np.fft.fft(ind)
+
+    worst = (0.0,)
+    for level, written in zip(con.levels[1:-1], con.levels[2:]):
+        j = level.j
+        P = N ** (j + 1)
+        assert P <= params.k_budget
+        uniform = sums(np.arange(N), P) / N
+        for ell in range(j + 1):
+            # C_ell: the written atoms under A_ell, i.e. with the same top
+            # ell digits
+            C = written.atoms[structured_mask(params, written, ell)]
+            A = level.atoms[structured_mask(params, level, ell)]
+            s = sums(C, P) / t - uniform * np.tile(sums(A, P // N), N)
+            lam = (params.lambda_rot(j) if ell == 0
+                   else params.lambda_rot_ell(j, ell))
+            ratio = np.abs(t ** (-j + ell / 2) * s) / lam
+            worst = max(worst, (ratio.max(), j, ell, int(ratio.argmax())))
+    assert worst[0] < 1, worst   # (sum over threshold, j, ell, k)
+
+
 def test_rotation_retries_exhausted_names_the_witness():
     params = derive_params(4, 2, 1, j_max=4, seed=7, c_rot=0.2)
     with pytest.raises(ConstructionError) as info:
         build_construction(params)
     assert str(info.value) == ("rotation retries exhausted at j=1: "
-                               "|sum|=0.8252 >= 0.3812 at k=18, ell=0")
+                               "|sum|=0.634 >= 0.3812 at k=17, ell=0")
 
 
 def test_verified_base_blocks_run():

@@ -150,6 +150,9 @@ def test_mu_hat_normalization(desk_params, desk):
             assert got == pytest.approx(
                 desk_params.t ** (-ell / 2), abs=1e-12
             )
+        with pytest.raises(ValueError,
+                           match=f"ell={level.j + 1} exceeds level j={level.j}"):
+            f_mu_hat(desk_params, level, level.j + 1, 0)
 
 
 def test_mu_hat_periodic_in_k_up_to_prefactor(desk_params, desk):
@@ -228,7 +231,7 @@ def test_trivial_bound_witness_is_the_direct_one(odd_base):
     # the table alone can pick either, the direct sum picks 30437
     params, con = odd_base
     level = con.levels[5]
-    ks = _verify_frequencies(params, 4, full=False)
+    ks = _verify_frequencies(params, 4)
     rep = trivial_bound_check(params, level, 5, ks)
     assert rep["worst_k"] == 30437
     ks = ks[ks != 0]
@@ -243,7 +246,7 @@ def test_trivial_bound_witness_is_the_direct_one(odd_base):
 def test_telescope_witness_is_the_direct_one(odd_base):
     params, con = odd_base
     lo, hi = con.levels[4], con.levels[5]
-    ks = _verify_frequencies(params, 4, full=False)
+    ks = _verify_frequencies(params, 4)
     rep = telescope_check(params, lo, hi, ks, ell=4)
     ks = ks[ks != 0]
 
