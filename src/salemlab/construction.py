@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expsums import _atom_sums
+from .expsums import _atom_sums, _subset_sums
 from .params import ConstructionParams, make_progression
 
 
@@ -143,6 +143,10 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
             )
         return BaseBlock(members=members, eta=eta,
                          verified_k_count=len(ks) * N, mode=mode)
+    if worst is None:
+        raise ConstructionError(
+            f"base block retries exhausted at j={j}: no draw had members"
+        )
     raise ConstructionError(
         f"base block retries exhausted at j={j}: worst deviation {worst:.4g} "
         f"vs threshold {eta / 2:.4g}"
@@ -220,7 +224,9 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, digits,
     under A_ell, structured rows patched as written. An exhaustive set reads
     S_P(C_ell) like any atom sum. A sampled set splits C_ell by its last
     digit d, S_P(C_ell)(k) = sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d}
-    the parents of the digit-d points, so no table is longer than Q.
+    the parents of the digit-d points, and evaluates those N subsets of
+    A_ell and A_ell itself in one ``_subset_sums`` call, so no table is
+    longer than Q and none is built when Q exceeds the number of samples.
     """
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
@@ -231,21 +237,28 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, digits,
         mask = structured_mask(params, level, ell)
         atoms, rows = level.atoms[mask], digits[mask]
         if sampled:
+            # row d < N: the parents of digit d; row N: all of A_ell
+            sets = np.zeros((N + 1, len(atoms)), dtype=bool)
+            sets[rows, np.arange(len(atoms))[:, None]] = True
+            sets[N] = True
+            sums = _subset_sums(atoms, sets, ks, period // N, budget)
             # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
-            parents = np.broadcast_to(atoms[:, None], rows.shape)
             s = 0
             for d in range(N - 1, -1, -1):
-                s = s * w + _atom_sums(parents[rows == d], ks, period // N, budget)
+                s = s * w + sums[d]
+            yield s / t - uniform * sums[N]
         else:
             s = _atom_sums((atoms[:, None] * N + rows).ravel(), ks, period, budget)
-        yield s / t - uniform * _atom_sums(atoms, ks, period // N, budget)
+            yield s / t - uniform * _atom_sums(atoms, ks, period // N, budget)
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet,
                      base_block: BaseBlock, rng) -> tuple[LevelSet, dict]:
     """Draw per-atom rotations and accept the next level only when every
     deviation sum stays strictly below its threshold on the checked
-    frequency set; returns that level and its audit fields."""
+    frequency set; returns that level and its audit fields, among them
+    ``rotation_margin``, the largest |t^(-j+ell/2) s_ell(k)| / threshold
+    over ell and the checked k."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
@@ -257,21 +270,22 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
         xs = rng.integers(0, N, size=len(level.atoms))
         digits = child_digits(params, level, base_block.members, xs)
         sums = rotation_sums(params, level, digits, ks, mode == "sampled")
-        ok = True
+        margin = 0.0
         for ell, s in enumerate(sums):
             scale = t ** (-j + ell / 2)
             thresh = lam if ell == 0 else lams[ell - 1]
             mag = np.abs(scale * s)
             m = mag.max()
             if m >= thresh:
-                ok = False
                 worst = (m, thresh, int(ks[mag.argmax()]), ell)
                 break
-        if ok:
+            margin = max(margin, m / thresh)
+        else:
             atoms = np.sort((level.atoms[:, None] * N + digits).ravel())
             return LevelSet(j=j + 1, atoms=atoms), {
                 "rotation_mode": mode, "rotation_verified_k": len(ks),
                 "retries": attempt, "lambda_j": lam,
+                "rotation_margin": float(margin),
             }
     m, thresh, k, ell = worst
     raise ConstructionError(

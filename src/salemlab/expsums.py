@@ -2,9 +2,11 @@
 
 S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
 summed directly with exact residues or read from the dense real-input table,
-with one cost rule between them (``_atom_sums``). The construction's
-rotation checks, the spectral module's measure coefficients and the norms'
-lattice samples all evaluate through here.
+with one cost rule between them (``_atom_sums``). Many subsets of one atom
+list, sampled at more frequencies than a table is long, go through one
+factored evaluator (``_subset_sums``) instead. The construction's rotation
+checks, the spectral module's measure coefficients and the norms' lattice
+samples all evaluate through here.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ def exp_sum(atoms, k, period):
         # depend on which other frequencies share the call
         if n == 1:
             kc = np.repeat(kc, 2)
-        out[lo : lo + n] = np.exp(
-            -2j * np.pi * _mulmod(residues[:, None], kc[None, :], period) / period
+        out[lo : lo + n] = _unit(
+            _mulmod(residues[:, None], kc[None, :], period), period
         ).sum(axis=0)[:n]
     return out[0] if np.ndim(k) == 0 else out
 
@@ -63,6 +65,11 @@ def half_table(atoms, period, fft_budget=2**26, n=None):
     return np.fft.rfft(ind, n)
 
 
+# Entries of one atom-by-frequency array in ``_subset_sums`` (16 MB). At
+# 2^22, the ``exp_sum`` rule, the j = 5 check of N = 16, j_max = 6 raised
+# the construct peak RSS from 157 MB (set by j = 4) to 208 MB.
+_CHUNK = 2**20
+
 # Cost of one direct-sum term in units of one point * log2 of the half
 # table, its real-input FFT and the mirrored gather included. Measured on a
 # 2-vCPU Xeon guest with numpy 2.4.6, periods 9^5 to 2^22 and 4096 to 2^20
@@ -87,6 +94,62 @@ def _atom_sums(atoms, k, period, fft_budget):
             and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
         return _table_sums(atoms, k, period, fft_budget)
     return exp_sum(atoms, k, period)
+
+
+def _subset_sums(atoms, sets, ks, period, fft_budget):
+    """Row i is S(ks) over atoms[sets[i]], for a boolean (subsets, atoms)
+    matrix ``sets``.
+
+    With period <= |ks| the frequencies read each table at least once on
+    average, and each subset goes through ``_atom_sums`` (at N0=3, j_max=6,
+    c_eta=1, c_rot=0.25, k_budget=4096, seed 7, the route below took 18 s
+    and the tables 2.7 s, on one BLAS thread). Otherwise every term is a
+    product of per-atom factors e(x) = exp(-2 pi i x) of exact residues. On
+    the leading run k < K0 of ks, k = hB + l with B about sqrt(K0), so each
+    subset costs one matrix product of e(a hB / period) and e(a l / period).
+    Every other k has three base-C digits, C^3 >= period, and the subsets
+    share the products of their factors e(a d C^i / period). No
+    atom-by-frequency array exceeds ``_CHUNK`` entries.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if period <= len(ks):
+        out = np.empty((len(sets), len(ks)), dtype=np.complex128)
+        for row, s in zip(out, sets):
+            row[:] = _atom_sums(atoms[s], ks, period, fft_budget)
+        return out
+    residues = np.asarray(atoms, dtype=np.int64) % period
+    run = int(np.argmin(np.append(ks == np.arange(len(ks)), False)))
+    B = math.isqrt(max(run - 1, 0)) + 1
+    H = -(-run // B)
+    table = np.zeros((len(sets), H, B), dtype=np.complex128)
+    rest = ks[run:] % period
+    C = round(period ** (1 / 3))
+    C += C**3 < period
+    digits = [np.unique(rest // C**i % C * C**i, return_inverse=True) for i in range(3)]
+    out = np.zeros((len(sets), len(rest)), dtype=np.complex128)
+    n_factors = H + B + sum(len(u) for u, _ in digits)
+    step = max(1, _CHUNK // n_factors)
+    for lo in range(0, len(residues), step):
+        r, chosen = residues[lo : lo + step], sets[:, lo : lo + step]
+        high = _unit(_mulmod(np.arange(H)[:, None] * B, r[None, :], period), period)
+        low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
+        for i, s in enumerate(chosen):
+            table[i] += high[:, s] @ low[s]
+        factors = [(_unit(_mulmod(u[:, None], r[None, :], period), period), inv)
+                   for u, inv in digits]
+        weights = chosen.T.astype(np.complex128)
+        cols = max(1, _CHUNK // len(r))
+        for c in range(0, len(rest), cols):
+            g = np.ones((min(cols, len(rest) - c), len(r)), dtype=np.complex128)
+            for f, inv in factors:
+                g *= f[inv[c : c + cols]]
+            out[:, c : c + len(g)] += (g @ weights).T
+    return np.concatenate([table.reshape(len(sets), -1)[:, :run], out], axis=1)
+
+
+def _unit(residues, period):
+    """e(r / period) = exp(-2 pi i r / period) of exact residues r."""
+    return np.exp(-2j * np.pi * residues / period)
 
 
 def _table_sums(atoms, k, period, fft_budget=2**26):

@@ -374,6 +374,16 @@ def test_construct_exits_1_when_rotation_retries_run_out(tmp_path, capsys):
             "at k=17, ell=0") in capsys.readouterr().err
 
 
+def test_construct_exits_1_when_no_base_block_draw_has_members(tmp_path, capsys):
+    # at seed 45 the one base block draw allowed at j = 1 keeps no digit
+    items = ["N0=4", "t0=2", "n0=1", "j_max=2", "seed=45", "c_eta=1",
+             "max_retries=1"]
+    args = ["construct", "-o", str(tmp_path / "run")]
+    assert main(args + [a for item in items for a in ("--set", item)]) == 1
+    assert ("construction failed: base block retries exhausted at j=1: "
+            "no draw had members") in capsys.readouterr().err
+
+
 def test_verify_passes_where_energy_exceeds_int64(tmp_path):
     # at (4, 3, 1, 4) the level-4 window has |Y|^(2r) = 6561^6 > 2^63, so M
     # and its correlations need exact sums beyond int64; |Y|^r counts do not

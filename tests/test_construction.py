@@ -118,6 +118,7 @@ def test_audit_records(desk_params, desk):
     assert desk.audit[0]["mode"] == "deterministic"
     for rec in desk.audit[1:]:
         assert rec["retries"] < desk_params.max_retries
+        assert 0 < rec["rotation_margin"] < 1
 
 
 def test_invariant_violation_detected(desk_params, desk):
@@ -255,19 +256,32 @@ def _per_atom_sums(params, level, digits, ks):
     return out
 
 
-@pytest.mark.parametrize("N0, j, k_budget, mode", [
-    (4, 2, 2**20, "exhaustive"),
-    (4, 4, 2**16, "sampled"),      # P = 2^20: a genuine sample
-    (3, 3, 2**20, "exhaustive"),
-    (3, 4, 2**10, "sampled"),      # P = 9^5: the sample covers the period
-])
-def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode):
+# `ends` keeps only the first and last sampled frequencies, so that Q
+# exceeds |ks| and the subset sums take the factored route
+ROTATION_SUM_CASES = [
+    (4, 2, 2**20, "exhaustive", None),
+    (4, 4, 2**16, "sampled", None),      # P = 2^20: a genuine sample
+    (3, 3, 2**20, "exhaustive", None),
+    (3, 4, 2**10, "sampled", None),      # P = 9^5: the sample covers the period
+    (4, 4, 2**16, "sampled", (4096, 512)),
+    (3, 4, 2**10, "sampled", (4096, 512)),
+]
+
+
+@pytest.mark.parametrize(
+    "N0, j, k_budget, mode, ends", ROTATION_SUM_CASES,
+    ids=["-".join(map(str, case[:4])) + ("-ends" if case[4] else "")
+         for case in ROTATION_SUM_CASES])
+def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode, ends):
     params = derive_params(N0, 2, 1, j_max=j, seed=7)
     level = build_construction(params).levels[j]
     rng = np.random.default_rng(N0 * 10 + j)
     ks, got_mode = frequency_set(replace(params, k_budget=k_budget),
                                  params.N ** (j + 1), rng)
     assert got_mode == mode
+    if ends:
+        ks = np.concatenate([ks[: ends[0]], ks[-ends[1] :]])
+        assert params.N**j > len(ks)
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
     xs = rng.integers(0, params.N, size=len(level.atoms))
     digits = child_digits(params, level, members, xs)
@@ -280,22 +294,47 @@ def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode):
 
 
 # c_rot lowered until rotation draws get rejected; the retries and the
-# level-2..4 SHA-256s are those of acceptance on the level as written, with
-# the structured rows patched
-@pytest.mark.parametrize("N0, c_rot, retries, sha256", [
-    (4, 0.35, [0, 1, 4, 4], [
+# level SHA-256s from level 2 on are those of acceptance on the level as
+# written, with the structured rows patched. The last two rows reject
+# sampled draws: N = 25 checks j = 4 by the factored subset sums (Q > |ks|),
+# N = 9 with k_budget 4096 checks j = 3..5 by the period-Q tables.
+RETRY_CASES = [
+    (4, 4, 7, 192.0, 0.35, 2**20, [0, 1, 4, 4], [
         "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
         "611a936035fd2e31e0ab1d9820eb24d58f03b10477cd614754e7480ab32ca817",
         "dcacf11664531f863868d2957f21d55f799187701cdbba135f6246736178dfde",
     ]),
-    (3, 0.3, [0, 1, 6, 7], [
+    (3, 4, 7, 192.0, 0.3, 2**20, [0, 1, 6, 7], [
         "862b06a8e633424a32fe749492a90af0a77949fba5a1160da5a323a76f1c2bb5",
         "db1e31f5c9b606aefebe5216569c2e1bd2c11733b1977c91003210545b3692b0",
         "085ca36d001fe09d36659c9371f45a0ddcf271ffbefcd0332bc3519e15a45760",
     ]),
-])
-def test_rotation_retries_run(N0, c_rot, retries, sha256):
-    params = derive_params(N0, 2, 1, j_max=4, seed=7, c_rot=c_rot)
+    (5, 5, 5, 1.0, 0.34, 2**20, [0, 0, 0, 2, 1], [
+        "06dddd71284f6d26bb70460a5a3900d489df55c2a98a26c7d48a3f4fc24ee15e",
+        "2816abed4417716e3c30160e798ccc48534bf58aff3d247bbc3fa2ec3c1ee947",
+        "34ac146170b57b863ce3ab19e9ef2afee61f3923f24de7a01ff19daa36004db5",
+        "179f861c96458aa0edea0bf61ff1f7f086e575a52e7abf8fbd2839304cd5bebe",
+    ]),
+    (3, 6, 2, 1.0, 0.3, 4096, [0, 1, 0, 10, 0, 3], [
+        "44831b905a63220cdaf534c7d652d149057179283bde2058d569ff9125550469",
+        "8305f7f18a61be2850bdf9e57c52ccd3d3c5585dbf69b57baf8abfd997d5cb80",
+        "a4da932694ee0b03bbf856d88195f603d1011b0df191c6c898e14e35a9a8a96a",
+        "004570fc33663afa311aa55f3dad332c6b9d4b43f9ea518a2b086cd73b596824",
+        "fafa34ab79c9ec50bfc25030a29f139092f112b08cd704670ef810297d73001a",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "N0, j_max, seed, c_eta, c_rot, k_budget, retries, sha256", RETRY_CASES,
+    # the names the first two rows had before the j_max, seed, c_eta and
+    # k_budget columns
+    ids=[f"{case[0]}-{case[4]}-retries{i}-sha256{i}"
+         for i, case in enumerate(RETRY_CASES)])
+def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, k_budget,
+                              retries, sha256):
+    params = derive_params(N0, 2, 1, j_max=j_max, seed=seed, c_eta=c_eta,
+                           c_rot=c_rot, k_budget=k_budget)
     con = build_construction(params)
     assert [rec["retries"] for rec in con.audit] == retries
     assert _level_sha256(params, con)[2:] == sha256
@@ -321,6 +360,7 @@ def test_written_level_meets_its_rotation_thresholds():
         P = N ** (j + 1)
         assert P <= params.k_budget
         uniform = sums(np.arange(N), P) / N
+        margin = 0.0
         for ell in range(j + 1):
             # C_ell: the written atoms under A_ell, i.e. with the same top
             # ell digits
@@ -331,6 +371,10 @@ def test_written_level_meets_its_rotation_thresholds():
                    else params.lambda_rot_ell(j, ell))
             ratio = np.abs(t ** (-j + ell / 2) * s) / lam
             worst = max(worst, (ratio.max(), j, ell, int(ratio.argmax())))
+            margin = max(margin, ratio.max())
+        # the audit of level j + 1 records the same margin
+        assert con.audit[j]["j"] == j + 1
+        assert con.audit[j]["rotation_margin"] == pytest.approx(margin, rel=1e-9)
     assert worst[0] < 1, worst   # (sum over threshold, j, ell, k)
 
 

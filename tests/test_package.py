@@ -66,3 +66,20 @@ def test_scipy_is_a_test_dependency_only():
             for spec in project["optional-dependencies"]["test"]}
     assert "scipy" not in runtime
     assert "scipy" in test
+
+
+def test_blas_threads_do_not_change_the_levels():
+    # N = 25, j = 4 checks its sampled rotation draws by matrix products,
+    # which OpenBLAS may split over threads
+    code = ("import hashlib; from salemlab import build_construction, derive_params; "
+            "from salemlab.storage import level_to_text; "
+            "p = derive_params(5, 2, 1, j_max=5, seed=7); "
+            "print([hashlib.sha256(level_to_text(p, level).encode()).hexdigest() "
+            "for level in build_construction(p).levels])")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent),
+               "OPENBLAS_NUM_THREADS": threads}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1]

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,6 +62,33 @@ def test_exp_sum_matches_python_int_reference(data):
     got = exp_sum(atoms, np.array(ks, dtype=np.int64), period)
     want = np.array([_reference_sum(atoms, k, period) for k in ks])
     assert np.abs(got - want).max() < 1e-9 * len(atoms)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_subset_sums_match_exp_sum_per_subset(data):
+    # periods above the number of frequencies take the factored route; 16^9
+    # takes _mulmod's Horner path, and the cube root of 25^4 rounds down
+    period = data.draw(st.sampled_from([9**5, 2**20, 16**9, 25**4]))
+    atoms = np.array(data.draw(
+        st.lists(st.integers(0, period - 1), min_size=1, max_size=40)), dtype=np.int64)
+    n_sets = data.draw(st.integers(1, 5))
+    sets = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)),
+        min_size=n_sets, max_size=n_sets)), dtype=bool)
+    run = data.draw(st.sampled_from([0, 1, 2, 50, 300]))
+    rest = data.draw(st.lists(st.integers(1, 10 * period), max_size=40))
+    if run == 0 and not rest:
+        rest = [period + 1]
+    ks = np.concatenate([np.arange(run), rest]).astype(np.int64)   # run, rest or both
+    # a small chunk splits the atoms and the other frequencies into pieces
+    chunk = data.draw(st.sampled_from([expsums._CHUNK, 64]))
+    with mock.patch.object(expsums, "_CHUNK", chunk):
+        got = expsums._subset_sums(atoms, sets, ks, period, 2**26)
+    assert got.shape == (n_sets, len(ks))
+    for row, s in zip(got, sets):
+        want = exp_sum(atoms[s], ks, period)
+        assert np.abs(row - want).max() <= 1e-9 * s.sum()
 
 
 def test_lone_frequency_sums_like_a_batch(odd_base):
