@@ -8,6 +8,7 @@ is sufficient to reproduce the run (params + seed + command). Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -220,13 +221,16 @@ def cmd_verify(args) -> int:
 
 def _checked(kind, need: str, ok, many: bool = False):
     """An argparse type: a ``kind`` number, or with ``many`` a comma-separated
-    list of them, each satisfying ``ok``; ``need`` states the rule."""
+    list of them, each finite and satisfying ``ok``; ``need`` states the
+    rule."""
     def parse(text):
         try:
             values = [kind(x) for x in text.split(",")] if many else [kind(text)]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad {kind.__name__} {text!r}") from None
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise argparse.ArgumentTypeError(f"need finite numbers, got {text}")
         if not all(ok(v) for v in values):
             raise argparse.ArgumentTypeError(f"need {need}, got {text}")
         return values if many else values[0]

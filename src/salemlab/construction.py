@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expsums import _atom_sums, _subset_sums
+from .expsums import _atom_sums, _subset_sums, _unit, half_table
 from .params import ConstructionParams, make_progression
 
 
@@ -33,6 +33,7 @@ class BaseBlock:
     eta: float
     verified_k_count: int
     mode: str                # "exhaustive" | "sampled" | "trivial"
+    margin: float | None = None   # max deviation of the draw over eta/2
 
 
 @dataclass
@@ -49,12 +50,15 @@ class Construction:
 def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndarray, str]:
     """Frequencies to verify a bound on, with the mode actually achieved.
 
-    Exhaustive over [0, period) when that fits the budget; otherwise a
-    declared deterministic sample: all k < 2^16, a seeded uniform sample,
-    and the N-adic multiples period/N * c and period/N^2 * c.
+    Every bound checked here is on a sum of e(xk/period) over integers x,
+    so s(period - k) = conj s(k) and the half period [0, period // 2]
+    decides every residue: that is the exhaustive set, used when the period
+    fits the frequency and the transform budgets. Otherwise a declared
+    deterministic sample: all k < 2^16, a seeded uniform sample, and the
+    N-adic multiples period/N * c and period/N^2 * c.
     """
-    if period <= params.k_budget:
-        return np.arange(period, dtype=np.int64), "exhaustive"
+    if period <= min(params.k_budget, params.fft_budget):
+        return np.arange(period // 2 + 1, dtype=np.int64), "exhaustive"
     parts = [np.arange(min(2**16, period), dtype=np.int64)]
     parts.append(rng.integers(0, period, size=4096, dtype=np.int64))
     step = period // params.N
@@ -67,26 +71,38 @@ def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndar
     return ks, "sampled"
 
 
+def _n_checked(ks, period, mode) -> int:
+    """Residues mod period that a check over ``ks`` decides."""
+    return period if mode == "exhaustive" else len(ks)
+
+
 # ---------------------------------------------------------------------------
 # base blocks
 
-def uniform_sum(ks: np.ndarray, period: int, N: int) -> np.ndarray:
-    """Exponential sum of the full digit set {0..N-1}/period at frequencies ks."""
+def uniform_mean(ks, period: int, N: int, w=None) -> np.ndarray:
+    """U(k)/N for the digit sum U(k) = S_[N](k) = sum_{d<N} e(dk/period),
+    from exact residues: with Q = period/N and w = e(k/period) (which may be
+    passed in), U(k) = (1 - e(k/Q)) / (1 - w) off the multiples of the
+    period, where U(k)/N = 1 exactly. The numerator depends on k mod Q
+    alone and is built over one period Q when ks reach past it.
+    """
     ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty(len(ks), dtype=np.complex128)
-    w = np.exp(-2j * np.pi * (ks % period) / period)
-    full = ks % period == 0
-    out[full] = N
-    nz = ~full
-    out[nz] = (1 - w[nz] ** N) / (1 - w[nz])
-    return out
+    q = period // N
+    if w is None:
+        w = _unit(ks % period, period)
+    if len(ks) > q:
+        num = (1 - _unit(np.arange(q), q))[ks % q]
+    else:
+        num = 1 - _unit(ks % q, q)
+    out = np.ones(len(ks), dtype=np.complex128)
+    return np.divide(num, N * (1 - w), out=out, where=ks % period != 0)
 
 
 def block_deviations(members, ks, period, N, t, fft_budget=0) -> np.ndarray:
     """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x,
     each S_{B_x} from the one cost rule of ``expsums._atom_sums``."""
     ks = np.asarray(ks, dtype=np.int64)
-    base = uniform_sum(ks, period, N) / N
+    base = uniform_mean(ks, period, N)
     mem = np.asarray(members, dtype=np.int64)
     return np.array([
         _atom_sums((x + mem) % N, ks, period, fft_budget) / t - base
@@ -142,7 +158,8 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
                 f"deviation {dev2:.4g} > eta={eta:.4g} after cardinality fix at j={j}"
             )
         return BaseBlock(members=members, eta=eta,
-                         verified_k_count=len(ks) * N, mode=mode)
+                         verified_k_count=_n_checked(ks, period, mode) * N,
+                         mode=mode, margin=float(dev / (eta / 2)))
     if worst is None:
         raise ConstructionError(
             f"base block retries exhausted at j={j}: no draw had members"
@@ -210,46 +227,64 @@ def child_digits(params: ConstructionParams, level: LevelSet, members,
     return table[structured_mask(params, level, level.j).astype(np.intp), xs]
 
 
-def rotation_sums(params: ConstructionParams, level: LevelSet, digits,
-                  ks, sampled: bool):
-    """Deviation sums of the next level given by ``digits`` (one row of t
-    last digits per atom, as from ``child_digits``), one array over ``ks``
-    per mask ell = 0, 1, ..., j, yielded lazily. With e(x) = exp(-2 pi i x),
-    P = N^(j+1), Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
+def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool):
+    """A function of a draw's digits (one row of t last digits per atom, as
+    from ``child_digits``) that yields its deviation sums over ``ks``, one
+    array per mask ell = 0, 1, ..., j, lazily; what depends on the level
+    alone is computed once, here. With e(x) = exp(-2 pi i x), P = N^(j+1),
+    Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
 
         s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N)
-                 = S_P(C_ell)(k)/t - S_[N](k)/N * S_Q(A_ell)(k),
+                 = S_P(C_ell)(k)/t - U(k)/N * S_Q(A_ell)(k),
 
     where C_ell = {aN + d : a in A_ell, d in D_a} is the part of level j+1
-    under A_ell, structured rows patched as written. An exhaustive set reads
-    S_P(C_ell) like any atom sum. A sampled set splits C_ell by its last
-    digit d, S_P(C_ell)(k) = sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d}
-    the parents of the digit-d points, and evaluates those N subsets of
-    A_ell and A_ell itself in one ``_subset_sums`` call, so no table is
+    under A_ell, structured rows patched as written, and U = S_[N]
+    (``uniform_mean``). Each term sums e(xk/P) over integers x, so
+    s_ell(P - k) = conj s_ell(k): the exhaustive set is the half period
+    ks = [0, P // 2] (``frequency_set``), where S_P(C_ell) is the half table
+    of C_ell and S_Q(A_ell) its period-Q table, mirrored once and repeated.
+    A sampled set splits C_ell by its last digit d,
+    S_P(C_ell)(k) = sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d} the
+    parents of the digit-d points, and evaluates those N subsets of A_ell
+    and A_ell itself in one ``_subset_sums`` call, so that no table is
     longer than Q and none is built when Q exceeds the number of samples.
     """
     N, t, j = params.N, params.t, level.j
-    period = N ** (j + 1)
+    period, q = N ** (j + 1), N**j
     budget = params.fft_budget
-    uniform = uniform_sum(ks, period, N) / N
-    w = np.exp(-2j * np.pi * (ks % period) / period) if sampled else None
-    for ell in range(j + 1):
-        mask = structured_mask(params, level, ell)
-        atoms, rows = level.atoms[mask], digits[mask]
-        if sampled:
-            # row d < N: the parents of digit d; row N: all of A_ell
-            sets = np.zeros((N + 1, len(atoms)), dtype=bool)
-            sets[rows, np.arange(len(atoms))[:, None]] = True
-            sets[N] = True
-            sums = _subset_sums(atoms, sets, ks, period // N, budget)
-            # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
-            s = 0
-            for d in range(N - 1, -1, -1):
-                s = s * w + sums[d]
-            yield s / t - uniform * sums[N]
-        else:
-            s = _atom_sums((atoms[:, None] * N + rows).ravel(), ks, period, budget)
-            yield s / t - uniform * _atom_sums(atoms, ks, period // N, budget)
+    w = _unit(ks % period, period) if sampled else None
+    uniform = uniform_mean(ks, period, N, w)
+    masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
+    # exhaustive: S_Q(A_ell) over one period [0, Q), mirrored from its half table
+    full_q = [] if sampled else [
+        np.concatenate([h, h[1 : q - q // 2][::-1].conj()])
+        for h in (half_table(level.atoms[mask], q, budget) for mask in masks)
+    ]
+
+    def sums(digits):
+        for ell, mask in enumerate(masks):
+            atoms, rows = level.atoms[mask], digits[mask]
+            if sampled:
+                # row d < N: the parents of digit d; row N: all of A_ell
+                sets = np.zeros((N + 1, len(atoms)), dtype=bool)
+                sets[rows, np.arange(len(atoms))[:, None]] = True
+                sets[N] = True
+                parts = _subset_sums(atoms, sets, ks, q, budget)
+                # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
+                s = parts[N - 1]
+                for d in range(N - 2, -1, -1):
+                    s *= w
+                    s += parts[d]
+                s /= t
+                s -= uniform * parts[N]
+            else:
+                s = half_table((atoms[:, None] * N + rows).ravel(), period, budget)
+                s /= t
+                for lo in range(0, len(s), q):
+                    block = s[lo : lo + q]
+                    block -= uniform[lo : lo + q] * full_q[ell][: len(block)]
+            yield s
+    return sums
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet,
@@ -257,11 +292,14 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     """Draw per-atom rotations and accept the next level only when every
     deviation sum stays strictly below its threshold on the checked
     frequency set; returns that level and its audit fields, among them
-    ``rotation_margin``, the largest |t^(-j+ell/2) s_ell(k)| / threshold
-    over ell and the checked k."""
+    ``rotation_margins``, the largest |t^(-j+ell/2) s_ell(k)| / threshold
+    over the checked k for each ell, and ``rotation_margin``, their
+    maximum. The exhaustive set is the half period, which decides every
+    residue mod P because each |s_ell| is symmetric (``rotation_sums``)."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
+    sums = rotation_sums(params, level, ks, mode == "sampled")
     lam = params.lambda_rot(j)
     lams = [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
 
@@ -269,23 +307,24 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     for attempt in range(params.max_retries):
         xs = rng.integers(0, N, size=len(level.atoms))
         digits = child_digits(params, level, base_block.members, xs)
-        sums = rotation_sums(params, level, digits, ks, mode == "sampled")
-        margin = 0.0
-        for ell, s in enumerate(sums):
-            scale = t ** (-j + ell / 2)
+        margins = []
+        for ell, s in enumerate(sums(digits)):
             thresh = lam if ell == 0 else lams[ell - 1]
-            mag = np.abs(scale * s)
+            mag = np.abs(s)
+            mag *= t ** (-j + ell / 2)
             m = mag.max()
             if m >= thresh:
                 worst = (m, thresh, int(ks[mag.argmax()]), ell)
                 break
-            margin = max(margin, m / thresh)
+            margins.append(float(m / thresh))
         else:
             atoms = np.sort((level.atoms[:, None] * N + digits).ravel())
             return LevelSet(j=j + 1, atoms=atoms), {
-                "rotation_mode": mode, "rotation_verified_k": len(ks),
+                "rotation_mode": mode,
+                "rotation_verified_k": _n_checked(ks, period, mode),
                 "retries": attempt, "lambda_j": lam,
-                "rotation_margin": float(margin),
+                "rotation_margin": max(margins),
+                "rotation_margins": margins,
             }
     m, thresh, k, ell = worst
     raise ConstructionError(
@@ -315,6 +354,7 @@ def build_level(params: ConstructionParams, construction: Construction, rng) -> 
             "mode": base.mode,
             "eta": base.eta,
             "block_verified_k": base.verified_k_count,
+            "block_margin": base.margin,
             **rotation,
         })
 

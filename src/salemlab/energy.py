@@ -71,14 +71,16 @@ def _sum_counts(Y, r: int) -> np.ndarray:
     """g[i] = the number of r-tuples over Y summing to r * min(Y) + i.
 
     g_s = g_{s-1} (+) 1_Y is built by one int64 shift-add per element of Y,
-    so every count is an integer add; the counts sum to |Y|^r < 2^63.
+    so every count is an integer add; the counts sum to |Y|^r < 2^63. Any
+    |Y| >= 2 reaches 2^63 by r = 63, so a larger r is refused before the
+    power is formed.
     """
     Y = np.unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
         raise EnergyError("empty set")
     if r < 1:
         raise EnergyError(f"need r >= 1, got {r}")
-    if len(Y) ** r >= 2**63:
+    if len(Y) > 1 and (r >= 63 or len(Y) ** r >= 2**63):
         raise EnergyError(
             f"|Y|^r = {len(Y)}^{r} would overflow exact int64 energy counts"
         )

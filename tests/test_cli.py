@@ -349,6 +349,9 @@ def test_lattice_beyond_the_budget_exits_3(tmp_path, capsys):
     ("--p", "0", "need every p > 1, got 0"),
     ("--p", "1", "need every p > 1, got 1"),
     ("--q", "0.5", "need q >= 1, got 0.5"),
+    ("--p", "inf", "need finite numbers, got inf"),
+    ("--p", "2,nan", "need finite numbers, got 2,nan"),
+    ("--q", "inf", "need finite numbers, got inf"),
 ])
 def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
                                                    message):
@@ -356,6 +359,16 @@ def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
         main(["analyze", str(built), "--energy", "--decay", flag, value])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--norms", "--p", "1e300"],           # even, so the exact order r = p/2
+    ["--energy", "--r", "1000000000000000000"],
+], ids=["p-1e300", "r-1e18"])
+def test_analyze_refuses_an_overflowing_order(built, capsys, args):
+    # |Y|^r would leave int64 at once; the power itself is never formed
+    assert main(["analyze", str(built)] + args) == 3
+    assert "would overflow exact int64 energy counts" in capsys.readouterr().err
 
 
 def test_analyze_rejects_order_below_one_at_parse_time(built, capsys):

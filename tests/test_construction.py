@@ -12,7 +12,7 @@ from salemlab import (
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    child_digits, frequency_set, patch_structured, rotation_sums, uniform_sum,
+    child_digits, frequency_set, patch_structured, rotation_sums, uniform_mean,
 )
 from salemlab.storage import level_to_text
 
@@ -186,7 +186,9 @@ def test_structured_mask_counts(bases):
 def test_frequency_set_modes(desk_params):
     rng = np.random.default_rng(0)
     ks, mode = frequency_set(desk_params, desk_params.period(4), rng)
-    assert mode == "exhaustive" and len(ks) == desk_params.period(4)
+    # the half period decides every residue
+    assert mode == "exhaustive"
+    assert ks.tolist() == list(range(desk_params.period(4) // 2 + 1))
     ks, mode = frequency_set(desk_params, desk_params.period(6), rng)
     assert mode == "sampled"
     assert len(np.unique(ks)) == len(ks)
@@ -194,12 +196,19 @@ def test_frequency_set_modes(desk_params):
 
 
 def test_uniform_sum_matches_direct():
+    # uniform_mean is U(k)/N; first more ks than one period Q = 256 (the
+    # numerator read from one period), then fewer (summed at each k)
     N, period = 16, 4096
-    ks = np.arange(0, period, 17, dtype=np.int64)
-    direct = np.exp(
-        -2j * np.pi * np.arange(N)[:, None] * ks[None, :] / period
-    ).sum(axis=0)
-    assert np.allclose(uniform_sum(ks, period, N), direct, atol=1e-9)
+    for ks in (np.arange(0, 2 * period, 17, dtype=np.int64),
+               np.array([0, 1, 256, 4095, 4096, 8192 + 512], dtype=np.int64)):
+        direct = np.exp(
+            -2j * np.pi * np.arange(N)[:, None] * ks[None, :] / period
+        ).sum(axis=0)
+        got = uniform_mean(ks, period, N)
+        assert np.allclose(N * got, direct, atol=1e-9)
+        # exact at the multiples of Q: 1 at those of the period, else 0
+        on_q = ks % (period // N) == 0
+        assert got[on_q].tolist() == np.where(ks[on_q] % period == 0, 1, 0).tolist()
 
 
 def test_block_deviations_fft_matches_direct():
@@ -285,7 +294,7 @@ def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode, ends):
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
     xs = rng.integers(0, params.N, size=len(level.atoms))
     digits = child_digits(params, level, members, xs)
-    got = list(rotation_sums(params, level, digits, ks, mode == "sampled"))
+    got = list(rotation_sums(params, level, ks, mode == "sampled")(digits))
     want = _per_atom_sums(params, level, digits, ks)
     assert len(got) == j + 1
     for ell, (g, w) in enumerate(zip(got, want)):
@@ -341,12 +350,11 @@ def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, k_budget,
     verify_construction(con)
 
 
-def test_written_level_meets_its_rotation_thresholds():
-    # biting constants with every level j <= 4 accepted over all residues
-    # mod P = N^(j+1): the level written must be the level that was checked
-    params = derive_params(4, 2, 1, j_max=5, seed=1, c_eta=1.0, c_rot=0.35)
-    con = build_construction(params)
-    N, t = params.N, params.t
+def _full_period_ratios(params, level, written, ell):
+    """|t^(-j+ell/2) s_ell(k)| / threshold for every k in [0, P), P = N^(j+1),
+    from full-period FFTs of the written atoms under A_ell."""
+    N, t, j = params.N, params.t, level.j
+    P = N ** (j + 1)
 
     def sums(atoms, period):
         """S(k) = sum_a e(ak/period) for every k in [0, period)."""
@@ -354,28 +362,62 @@ def test_written_level_meets_its_rotation_thresholds():
         ind[atoms] = 1.0
         return np.fft.fft(ind)
 
+    # C_ell: the written atoms under A_ell, i.e. with the same top ell digits
+    C = written.atoms[structured_mask(params, written, ell)]
+    A = level.atoms[structured_mask(params, level, ell)]
+    s = sums(C, P) / t - sums(np.arange(N), P) / N * np.tile(sums(A, P // N), N)
+    lam = params.lambda_rot(j) if ell == 0 else params.lambda_rot_ell(j, ell)
+    return np.abs(t ** (-j + ell / 2) * s) / lam
+
+
+def test_written_level_meets_its_rotation_thresholds():
+    # biting constants with every level j <= 4 accepted over all residues
+    # mod P = N^(j+1): the level written must be the level that was checked
+    params = derive_params(4, 2, 1, j_max=5, seed=1, c_eta=1.0, c_rot=0.35)
+    con = build_construction(params)
+
     worst = (0.0,)
     for level, written in zip(con.levels[1:-1], con.levels[2:]):
         j = level.j
-        P = N ** (j + 1)
-        assert P <= params.k_budget
-        uniform = sums(np.arange(N), P) / N
-        margin = 0.0
+        assert params.N ** (j + 1) <= params.k_budget
+        margins = []
         for ell in range(j + 1):
-            # C_ell: the written atoms under A_ell, i.e. with the same top
-            # ell digits
-            C = written.atoms[structured_mask(params, written, ell)]
-            A = level.atoms[structured_mask(params, level, ell)]
-            s = sums(C, P) / t - uniform * np.tile(sums(A, P // N), N)
-            lam = (params.lambda_rot(j) if ell == 0
-                   else params.lambda_rot_ell(j, ell))
-            ratio = np.abs(t ** (-j + ell / 2) * s) / lam
+            ratio = _full_period_ratios(params, level, written, ell)
             worst = max(worst, (ratio.max(), j, ell, int(ratio.argmax())))
-            margin = max(margin, ratio.max())
-        # the audit of level j + 1 records the same margin
+            margins.append(ratio.max())
+        # the audit of level j + 1 records the same margins
         assert con.audit[j]["j"] == j + 1
-        assert con.audit[j]["rotation_margin"] == pytest.approx(margin, rel=1e-9)
+        assert con.audit[j]["rotation_margins"] == pytest.approx(margins, rel=1e-9)
+        assert con.audit[j]["rotation_margin"] == pytest.approx(max(margins), rel=1e-9)
     assert worst[0] < 1, worst   # (sum over threshold, j, ell, k)
+
+
+@pytest.mark.parametrize("N0, j_max", [(4, 5), (3, 6)], ids=["even-P", "odd-P"])
+def test_half_period_check_matches_a_full_period_scan(N0, j_max):
+    # biting constants, so that the sums come near their thresholds; the
+    # exhaustive check reads k in [0, P // 2] only, and its maximum and
+    # witness must be those of all residues mod P (the witness up to the
+    # mirror k -> P - k, whose sum is the conjugate)
+    params = derive_params(N0, 2, 1, j_max=j_max, seed=1, c_eta=1.0, c_rot=0.35)
+    con = build_construction(params)
+    N, t = params.N, params.t
+    for level, written in zip(con.levels[1:-1], con.levels[2:]):
+        j = level.j
+        P = N ** (j + 1)
+        ks, mode = frequency_set(params, P, None)
+        assert mode == "exhaustive"
+        # the accepted draw's rows of last digits, in the order of the parents
+        digits = (written.atoms % N).reshape(len(level.atoms), t)
+        lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
+                                         for ell in range(1, j + 1)]
+        for ell, s in enumerate(rotation_sums(params, level, ks, False)(digits)):
+            half = np.abs(t ** (-j + ell / 2) * s) / lams[ell]
+            full = _full_period_ratios(params, level, written, ell)
+            k = int(full.argmax())
+            assert half.max() == pytest.approx(full.max(), rel=1e-9)
+            assert ks[half.argmax()] == min(k, P - k)
+            assert con.audit[j]["rotation_margins"][ell] == pytest.approx(
+                half.max(), rel=1e-12)
 
 
 def test_rotation_retries_exhausted_names_the_witness():
