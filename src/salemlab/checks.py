@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import expsums
 from .construction import Construction, ConstructionError, verify_construction
 from .energy import energy_lower_bound, sum_distribution
 from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
@@ -78,9 +79,9 @@ def run_verification(con: Construction) -> list[dict]:
     worst = 0.0
     for level in con.levels:
         period = params.period(level.j)
-        if period > params.fft_budget:
+        if period > expsums.FFT_BUDGET:
             continue
-        table = exp_sum_all(level.atoms, period, params.fft_budget)
+        table = exp_sum_all(level.atoms, period)
         total = float(np.sum(np.abs(table) ** 2))
         expected = period * len(level.atoms)
         worst = max(worst, abs(total - expected) / expected)
@@ -102,10 +103,11 @@ def run_verification(con: Construction) -> list[dict]:
     checks.append(record("mass-identity", "3.1-mass", ok and worst < 1e-12,
                          worst_abs_error=worst))
 
-    # telescoping decay and the trivial bound
+    # telescoping decay j -> j + 1 and the trivial bound of level j + 1, both
+    # over the frequencies of j
+    freqs = [_verify_frequencies(params, j) for j in range(params.j_max)]
     reports = [
-        telescope_check(params, con.levels[j], con.levels[j + 1],
-                        _verify_frequencies(params, j), ell=ell)
+        telescope_check(params, con.levels[j], con.levels[j + 1], freqs[j], ell=ell)
         for j in range(1, params.j_max) for ell in range(0, j + 1)
     ]
     if reports:
@@ -116,11 +118,8 @@ def run_verification(con: Construction) -> list[dict]:
             witness={"j": worst_rep.j, "ell": worst_rep.ell, "k": worst_rep.worst_k},
         ))
 
-    cases = []
-    for level in con.levels[1:]:
-        ks = _verify_frequencies(params, level.j - 1)
-        cases += [trivial_bound_check(params, level, ell, ks)
-                  for ell in range(0, level.j + 1)]
+    cases = [trivial_bound_check(params, level, ell, freqs[level.j - 1])
+             for level in con.levels[1:] for ell in range(0, level.j + 1)]
     checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
 
     # energy lower bound; the interpolation chain below rereads the top-level

@@ -36,7 +36,7 @@ EXIT_RESOURCE = 3
 PARAM_KEYS = {
     "N0": int, "t0": int, "n0": int, "j_max": int, "seed": int,
     "c_eta": float, "c_rot": float, "ap_offset": int, "ap_gap": int,
-    "k_budget": int, "max_retries": int, "fft_budget": int,
+    "k_budget": int, "max_retries": int,
 }
 
 

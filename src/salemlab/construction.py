@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expsums import _atom_sums, _subset_sums, _unit, half_table
+from . import expsums
+from .expsums import _atom_sums, _subset_sums, _unit, exp_sum_all, half_table
 from .params import ConstructionParams, make_progression
 
 
@@ -57,7 +58,7 @@ def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndar
     deterministic sample: all k < 2^16, a seeded uniform sample, and the
     N-adic multiples period/N * c and period/N^2 * c.
     """
-    if period <= min(params.k_budget, params.fft_budget):
+    if period <= min(params.k_budget, expsums.FFT_BUDGET):
         return np.arange(period // 2 + 1, dtype=np.int64), "exhaustive"
     parts = [np.arange(min(2**16, period), dtype=np.int64)]
     parts.append(rng.integers(0, period, size=4096, dtype=np.int64))
@@ -98,14 +99,14 @@ def uniform_mean(ks, period: int, N: int, w=None) -> np.ndarray:
     return np.divide(num, N * (1 - w), out=out, where=ks % period != 0)
 
 
-def block_deviations(members, ks, period, N, t, fft_budget=0) -> np.ndarray:
+def block_deviations(members, ks, period, N, t) -> np.ndarray:
     """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x,
     each S_{B_x} from the one cost rule of ``expsums._atom_sums``."""
     ks = np.asarray(ks, dtype=np.int64)
     base = uniform_mean(ks, period, N)
     mem = np.asarray(members, dtype=np.int64)
     return np.array([
-        _atom_sums((x + mem) % N, ks, period, fft_budget) / t - base
+        _atom_sums((x + mem) % N, ks, period) / t - base
         for x in range(N)
     ])
 
@@ -143,16 +144,12 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
-        dev = np.abs(
-            block_deviations(draw, ks, period, N, t, params.fft_budget)
-        ).max()
+        dev = np.abs(block_deviations(draw, ks, period, N, t)).max()
         if dev > eta / 2:
             worst = dev
             continue
         members = _fix_cardinality(set(int(m) for m in draw), t, N)
-        dev2 = np.abs(
-            block_deviations(members, ks, period, N, t, params.fft_budget)
-        ).max()
+        dev2 = np.abs(block_deviations(members, ks, period, N, t)).max()
         if dev2 > eta:
             raise ConstructionError(
                 f"deviation {dev2:.4g} > eta={eta:.4g} after cardinality fix at j={j}"
@@ -251,15 +248,11 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
-    budget = params.fft_budget
     w = _unit(ks % period, period) if sampled else None
     uniform = uniform_mean(ks, period, N, w)
     masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
     # exhaustive: S_Q(A_ell) over one period [0, Q), mirrored from its half table
-    full_q = [] if sampled else [
-        np.concatenate([h, h[1 : q - q // 2][::-1].conj()])
-        for h in (half_table(level.atoms[mask], q, budget) for mask in masks)
-    ]
+    full_q = [] if sampled else [exp_sum_all(level.atoms[mask], q) for mask in masks]
 
     def sums(digits):
         for ell, mask in enumerate(masks):
@@ -269,7 +262,7 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool
                 sets = np.zeros((N + 1, len(atoms)), dtype=bool)
                 sets[rows, np.arange(len(atoms))[:, None]] = True
                 sets[N] = True
-                parts = _subset_sums(atoms, sets, ks, q, budget)
+                parts = _subset_sums(atoms, sets, ks, q)
                 # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
                 s = parts[N - 1]
                 for d in range(N - 2, -1, -1):
@@ -278,7 +271,7 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool
                 s /= t
                 s -= uniform * parts[N]
             else:
-                s = half_table((atoms[:, None] * N + rows).ravel(), period, budget)
+                s = half_table((atoms[:, None] * N + rows).ravel(), period)
                 s /= t
                 for lo in range(0, len(s), q):
                     block = s[lo : lo + q]

@@ -72,18 +72,17 @@ def _sum_counts(Y, r: int) -> np.ndarray:
 
     g_s = g_{s-1} (+) 1_Y is built by one int64 shift-add per element of Y,
     so every count is an integer add; the counts sum to |Y|^r < 2^63. Any
-    |Y| >= 2 reaches 2^63 by r = 63, so a larger r is refused before the
-    power is formed.
+    |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y, one
+    atom included, before the power is formed or the r - 1 steps are run.
     """
     Y = np.unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
         raise EnergyError("empty set")
     if r < 1:
         raise EnergyError(f"need r >= 1, got {r}")
-    if len(Y) > 1 and (r >= 63 or len(Y) ** r >= 2**63):
-        raise EnergyError(
-            f"|Y|^r = {len(Y)}^{r} would overflow exact int64 energy counts"
-        )
+    if r >= 63 or len(Y) ** r >= 2**63:
+        raise EnergyError(f"order r = {r} on |Y| = {len(Y)} atoms: r >= 63 or "
+                          f"|Y|^r >= 2^63 would overflow exact int64 energy counts")
     Y0 = Y - Y[0]          # translation leaves g's shape, M and correlations alone
     top = int(Y0[-1])
     g = np.zeros(top + 1, dtype=np.int64)

@@ -20,6 +20,12 @@ class SpectralError(RuntimeError):
     pass
 
 
+# Longest dense transform, in points, of any table or lattice; a longer one
+# is a SpectralError. Read as ``expsums.FFT_BUDGET`` everywhere, so that one
+# assignment lowers it.
+FFT_BUDGET = 2**26
+
+
 def exp_sum(atoms, k, period):
     """S(k) = sum over atoms of exp(-2 pi i a k / period), summed directly at
     the given k (scalar or array), with the residues a * k mod period exact
@@ -43,12 +49,12 @@ def exp_sum(atoms, k, period):
     return out[0] if np.ndim(k) == 0 else out
 
 
-def exp_sum_all(atoms, period, fft_budget=2**26):
+def exp_sum_all(atoms, period):
     """Dense table of S(k) for all k in [0, period): the mirrored half table."""
-    return _table_sums(atoms, np.arange(period), period, fft_budget)
+    return _table_sums(atoms, np.arange(period), period)
 
 
-def half_table(atoms, period, fft_budget=2**26, n=None):
+def half_table(atoms, period, n=None):
     """S(k) for k in [0, period // 2] via one real-input FFT.
 
     The atoms are real positions, so the rest of the period is the mirror
@@ -56,9 +62,9 @@ def half_table(atoms, period, fft_budget=2**26, n=None):
     indicator and samples S at k * period / n for k in [0, n // 2] instead.
     """
     n = period if n is None else n
-    if n > fft_budget:
+    if n > FFT_BUDGET:
         raise SpectralError(
-            f"transform length {n} exceeds the dense transform budget {fft_budget}"
+            f"transform length {n} exceeds the dense transform budget {FFT_BUDGET}"
         )
     ind = np.zeros(period)
     ind[np.asarray(atoms, dtype=np.int64)] = 1.0
@@ -80,23 +86,23 @@ _CHUNK = 2**20
 _DIRECT_TERM_WEIGHT = 20
 
 
-def _atom_sums(atoms, k, period, fft_budget):
+def _atom_sums(atoms, k, period):
     """S(k) at integer frequencies under one cost rule.
 
-    An array of frequencies reads the dense table when the period fits the
-    budget and one FFT, period * log2(period), costs no more than the
+    An array of frequencies reads the dense table when the period fits
+    ``FFT_BUDGET`` and one FFT, period * log2(period), costs no more than the
     |atoms| * |ks| terms of the direct sum, each weighted by
     ``_DIRECT_TERM_WEIGHT``. Everything else, scalar k included, takes the
     direct sum.
     """
     n_terms = np.size(atoms) * np.size(k)
-    if (np.ndim(k) and period <= fft_budget
+    if (np.ndim(k) and period <= FFT_BUDGET
             and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
-        return _table_sums(atoms, k, period, fft_budget)
+        return _table_sums(atoms, k, period)
     return exp_sum(atoms, k, period)
 
 
-def _subset_sums(atoms, sets, ks, period, fft_budget):
+def _subset_sums(atoms, sets, ks, period):
     """Row i is S(ks) over atoms[sets[i]], for a boolean (subsets, atoms)
     matrix ``sets``.
 
@@ -115,7 +121,7 @@ def _subset_sums(atoms, sets, ks, period, fft_budget):
     if period <= len(ks):
         out = np.empty((len(sets), len(ks)), dtype=np.complex128)
         for row, s in zip(out, sets):
-            row[:] = _atom_sums(atoms[s], ks, period, fft_budget)
+            row[:] = _atom_sums(atoms[s], ks, period)
         return out
     residues = np.asarray(atoms, dtype=np.int64) % period
     run = int(np.argmin(np.append(ks == np.arange(len(ks)), False)))
@@ -152,9 +158,9 @@ def _unit(residues, period):
     return np.exp(-2j * np.pi * residues / period)
 
 
-def _table_sums(atoms, k, period, fft_budget=2**26):
+def _table_sums(atoms, k, period):
     """S(k) read from the half table at k mod period, mirrored above period/2."""
-    half = half_table(atoms, period, fft_budget)
+    half = half_table(atoms, period)
     m = np.atleast_1d(np.asarray(k, dtype=np.int64)) % period
     mirrored = m > period // 2
     np.subtract(period, m, out=m, where=mirrored)

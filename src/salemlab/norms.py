@@ -41,21 +41,10 @@ class NormEstimate:
 # ---------------------------------------------------------------------------
 # quadrature on the lattice
 
-def _lattice_spectrum(params: ConstructionParams, atoms, period: int, h: float):
-    """|T(i*h)| for 0 <= i <= n_per // 2, and n_per = period / h.
-
-    T is the atom exponential sum, period N^j; the lattice is xi_i = i*h
-    with 1/h an integer, so one period of samples tiles the whole line. The
-    atoms are real, so T(-xi) is the conjugate of T(xi): |T| at i and at
-    n_per - i agree, and the half period holds every sample.
-    """
-    inv_h = round(1.0 / h)
-    if abs(inv_h - 1.0 / h) > 1e-12 or inv_h < 1:
-        raise NormError(f"step h={h} must be the reciprocal of a positive integer")
-    n_per = period * inv_h
-    # zero-padding the length-N^j indicator to n_per points samples the
-    # exponential sum at the refined frequencies xi = k*h
-    return np.abs(half_table(atoms, period, params.fft_budget, n_per)), n_per
+# The lattice xi = i * h with h = 1 / _SAMPLES_PER_UNIT; the reported window
+# [-K, K] spans K = _HEAD_PERIODS * N^j, that is _HEAD_PERIODS periods of T.
+_SAMPLES_PER_UNIT = 4
+_HEAD_PERIODS = 32
 
 
 # B_2k / (2k)! for k = 1..8, the Euler-Maclaurin coefficients
@@ -93,16 +82,17 @@ def _hurwitz(p: float, a):
 
 
 @functools.lru_cache(maxsize=1)
-def _lattice_weights(n_per: int, p: float, m_cut: int):
+def _lattice_weights(n_per: int, p: float):
     """Head and tail weights of the half lattice 1 <= i <= n_per/2.
 
     The sample at eta = i / n_per stands for the points eta + m of every
     period m >= 0 and, by the evenness of |T|, for their mirrors
     1 - eta + m. Its weight |sin(pi eta)|^p / (pi (eta + m))^p summed over
-    m < m_cut is the head weight; summed over m >= m_cut it is the Hurwitz
-    tail pi^-p zeta(p, eta + m_cut). The periods m < 16 are summed term by
-    term and the rest through zeta(p, eta + 16) and zeta(p, eta + m_cut).
-    Each is folded with its mirror, and eta = 1/2, its own mirror, counts
+    m < _HEAD_PERIODS is the head weight; summed over the periods beyond it
+    is the Hurwitz tail pi^-p zeta(p, eta + _HEAD_PERIODS). The periods
+    m < _EM_START are summed term by term, and the rest of the head is
+    zeta(p, eta + _EM_START) - zeta(p, eta + _HEAD_PERIODS). Each is folded
+    with its mirror, and eta = 1/2 (n_per is even), its own mirror, counts
     once. The weights depend on neither the level's atoms nor the window,
     so the windows of one lattice share them; the arrays are read-only.
     They are filled in blocks, which keeps the temporaries small.
@@ -114,35 +104,30 @@ def _lattice_weights(n_per: int, p: float, m_cut: int):
         h, t = head[lo:lo + len(i)], tail[lo:lo + len(i)]
         for eta in (i / n_per, (n_per - i) / n_per):
             for m in range(_EM_START):
-                target = h if m < m_cut else t
-                target += (eta + m) ** -p
-            if m_cut > _EM_START:
-                beyond = _hurwitz(p, eta + m_cut)
-                h += _hurwitz(p, eta + _EM_START) - beyond
-                t += beyond
-            else:
-                t += _hurwitz(p, eta + _EM_START)
+                h += (eta + m) ** -p
+            beyond = _hurwitz(p, eta + _HEAD_PERIODS)
+            h += _hurwitz(p, eta + _EM_START) - beyond
+            t += beyond
         scale = np.abs(np.sin(np.pi * (i / n_per))) ** p
         scale *= math.pi ** -p
         h *= scale
         t *= scale
-    if n_per % 2 == 0:
-        head[-1] /= 2
-        tail[-1] /= 2
+    head[-1] /= 2
+    tail[-1] /= 2
     head.flags.writeable = tail.flags.writeable = False
     return head, tail
 
 
 def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float, K: int | None = None,
-                       h: float = 0.25) -> NormEstimate:
+                       p: float) -> NormEstimate:
     """Lattice quadrature of the p-th power of the structured-window
-    transform's norm over the line.
+    transform's norm over the line, at step h = 1/4.
 
-    The reported value is the full lattice sum: the window [-K, K] is summed
-    directly and the remaining periods are folded through Hurwitz zeta
-    values, which is exact for the lattice. ``tail_bound`` is the analytic
-    envelope bound on the |xi| > K contribution.
+    The reported value is the full lattice sum: the window [-K, K],
+    K = 32 N^j, is summed directly and the remaining periods are folded
+    through Hurwitz zeta values, which is exact for the lattice.
+    ``tail_bound`` is the analytic envelope bound on the |xi| > K
+    contribution.
 
     For even p = 2r the lattice sum is the integral itself, up to roundoff:
     the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
@@ -154,21 +139,19 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
         raise NormError(
             f"need p > 1, got {p}: the tail under the 1/|xi| envelope diverges"
         )
-    if h > 0.25:
-        raise NormError(f"step h={h} too coarse; need h <= 1/4")
     j = level.j
     period = params.period(j)
-    if K is None:
-        K = 32 * period
-    if K % period != 0 or K <= 0:
-        raise NormError(f"cutoff K={K} must be a positive multiple of N^j={period}")
-
-    T, n_per = _lattice_spectrum(params, restricted_atoms(params, level, ell),
-                                 period, h)
+    h = 1 / _SAMPLES_PER_UNIT
+    K = _HEAD_PERIODS * period
+    n_per = period * _SAMPLES_PER_UNIT
+    # zero-padding the length-N^j indicator to n_per points samples the
+    # exponential sum at xi = i*h; T(-xi) is the conjugate of T(xi), so the
+    # half period holds every |T|
+    T = np.abs(half_table(restricted_atoms(params, level, ell), period, n_per))
     tj = float(params.t) ** (-j)
     # the origin, then each half-lattice sample for both signs of xi; lattice
     # points at nonzero multiples of the period carry sin = 0 and drop out
-    head_w, tail_w = _lattice_weights(n_per, float(p), K // period)
+    head_w, tail_w = _lattice_weights(n_per, float(p))
     A = (T[1:] * tj) ** p
     head = (T[0] * tj) ** p + 2.0 * float(np.dot(A, head_w))
     tail = 2.0 * float(np.dot(A, tail_w))
@@ -179,7 +162,7 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
 
     return NormEstimate(
         p=p, value=value, method="quadrature", tail_bound=tail_bound,
-        grid={"K": int(K), "h": h}, head_value=h * head, tail_value=h * tail,
+        grid={"K": K, "h": h}, head_value=h * head, tail_value=h * tail,
     )
 
 

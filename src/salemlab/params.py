@@ -34,7 +34,6 @@ class ConstructionParams:
     ap_gap: int = 1          # common difference of the embedded progression
     k_budget: int = 2**20    # max frequencies checked exhaustively
     max_retries: int = 64
-    fft_budget: int = 2**26  # max dense transform length
 
     @property
     def sqrt_t(self) -> int:

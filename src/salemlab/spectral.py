@@ -47,8 +47,7 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
 def _window_coefficients(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Coefficients of the measure weighted by the structured window of
     depth ell (ell = 0: the plain measure)."""
-    s = _atom_sums(restricted_atoms(params, level, ell), k,
-                   params.period(level.j), params.fft_budget)
+    s = _atom_sums(restricted_atoms(params, level, ell), k, params.period(level.j))
     return _coefficients(params, level.j, k, s)
 
 
@@ -129,7 +128,7 @@ def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet,
         rhs = C * envelope * t ** (-(j + 1) / 2) * math.log(8 * N ** (j + 1))
         return lhs / rhs
 
-    worst_k, max_ratio = _worst(params, ks, ratio)
+    worst_k, max_ratio = _worst(ks, ratio)
     return TelescopeReport(
         j=j, ell=ell, constant=C, max_ratio=max_ratio, worst_k=worst_k,
         checked=len(ks), passed=max_ratio < 1.0,
@@ -153,7 +152,7 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
         )
         return coeffs / bound
 
-    worst_k, max_ratio = _worst(params, ks, ratio)
+    worst_k, max_ratio = _worst(ks, ratio)
     return {
         "j": level.j, "ell": ell, "max_ratio": max_ratio,
         "worst_k": worst_k, "checked": len(ks),
@@ -166,7 +165,7 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
 _WITNESS_WINDOW = 1e-9
 
 
-def _worst(params: ConstructionParams, ks, ratio):
+def _worst(ks, ratio):
     """(k, ratio) at the largest ``ratio(ks, sums)`` over the frequencies.
 
     The atom sums of the whole set come from the cost rule and only screen.
@@ -176,7 +175,7 @@ def _worst(params: ConstructionParams, ks, ratio):
     exact arithmetic; the first maximum in the order of ``ks`` wins, exactly
     as over a fully direct evaluation.
     """
-    screened = ratio(ks, lambda a, k, p: _atom_sums(a, k, p, params.fft_budget))
+    screened = ratio(ks, _atom_sums)
     top = screened.max()
     near = ks[screened >= top - _WITNESS_WINDOW * top]
     exact = ratio(near, exp_sum)

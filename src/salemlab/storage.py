@@ -149,7 +149,7 @@ def load_construction(in_dir, validate=True) -> Construction:
     overrides = {
         k: p[k]
         for k in ("c_eta", "c_rot", "ap_offset", "ap_gap", "k_budget",
-                  "max_retries", "fft_budget")
+                  "max_retries")
         if k in p
     }
     params = derive_params(N0, t0, n0, j_max=len(levels) - 1, seed=seed, **overrides)

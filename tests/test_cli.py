@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from salemlab import energy
+from salemlab import energy, expsums
 from salemlab.cli import main
 from salemlab.energy import EnergyError
 from salemlab.storage import level_filename
@@ -70,6 +70,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("N0=abc", "--set: bad value for N0: 'abc'"),
     ("N0", "--set: expected key = value, got 'N0'"),
     ("bogus=3", "--set: unknown key 'bogus'"),
+    ("fft_budget=4096", "--set: unknown key 'fft_budget'"),
 ])
 def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
     assert main(["construct", "-o", str(tmp_path / "x"), "--set", item]) == 2
@@ -333,14 +334,21 @@ def test_energy_tables_are_counted_once_per_process(built, monkeypatch):
     assert len(counted) == len(set(counted))
 
 
-def test_lattice_beyond_the_budget_exits_3(tmp_path, capsys):
+def test_lattice_beyond_the_budget_exits_3(built, capsys, monkeypatch):
     # the level-3 lattice at h = 1/4 has 16^3 * 4 points per period
-    out = tmp_path / "run"
-    sets = ["N0=4", "t0=2", "n0=1", "j_max=3", "seed=7", "fft_budget=4096"]
-    assert main(["construct", "-o", str(out)]
-                + [arg for s in sets for arg in ("--set", s)]) == 0
-    assert main(["analyze", str(out), "--norms", "--p", "3"]) == 3
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 4096)
+    assert main(["analyze", str(built), "--norms", "--p", "3"]) == 3
     assert "resource limit: transform length 16384 exceeds" in capsys.readouterr().err
+
+
+def test_manifest_with_a_transform_budget_still_loads(built):
+    # runs written while the budget was a parameter record it in the manifest
+    path = built / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"]["fft_budget"] = 2**26
+    path.write_text(json.dumps(manifest))
+    assert main(["verify", str(built)]) == 0
+    assert main(["analyze", str(built), "--energy", "--norms", "--p", "3"]) == 0
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -364,7 +372,10 @@ def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
 @pytest.mark.parametrize("args", [
     ["--norms", "--p", "1e300"],           # even, so the exact order r = p/2
     ["--energy", "--r", "1000000000000000000"],
-], ids=["p-1e300", "r-1e18"])
+    # one atom: |Y|^r never overflows, but the order alone is refused
+    ["--level", "0", "--energy", "--r", "100000000"],
+    ["--level", "0", "--norms", "--p", "1e300"],
+], ids=["p-1e300", "r-1e18", "level0-r-1e8", "level0-p-1e300"])
 def test_analyze_refuses_an_overflowing_order(built, capsys, args):
     # |Y|^r would leave int64 at once; the power itself is never formed
     assert main(["analyze", str(built)] + args) == 3

@@ -138,6 +138,14 @@ def test_overflow_guard():
         sum_distribution(list(range(2**16)), 4)
 
 
+def test_overflow_guard_holds_on_one_atom():
+    # one atom never overflows, but r = 63 is refused by its order alone
+    # rather than run for r - 1 steps
+    assert sum_distribution([5], 62).M == 1
+    with pytest.raises(EnergyError, match=r"order r = 63 on \|Y\| = 1 atoms"):
+        sum_distribution([5], 63)
+
+
 def test_empty_and_bad_order():
     with pytest.raises(EnergyError):
         sum_distribution([], 2)

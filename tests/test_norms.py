@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +12,7 @@ from salemlab import (
     direct_mass, holder_chain_check, lp_norm,
     lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
+from salemlab import expsums
 from salemlab.norms import _EM_START, _hurwitz, pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
 
@@ -32,10 +33,12 @@ def test_hurwitz_matches_scipy(p, a):
     assert _hurwitz(p, a) == pytest.approx(hurwitz_zeta(p, a), rel=1e-14, abs=0)
 
 
-def _full_lattice_quadrature(params, level, ell, p, h=0.25, m_cut=32):
+def _full_lattice_quadrature(params, level, ell, p):
     """The lattice sum over every point of a period, each weighted directly
     over the periods m < m_cut, with scipy's Hurwitz zeta beyond: the
-    reference for the folded half-lattice weights."""
+    reference for the folded half-lattice weights of the step h = 1/4 and
+    the cutoff K = 32 N^j."""
+    h, m_cut = 0.25, 32
     period = params.period(level.j)
     n_per = period * round(1 / h)
     T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per))
@@ -57,38 +60,19 @@ def test_folded_quadrature_matches_full_lattice(desk_params, desk):
                 est = lp_norm_quadrature(desk_params, desk.levels[j], ell, p)
                 value, head, tail = _full_lattice_quadrature(
                     desk_params, desk.levels[j], ell, p)
+                assert est.grid == {"K": 32 * 16**j, "h": 0.25}
                 assert est.value == pytest.approx(value, rel=1e-13, abs=0)
                 assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
                 assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("m_cut", [4, 64])
-@pytest.mark.parametrize("p", [1.5, 3.0, 6.5])
-def test_folded_quadrature_at_other_cutoffs(desk_params, desk, p, m_cut):
-    # below 16 periods the tail sums the periods m_cut <= m < 16 term by
-    # term before the expansion takes over; above, the head takes zeta
-    # differences
-    level = desk.levels[3]
-    K = m_cut * desk_params.period(3)
-    for ell in (0, 1):
-        est = lp_norm_quadrature(desk_params, level, ell, p, K=K)
-        value, head, tail = _full_lattice_quadrature(
-            desk_params, level, ell, p, m_cut=m_cut)
-        assert est.grid["K"] == K
-        assert est.value == pytest.approx(value, rel=1e-13, abs=0)
-        assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
-        assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
-
-
-@pytest.mark.parametrize("h", [0.25, 0.2])
-def test_folded_quadrature_odd_base(h):
-    # N = 9: |T| at the midpoint eta = 1/2 is nonzero for h = 1/4, and h = 1/5
-    # makes the number of points per period odd, with no midpoint
+def test_folded_quadrature_odd_base():
+    # N = 9: |T| at the midpoint eta = 1/2 of the lattice is nonzero
     params = derive_params(3, 2, 1, j_max=3, seed=7)
     level = build_construction(params).levels[3]
     for p in (2.5, 3.0):
-        est = lp_norm_quadrature(params, level, 1, p, h=h)
-        value, head, tail = _full_lattice_quadrature(params, level, 1, p, h=h)
+        est = lp_norm_quadrature(params, level, 1, p)
+        value, head, tail = _full_lattice_quadrature(params, level, 1, p)
         assert est.value == pytest.approx(value, rel=1e-13, abs=0)
         assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
         assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
@@ -108,21 +92,19 @@ def test_quadrature_tail_is_small_and_counted(desk_params, desk):
 
 
 def test_quadrature_rejects_bad_grid(desk_params, desk):
-    level = desk.levels[1]
-    with pytest.raises(NormError, match="h"):
-        lp_norm_quadrature(desk_params, level, 0, 2.0, h=0.5)
-    with pytest.raises(NormError, match="K"):
-        lp_norm_quadrature(desk_params, level, 0, 2.0, K=100)
-    with pytest.raises(NormError):
-        lp_norm_quadrature(desk_params, level, 0, 1.0)
+    with pytest.raises(NormError, match="need p > 1"):
+        lp_norm_quadrature(desk_params, desk.levels[1], 0, 1.0)
 
 
-def test_lattice_beyond_the_budget_is_a_resource_limit(desk_params, desk):
+def test_lattice_beyond_the_budget_is_a_resource_limit(desk_params, desk,
+                                                        monkeypatch):
     # level 2 at h = 1/4 samples 16^2 * 4 = 1024 points per period
     level = desk.levels[2]
-    lp_norm_quadrature(replace(desk_params, fft_budget=1024), level, 0, 2.5)
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 1024)
+    lp_norm_quadrature(desk_params, level, 0, 2.5)
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 1023)
     with pytest.raises(SpectralError, match="length 1024 exceeds"):
-        lp_norm_quadrature(replace(desk_params, fft_budget=1023), level, 0, 2.5)
+        lp_norm_quadrature(desk_params, level, 0, 2.5)
 
 
 def test_masses(desk_params, desk):

@@ -11,7 +11,7 @@ from salemlab import (
     derive_params, exp_sum, exp_sum_all, f_mu_hat, mu_hat,
     restricted_atoms, telescope_check, trivial_bound_check,
 )
-from salemlab import expsums
+from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
 from salemlab.spectral import prefactor
 from _oracles import f_mu_hat_real
@@ -84,7 +84,7 @@ def test_subset_sums_match_exp_sum_per_subset(data):
     # a small chunk splits the atoms and the other frequencies into pieces
     chunk = data.draw(st.sampled_from([expsums._CHUNK, 64]))
     with mock.patch.object(expsums, "_CHUNK", chunk):
-        got = expsums._subset_sums(atoms, sets, ks, period, 2**26)
+        got = expsums._subset_sums(atoms, sets, ks, period)
     assert got.shape == (n_sets, len(ks))
     for row, s in zip(got, sets):
         want = exp_sum(atoms[s], ks, period)
@@ -114,7 +114,7 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
     half_table = expsums.half_table
     monkeypatch.setattr(expsums, "half_table",
                         lambda *a: tables.append(a) or half_table(*a))
-    got = expsums._atom_sums(atoms, ks, period, params.fft_budget)
+    got = expsums._atom_sums(atoms, ks, period)
     assert len(tables) == (side == 0)
     direct = exp_sum(atoms, ks, period)
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
@@ -124,7 +124,7 @@ def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
     params, con = odd_base
     monkeypatch.setattr(expsums, "half_table", None)
     atoms = con.levels[5].atoms
-    assert expsums._atom_sums(atoms, 30437, params.period(5), params.fft_budget) \
+    assert expsums._atom_sums(atoms, 30437, params.period(5)) \
         == exp_sum(atoms, 30437, params.period(5))
 
 
@@ -147,9 +147,10 @@ def test_exp_sum_scalar_and_zero():
     assert val == pytest.approx(np.exp(-2j * np.pi * 7 / 64))
 
 
-def test_exp_sum_all_budget():
+def test_exp_sum_all_budget(monkeypatch):
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 2**10)
     with pytest.raises(SpectralError, match="budget"):
-        exp_sum_all([0], 2**12, fft_budget=2**10)
+        exp_sum_all([0], 2**12)
 
 
 def test_parseval(desk_params, desk):
@@ -288,3 +289,14 @@ def test_telescope_witness_is_the_direct_one(odd_base):
     ratio = np.abs(coef(hi) - coef(lo)) / rhs
     assert rep.max_ratio == ratio.max()
     assert rep.worst_k == ks[ratio.argmax()]
+
+
+def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
+    # telescoping j -> j + 1 and the trivial bound of level j + 1 share the
+    # set of j
+    params, con = odd_base
+    calls = []
+    monkeypatch.setattr(checks, "_verify_frequencies",
+                        lambda p, j: calls.append(j) or _verify_frequencies(p, j))
+    assert all(c["passed"] for c in checks.run_verification(con))
+    assert calls == list(range(params.j_max))
