@@ -21,7 +21,7 @@ from .checks import energy_case, gate, record, run_verification
 from .construction import ConstructionError, build_construction
 from .energy import EnergyError, sum_distribution
 from .norms import NormError, lp_norm, restriction_ratio, thresholds
-from .params import ParamError, derive_params
+from .params import CONFIG_KEYS, ParamError, derive_params
 from .spectral import SpectralError, compute_spectrum, decay_report, restricted_atoms
 from .storage import (
     StorageError, atomic_write_text, level_sha256, load_construction,
@@ -33,23 +33,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
-PARAM_KEYS = {
-    "N0": int, "t0": int, "n0": int, "j_max": int, "seed": int,
-    "c_eta": float, "c_rot": float, "ap_offset": int, "ap_gap": int,
-    "k_budget": int, "max_retries": int,
-}
-
-
 def parse_item(item: str, where: str) -> tuple:
     """(key, typed value) of one ``key = value`` item of a config file or of
     ``--set``; ``where`` names the item in the ParamError of a bad one."""
     if "=" not in item:
         raise ParamError(f"{where}: expected key = value, got {item!r}")
     key, _, value = (part.strip() for part in item.partition("="))
-    if key not in PARAM_KEYS:
+    if key not in CONFIG_KEYS:
         raise ParamError(f"{where}: unknown key {key!r}")
     try:
-        return key, PARAM_KEYS[key](value)
+        return key, CONFIG_KEYS[key](value)
     except ValueError:
         raise ParamError(f"{where}: bad value for {key}: {value!r}") from None
 
@@ -63,17 +56,6 @@ def parse_config(path) -> dict:
             key, value = parse_item(line, f"{path}:{lineno}")
             out[key] = value
     return out
-
-
-def params_from_config(cfg: dict):
-    missing = [k for k in ("N0", "t0", "n0") if k not in cfg]
-    if missing:
-        raise ParamError(f"config missing required keys: {', '.join(missing)}")
-    cfg = dict(cfg)
-    N0, t0, n0 = cfg.pop("N0"), cfg.pop("t0"), cfg.pop("n0")
-    j_max = cfg.pop("j_max", 5)
-    seed = cfg.pop("seed", 0)
-    return derive_params(N0, t0, n0, j_max=j_max, seed=seed, **cfg)
 
 
 def base_manifest(args, params) -> dict:
@@ -108,7 +90,10 @@ def finish(out_dir, manifest: dict) -> int:
 def cmd_construct(args) -> int:
     cfg = parse_config(args.config) if args.config else {}
     cfg.update(parse_item(item, "--set") for item in args.set or [])
-    params = params_from_config(cfg)
+    missing = [k for k in ("N0", "t0", "n0") if k not in cfg]
+    if missing:
+        raise ParamError(f"config missing required keys: {', '.join(missing)}")
+    params = derive_params(**cfg)
     manifest = base_manifest(args, params)
     con = build_construction(params)
     manifest["audit"] = con.audit

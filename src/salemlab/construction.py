@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsums
-from .expsums import _atom_sums, _subset_sums, _unit, exp_sum_all, half_table
+from .expsums import _subset_sums, _unit, exp_sum_all, half_table
 from .params import ConstructionParams, make_progression
+
+# Longest period checked over every residue, and draws per base block or
+# level; both are read at call time, so one module assignment changes them.
+EXHAUSTIVE_BUDGET = 2**20
+MAX_RETRIES = 64
 
 
 class ConstructionError(RuntimeError):
@@ -54,11 +59,11 @@ def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndar
     Every bound checked here is on a sum of e(xk/period) over integers x,
     so s(period - k) = conj s(k) and the half period [0, period // 2]
     decides every residue: that is the exhaustive set, used when the period
-    fits the frequency and the transform budgets. Otherwise a declared
+    fits ``EXHAUSTIVE_BUDGET`` and ``expsums.FFT_BUDGET``. Otherwise a declared
     deterministic sample: all k < 2^16, a seeded uniform sample, and the
     N-adic multiples period/N * c and period/N^2 * c.
     """
-    if period <= min(params.k_budget, expsums.FFT_BUDGET):
+    if period <= min(EXHAUSTIVE_BUDGET, expsums.FFT_BUDGET):
         return np.arange(period // 2 + 1, dtype=np.int64), "exhaustive"
     parts = [np.arange(min(2**16, period), dtype=np.int64)]
     parts.append(rng.integers(0, period, size=4096, dtype=np.int64))
@@ -100,15 +105,17 @@ def uniform_mean(ks, period: int, N: int, w=None) -> np.ndarray:
 
 
 def block_deviations(members, ks, period, N, t) -> np.ndarray:
-    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x,
-    each S_{B_x} from the one cost rule of ``expsums._atom_sums``."""
+    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x:
+    the rotations B_x = members + x mod N are N subsets of [0, N), summed
+    in one ``expsums._subset_sums`` call."""
     ks = np.asarray(ks, dtype=np.int64)
-    base = uniform_mean(ks, period, N)
-    mem = np.asarray(members, dtype=np.int64)
-    return np.array([
-        _atom_sums((x + mem) % N, ks, period) / t - base
-        for x in range(N)
-    ])
+    x = np.arange(N)[:, None]
+    rotations = np.zeros((N, N), dtype=bool)
+    rotations[x, (x + np.asarray(members, dtype=np.int64)) % N] = True
+    dev = _subset_sums(np.arange(N), rotations, ks, period)
+    dev /= t
+    dev -= uniform_mean(ks, period, N)
+    return dev
 
 
 def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
@@ -140,7 +147,7 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
     ks, mode = frequency_set(params, period, rng)
     p = t / N
     worst = None
-    for _ in range(params.max_retries):
+    for _ in range(MAX_RETRIES):
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
@@ -297,7 +304,7 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     lams = [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
 
     worst = None
-    for attempt in range(params.max_retries):
+    for attempt in range(MAX_RETRIES):
         xs = rng.integers(0, N, size=len(level.atoms))
         digits = child_digits(params, level, base_block.members, xs)
         margins = []

@@ -49,6 +49,11 @@ _DENSE_SHARE = 1 / 8
 _TABLES_KEPT = 64
 
 
+# Refused orders r >= MAX_ORDER: any |Y| >= 2 has |Y|^r >= 2^63 there, and
+# the B-spline values of ``bspline_integers`` cost O(r^2) rational terms.
+MAX_ORDER = 63
+
+
 def sum_distribution(Y, r: int) -> EnergyTable:
     """Exact order-r energy of Y and the short-range correlations that the
     B-spline norm identity needs, summed exactly beyond int64. A table depends
@@ -80,7 +85,7 @@ def _sum_counts(Y, r: int) -> np.ndarray:
         raise EnergyError("empty set")
     if r < 1:
         raise EnergyError(f"need r >= 1, got {r}")
-    if r >= 63 or len(Y) ** r >= 2**63:
+    if r >= MAX_ORDER or len(Y) ** r >= 2**63:
         raise EnergyError(f"order r = {r} on |Y| = {len(Y)} atoms: r >= 63 or "
                           f"|Y|^r >= 2^63 would overflow exact int64 energy counts")
     Y0 = Y - Y[0]          # translation leaves g's shape, M and correlations alone
@@ -162,6 +167,9 @@ def bspline_integers(r: int) -> BsplineTable:
     the integers; the support is (-r, r) so only |d| < r is nonzero."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    if r >= MAX_ORDER:
+        raise EnergyError(f"order r = {r}: r >= {MAX_ORDER} is refused, as for "
+                          "exact int64 energy counts")
     values = {d: _centered_bspline_at(2 * r, Fraction(d)) for d in range(-r, r + 1)}
     return BsplineTable(r=r, values=values, C2r=values[0])
 

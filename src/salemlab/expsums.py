@@ -4,9 +4,9 @@ S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
 summed directly with exact residues or read from the dense real-input table,
 with one cost rule between them (``_atom_sums``). Many subsets of one atom
 list, sampled at more frequencies than a table is long, go through one
-factored evaluator (``_subset_sums``) instead. The construction's rotation
-checks, the spectral module's measure coefficients and the norms' lattice
-samples all evaluate through here.
+factored evaluator (``_subset_sums``) instead. The construction's block and
+rotation checks, the spectral module's measure coefficients and the norms'
+lattice samples all evaluate through here.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ class SpectralError(RuntimeError):
 # assignment lowers it.
 FFT_BUDGET = 2**26
 
+# Entries of one atom-by-frequency array in ``exp_sum`` and ``_subset_sums``
+# (16 MB). At 2^22, the j = 5 check of N = 16, j_max = 6 raised the
+# construct peak RSS from 157 MB (set by j = 4) to 208 MB.
+_CHUNK = 2**20
+
 
 def exp_sum(atoms, k, period):
     """S(k) = sum over atoms of exp(-2 pi i a k / period), summed directly at
@@ -34,7 +39,7 @@ def exp_sum(atoms, k, period):
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
     residues = np.asarray(atoms, dtype=np.int64) % period
     out = np.zeros(len(ks), dtype=np.complex128)
-    chunk = max(2, 2**22 // max(len(residues), 1))
+    chunk = max(2, _CHUNK // max(len(residues), 1))
     for lo in range(0, len(ks), chunk):
         kc = ks[lo : lo + chunk] % period
         n = len(kc)
@@ -50,8 +55,10 @@ def exp_sum(atoms, k, period):
 
 
 def exp_sum_all(atoms, period):
-    """Dense table of S(k) for all k in [0, period): the mirrored half table."""
-    return _table_sums(atoms, np.arange(period), period)
+    """Dense table of S(k) for all k in [0, period): the half table, then its
+    mirror S(period - k) = conj S(k)."""
+    half = half_table(atoms, period)
+    return np.concatenate([half, half[1 : (period + 1) // 2][::-1].conj()])
 
 
 def half_table(atoms, period, n=None):
@@ -70,11 +77,6 @@ def half_table(atoms, period, n=None):
     ind[np.asarray(atoms, dtype=np.int64)] = 1.0
     return np.fft.rfft(ind, n)
 
-
-# Entries of one atom-by-frequency array in ``_subset_sums`` (16 MB). At
-# 2^22, the ``exp_sum`` rule, the j = 5 check of N = 16, j_max = 6 raised
-# the construct peak RSS from 157 MB (set by j = 4) to 208 MB.
-_CHUNK = 2**20
 
 # Cost of one direct-sum term in units of one point * log2 of the half
 # table, its real-input FFT and the mirrored gather included. Measured on a
@@ -108,14 +110,15 @@ def _subset_sums(atoms, sets, ks, period):
 
     With period <= |ks| the frequencies read each table at least once on
     average, and each subset goes through ``_atom_sums`` (at N0=3, j_max=6,
-    c_eta=1, c_rot=0.25, k_budget=4096, seed 7, the route below took 18 s
-    and the tables 2.7 s, on one BLAS thread). Otherwise every term is a
-    product of per-atom factors e(x) = exp(-2 pi i x) of exact residues. On
-    the leading run k < K0 of ks, k = hB + l with B about sqrt(K0), so each
-    subset costs one matrix product of e(a hB / period) and e(a l / period).
-    Every other k has three base-C digits, C^3 >= period, and the subsets
-    share the products of their factors e(a d C^i / period). No
-    atom-by-frequency array exceeds ``_CHUNK`` entries.
+    c_eta=1, c_rot=0.25, seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096,
+    the route below took 18 s and the tables 2.7 s, on one BLAS thread).
+    Otherwise every term is a product of per-atom factors
+    e(x) = exp(-2 pi i x) of exact residues. On the leading run k < K0 of
+    ks, k = hB + l with B about sqrt(K0), so each subset costs one matrix
+    product of e(a hB / period) and e(a l / period). Every other k has three
+    base-C digits, C^3 >= period, and the subsets share the products of
+    their factors e(a d C^i / period). No atom-by-frequency array exceeds
+    ``_CHUNK`` entries.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if period <= len(ks):

@@ -93,25 +93,31 @@ def _lattice_weights(n_per: int, p: float):
     m < _EM_START are summed term by term, and the rest of the head is
     zeta(p, eta + _EM_START) - zeta(p, eta + _HEAD_PERIODS). Each is folded
     with its mirror, and eta = 1/2 (n_per is even), its own mirror, counts
-    once. The weights depend on neither the level's atoms nor the window,
-    so the windows of one lattice share them; the arrays are read-only.
-    They are filled in blocks, which keeps the temporaries small.
+    once. The m = 0 terms, where eta^-p may overflow, are formed as
+    (|sin(pi eta)| / (pi eta))^p <= 1, and the rest, each at most 1, are
+    scaled by (|sin(pi eta)| / pi)^p, so no large p forms inf * 0. The
+    weights depend on neither the level's atoms nor the window, so the
+    windows of one lattice share them; the arrays are read-only. They are
+    filled in blocks, which keeps the temporaries small.
     """
     n_half = n_per // 2
     head, tail = np.zeros(n_half), np.zeros(n_half)
     for lo in range(0, n_half, _BLOCK):
         i = np.arange(lo + 1, min(lo + _BLOCK, n_half) + 1)
         h, t = head[lo:lo + len(i)], tail[lo:lo + len(i)]
+        amp = np.abs(np.sin(np.pi * (i / n_per))) / math.pi
+        near = np.zeros(len(i))
         for eta in (i / n_per, (n_per - i) / n_per):
-            for m in range(_EM_START):
+            near += (amp / eta) ** p
+            for m in range(1, _EM_START):
                 h += (eta + m) ** -p
             beyond = _hurwitz(p, eta + _HEAD_PERIODS)
             h += _hurwitz(p, eta + _EM_START) - beyond
             t += beyond
-        scale = np.abs(np.sin(np.pi * (i / n_per))) ** p
-        scale *= math.pi ** -p
+        scale = amp**p
         h *= scale
         t *= scale
+        h += near
     head[-1] /= 2
     tail[-1] /= 2
     head.flags.writeable = tail.flags.writeable = False
@@ -157,8 +163,9 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     tail = 2.0 * float(np.dot(A, tail_w))
     value = h * (head + tail)
 
+    # 2 (N^j env_peak / pi)^p K^(1-p) / (p - 1), with no large power formed
     env_peak = float(params.t) ** (-ell / 2)
-    tail_bound = 2.0 * (period * env_peak / math.pi) ** p * K ** (1 - p) / (p - 1)
+    tail_bound = 2.0 * K * (env_peak / (_HEAD_PERIODS * math.pi)) ** p / (p - 1)
 
     return NormEstimate(
         p=p, value=value, method="quadrature", tail_bound=tail_bound,

@@ -30,10 +30,6 @@ class ConstructionParams:
     seed: int
     c_eta: float = 192.0     # coefficient in the block-deviation threshold
     c_rot: float = 6144.0    # coefficient in the rotation-acceptance thresholds
-    ap_offset: int = 0       # first element of the embedded progression
-    ap_gap: int = 1          # common difference of the embedded progression
-    k_budget: int = 2**20    # max frequencies checked exhaustively
-    max_retries: int = 64
 
     @property
     def sqrt_t(self) -> int:
@@ -59,12 +55,16 @@ class ConstructionParams:
         )
 
 
-def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParams:
-    """Derive all construction parameters from the base triple (N0, t0, n0).
+# The keys of a config file, of ``construct --set`` and of a manifest's
+# params that set a construction, with their types; the rest is derived.
+CONFIG_KEYS = {
+    "N0": int, "t0": int, "n0": int, "j_max": int, "seed": int,
+    "c_eta": float, "c_rot": float,
+}
 
-    The default progression is {0, g, 2g, ...} with the widest gap that fits
-    in [0, N): g = floor((N-1)/(sqrt(t)-1)).
-    """
+
+def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParams:
+    """Derive all construction parameters from the base triple (N0, t0, n0)."""
     N0, t0, n0, j_max = int(N0), int(t0), int(n0), int(j_max)
     if not (1 < t0 < N0):
         raise ParamError(f"need 1 < t0 < N0, got t0={t0}, N0={N0}")
@@ -80,12 +80,6 @@ def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParam
             f"width ({MAX_FREQ_BITS} bits) used for frequencies"
         )
     alpha = math.log(t0) / math.log(N0)
-    sqrt_t = t0**n0
-    if sqrt_t >= N:
-        raise ParamError(f"progression of length sqrt(t)={sqrt_t} cannot fit in [0, {N})")
-
-    if "ap_gap" not in overrides:
-        overrides["ap_gap"] = (N - 1) // (sqrt_t - 1) if sqrt_t > 1 else 1
     params = ConstructionParams(
         N0=N0, t0=t0, n0=n0, N=N, t=t, alpha=alpha, j_max=j_max, seed=int(seed),
         **overrides,
@@ -94,23 +88,12 @@ def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParam
         value = getattr(params, key)
         if not (math.isfinite(value) and value > 0):
             raise ParamError(f"need a finite {key} > 0, got {value}")
-    if params.max_retries < 1:
-        raise ParamError(f"need max_retries >= 1, got {params.max_retries}")
-    validate_progression(params)
     return params
 
 
-def validate_progression(params: ConstructionParams) -> None:
-    if params.ap_offset < 0 or params.ap_gap < 1:
-        raise ParamError("progression needs ap_offset >= 0 and ap_gap >= 1")
-    last = params.ap_offset + (params.sqrt_t - 1) * params.ap_gap
-    if last > params.N - 1:
-        raise ParamError(
-            f"progression exits [0, {params.N}): last element {last}"
-        )
-
-
 def make_progression(params: ConstructionParams) -> list[int]:
-    """The embedded arithmetic progression of length sqrt(t) inside [0, N)."""
-    validate_progression(params)
-    return [params.ap_offset + i * params.ap_gap for i in range(params.sqrt_t)]
+    """The embedded arithmetic progression {0, g, 2g, ...} of length sqrt(t),
+    with the widest gap that fits in [0, N): g = floor((N-1)/(sqrt(t)-1)).
+    As 1 < t0 < N0, 2 <= sqrt(t) < N, so g >= 1."""
+    gap = (params.N - 1) // (params.sqrt_t - 1)
+    return [i * gap for i in range(params.sqrt_t)]

@@ -19,7 +19,7 @@ import numpy as np
 from .construction import (
     Construction, LevelSet, structured_atoms, verify_construction,
 )
-from .params import ConstructionParams, derive_params
+from .params import CONFIG_KEYS, ConstructionParams, derive_params
 
 SEPARATOR = "--"
 
@@ -145,14 +145,11 @@ def load_construction(in_dir, validate=True) -> Construction:
         # a truncated run would otherwise verify over the levels it kept
         raise StorageError(f"{in_dir}: the manifest has j_max = {p['j_max']}, "
                            f"but the level files stop before {level_filename(j)}")
+    # the level files fix N0, t0, n0, seed and depth; other keys are ignored
     N0, t0, n0, seed = header0
-    overrides = {
-        k: p[k]
-        for k in ("c_eta", "c_rot", "ap_offset", "ap_gap", "k_budget",
-                  "max_retries")
-        if k in p
-    }
-    params = derive_params(N0, t0, n0, j_max=len(levels) - 1, seed=seed, **overrides)
+    known = {k: p[k] for k in CONFIG_KEYS if k in p}
+    params = derive_params(**{**known, "N0": N0, "t0": t0, "n0": n0,
+                              "seed": seed, "j_max": len(levels) - 1})
     for j, structured in enumerate(sections):
         if structured != structured_atoms(params, j).tolist():
             raise StorageError(

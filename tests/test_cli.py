@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from salemlab import energy, expsums
+from salemlab import construction, energy, expsums
 from salemlab.cli import main
 from salemlab.energy import EnergyError
 from salemlab.storage import level_filename
@@ -71,6 +71,10 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     ("N0", "--set: expected key = value, got 'N0'"),
     ("bogus=3", "--set: unknown key 'bogus'"),
     ("fft_budget=4096", "--set: unknown key 'fft_budget'"),
+    ("k_budget=4096", "--set: unknown key 'k_budget'"),
+    ("max_retries=1", "--set: unknown key 'max_retries'"),
+    ("ap_gap=3", "--set: unknown key 'ap_gap'"),
+    ("ap_offset=1", "--set: unknown key 'ap_offset'"),
 ])
 def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
     assert main(["construct", "-o", str(tmp_path / "x"), "--set", item]) == 2
@@ -84,8 +88,6 @@ def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
     ("c_eta=0", "need a finite c_eta > 0, got 0.0"),
     ("c_rot=nan", "need a finite c_rot > 0, got nan"),
     ("c_rot=inf", "need a finite c_rot > 0, got inf"),
-    ("max_retries=-1", "need max_retries >= 1, got -1"),
-    ("max_retries=0", "need max_retries >= 1, got 0"),
 ])
 def test_out_of_range_override_exits_2(tmp_path, capsys, item, message):
     cfg = tmp_path / "desk.cfg"
@@ -342,10 +344,12 @@ def test_lattice_beyond_the_budget_exits_3(built, capsys, monkeypatch):
 
 
 def test_manifest_with_a_transform_budget_still_loads(built):
-    # runs written while the budget was a parameter record it in the manifest
+    # runs written while the budgets and the progression were parameters
+    # record them in the manifest
     path = built / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["params"]["fft_budget"] = 2**26
+    manifest["params"].update(fft_budget=2**26, k_budget=2**20, max_retries=64,
+                              ap_offset=0, ap_gap=15)
     path.write_text(json.dumps(manifest))
     assert main(["verify", str(built)]) == 0
     assert main(["analyze", str(built), "--energy", "--norms", "--p", "3"]) == 0
@@ -382,6 +386,24 @@ def test_analyze_refuses_an_overflowing_order(built, capsys, args):
     assert "would overflow exact int64 energy counts" in capsys.readouterr().err
 
 
+def test_analyze_norms_at_large_p_are_finite(built):
+    # at p = 100.5 the level-3 lattice weights were inf * 0 = nan, and at
+    # p = 1001 the tail bound overflowed
+    out = built / "reports"
+    assert main(["analyze", str(built), "--lmax", "0", "--norms",
+                 "--p", "100.5,1001"]) == 0
+    rows = json.loads((out / "norms_j3.json").read_text(), parse_constant=_reject)
+    assert [row["p"] for row in rows] == [100.5, 1001.0]
+    assert all(row["value"] >= 0.25 for row in rows)
+
+
+def test_analyze_ratio_refuses_a_large_spline_order(built, capsys):
+    # p = 1000001 needs the B-spline of order r = 500001, O(r^2) to build
+    assert main(["analyze", str(built), "--lmax", "0", "--ratio",
+                 "--p", "1000001"]) == 3
+    assert "order r = 500001: r >= 63 is refused" in capsys.readouterr().err
+
+
 def test_analyze_rejects_order_below_one_at_parse_time(built, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(built), "--energy", "--r", "2,0"])
@@ -398,10 +420,11 @@ def test_construct_exits_1_when_rotation_retries_run_out(tmp_path, capsys):
             "at k=17, ell=0") in capsys.readouterr().err
 
 
-def test_construct_exits_1_when_no_base_block_draw_has_members(tmp_path, capsys):
+def test_construct_exits_1_when_no_base_block_draw_has_members(tmp_path, capsys,
+                                                              monkeypatch):
     # at seed 45 the one base block draw allowed at j = 1 keeps no digit
-    items = ["N0=4", "t0=2", "n0=1", "j_max=2", "seed=45", "c_eta=1",
-             "max_retries=1"]
+    monkeypatch.setattr(construction, "MAX_RETRIES", 1)
+    items = ["N0=4", "t0=2", "n0=1", "j_max=2", "seed=45", "c_eta=1"]
     args = ["construct", "-o", str(tmp_path / "run")]
     assert main(args + [a for item in items for a in ("--set", item)]) == 1
     assert ("construction failed: base block retries exhausted at j=1: "

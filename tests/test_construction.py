@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from salemlab import construction
 from salemlab import (
     ConstructionError, build_construction, check_level_invariants,
     derive_params, exp_sum, make_progression, structured_atoms, structured_mask,
@@ -117,7 +118,7 @@ def test_audit_records(desk_params, desk):
     assert len(desk.audit) == desk_params.j_max
     assert desk.audit[0]["mode"] == "deterministic"
     for rec in desk.audit[1:]:
-        assert rec["retries"] < desk_params.max_retries
+        assert rec["retries"] < construction.MAX_RETRIES
         assert 0 < rec["rotation_margin"] < 1
 
 
@@ -212,16 +213,19 @@ def test_uniform_sum_matches_direct():
 
 
 def test_block_deviations_fft_matches_direct():
+    # every residue reads the per-subset tables of ``_subset_sums``; the
+    # half period, shorter than the period, its factored products
     N, t, period = 16, 4, 16**3
     members = [0, 1, 2, 15]
-    ks = np.arange(period, dtype=np.int64)
-    fft = block_deviations(members, ks, period, N, t)
-    direct = np.array([
-        exp_sum((x + np.array(members)) % N, ks, period) / t
-        - uniform_mean(ks, period, N)
-        for x in range(N)
-    ])
-    assert np.abs(fft - direct).max() < 1e-8
+    for n_ks in (period, period // 2 + 1):
+        ks = np.arange(n_ks, dtype=np.int64)
+        fft = block_deviations(members, ks, period, N, t)
+        direct = np.array([
+            exp_sum((x + np.array(members)) % N, ks, period) / t
+            - uniform_mean(ks, period, N)
+            for x in range(N)
+        ])
+        assert np.abs(fft - direct).max() < 1e-8
 
 
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=16), st.integers(2, 8))
@@ -282,15 +286,16 @@ ROTATION_SUM_CASES = [
 
 
 @pytest.mark.parametrize(
-    "N0, j, k_budget, mode, ends", ROTATION_SUM_CASES,
+    "N0, j, budget, mode, ends", ROTATION_SUM_CASES,
     ids=["-".join(map(str, case[:4])) + ("-ends" if case[4] else "")
          for case in ROTATION_SUM_CASES])
-def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode, ends):
+def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends,
+                                              monkeypatch):
     params = derive_params(N0, 2, 1, j_max=j, seed=7)
     level = build_construction(params).levels[j]
     rng = np.random.default_rng(N0 * 10 + j)
-    ks, got_mode = frequency_set(replace(params, k_budget=k_budget),
-                                 params.N ** (j + 1), rng)
+    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", budget)
+    ks, got_mode = frequency_set(params, params.N ** (j + 1), rng)
     assert got_mode == mode
     if ends:
         ks = np.concatenate([ks[: ends[0]], ks[-ends[1] :]])
@@ -310,7 +315,8 @@ def test_rotation_sums_match_per_atom_formula(N0, j, k_budget, mode, ends):
 # level SHA-256s from level 2 on are those of acceptance on the level as
 # written, with the structured rows patched. The last two rows reject
 # sampled draws: N = 25 checks j = 4 by the factored subset sums (Q > |ks|),
-# N = 9 with k_budget 4096 checks j = 3..5 by the period-Q tables.
+# N = 9 with an exhaustive budget of 4096 checks j = 3..5 by the period-Q
+# tables.
 RETRY_CASES = [
     (4, 4, 7, 192.0, 0.35, 2**20, [0, 1, 4, 4], [
         "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
@@ -339,15 +345,16 @@ RETRY_CASES = [
 
 
 @pytest.mark.parametrize(
-    "N0, j_max, seed, c_eta, c_rot, k_budget, retries, sha256", RETRY_CASES,
+    "N0, j_max, seed, c_eta, c_rot, budget, retries, sha256", RETRY_CASES,
     # the names the first two rows had before the j_max, seed, c_eta and
-    # k_budget columns
+    # budget columns
     ids=[f"{case[0]}-{case[4]}-retries{i}-sha256{i}"
          for i, case in enumerate(RETRY_CASES)])
-def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, k_budget,
-                              retries, sha256):
+def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, budget,
+                              retries, sha256, monkeypatch):
+    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", budget)
     params = derive_params(N0, 2, 1, j_max=j_max, seed=seed, c_eta=c_eta,
-                           c_rot=c_rot, k_budget=k_budget)
+                           c_rot=c_rot)
     con = build_construction(params)
     assert [rec["retries"] for rec in con.audit] == retries
     assert _level_sha256(params, con)[2:] == sha256
@@ -383,7 +390,7 @@ def test_written_level_meets_its_rotation_thresholds():
     worst = (0.0,)
     for level, written in zip(con.levels[1:-1], con.levels[2:]):
         j = level.j
-        assert params.N ** (j + 1) <= params.k_budget
+        assert params.N ** (j + 1) <= construction.EXHAUSTIVE_BUDGET
         margins = []
         for ell in range(j + 1):
             ratio = _full_period_ratios(params, level, written, ell)

@@ -213,6 +213,12 @@ def test_bspline_symmetry_and_positivity():
         assert table.values[r] == 0
 
 
+def test_bspline_refuses_the_orders_that_energy_refuses():
+    # its cost grows as r^2 exact rational terms: r = 250 took seconds
+    with pytest.raises(EnergyError, match="order r = 63: r >= 63 is refused"):
+        bspline_integers(63)
+
+
 # ---------------------------------------------------------------------------
 # exact even-order norms
 

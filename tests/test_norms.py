@@ -78,6 +78,29 @@ def test_folded_quadrature_odd_base():
         assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("p", [100.5, 1001.0])
+def test_quadrature_is_finite_at_large_p(desk_params, desk, p):
+    # (eta + m)^-p overflowed at eta = 1 / n_per while |sin(pi eta)|^p
+    # underflowed, and the tail bound overflowed at p = 1001; each weight is
+    # now a power of a ratio at most 1
+    est = lp_norm_quadrature(desk_params, desk.levels[3], 0, p)
+    for value in (est.value, est.head_value, est.tail_value, est.tail_bound):
+        assert math.isfinite(value) and value >= 0
+    # |T| peaks at 1 at the origin, which alone contributes h = 1/4
+    assert 0.25 <= est.value < 0.26
+
+
+def test_folded_quadrature_matches_full_lattice_at_larger_p(desk_params, desk):
+    level = desk.levels[2]
+    est = lp_norm_quadrature(desk_params, level, 0, 50.5)
+    value, head, tail = _full_lattice_quadrature(desk_params, level, 0, 50.5)
+    assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+    assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
+    # the Euler-Maclaurin remainder of ``_hurwitz`` grows with p as (p)_17:
+    # at p = 50.5 the tail (1e-132 against a value of 0.25) is off by 1.3e-10
+    assert est.tail_value == pytest.approx(tail, rel=1e-9, abs=0)
+
+
 def test_quadrature_unit_mass_case(desk_params, desk):
     # level 0 is the unit box; its transform is sinc, and the 2-norm is 1
     est = lp_norm_quadrature(desk_params, desk.levels[0], 0, 2.0)

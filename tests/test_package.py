@@ -70,12 +70,14 @@ def test_scipy_is_a_test_dependency_only():
 
 def test_blas_threads_do_not_change_the_levels():
     # N = 25, j = 4 checks its sampled rotation draws by matrix products,
-    # which OpenBLAS may split over threads
+    # which OpenBLAS may split over threads; at c_eta = 1 the base blocks
+    # are drawn, and their deviations go through matrix products too
     code = ("import hashlib; from salemlab import build_construction, derive_params; "
             "from salemlab.storage import level_to_text; "
-            "p = derive_params(5, 2, 1, j_max=5, seed=7); "
-            "print([hashlib.sha256(level_to_text(p, level).encode()).hexdigest() "
-            "for level in build_construction(p).levels])")
+            "configs = [dict(j_max=5, seed=7), dict(j_max=4, seed=5, c_eta=1.0)]; "
+            "print([[hashlib.sha256(level_to_text(p, level).encode()).hexdigest() "
+            "for level in build_construction(p).levels] "
+            "for p in (derive_params(5, 2, 1, **c) for c in configs)])")
     outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent),

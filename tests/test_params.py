@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from salemlab import ParamError, derive_params, make_progression
-from salemlab.params import validate_progression
 
 
 def test_desk_derivation(desk_params):
@@ -18,7 +17,6 @@ def test_desk_derivation(desk_params):
 def test_progression_desk(desk_params):
     prog = make_progression(desk_params)
     assert prog == [0, 15]
-    validate_progression(desk_params)
 
 
 def test_eta_formula(desk_params):
