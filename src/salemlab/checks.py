@@ -135,12 +135,12 @@ def run_verification(con: Construction) -> list[dict]:
 
     # interpolation chain at the top level
     top = con.levels[-1]
-    cases = []
-    for ell in range(0, min(top.j, 2) + 1):
-        for p in (2, 3):
-            rep = holder_chain_check(params, top, ell, p, pick_r(params, 4))
-            cases.append({"ell": ell, "p": p, "slack": rep["slack"],
-                          "passed": rep["chain_holds"] and rep["bound_3_1_holds"]})
+    cases = sorted(
+        ({"ell": rep["ell"], "p": p, "slack": rep["slack"],
+          "passed": rep["chain_holds"] and rep["bound_3_1_holds"]}
+         for p in (2, 3) for rep in holder_chain_check(
+             params, top, range(min(top.j, 2) + 1), p, pick_r(params, 4))),
+        key=lambda c: c["ell"])
     checks.append(gate("holder-chain", "3.1", cases, lambda c: c["slack"]))
 
     # ball condition

@@ -153,27 +153,24 @@ def cmd_analyze(args) -> int:
             gate("energy-lower-bound", "3.2/3.3", rows, lambda c: c["slack"])
         )
 
+    # one lattice pass per p serves every window; rows stay in window order
+    ells = range(0, lmax + 1)
     if args.norms:
-        rows = []
-        for ell in range(0, lmax + 1):
-            for p in args.p:
-                rows.append({**asdict(lp_norm(params, level, ell, p)),
-                             "j": j, "ell": ell})
+        rows = sorted(({**asdict(est), "j": j, "ell": ell} for p in args.p
+                       for ell, est in zip(ells, lp_norm(params, level, ells, p))),
+                      key=lambda row: row["ell"])
         path = out_dir / f"norms_j{j}.json"
         write_json(path, rows)
         manifest["outputs"].append(str(path))
 
     if args.ratio:
-        lines = ["ell,p,q,numerator,denominator,ratio,bound_3_1,slack"]
-        reps = []
-        for ell in range(0, lmax + 1):
-            for p in args.p:
-                rep = restriction_ratio(params, level, ell, p, args.q)
-                reps.append(asdict(rep))
-                lines.append(
-                    f"{ell},{p},{args.q},{rep.numerator!r},{rep.denominator!r},"
-                    f"{rep.ratio!r},{rep.bound_3_1!r},{rep.slack!r}"
-                )
+        reports = sorted((rep for p in args.p
+                          for rep in restriction_ratio(params, level, ells, p, args.q)),
+                         key=lambda rep: rep.ell)
+        lines = ["ell,p,q,numerator,denominator,ratio,bound_3_1,slack"] + [
+            f"{rep.ell},{rep.p},{rep.q},{rep.numerator!r},{rep.denominator!r},"
+            f"{rep.ratio!r},{rep.bound_3_1!r},{rep.slack!r}" for rep in reports]
+        reps = [asdict(rep) for rep in reports]
         path = out_dir / f"ratios_j{j}.csv"
         atomic_write_text(path, "\n".join(lines) + "\n")
         jpath = out_dir / f"ratios_j{j}.json"

@@ -49,6 +49,11 @@ _DENSE_SHARE = 1 / 8
 _TABLES_KEPT = 64
 
 
+# Widest count array of ``_sum_counts``, r (max Y - min Y) + 1 entries, read
+# at call time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 entries, 384 MB).
+WIDTH_BUDGET = 2**26
+
+
 # Refused orders r >= MAX_ORDER: any |Y| >= 2 has |Y|^r >= 2^63 there, and
 # the B-spline values of ``bspline_integers`` cost O(r^2) rational terms.
 MAX_ORDER = 63
@@ -90,6 +95,9 @@ def _sum_counts(Y, r: int) -> np.ndarray:
                           f"|Y|^r >= 2^63 would overflow exact int64 energy counts")
     Y0 = Y - Y[0]          # translation leaves g's shape, M and correlations alone
     top = int(Y0[-1])
+    if r * top + 1 > WIDTH_BUDGET:
+        raise EnergyError(f"order-{r} sum counts of width {r * top + 1} "
+                          f"exceed the width budget {WIDTH_BUDGET}")
     g = np.zeros(top + 1, dtype=np.int64)
     g[Y0] = 1
     for _ in range(r - 1):

@@ -4,9 +4,11 @@ S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
 summed directly with exact residues or read from the dense real-input table,
 with one cost rule between them (``_atom_sums``). Many subsets of one atom
 list, sampled at more frequencies than a table is long, go through one
-factored evaluator (``_subset_sums``) instead. The construction's block and
-rotation checks, the spectral module's measure coefficients and the norms'
-lattice samples all evaluate through here.
+factored evaluator (``_subset_sums``) instead. The norms' lattice, whose
+period is not held whole, is read one residue class at a time
+(``class_sums``). The construction's block and rotation checks, the spectral
+module's measure coefficients and the norms' lattice samples all evaluate
+through here.
 """
 
 from __future__ import annotations
@@ -61,21 +63,33 @@ def exp_sum_all(atoms, period):
     return np.concatenate([half, half[1 : (period + 1) // 2][::-1].conj()])
 
 
-def half_table(atoms, period, n=None):
+def half_table(atoms, period):
     """S(k) for k in [0, period // 2] via one real-input FFT.
 
     The atoms are real positions, so the rest of the period is the mirror
-    image S(period - k) = conj S(k). A transform length ``n`` zero-pads the
-    indicator and samples S at k * period / n for k in [0, n // 2] instead.
+    image S(period - k) = conj S(k).
     """
-    n = period if n is None else n
-    if n > FFT_BUDGET:
-        raise SpectralError(
-            f"transform length {n} exceeds the dense transform budget {FFT_BUDGET}"
-        )
+    check_length(period)
     ind = np.zeros(period)
     ind[np.asarray(atoms, dtype=np.int64)] = 1.0
-    return np.fft.rfft(ind, n)
+    return np.fft.rfft(ind)
+
+
+def check_length(n):
+    """Refuse a transform or lattice of n > ``FFT_BUDGET`` points."""
+    if n > FFT_BUDGET:
+        raise SpectralError(f"transform length {n} exceeds the dense "
+                            f"transform budget {FFT_BUDGET}")
+
+
+def class_sums(atoms, n, B, c):
+    """S(k) of period n at k = c + (n // B) m, m in [0, B), B dividing n:
+    the FFT of the atoms aliased mod B, twiddled by e(a c / n) of exact
+    residues. The four-step split of D. H. Bailey, "FFTs in external or
+    hierarchical memory", J. Supercomputing 4, 1990."""
+    x = np.zeros(B, dtype=np.complex128)
+    np.add.at(x, atoms % B, _unit(_mulmod(atoms, c, n), n))
+    return np.fft.fft(x)
 
 
 # Cost of one direct-sum term in units of one point * log2 of the half
@@ -130,20 +144,19 @@ def _subset_sums(atoms, sets, ks, period):
     run = int(np.argmin(np.append(ks == np.arange(len(ks)), False)))
     B = math.isqrt(max(run - 1, 0)) + 1
     H = -(-run // B)
-    table = np.zeros((len(sets), H, B), dtype=np.complex128)
     rest = ks[run:] % period
     C = round(period ** (1 / 3))
     C += C**3 < period
     digits = [np.unique(rest // C**i % C * C**i, return_inverse=True) for i in range(3)]
-    out = np.zeros((len(sets), len(rest)), dtype=np.complex128)
+    out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
     n_factors = H + B + sum(len(u) for u, _ in digits)
     step = max(1, _CHUNK // n_factors)
     for lo in range(0, len(residues), step):
         r, chosen = residues[lo : lo + step], sets[:, lo : lo + step]
         high = _unit(_mulmod(np.arange(H)[:, None] * B, r[None, :], period), period)
         low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
-        for i, s in enumerate(chosen):
-            table[i] += high[:, s] @ low[s]
+        for row, s in zip(out, chosen):
+            row[:run] += (high[:, s] @ low[s]).ravel()[:run]
         factors = [(_unit(_mulmod(u[:, None], r[None, :], period), period), inv)
                    for u, inv in digits]
         weights = chosen.T.astype(np.complex128)
@@ -152,8 +165,8 @@ def _subset_sums(atoms, sets, ks, period):
             g = np.ones((min(cols, len(rest) - c), len(r)), dtype=np.complex128)
             for f, inv in factors:
                 g *= f[inv[c : c + cols]]
-            out[:, c : c + len(g)] += (g @ weights).T
-    return np.concatenate([table.reshape(len(sets), -1)[:, :run], out], axis=1)
+            out[:, run + c : run + c + len(g)] += (g @ weights).T
+    return out
 
 
 def _unit(residues, period):

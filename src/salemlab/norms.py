@@ -4,12 +4,14 @@ the interpolation chain, and the ball condition scan.
 Quadrature uses a uniform lattice aligned with the integrand's period. The
 samples beyond the reported window [-K, K] are folded in exactly through
 Hurwitz zeta values, so the lattice sum covers the whole line; the envelope
-tail bound is reported alongside for the truncated window.
+tail bound is reported alongside for the truncated window. A period of the
+lattice is evaluated one residue class of at most _BLOCK points at a time,
+so no array of half a period is formed.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +20,7 @@ import numpy as np
 
 from .construction import LevelSet
 from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
-from .expsums import half_table
+from .expsums import check_length, class_sums
 from .params import ConstructionParams
 from .spectral import restricted_atoms
 
@@ -53,22 +55,27 @@ _EM_COEFFS = tuple(
     for k, b in enumerate([(1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
                            (-691, 2730), (7, 6), (-3617, 510)], start=1)
 )
-# The expansion (DLMF 25.11) is used at a >= _EM_START only. For real p > 1
-# its remainder after the eight terms is at most the first omitted one,
-# |B_18| / 18! (p)_17 a^(-p-17) (F. Johansson, Numer. Algorithms 69, 2015),
-# which relative to zeta(p, a) is below 1.6e-15 at p = 8 and 2.3e-19 at
-# p = 3 (a = 16); at a = 8 it would reach 2e-10 at p = 8.
+# The expansion (DLMF 25.11) starts at a >= max(_EM_START, 1.5 p), the terms
+# below summed directly (none for p <= 32/3). Its remainder is at most the
+# first omitted term, |B_18| / 18! (p)_17 a^(-p-17) (F. Johansson, Numer.
+# Algorithms 69, 2015): 1.6e-15 relative at p = 8, a = 16. Against scipy, p
+# in [1.5, 200] and a in [16, 48] agree within 2.3e-14 (p = 10.9, a = 16.4).
 _EM_START = 16
-_BLOCK = 2**16      # half-lattice points per block of _lattice_weights
+_BLOCK = 2**16      # most lattice points per residue class of the quadrature
 
 
 def _hurwitz(p: float, a):
-    """zeta(p, a) = sum over m >= 0 of (a + m)^-p, for p > 1 and a >= _EM_START:
+    """zeta(p, a) = sum over m >= 0 of (a + m)^-p, for p > 1 and a > 0: the
+    terms below max(_EM_START, 1.5 p) one by one, then at that a
 
     a^(1-p)/(p-1) + a^-p/2 + sum_k B_2k/(2k)! (p)_(2k-1) a^(-p-2k+1),
 
     with (p)_n the rising factorial; one pow and a polynomial in a^-2.
     """
+    n = max(0, math.ceil(max(_EM_START, 1.5 * p) - np.min(a)))
+    # stop at a term that underflows: all later ones, and the expansion, do too
+    head = sum(itertools.takewhile(np.any, ((a + m) ** -p for m in range(n))))
+    a = a + n
     coeffs, rising = [], p
     for k, c in enumerate(_EM_COEFFS, start=1):
         coeffs.append(c * rising)
@@ -78,62 +85,54 @@ def _hurwitz(p: float, a):
     poly = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         poly = poly * w + c
-    return a ** -p * (a / (p - 1.0) + 0.5 + u * poly)
+    return head + a ** -p * (a / (p - 1.0) + 0.5 + u * poly)
 
 
-@functools.lru_cache(maxsize=1)
-def _lattice_weights(n_per: int, p: float):
-    """Head and tail weights of the half lattice 1 <= i <= n_per/2.
+def _class_weights(i, n_per: int, p: float, folded: bool):
+    """Head and tail weights of the lattice samples eta = i / n_per, 0 < i < n_per.
 
-    The sample at eta = i / n_per stands for the points eta + m of every
-    period m >= 0 and, by the evenness of |T|, for their mirrors
-    1 - eta + m. Its weight |sin(pi eta)|^p / (pi (eta + m))^p summed over
-    m < _HEAD_PERIODS is the head weight; summed over the periods beyond it
-    is the Hurwitz tail pi^-p zeta(p, eta + _HEAD_PERIODS). The periods
-    m < _EM_START are summed term by term, and the rest of the head is
-    zeta(p, eta + _EM_START) - zeta(p, eta + _HEAD_PERIODS). Each is folded
-    with its mirror, and eta = 1/2 (n_per is even), its own mirror, counts
-    once. The m = 0 terms, where eta^-p may overflow, are formed as
-    (|sin(pi eta)| / (pi eta))^p <= 1, and the rest, each at most 1, are
-    scaled by (|sin(pi eta)| / pi)^p, so no large p forms inf * 0. The
-    weights depend on neither the level's atoms nor the window, so the
-    windows of one lattice share them; the arrays are read-only. They are
-    filled in blocks, which keeps the temporaries small.
+    The sample at eta stands for the points eta + m of every period m >= 0,
+    weighted |sin(pi eta)|^p / (pi (eta + m))^p: summed over m < _HEAD_PERIODS
+    (term by term below _EM_START, then zeta(p, eta + _EM_START) -
+    zeta(p, eta + _HEAD_PERIODS)) for the head, and pi^-p zeta(p, eta +
+    _HEAD_PERIODS) beyond for the tail. ``folded`` adds the mirror 1 - eta,
+    whose |T| is the same. The m = 0 terms are formed as
+    (|sin(pi eta)| / (pi eta))^p <= 1 and the rest, each at most 1, scaled
+    by (|sin(pi eta)| / pi)^p, so no large p forms inf * 0.
     """
-    n_half = n_per // 2
-    head, tail = np.zeros(n_half), np.zeros(n_half)
-    for lo in range(0, n_half, _BLOCK):
-        i = np.arange(lo + 1, min(lo + _BLOCK, n_half) + 1)
-        h, t = head[lo:lo + len(i)], tail[lo:lo + len(i)]
-        amp = np.abs(np.sin(np.pi * (i / n_per))) / math.pi
-        near = np.zeros(len(i))
-        for eta in (i / n_per, (n_per - i) / n_per):
-            near += (amp / eta) ** p
-            for m in range(1, _EM_START):
-                h += (eta + m) ** -p
-            beyond = _hurwitz(p, eta + _HEAD_PERIODS)
-            h += _hurwitz(p, eta + _EM_START) - beyond
-            t += beyond
-        scale = amp**p
-        h *= scale
-        t *= scale
-        h += near
-    head[-1] /= 2
-    tail[-1] /= 2
-    head.flags.writeable = tail.flags.writeable = False
-    return head, tail
+    # sin(pi eta) = sin(pi (1 - eta)), formed below 1/2: near eta = 1 the
+    # rounding of pi eta would cost digits
+    amp = np.abs(np.sin(np.pi * (np.minimum(i, n_per - i) / n_per))) / math.pi
+    near, h, t = np.zeros(len(i)), np.zeros(len(i)), np.zeros(len(i))
+    for eta in (i / n_per, (n_per - i) / n_per)[: 1 + folded]:
+        near += (amp / eta) ** p
+        for m in range(1, _EM_START):
+            h += (eta + m) ** -p
+        beyond = _hurwitz(p, eta + _HEAD_PERIODS)
+        h += _hurwitz(p, eta + _EM_START) - beyond
+        t += beyond
+    scale = amp**p
+    return h * scale + near, t * scale
 
 
-def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float) -> NormEstimate:
-    """Lattice quadrature of the p-th power of the structured-window
-    transform's norm over the line, at step h = 1/4.
+def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
+                       p: float) -> list[NormEstimate]:
+    """Lattice quadrature of the p-th power of each structured window's
+    transform norm over the line, at step h = 1/4; one estimate per window
+    of ``ells``.
 
     The reported value is the full lattice sum: the window [-K, K],
     K = 32 N^j, is summed directly and the remaining periods are folded
     through Hurwitz zeta values, which is exact for the lattice.
     ``tail_bound`` is the analytic envelope bound on the |xi| > K
     contribution.
+
+    The n_per = 4 N^j samples of a period split as n_per = B M, B the
+    largest divisor at most _BLOCK, into the classes i = c + M m, m < B,
+    each one length-B FFT (``expsums.class_sums``). |T| is even, so class
+    M - c mirrors class c and only c <= M/2 is evaluated. Each class's
+    weights are dotted with |T|^p of every window: about B complex points
+    per window are in flight.
 
     For even p = 2r the lattice sum is the integral itself, up to roundoff:
     the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
@@ -142,45 +141,46 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ell: int,
     r <= 1/h.
     """
     if not p > 1:
-        raise NormError(
-            f"need p > 1, got {p}: the tail under the 1/|xi| envelope diverges"
-        )
+        raise NormError(f"need p > 1, got {p}: the tail under the 1/|xi| "
+                        "envelope diverges")
     j = level.j
     period = params.period(j)
     h = 1 / _SAMPLES_PER_UNIT
     K = _HEAD_PERIODS * period
     n_per = period * _SAMPLES_PER_UNIT
-    # zero-padding the length-N^j indicator to n_per points samples the
-    # exponential sum at xi = i*h; T(-xi) is the conjugate of T(xi), so the
-    # half period holds every |T|
-    T = np.abs(half_table(restricted_atoms(params, level, ell), period, n_per))
+    check_length(n_per)
+    B = next(d for d in range(min(n_per, _BLOCK), 0, -1) if n_per % d == 0)
+    M = n_per // B
+    windows = [restricted_atoms(params, level, ell) for ell in ells]
     tj = float(params.t) ** (-j)
-    # the origin, then each half-lattice sample for both signs of xi; lattice
-    # points at nonzero multiples of the period carry sin = 0 and drop out
-    head_w, tail_w = _lattice_weights(n_per, float(p))
-    A = (T[1:] * tj) ** p
-    head = (T[0] * tj) ** p + 2.0 * float(np.dot(A, head_w))
-    tail = 2.0 * float(np.dot(A, tail_w))
-    value = h * (head + tail)
-
+    # the origin counts once; lattice points at nonzero multiples of the
+    # period carry sin = 0 and drop out, and -xi doubles the rest
+    head = [(len(atoms) * tj) ** p for atoms in windows]
+    tail = [0.0] * len(windows)
+    for c in range(M // 2 + 1):
+        skip = int(c == 0)
+        head_w, tail_w = _class_weights((c + M * np.arange(B))[skip:], n_per,
+                                        p, folded=0 < 2 * c < M)
+        for w, atoms in enumerate(windows):
+            A = (np.abs(class_sums(atoms, n_per, B, c)[skip:]) * tj) ** p
+            head[w] += 2.0 * float(np.dot(A, head_w))
+            tail[w] += 2.0 * float(np.dot(A, tail_w))
     # 2 (N^j env_peak / pi)^p K^(1-p) / (p - 1), with no large power formed
-    env_peak = float(params.t) ** (-ell / 2)
-    tail_bound = 2.0 * K * (env_peak / (_HEAD_PERIODS * math.pi)) ** p / (p - 1)
+    return [NormEstimate(
+        p=p, value=h * (hd + tl), method="quadrature", grid={"K": K, "h": h},
+        tail_bound=2.0 * K * (float(params.t) ** (-ell / 2)
+                              / (_HEAD_PERIODS * math.pi)) ** p / (p - 1),
+        head_value=h * hd, tail_value=h * tl,
+    ) for ell, hd, tl in zip(ells, head, tail)]
 
-    return NormEstimate(
-        p=p, value=value, method="quadrature", tail_bound=tail_bound,
-        grid={"K": K, "h": h}, head_value=h * head, tail_value=h * tail,
-    )
 
-
-def lp_norm(params: ConstructionParams, level: LevelSet, ell: int, p) -> NormEstimate:
-    """p-th norm power; even integer p goes through the exact B-spline route."""
+def lp_norm(params: ConstructionParams, level: LevelSet, ells, p) -> list[NormEstimate]:
+    """p-th norm power of each window of ``ells``; even integer p goes
+    through the exact B-spline route, any other through one lattice pass."""
     if float(p) == int(p) and int(p) % 2 == 0 and int(p) >= 2:
-        r = int(p) // 2
-        res = exact_l2r_norm(params, level, ell, r)
-        return NormEstimate(p=float(p), value=res["value_float"],
-                            method="exact-bspline")
-    return lp_norm_quadrature(params, level, ell, float(p))
+        return [NormEstimate(p=float(p), method="exact-bspline", value=exact_l2r_norm(
+            params, level, ell, int(p) // 2)["value_float"]) for ell in ells]
+    return lp_norm_quadrature(params, level, ells, float(p))
 
 
 # ---------------------------------------------------------------------------
@@ -240,57 +240,59 @@ def pick_r(params: ConstructionParams, p: float) -> int:
     return max(math.ceil(p / 2.0), math.floor(1.0 / params.alpha) + 1)
 
 
-def restriction_ratio(params: ConstructionParams, level: LevelSet, ell: int,
-                      p: float, q: float) -> RatioReport:
-    est = lp_norm(params, level, ell, p)
-    numerator = est.value ** (1.0 / p)
-    denominator = lq_mass(params, ell, q)["norm"]
+def restriction_ratio(params: ConstructionParams, level: LevelSet, ells,
+                      p: float, q: float) -> list[RatioReport]:
+    """One report per window of ``ells``, their norms from one ``lp_norm``."""
     r = pick_r(params, p)
     C2r = float(bspline_integers(r).C2r)
-    bound = (
-        C2r * params.N**ell * float(r) ** (-ell - 1)
-        * float(params.t) ** (-ell * (p + 1) / 2)
-    )
     th = thresholds(params.alpha, beta=params.alpha, q=q)
-    return RatioReport(
-        j=level.j, ell=ell, p=p, q=q, numerator=numerator,
-        denominator=denominator, ratio=numerator / denominator,
-        thresholds=th, bound_3_1=bound, slack=est.value - bound,
-    )
+    reports = []
+    for ell, est in zip(ells, lp_norm(params, level, ells, p)):
+        numerator = est.value ** (1.0 / p)
+        denominator = lq_mass(params, ell, q)["norm"]
+        bound = (C2r * params.N**ell * float(r) ** (-ell - 1)
+                 * float(params.t) ** (-ell * (p + 1) / 2))
+        reports.append(RatioReport(
+            j=level.j, ell=ell, p=p, q=q, numerator=numerator,
+            denominator=denominator, ratio=numerator / denominator,
+            thresholds=th, bound_3_1=bound, slack=est.value - bound,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # interpolation chain
 
-def holder_chain_check(params: ConstructionParams, level: LevelSet, ell: int,
-                       p: float, r: int) -> dict:
-    """Check the interpolation chain on the windowed transform phi:
+def holder_chain_check(params: ConstructionParams, level: LevelSet, ells,
+                       p: float, r: int) -> list[dict]:
+    """Check the interpolation chain on each window's transform phi:
 
         ||phi||_{2r}^{2r} <= ||phi||_p^p * ||phi||_inf^{2r-p},
 
     with ||phi||_inf <= t^(-ell/2) (attained at 0), and the implied lower
-    bound on ||phi||_p^p against the structured-energy bound.
+    bound on ||phi||_p^p against the structured-energy bound. The p-th
+    powers of all windows come from one ``lp_norm``.
     """
     if not 1 <= p < 2 * r:
         raise NormError(f"need 1 <= p < 2r, got p={p}, r={r}")
-    exact = exact_l2r_norm(params, level, ell, r)
-    lhs = exact["value_float"]
-    pp = lp_norm(params, level, ell, p).value
-    sup = float(params.t) ** (-ell / 2)
-    rhs = pp * sup ** (2 * r - p)
-    implied = lhs * float(params.t) ** (ell * (2 * r - p) / 2)
-    bound31 = float(l2r_lower_bound(params, ell, r)["bound"]) * float(
-        params.t
-    ) ** (ell * (2 * r - p) / 2)
-    return {
-        "j": level.j, "ell": ell, "p": p, "r": r,
-        "lhs_2r": lhs, "p_norm_power": pp, "sup_bound": sup,
-        "rhs": rhs, "slack": rhs - lhs,
-        "implied_p_lower": implied, "bound_3_1": bound31,
-        "chain_holds": lhs <= rhs * (1 + 1e-9),
-        "implied_holds": pp >= implied * (1 - 1e-9),
-        "bound_3_1_holds": pp >= bound31,
-    }
+    reports = []
+    for ell, est in zip(ells, lp_norm(params, level, ells, p)):
+        lhs, pp = exact_l2r_norm(params, level, ell, r)["value_float"], est.value
+        sup = float(params.t) ** (-ell / 2)
+        rhs = pp * sup ** (2 * r - p)
+        lift = float(params.t) ** (ell * (2 * r - p) / 2)
+        implied = lhs * lift
+        bound31 = float(l2r_lower_bound(params, ell, r)["bound"]) * lift
+        reports.append({
+            "j": level.j, "ell": ell, "p": p, "r": r,
+            "lhs_2r": lhs, "p_norm_power": pp, "sup_bound": sup,
+            "rhs": rhs, "slack": rhs - lhs,
+            "implied_p_lower": implied, "bound_3_1": bound31,
+            "chain_holds": lhs <= rhs * (1 + 1e-9),
+            "implied_holds": pp >= implied * (1 - 1e-9),
+            "bound_3_1_holds": pp >= bound31,
+        })
+    return reports
 
 
 # ---------------------------------------------------------------------------

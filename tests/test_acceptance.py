@@ -172,7 +172,7 @@ def test_criterion_10_exact_vs_quadrature(desk_params, desk):
         for ell in range(0, min(j, 2) + 1):
             for r in (1, 2):
                 exact = exact_l2r_norm(desk_params, level, ell, r)
-                quad = lp_norm_quadrature(desk_params, level, ell, 2.0 * r)
+                quad = lp_norm_quadrature(desk_params, level, [ell], 2.0 * r)[0]
                 rel = abs(quad.value - exact["value_float"]) / exact["value_float"]
                 worst_even = max(worst_even, rel)
                 if r == 1:
@@ -237,7 +237,7 @@ def test_criterion_13_holder_chain(desk_params, desk):
     min_slack = None
     for ell in range(0, 3):
         for p in (2.0, 3.0, 4.0):
-            rep = holder_chain_check(desk_params, desk.levels[5], ell, p, 3)
+            rep = holder_chain_check(desk_params, desk.levels[5], [ell], p, 3)[0]
             ok = (ok and rep["chain_holds"] and rep["implied_holds"]
                   and rep["bound_3_1_holds"] and rep["slack"] >= -1e-9)
             rel = rep["slack"] / rep["rhs"]

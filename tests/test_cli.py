@@ -321,6 +321,15 @@ def test_energy_overflow_exits_3(built, capsys, monkeypatch):
     assert "resource limit: |Y|^r overflows int64" in capsys.readouterr().err
 
 
+def test_energy_width_beyond_the_budget_exits_3(built, capsys, monkeypatch):
+    # the widest verify table of this config is level 3, r = 3: its atoms
+    # span less than 16^3, so 3 * 4095 + 1 = 12286 entries at most
+    energy._table.cache_clear()
+    monkeypatch.setattr(energy, "WIDTH_BUDGET", 4096)
+    assert main(["verify", str(built)]) == 3
+    assert "exceed the width budget 4096" in capsys.readouterr().err
+
+
 def test_energy_tables_are_counted_once_per_process(built, monkeypatch):
     counted = []
     count = energy._sum_counts

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
 from salemlab import (
@@ -12,7 +13,7 @@ from salemlab import (
     direct_mass, holder_chain_check, lp_norm,
     lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
-from salemlab import expsums
+from salemlab import expsums, norms
 from salemlab.norms import _EM_START, _hurwitz, pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
 
@@ -21,16 +22,28 @@ def test_quadrature_matches_exact_even_orders(desk_params, desk):
     for j in (0, 1, 2, 3):
         for ell in range(0, min(j, 2) + 1):
             for p in (2.0, 4.0):
-                quad = lp_norm_quadrature(desk_params, desk.levels[j], ell, p)
-                exact = lp_norm(desk_params, desk.levels[j], ell, p)
+                quad = lp_norm_quadrature(desk_params, desk.levels[j], [ell], p)[0]
+                exact = lp_norm(desk_params, desk.levels[j], [ell], p)[0]
                 assert exact.method == "exact-bspline"
                 assert quad.value == pytest.approx(exact.value, rel=1e-9)
 
 
-@given(st.floats(1.1, 8.0), st.floats(float(_EM_START), 1e6))
-@example(8.0, float(_EM_START))   # the largest remainder; at a = 8 it is 2e-10
-def test_hurwitz_matches_scipy(p, a):
-    assert _hurwitz(p, a) == pytest.approx(hurwitz_zeta(p, a), rel=1e-14, abs=0)
+@given(st.tuples(st.floats(1.1, 200.0), st.floats(float(_EM_START), 48.0))
+       | st.tuples(st.floats(1.1, 8.0), st.floats(float(_EM_START), 1e6)))
+@example((8.0, float(_EM_START)))
+@example((10.6, float(_EM_START)))   # the largest remainder without direct terms
+@example((16.0, float(_EM_START)))
+@example((50.5, float(_EM_START)))
+@example((200.0, float(_EM_START)))
+def test_hurwitz_matches_scipy(pa):
+    # compared where scipy's value is a normal float; near the bottom of
+    # that range (a = 186, p = 132) scipy itself is off by 1.4e-13. Above
+    # p = 8 the remainder peaks at 2.3e-14, near p = 10.9 and a = 16.4
+    p, a = pa
+    want = hurwitz_zeta(p, a)
+    assume(want >= np.finfo(float).tiny)
+    rel = 1e-14 if p <= 8 else 5e-14
+    assert _hurwitz(p, a) == pytest.approx(want, rel=rel, abs=0)
 
 
 def _full_lattice_quadrature(params, level, ell, p):
@@ -57,7 +70,7 @@ def test_folded_quadrature_matches_full_lattice(desk_params, desk):
     for j in (2, 3, 4):
         for ell in (0, 1):
             for p in (2.5, 3.0):
-                est = lp_norm_quadrature(desk_params, desk.levels[j], ell, p)
+                est = lp_norm_quadrature(desk_params, desk.levels[j], [ell], p)[0]
                 value, head, tail = _full_lattice_quadrature(
                     desk_params, desk.levels[j], ell, p)
                 assert est.grid == {"K": 32 * 16**j, "h": 0.25}
@@ -71,7 +84,7 @@ def test_folded_quadrature_odd_base():
     params = derive_params(3, 2, 1, j_max=3, seed=7)
     level = build_construction(params).levels[3]
     for p in (2.5, 3.0):
-        est = lp_norm_quadrature(params, level, 1, p)
+        est = lp_norm_quadrature(params, level, [1], p)[0]
         value, head, tail = _full_lattice_quadrature(params, level, 1, p)
         assert est.value == pytest.approx(value, rel=1e-13, abs=0)
         assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
@@ -83,7 +96,7 @@ def test_quadrature_is_finite_at_large_p(desk_params, desk, p):
     # (eta + m)^-p overflowed at eta = 1 / n_per while |sin(pi eta)|^p
     # underflowed, and the tail bound overflowed at p = 1001; each weight is
     # now a power of a ratio at most 1
-    est = lp_norm_quadrature(desk_params, desk.levels[3], 0, p)
+    est = lp_norm_quadrature(desk_params, desk.levels[3], [0], p)[0]
     for value in (est.value, est.head_value, est.tail_value, est.tail_bound):
         assert math.isfinite(value) and value >= 0
     # |T| peaks at 1 at the origin, which alone contributes h = 1/4
@@ -92,23 +105,66 @@ def test_quadrature_is_finite_at_large_p(desk_params, desk, p):
 
 def test_folded_quadrature_matches_full_lattice_at_larger_p(desk_params, desk):
     level = desk.levels[2]
-    est = lp_norm_quadrature(desk_params, level, 0, 50.5)
+    est = lp_norm_quadrature(desk_params, level, [0], 50.5)[0]
     value, head, tail = _full_lattice_quadrature(desk_params, level, 0, 50.5)
     assert est.value == pytest.approx(value, rel=1e-13, abs=0)
     assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
-    # the Euler-Maclaurin remainder of ``_hurwitz`` grows with p as (p)_17:
-    # at p = 50.5 the tail (1e-132 against a value of 0.25) is off by 1.3e-10
-    assert est.tail_value == pytest.approx(tail, rel=1e-9, abs=0)
+    # the tail (1e-132 against a value of 0.25) was off by 1.3e-10 while
+    # ``_hurwitz`` started its expansion at a = 16 for every p
+    assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("N0, block", [(4, 2**10), (3, 1000), (3, 729)])
+def test_blocked_lattice_matches_full_lattice(monkeypatch, N0, block):
+    # the lattice splits into M = 16, 3 and 4 residue classes: paired ones,
+    # class 0 and, for even M, the self-mirrored class M/2
+    params = derive_params(N0, 2, 1, j_max=3, seed=7)
+    level = build_construction(params).levels[3]
+    monkeypatch.setattr(norms, "_BLOCK", block)
+    for p in (2.5, 3.0):
+        ests = lp_norm_quadrature(params, level, [0, 1, 2], p)
+        for ell, est in zip([0, 1, 2], ests):
+            value, head, tail = _full_lattice_quadrature(params, level, ell, p)
+            assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+            assert est.head_value == pytest.approx(head, rel=1e-13, abs=0)
+            assert est.tail_value == pytest.approx(tail, rel=1e-13, abs=0)
+            # each window's estimate is the one it gets alone
+            assert est == lp_norm_quadrature(params, level, [ell], p)[0]
+
+
+def test_class_weights_are_mirror_symmetric():
+    # sin(pi eta) near eta = 1 is formed from 1 - eta: from eta itself the
+    # rounding of pi eta costs up to 1e-9 relative at n_per = 2^22
+    n_per = 2**22
+    i = np.array([1, 2, 3, 1000, n_per // 3])
+    for p in (3.0, 50.5):
+        for w, mirror in zip(norms._class_weights(i, n_per, p, True),
+                             norms._class_weights(n_per - i, n_per, p, True)):
+            assert w == pytest.approx(mirror, rel=1e-14, abs=0)
+
+
+def test_blocked_lattice_holds_no_half_period_array(desk_params, desk, monkeypatch):
+    level = desk.levels[4]
+    n_per = 4 * desk_params.period(4)
+    monkeypatch.setattr(norms, "_BLOCK", 2**12)
+    tracemalloc.start()
+    try:
+        lp_norm_quadrature(desk_params, level, [0, 1, 2], 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # less than one float64 array of n_per / 2 points, temporaries included
+    assert peak < 8 * n_per // 2
 
 
 def test_quadrature_unit_mass_case(desk_params, desk):
     # level 0 is the unit box; its transform is sinc, and the 2-norm is 1
-    est = lp_norm_quadrature(desk_params, desk.levels[0], 0, 2.0)
+    est = lp_norm_quadrature(desk_params, desk.levels[0], [0], 2.0)[0]
     assert est.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_quadrature_tail_is_small_and_counted(desk_params, desk):
-    est = lp_norm_quadrature(desk_params, desk.levels[2], 1, 3.0)
+    est = lp_norm_quadrature(desk_params, desk.levels[2], [1], 3.0)[0]
     assert est.value == pytest.approx(est.head_value + est.tail_value, rel=1e-12)
     assert 0 < est.tail_value < est.value * 1e-3
     assert est.tail_bound > 0
@@ -116,7 +172,7 @@ def test_quadrature_tail_is_small_and_counted(desk_params, desk):
 
 def test_quadrature_rejects_bad_grid(desk_params, desk):
     with pytest.raises(NormError, match="need p > 1"):
-        lp_norm_quadrature(desk_params, desk.levels[1], 0, 1.0)
+        lp_norm_quadrature(desk_params, desk.levels[1], [0], 1.0)
 
 
 def test_lattice_beyond_the_budget_is_a_resource_limit(desk_params, desk,
@@ -124,10 +180,10 @@ def test_lattice_beyond_the_budget_is_a_resource_limit(desk_params, desk,
     # level 2 at h = 1/4 samples 16^2 * 4 = 1024 points per period
     level = desk.levels[2]
     monkeypatch.setattr(expsums, "FFT_BUDGET", 1024)
-    lp_norm_quadrature(desk_params, level, 0, 2.5)
+    lp_norm_quadrature(desk_params, level, [0], 2.5)
     monkeypatch.setattr(expsums, "FFT_BUDGET", 1023)
     with pytest.raises(SpectralError, match="length 1024 exceeds"):
-        lp_norm_quadrature(desk_params, level, 0, 2.5)
+        lp_norm_quadrature(desk_params, level, [0], 2.5)
 
 
 def test_masses(desk_params, desk):
@@ -165,7 +221,7 @@ def test_pick_r(desk_params):
 
 
 def test_restriction_ratio_report(desk_params, desk):
-    rep = restriction_ratio(desk_params, desk.levels[3], 1, 4.0, 2.0)
+    rep = restriction_ratio(desk_params, desk.levels[3], [1], 4.0, 2.0)[0]
     assert rep.ratio == pytest.approx(rep.numerator / rep.denominator)
     assert rep.slack >= 0
     assert rep.thresholds["p_necessary"] == 4.0
@@ -177,7 +233,7 @@ def test_holder_chain(desk_params, desk):
     level = desk.levels[4]
     for ell in range(0, 3):
         for p in (2, 3, 4):
-            rep = holder_chain_check(desk_params, level, ell, float(p), 3)
+            rep = holder_chain_check(desk_params, level, [ell], float(p), 3)[0]
             assert rep["chain_holds"], rep
             assert rep["implied_holds"], rep
             assert rep["bound_3_1_holds"], rep
@@ -186,7 +242,7 @@ def test_holder_chain(desk_params, desk):
 
 def test_holder_chain_rejects_bad_p(desk_params, desk):
     with pytest.raises(NormError):
-        holder_chain_check(desk_params, desk.levels[2], 0, 6.0, 3)
+        holder_chain_check(desk_params, desk.levels[2], [0], 6.0, 3)
 
 
 def test_ball_condition(desk_params, desk):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,24 @@ def test_subset_sums_match_exp_sum_per_subset(data):
     for row, s in zip(got, sets):
         want = exp_sum(atoms[s], ks, period)
         assert np.abs(row - want).max() <= 1e-9 * s.sum()
+
+
+def test_subset_sums_hold_one_result_when_every_frequency_is_in_the_run():
+    # the leading run's table used to be a second full-size array, and the
+    # result a concatenated third
+    rng = np.random.default_rng(3)
+    sets = rng.random((8, 16)) < 0.5
+    ks = np.arange(2**16, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = expsums._subset_sums(np.arange(16), sets, ks, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (8, 2**16)
+    assert peak < 1.5 * got.nbytes
+    for row, s in zip(got[:, ::4099], sets):
+        assert np.abs(row - exp_sum(np.flatnonzero(s), ks[::4099], 2**20)).max() < 1e-9 * 16
 
 
 def test_lone_frequency_sums_like_a_batch(odd_base):
