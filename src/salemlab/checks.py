@@ -16,8 +16,7 @@ from .construction import Construction, ConstructionError, verify_construction
 from .energy import energy_lower_bound, sum_distribution
 from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
 from .spectral import (
-    exp_sum_all, f_mu_hat, mu_hat, restricted_atoms, telescope_check,
-    trivial_bound_check,
+    f_mu_hat, mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
 )
 
 
@@ -75,14 +74,15 @@ def run_verification(con: Construction) -> list[dict]:
                        error=str(exc))]
     checks = [record("construction-invariants", "nesting/cardinality", True)]
 
-    # Parseval per level
+    # Parseval per level, summed over the residue classes of the period
     worst = 0.0
     for level in con.levels:
         period = params.period(level.j)
         if period > expsums.FFT_BUDGET:
             continue
-        table = exp_sum_all(level.atoms, period)
-        total = float(np.sum(np.abs(table) ** 2))
+        B, M = expsums.split(period)
+        tables = (expsums.class_sums(level.atoms, period, B, c) for c in range(M))
+        total = sum(float(np.sum(np.abs(s) ** 2)) for s in tables)
         expected = period * len(level.atoms)
         worst = max(worst, abs(total - expected) / expected)
     checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsums
-from .expsums import _subset_sums, _unit, exp_sum_all, half_table
+from .expsums import _subset_sums, _unit, gather, half_classes
 from .params import ConstructionParams, make_progression
 
 # Longest period checked over every residue, and draws per base block or
@@ -53,18 +53,18 @@ class Construction:
 # ---------------------------------------------------------------------------
 # frequency sets
 
-def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndarray, str]:
+def frequency_set(params: ConstructionParams, period: int, rng):
     """Frequencies to verify a bound on, with the mode actually achieved.
 
     Every bound checked here is on a sum of e(xk/period) over integers x,
-    so s(period - k) = conj s(k) and the half period [0, period // 2]
-    decides every residue: that is the exhaustive set, used when the period
-    fits ``EXHAUSTIVE_BUDGET`` and ``expsums.FFT_BUDGET``. Otherwise a declared
-    deterministic sample: all k < 2^16, a seeded uniform sample, and the
-    N-adic multiples period/N * c and period/N^2 * c.
+    so s(period - k) = conj s(k) and the half period decides every residue:
+    when the period fits ``EXHAUSTIVE_BUDGET`` and ``expsums.FFT_BUDGET``,
+    (None, "exhaustive"), read by ``expsums.half_classes``. Otherwise a
+    declared deterministic sample: all k < 2^16, a seeded uniform sample,
+    and the N-adic multiples period/N * c and period/N^2 * c.
     """
     if period <= min(EXHAUSTIVE_BUDGET, expsums.FFT_BUDGET):
-        return np.arange(period // 2 + 1, dtype=np.int64), "exhaustive"
+        return None, "exhaustive"
     parts = [np.arange(min(2**16, period), dtype=np.int64)]
     parts.append(rng.integers(0, period, size=4096, dtype=np.int64))
     step = period // params.N
@@ -73,35 +73,21 @@ def frequency_set(params: ConstructionParams, period: int, rng) -> tuple[np.ndar
     if step2 > 0:
         n2 = min(params.N**2, 2**12)
         parts.append(np.arange(n2, dtype=np.int64) * step2)
-    ks = np.unique(np.concatenate(parts))
-    return ks, "sampled"
-
-
-def _n_checked(ks, period, mode) -> int:
-    """Residues mod period that a check over ``ks`` decides."""
-    return period if mode == "exhaustive" else len(ks)
+    return np.unique(np.concatenate(parts)), "sampled"
 
 
 # ---------------------------------------------------------------------------
 # base blocks
 
-def uniform_mean(ks, period: int, N: int, w=None) -> np.ndarray:
-    """U(k)/N for the digit sum U(k) = S_[N](k) = sum_{d<N} e(dk/period),
-    from exact residues: with Q = period/N and w = e(k/period) (which may be
-    passed in), U(k) = (1 - e(k/Q)) / (1 - w) off the multiples of the
-    period, where U(k)/N = 1 exactly. The numerator depends on k mod Q
-    alone and is built over one period Q when ks reach past it.
-    """
+def uniform_mean(ks, period: int, N: int) -> np.ndarray:
+    """U(k)/N for the digit sum U(k) = S_[N](k) = sum_{d<N} e(dk/period), from
+    exact residues: U(k) = (1 - e(k/Q)) / (1 - e(k/period)), Q = period/N,
+    off the multiples of the period, where U(k)/N = 1 exactly."""
     ks = np.asarray(ks, dtype=np.int64)
     q = period // N
-    if w is None:
-        w = _unit(ks % period, period)
-    if len(ks) > q:
-        num = (1 - _unit(np.arange(q), q))[ks % q]
-    else:
-        num = 1 - _unit(ks % q, q)
     out = np.ones(len(ks), dtype=np.complex128)
-    return np.divide(num, N * (1 - w), out=out, where=ks % period != 0)
+    return np.divide(1 - _unit(ks % q, q), N * (1 - _unit(ks % period, period)),
+                     out=out, where=ks % period != 0)
 
 
 def block_deviations(members, ks, period, N, t) -> np.ndarray:
@@ -145,24 +131,30 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
 
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
+
+    def deviation(members):
+        blocks = [ks] if ks is not None else (kb for kb, _ in half_classes(period))
+        return max(np.abs(block_deviations(members, kb, period, N, t)).max()
+                   for kb in blocks)
+
     p = t / N
     worst = None
     for _ in range(MAX_RETRIES):
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
-        dev = np.abs(block_deviations(draw, ks, period, N, t)).max()
+        dev = deviation(draw)
         if dev > eta / 2:
             worst = dev
             continue
         members = _fix_cardinality(set(int(m) for m in draw), t, N)
-        dev2 = np.abs(block_deviations(members, ks, period, N, t)).max()
+        dev2 = deviation(members)
         if dev2 > eta:
             raise ConstructionError(
                 f"deviation {dev2:.4g} > eta={eta:.4g} after cardinality fix at j={j}"
             )
         return BaseBlock(members=members, eta=eta,
-                         verified_k_count=_n_checked(ks, period, mode) * N,
+                         verified_k_count=N * (period if ks is None else len(ks)),
                          mode=mode, margin=float(dev / (eta / 2)))
     if worst is None:
         raise ConstructionError(
@@ -231,12 +223,13 @@ def child_digits(params: ConstructionParams, level: LevelSet, members,
     return table[structured_mask(params, level, level.j).astype(np.intp), xs]
 
 
-def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool):
+def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     """A function of a draw's digits (one row of t last digits per atom, as
-    from ``child_digits``) that yields its deviation sums over ``ks``, one
-    array per mask ell = 0, 1, ..., j, lazily; what depends on the level
-    alone is computed once, here. With e(x) = exp(-2 pi i x), P = N^(j+1),
-    Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
+    from ``child_digits``) that yields its deviation sums over ``ks`` block
+    by block: pairs (kb, sums), sums yielding s_ell(kb) for ell = 0, ..., j
+    lazily. What depends on the level alone is computed once, here. With
+    e(x) = exp(-2 pi i x), P = N^(j+1), Q = N^j, A_ell the atoms of mask ell
+    and D_a the row of a,
 
         s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N)
                  = S_P(C_ell)(k)/t - U(k)/N * S_Q(A_ell)(k),
@@ -244,46 +237,50 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks, sampled: bool
     where C_ell = {aN + d : a in A_ell, d in D_a} is the part of level j+1
     under A_ell, structured rows patched as written, and U = S_[N]
     (``uniform_mean``). Each term sums e(xk/P) over integers x, so
-    s_ell(P - k) = conj s_ell(k): the exhaustive set is the half period
-    ks = [0, P // 2] (``frequency_set``), where S_P(C_ell) is the half table
-    of C_ell and S_Q(A_ell) its period-Q table, mirrored once and repeated.
-    A sampled set splits C_ell by its last digit d,
-    S_P(C_ell)(k) = sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d} the
-    parents of the digit-d points, and evaluates those N subsets of A_ell
-    and A_ell itself in one ``_subset_sums`` call, so that no table is
-    longer than Q and none is built when Q exceeds the number of samples.
+    s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) has a
+    block per class of ``expsums.half_classes(P)``: the class table of
+    C_ell, S_Q(A_ell) gathered and U formed at its k. A sample is one
+    block; it splits C_ell by its last digit d, S_P(C_ell)(k) =
+    sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d} the parents of the
+    digit-d points, and evaluates those N subsets of A_ell and A_ell itself
+    in one ``_subset_sums`` call, so that no table is longer than Q.
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
-    w = _unit(ks % period, period) if sampled else None
-    uniform = uniform_mean(ks, period, N, w)
     masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
-    # exhaustive: S_Q(A_ell) over one period [0, Q), mirrored from its half table
-    full_q = [] if sampled else [exp_sum_all(level.atoms[mask], q) for mask in masks]
+    parents = [level.atoms[mask] for mask in masks]
+    if ks is not None:
+        w = _unit(ks % period, period)
+        uniform = uniform_mean(ks, period, N)
+
+    def sampled(digits):
+        for atoms, mask in zip(parents, masks):
+            # row d < N: the parents of digit d; row N: all of A_ell
+            sets = np.zeros((N + 1, len(atoms)), dtype=bool)
+            sets[digits[mask], np.arange(len(atoms))[:, None]] = True
+            sets[N] = True
+            parts = _subset_sums(atoms, sets, ks, q)
+            # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
+            s = parts[N - 1]
+            for d in range(N - 2, -1, -1):
+                s *= w
+                s += parts[d]
+            s /= t
+            s -= uniform * parts[N]
+            yield s
+
+    def in_class(digits, kb, table):
+        uniform = uniform_mean(kb, period, N)
+        for atoms, mask in zip(parents, masks):
+            s = table((atoms[:, None] * N + digits[mask]).ravel())
+            s /= t
+            s -= uniform * gather(atoms, kb, q)
+            yield s
 
     def sums(digits):
-        for ell, mask in enumerate(masks):
-            atoms, rows = level.atoms[mask], digits[mask]
-            if sampled:
-                # row d < N: the parents of digit d; row N: all of A_ell
-                sets = np.zeros((N + 1, len(atoms)), dtype=bool)
-                sets[rows, np.arange(len(atoms))[:, None]] = True
-                sets[N] = True
-                parts = _subset_sums(atoms, sets, ks, q)
-                # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
-                s = parts[N - 1]
-                for d in range(N - 2, -1, -1):
-                    s *= w
-                    s += parts[d]
-                s /= t
-                s -= uniform * parts[N]
-            else:
-                s = half_table((atoms[:, None] * N + rows).ravel(), period)
-                s /= t
-                for lo in range(0, len(s), q):
-                    block = s[lo : lo + q]
-                    block -= uniform[lo : lo + q] * full_q[ell][: len(block)]
-            yield s
+        if ks is not None:
+            return [(ks, sampled(digits))]
+        return ((kb, in_class(digits, kb, table)) for kb, table in half_classes(period))
     return sums
 
 
@@ -294,38 +291,47 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     frequency set; returns that level and its audit fields, among them
     ``rotation_margins``, the largest |t^(-j+ell/2) s_ell(k)| / threshold
     over the checked k for each ell, and ``rotation_margin``, their
-    maximum. The exhaustive set is the half period, which decides every
-    residue mod P because each |s_ell| is symmetric (``rotation_sums``)."""
+    maximum. A draw is rejected at the first block and ell whose sum
+    reaches its threshold; an exhaustive witness k is folded into [0, P/2],
+    as each |s_ell| is symmetric (``rotation_sums``)."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
-    sums = rotation_sums(params, level, ks, mode == "sampled")
-    lam = params.lambda_rot(j)
-    lams = [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
+    sums = rotation_sums(params, level, ks)
+    lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
+                                     for ell in range(1, j + 1)]
+
+    def peaks(digits):
+        # (max |t^(-j+ell/2) s_ell| per ell, None) or (None, the rejection)
+        out = [0.0] * (j + 1)
+        for kb, block in sums(digits):
+            for ell, s in enumerate(block):
+                mag = np.abs(s)
+                mag *= t ** (-j + ell / 2)
+                i = int(mag.argmax())
+                if mag[i] >= lams[ell]:
+                    k = kb[i] if ks is not None else min(kb[i], period - kb[i])
+                    return None, (mag[i], lams[ell], int(k), ell)
+                out[ell] = max(out[ell], mag[i])
+        return out, None
 
     worst = None
     for attempt in range(MAX_RETRIES):
         xs = rng.integers(0, N, size=len(level.atoms))
         digits = child_digits(params, level, base_block.members, xs)
-        margins = []
-        for ell, s in enumerate(sums(digits)):
-            thresh = lam if ell == 0 else lams[ell - 1]
-            mag = np.abs(s)
-            mag *= t ** (-j + ell / 2)
-            m = mag.max()
-            if m >= thresh:
-                worst = (m, thresh, int(ks[mag.argmax()]), ell)
-                break
-            margins.append(float(m / thresh))
-        else:
-            atoms = np.sort((level.atoms[:, None] * N + digits).ravel())
-            return LevelSet(j=j + 1, atoms=atoms), {
-                "rotation_mode": mode,
-                "rotation_verified_k": _n_checked(ks, period, mode),
-                "retries": attempt, "lambda_j": lam,
-                "rotation_margin": max(margins),
-                "rotation_margins": margins,
-            }
+        found, rejected = peaks(digits)
+        if rejected is not None:
+            worst = rejected
+            continue
+        margins = [float(m / lam) for m, lam in zip(found, lams)]
+        atoms = np.sort((level.atoms[:, None] * N + digits).ravel())
+        return LevelSet(j=j + 1, atoms=atoms), {
+            "rotation_mode": mode,
+            "rotation_verified_k": period if ks is None else len(ks),
+            "retries": attempt, "lambda_j": lams[0],
+            "rotation_margin": max(margins),
+            "rotation_margins": margins,
+        }
     m, thresh, k, ell = worst
     raise ConstructionError(
         f"rotation retries exhausted at j={j}: |sum|={m:.4g} >= {thresh:.4g} "

@@ -1,14 +1,13 @@
 """Exponential sums over integer atoms.
 
-S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, either
-summed directly with exact residues or read from the dense real-input table,
-with one cost rule between them (``_atom_sums``). Many subsets of one atom
-list, sampled at more frequencies than a table is long, go through one
-factored evaluator (``_subset_sums``) instead. The norms' lattice, whose
-period is not held whole, is read one residue class at a time
-(``class_sums``). The construction's block and rotation checks, the spectral
-module's measure coefficients and the norms' lattice samples all evaluate
-through here.
+S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, summed
+directly with exact residues (``exp_sum``) or read from the tables of the
+residue classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``),
+each one length-B FFT (``class_sums``; one class is the real-input half
+table). As S(P - k) = conj S(k), the classes c <= M/2 decide every k
+(``half_classes``); an array of k reads them one at a time (``gather``).
+Subsets of one atom list sampled at more frequencies than a table is long
+take one factored evaluator (``_subset_sums``).
 """
 
 from __future__ import annotations
@@ -32,12 +31,14 @@ FFT_BUDGET = 2**26
 # construct peak RSS from 157 MB (set by j = 4) to 208 MB.
 _CHUNK = 2**20
 
+# Most frequencies per residue class (1 MB of complex128); read at call time.
+BLOCK = 2**16
+
 
 def exp_sum(atoms, k, period):
     """S(k) = sum over atoms of exp(-2 pi i a k / period), summed directly at
     the given k (scalar or array), with the residues a * k mod period exact
-    in int64. ``exp_sum_all`` gives the dense table of every k mod period.
-    """
+    in int64."""
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
     residues = np.asarray(atoms, dtype=np.int64) % period
     out = np.zeros(len(ks), dtype=np.complex128)
@@ -57,65 +58,74 @@ def exp_sum(atoms, k, period):
 
 
 def exp_sum_all(atoms, period):
-    """Dense table of S(k) for all k in [0, period): the half table, then its
-    mirror S(period - k) = conj S(k)."""
-    half = half_table(atoms, period)
-    return np.concatenate([half, half[1 : (period + 1) // 2][::-1].conj()])
+    """S(k) for every k in [0, period), read class by class (``gather``)."""
+    split(period)   # refuses a period above FFT_BUDGET before anything is built
+    return gather(atoms, np.arange(period, dtype=np.int64), period)
 
 
-def half_table(atoms, period):
-    """S(k) for k in [0, period // 2] via one real-input FFT.
-
-    The atoms are real positions, so the rest of the period is the mirror
-    image S(period - k) = conj S(k).
-    """
-    check_length(period)
-    ind = np.zeros(period)
-    ind[np.asarray(atoms, dtype=np.int64)] = 1.0
-    return np.fft.rfft(ind)
-
-
-def check_length(n):
-    """Refuse a transform or lattice of n > ``FFT_BUDGET`` points."""
+def split(n):
+    """(B, M), n = B M with B the largest divisor of n at most ``BLOCK``,
+    for a table or lattice of n points; n > ``FFT_BUDGET`` is refused."""
     if n > FFT_BUDGET:
         raise SpectralError(f"transform length {n} exceeds the dense "
                             f"transform budget {FFT_BUDGET}")
+    B = next(d for d in range(min(n, BLOCK), 0, -1) if n % d == 0)
+    return B, n // B
 
 
 def class_sums(atoms, n, B, c):
-    """S(k) of period n at k = c + (n // B) m, m in [0, B), B dividing n:
-    the FFT of the atoms aliased mod B, twiddled by e(a c / n) of exact
-    residues. The four-step split of D. H. Bailey, "FFTs in external or
-    hierarchical memory", J. Supercomputing 4, 1990."""
+    """S(k) of period n at k = c + (n // B) m, m < B: the FFT of the atoms
+    aliased mod B, twiddled by e(a c / n) of exact residues (the four-step
+    split of D. H. Bailey, J. Supercomputing 4, 1990)."""
     x = np.zeros(B, dtype=np.complex128)
     np.add.at(x, atoms % B, _unit(_mulmod(atoms, c, n), n))
     return np.fft.fft(x)
 
 
-# Cost of one direct-sum term in units of one point * log2 of the half
-# table, its real-input FFT and the mirrored gather included. Measured on a
-# 2-vCPU Xeon guest with numpy 2.4.6, periods 9^5 to 2^22 and 4096 to 2^20
-# frequencies: 51-89 ns per direct term against 0.9-4.2 ns per point * log2
-# (1.5-3.2 ns for a complex FFT table), a ratio of about 20 to 90. The low
-# end, where the gather of period-many frequencies dominates, is taken; it
-# leaves cases near the boundary to the direct sum.
-_DIRECT_TERM_WEIGHT = 20
+def _class_table(atoms, period, B, c):
+    """S over class c of ``split(period)``, or if B = period the half table."""
+    if B < period:
+        return class_sums(atoms, period, B, c)
+    ind = np.zeros(period)
+    ind[atoms] = 1.0
+    return np.fft.rfft(ind)
 
 
-def _atom_sums(atoms, k, period):
-    """S(k) at integer frequencies under one cost rule.
+def half_classes(period):
+    """(ks, sums), sums(atoms) = S(ks), per class c <= M/2 of ``split(period)``
+    (one class: ks = [0, period // 2]); together they decide every k."""
+    B, M = split(period)
+    for c in range(M // 2 + 1):
+        ks = c + M * np.arange(B if M > 1 else period // 2 + 1, dtype=np.int64)
+        yield ks, lambda atoms, c=c: _class_table(atoms, period, B, c)
 
-    An array of frequencies reads the dense table when the period fits
-    ``FFT_BUDGET`` and one FFT, period * log2(period), costs no more than the
-    |atoms| * |ks| terms of the direct sum, each weighted by
-    ``_DIRECT_TERM_WEIGHT``. Everything else, scalar k included, takes the
-    direct sum.
-    """
-    n_terms = np.size(atoms) * np.size(k)
-    if (np.ndim(k) and period <= FFT_BUDGET
-            and period * math.log2(period) <= _DIRECT_TERM_WEIGHT * n_terms):
-        return _table_sums(atoms, k, period)
-    return exp_sum(atoms, k, period)
+
+def gather(atoms, k, period):
+    """S(k) at integer k: a scalar k, or a period above ``FFT_BUDGET``, by
+    the direct sum; an array from the table of each class it meets. k reads
+    its twin period - k, conjugated, when its class c exceeds M/2, or when
+    c is 0 or M/2 (each its own mirror) and k > period / 2."""
+    if np.ndim(k) == 0 or period > FFT_BUDGET:
+        return exp_sum(atoms, k, period)
+    residues = np.asarray(atoms, dtype=np.int64) % period
+    B, M = split(period)
+    m = np.asarray(k, dtype=np.int64) % period
+    mirrored = m > period // 2
+    if M > 1:
+        c = m % M
+        mirrored &= 2 * c % M == 0
+        mirrored |= 2 * c > M
+    np.subtract(period, m, out=m, where=mirrored)
+    if M == 1:
+        s = _class_table(residues, period, B, 0)[m]
+    else:
+        np.remainder(m, M, out=c)
+        s = np.empty(len(m), dtype=np.complex128)
+        for cls in np.flatnonzero(np.bincount(c, minlength=M)):
+            at = np.flatnonzero(c == cls)
+            s[at] = class_sums(residues, period, B, cls)[m[at] // M]
+    np.negative(s.imag, out=s.imag, where=mirrored)
+    return s
 
 
 def _subset_sums(atoms, sets, ks, period):
@@ -123,7 +133,7 @@ def _subset_sums(atoms, sets, ks, period):
     matrix ``sets``.
 
     With period <= |ks| the frequencies read each table at least once on
-    average, and each subset goes through ``_atom_sums`` (at N0=3, j_max=6,
+    average, and each subset goes through ``gather`` (at N0=3, j_max=6,
     c_eta=1, c_rot=0.25, seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096,
     the route below took 18 s and the tables 2.7 s, on one BLAS thread).
     Otherwise every term is a product of per-atom factors
@@ -138,7 +148,7 @@ def _subset_sums(atoms, sets, ks, period):
     if period <= len(ks):
         out = np.empty((len(sets), len(ks)), dtype=np.complex128)
         for row, s in zip(out, sets):
-            row[:] = _atom_sums(atoms[s], ks, period)
+            row[:] = gather(atoms[s], ks, period)
         return out
     residues = np.asarray(atoms, dtype=np.int64) % period
     run = int(np.argmin(np.append(ks == np.arange(len(ks)), False)))
@@ -172,17 +182,6 @@ def _subset_sums(atoms, sets, ks, period):
 def _unit(residues, period):
     """e(r / period) = exp(-2 pi i r / period) of exact residues r."""
     return np.exp(-2j * np.pi * residues / period)
-
-
-def _table_sums(atoms, k, period):
-    """S(k) read from the half table at k mod period, mirrored above period/2."""
-    half = half_table(atoms, period)
-    m = np.atleast_1d(np.asarray(k, dtype=np.int64)) % period
-    mirrored = m > period // 2
-    np.subtract(period, m, out=m, where=mirrored)
-    s = half[m]
-    np.negative(s.imag, out=s.imag, where=mirrored)
-    return s[0] if np.ndim(k) == 0 else s
 
 
 def _mulmod(a, b, period):

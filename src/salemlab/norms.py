@@ -5,8 +5,8 @@ Quadrature uses a uniform lattice aligned with the integrand's period. The
 samples beyond the reported window [-K, K] are folded in exactly through
 Hurwitz zeta values, so the lattice sum covers the whole line; the envelope
 tail bound is reported alongside for the truncated window. A period of the
-lattice is evaluated one residue class of at most _BLOCK points at a time,
-so no array of half a period is formed.
+lattice is evaluated one residue class of at most ``expsums.BLOCK`` points
+at a time, so no array of half a period is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .construction import LevelSet
 from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
-from .expsums import check_length, class_sums
+from .expsums import class_sums, split
 from .params import ConstructionParams
 from .spectral import restricted_atoms
 
@@ -61,7 +61,6 @@ _EM_COEFFS = tuple(
 # Algorithms 69, 2015): 1.6e-15 relative at p = 8, a = 16. Against scipy, p
 # in [1.5, 200] and a in [16, 48] agree within 2.3e-14 (p = 10.9, a = 16.4).
 _EM_START = 16
-_BLOCK = 2**16      # most lattice points per residue class of the quadrature
 
 
 def _hurwitz(p: float, a):
@@ -127,12 +126,10 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     ``tail_bound`` is the analytic envelope bound on the |xi| > K
     contribution.
 
-    The n_per = 4 N^j samples of a period split as n_per = B M, B the
-    largest divisor at most _BLOCK, into the classes i = c + M m, m < B,
-    each one length-B FFT (``expsums.class_sums``). |T| is even, so class
-    M - c mirrors class c and only c <= M/2 is evaluated. Each class's
-    weights are dotted with |T|^p of every window: about B complex points
-    per window are in flight.
+    The n_per = 4 N^j samples of a period are read in the residue classes
+    i = c + M m, m < B, of ``expsums.split``, one length-B FFT each. |T| is
+    even, so only the classes c <= M/2 are evaluated, each one's weights
+    dotted with |T|^p of every window.
 
     For even p = 2r the lattice sum is the integral itself, up to roundoff:
     the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
@@ -148,9 +145,7 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     h = 1 / _SAMPLES_PER_UNIT
     K = _HEAD_PERIODS * period
     n_per = period * _SAMPLES_PER_UNIT
-    check_length(n_per)
-    B = next(d for d in range(min(n_per, _BLOCK), 0, -1) if n_per % d == 0)
-    M = n_per // B
+    B, M = split(n_per)
     windows = [restricted_atoms(params, level, ell) for ell in ells]
     tj = float(params.t) ** (-j)
     # the origin counts once; lattice points at nonzero multiples of the

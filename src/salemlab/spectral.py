@@ -1,9 +1,9 @@
 """Exponential sums and Fourier coefficients of the level measures.
 
 Integer-frequency coefficients come from the exact exponential sums of
-``expsums``, read from a dense table or summed directly under its one cost
-rule (``_atom_sums``). Decay bounds are verified against explicit
-thresholds with the worst slack reported.
+``expsums``, read from the residue-class tables of the period (``gather``).
+Decay bounds are screened on the tables, their witnesses recomputed by the
+direct sum, and the worst slack reported.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import LevelSet, structured_mask
-from .expsums import SpectralError, _atom_sums, exp_sum, exp_sum_all
+from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
 from .params import ConstructionParams
 
 
@@ -47,7 +47,7 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
 def _window_coefficients(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Coefficients of the measure weighted by the structured window of
     depth ell (ell = 0: the plain measure)."""
-    s = _atom_sums(restricted_atoms(params, level, ell), k, params.period(level.j))
+    s = gather(restricted_atoms(params, level, ell), k, params.period(level.j))
     return _coefficients(params, level.j, k, s)
 
 
@@ -160,7 +160,7 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
     }
 
 
-# Screening width of the witness refinement: the dense table agrees with the
+# Screening width of the witness refinement: the class tables agree with the
 # direct sum to about 1e-12 relative, far inside this window.
 _WITNESS_WINDOW = 1e-9
 
@@ -168,14 +168,14 @@ _WITNESS_WINDOW = 1e-9
 def _worst(ks, ratio):
     """(k, ratio) at the largest ``ratio(ks, sums)`` over the frequencies.
 
-    The atom sums of the whole set come from the cost rule and only screen.
+    The class tables (``gather``) of the whole set only screen.
     Every k whose screened ratio lies within a relative ``_WITNESS_WINDOW`` of
     the screened maximum is recomputed by the direct sum, and the maximum and
     its witness come from that recomputation. Twins k and period - k tie in
     exact arithmetic; the first maximum in the order of ``ks`` wins, exactly
     as over a fully direct evaluation.
     """
-    screened = ratio(ks, _atom_sums)
+    screened = ratio(ks, gather)
     top = screened.max()
     near = ks[screened >= top - _WITNESS_WINDOW * top]
     exact = ratio(near, exp_sum)

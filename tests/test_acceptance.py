@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 
 from salemlab import (
-    bspline_integers, energy_lower_bound, exact_l2r_norm, exp_sum, exp_sum_all,
-    f_mu_hat, l2r_lower_bound, mu_hat, structured_mask, sum_distribution,
+    bspline_integers, energy_lower_bound, exact_l2r_norm, exp_sum, f_mu_hat,
+    l2r_lower_bound, mu_hat, structured_mask, sum_distribution,
     telescope_check, trivial_bound_check, verify_construction,
 )
 from salemlab.cli import main as cli_main
@@ -17,7 +17,7 @@ from salemlab.norms import (
     ball_condition_report, direct_mass, holder_chain_check,
     lp_norm_quadrature, thresholds,
 )
-from salemlab.spectral import compute_spectrum, restricted_atoms
+from salemlab.spectral import compute_spectrum, exp_sum_all, restricted_atoms
 from salemlab.storage import level_filename
 
 

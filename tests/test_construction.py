@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from salemlab import construction
+from salemlab import construction, expsums
 from salemlab import (
     ConstructionError, build_construction, check_level_invariants,
     derive_params, exp_sum, make_progression, structured_atoms, structured_mask,
@@ -187,9 +188,8 @@ def test_structured_mask_counts(bases):
 def test_frequency_set_modes(desk_params):
     rng = np.random.default_rng(0)
     ks, mode = frequency_set(desk_params, desk_params.period(4), rng)
-    # the half period decides every residue
-    assert mode == "exhaustive"
-    assert ks.tolist() == list(range(desk_params.period(4) // 2 + 1))
+    # the half period decides every residue; the checks read it by classes
+    assert mode == "exhaustive" and ks is None
     ks, mode = frequency_set(desk_params, desk_params.period(6), rng)
     assert mode == "sampled"
     assert len(np.unique(ks)) == len(ks)
@@ -197,8 +197,8 @@ def test_frequency_set_modes(desk_params):
 
 
 def test_uniform_sum_matches_direct():
-    # uniform_mean is U(k)/N; first more ks than one period Q = 256 (the
-    # numerator read from one period), then fewer (summed at each k)
+    # uniform_mean is U(k)/N; first more ks than one period Q = 256, then
+    # fewer
     N, period = 16, 4096
     for ks in (np.arange(0, 2 * period, 17, dtype=np.int64),
                np.array([0, 1, 256, 4095, 4096, 8192 + 512], dtype=np.int64)):
@@ -274,28 +274,36 @@ def _per_atom_sums(params, level, digits, ks):
 
 
 # `ends` keeps only the first and last sampled frequencies, so that Q
-# exceeds |ks| and the subset sums take the factored route
+# exceeds |ks| and the subset sums take the factored route; `block` lowers
+# ``expsums.BLOCK`` below the period, so that the exhaustive check reads
+# M = 16 (even, with the self-mirrored class M/2) or M = 9 residue classes
 ROTATION_SUM_CASES = [
-    (4, 2, 2**20, "exhaustive", None),
-    (4, 4, 2**16, "sampled", None),      # P = 2^20: a genuine sample
-    (3, 3, 2**20, "exhaustive", None),
-    (3, 4, 2**10, "sampled", None),      # P = 9^5: the sample covers the period
-    (4, 4, 2**16, "sampled", (4096, 512)),
-    (3, 4, 2**10, "sampled", (4096, 512)),
+    (4, 2, 2**20, "exhaustive", None, None),
+    (4, 4, 2**16, "sampled", None, None),      # P = 2^20: a genuine sample
+    (3, 3, 2**20, "exhaustive", None, None),
+    (3, 4, 2**10, "sampled", None, None),      # P = 9^5: the sample covers the period
+    (4, 4, 2**16, "sampled", (4096, 512), None),
+    (3, 4, 2**10, "sampled", (4096, 512), None),
+    (4, 2, 2**20, "exhaustive", None, 2**8),
+    (3, 3, 2**20, "exhaustive", None, 729),
 ]
 
 
 @pytest.mark.parametrize(
-    "N0, j, budget, mode, ends", ROTATION_SUM_CASES,
+    "N0, j, budget, mode, ends, block", ROTATION_SUM_CASES,
     ids=["-".join(map(str, case[:4])) + ("-ends" if case[4] else "")
+         + (f"-block{case[5]}" if case[5] else "")
          for case in ROTATION_SUM_CASES])
-def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends,
+def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
                                               monkeypatch):
     params = derive_params(N0, 2, 1, j_max=j, seed=7)
     level = build_construction(params).levels[j]
     rng = np.random.default_rng(N0 * 10 + j)
     monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", budget)
-    ks, got_mode = frequency_set(params, params.N ** (j + 1), rng)
+    if block:
+        monkeypatch.setattr(expsums, "BLOCK", block)
+    P = params.N ** (j + 1)
+    ks, got_mode = frequency_set(params, P, rng)
     assert got_mode == mode
     if ends:
         ks = np.concatenate([ks[: ends[0]], ks[-ends[1] :]])
@@ -303,12 +311,22 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends,
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
     xs = rng.integers(0, params.N, size=len(level.atoms))
     digits = child_digits(params, level, members, xs)
-    got = list(rotation_sums(params, level, ks, mode == "sampled")(digits))
-    want = _per_atom_sums(params, level, digits, ks)
-    assert len(got) == j + 1
-    for ell, (g, w) in enumerate(zip(got, want)):
-        size = params.t * int(structured_mask(params, level, ell).sum())
-        assert np.abs(g - w).max() < 1e-9 * size
+    checked = ks if ks is not None else np.arange(P // 2 + 1)
+    sums = rotation_sums(params, level, ks)
+    covered = set()
+    for kb, block_sums in sums(digits):
+        got = list(block_sums)
+        want = _per_atom_sums(params, level, digits, kb)
+        assert len(got) == j + 1
+        for ell, (g, w) in enumerate(zip(got, want)):
+            size = params.t * int(structured_mask(params, level, ell).sum())
+            assert np.abs(g - w).max() < 1e-9 * size
+        covered.update((kb if ks is not None else np.minimum(kb, P - kb)).tolist())
+    # a sample is one block; the classes decide every residue mod P, each k
+    # through itself or its twin P - k
+    assert covered == set(checked.tolist())
+    if block:
+        assert len(kb) == block < P
 
 
 # c_rot lowered until rotation draws get rejected; the retries and the
@@ -406,29 +424,75 @@ def test_written_level_meets_its_rotation_thresholds():
 @pytest.mark.parametrize("N0, j_max", [(4, 5), (3, 6)], ids=["even-P", "odd-P"])
 def test_half_period_check_matches_a_full_period_scan(N0, j_max):
     # biting constants, so that the sums come near their thresholds; the
-    # exhaustive check reads k in [0, P // 2] only, and its maximum and
-    # witness must be those of all residues mod P (the witness up to the
-    # mirror k -> P - k, whose sum is the conjugate)
+    # exhaustive check reads the residue classes c <= M/2 only (M = 16 at
+    # P = 16^5, M = 9 at P = 9^6), and its maximum and witness must be those
+    # of all residues mod P (the witness up to the mirror k -> P - k, whose
+    # sum is the conjugate)
     params = derive_params(N0, 2, 1, j_max=j_max, seed=1, c_eta=1.0, c_rot=0.35)
     con = build_construction(params)
     N, t = params.N, params.t
     for level, written in zip(con.levels[1:-1], con.levels[2:]):
         j = level.j
         P = N ** (j + 1)
-        ks, mode = frequency_set(params, P, None)
-        assert mode == "exhaustive"
+        assert frequency_set(params, P, None)[1] == "exhaustive"
         # the accepted draw's rows of last digits, in the order of the parents
         digits = (written.atoms % N).reshape(len(level.atoms), t)
         lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
                                          for ell in range(1, j + 1)]
-        for ell, s in enumerate(rotation_sums(params, level, ks, False)(digits)):
-            half = np.abs(t ** (-j + ell / 2) * s) / lams[ell]
+        peaks = [(0.0, 0)] * (j + 1)
+        for kb, sums in rotation_sums(params, level, None)(digits):
+            for ell, s in enumerate(sums):
+                half = np.abs(t ** (-j + ell / 2) * s) / lams[ell]
+                i = int(half.argmax())
+                peaks[ell] = max(peaks[ell], (half[i], min(kb[i], P - kb[i])))
+        for ell, (peak, witness) in enumerate(peaks):
             full = _full_period_ratios(params, level, written, ell)
             k = int(full.argmax())
-            assert half.max() == pytest.approx(full.max(), rel=1e-9)
-            assert ks[half.argmax()] == min(k, P - k)
+            assert peak == pytest.approx(full.max(), rel=1e-9)
+            assert witness == min(k, P - k)
             assert con.audit[j]["rotation_margins"][ell] == pytest.approx(
-                half.max(), rel=1e-12)
+                peak, rel=1e-12)
+
+
+def _peak_array_bytes(run, monkeypatch, block):
+    """tracemalloc's peak during ``run()`` with ``expsums.BLOCK = block``, run
+    once before, so that lazy imports and FFT plans are not counted."""
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rotation_check_holds_no_half_period_array(desk_params, desk, monkeypatch):
+    # P = 16^4 = 2^16 in classes of 2^12; the half-period check used to hold
+    # U(k)/N and the half table of each C_ell over all of [0, P/2]
+    j, P = 3, desk_params.period(4)
+    base = build_base_block(desk_params, j, np.random.default_rng(0))
+    peak = _peak_array_bytes(
+        lambda: construction.choose_rotations(
+            desk_params, desk.levels[j], base, np.random.default_rng(0)),
+        monkeypatch, 2**12)
+    # less than one complex128 array of P / 2 entries, temporaries included
+    assert peak < 16 * P // 2
+
+
+def test_base_block_check_holds_no_half_period_array(monkeypatch):
+    # eta_3 < 2 at c_eta = 1, so the block of level 4 is checked at all
+    # k mod P = 2^16; it used to form the N x (P/2 + 1) deviation matrix
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=1.0)
+    P = params.period(4)
+    assert params.eta(3) < 2
+    blocks = []
+    peak = _peak_array_bytes(
+        lambda: blocks.append(build_base_block(params, 3, np.random.default_rng(7))),
+        monkeypatch, 2**8)
+    assert blocks[0] == blocks[1]
+    assert blocks[0].mode == "exhaustive" and blocks[0].verified_k_count == 16 * P
+    assert peak < 16 * P // 2
 
 
 def test_rotation_retries_exhausted_names_the_witness():

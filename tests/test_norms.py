@@ -120,7 +120,7 @@ def test_blocked_lattice_matches_full_lattice(monkeypatch, N0, block):
     # class 0 and, for even M, the self-mirrored class M/2
     params = derive_params(N0, 2, 1, j_max=3, seed=7)
     level = build_construction(params).levels[3]
-    monkeypatch.setattr(norms, "_BLOCK", block)
+    monkeypatch.setattr(expsums, "BLOCK", block)
     for p in (2.5, 3.0):
         ests = lp_norm_quadrature(params, level, [0, 1, 2], p)
         for ell, est in zip([0, 1, 2], ests):
@@ -146,7 +146,7 @@ def test_class_weights_are_mirror_symmetric():
 def test_blocked_lattice_holds_no_half_period_array(desk_params, desk, monkeypatch):
     level = desk.levels[4]
     n_per = 4 * desk_params.period(4)
-    monkeypatch.setattr(norms, "_BLOCK", 2**12)
+    monkeypatch.setattr(expsums, "BLOCK", 2**12)
     tracemalloc.start()
     try:
         lp_norm_quadrature(desk_params, level, [0, 1, 2], 3.0)

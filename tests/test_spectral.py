@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from salemlab import (
     SpectralError, build_construction, compute_spectrum, decay_report,
-    derive_params, exp_sum, exp_sum_all, f_mu_hat, mu_hat,
+    derive_params, exp_sum, f_mu_hat, mu_hat,
     restricted_atoms, telescope_check, trivial_bound_check,
 )
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
-from salemlab.spectral import prefactor
+from salemlab.spectral import exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
 
@@ -120,44 +120,112 @@ def test_lone_frequency_sums_like_a_batch(odd_base):
         assert exp_sum(atoms, int(k), params.period(5)) == batch[i]
 
 
-@pytest.mark.parametrize("side", [-1, 0])
-def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
+def test_few_frequencies_read_the_tables(odd_base, monkeypatch):
+    # two frequencies, far fewer than the period: one table of one class is
+    # built all the same, and agrees with the direct sum
     params, con = odd_base
     atoms = restricted_atoms(params, con.levels[4], 2)
     period = params.period(4)
-    # smallest |ks| for which one FFT costs no more than the weighted direct terms
-    n_table = math.ceil(period * math.log2(period)
-                        / (expsums._DIRECT_TERM_WEIGHT * len(atoms)))
+    ks = np.array([7919, 2 * 7919], dtype=np.int64)
+    tables = []
+    class_table = expsums._class_table
+    monkeypatch.setattr(expsums, "_class_table",
+                        lambda *a: tables.append(a) or class_table(*a))
+    got = expsums.gather(atoms, ks, period)
+    assert len(tables) == 1
+    direct = exp_sum(atoms, ks, period)
+    assert np.abs(got - direct).max() < 1e-11 * len(atoms)
+
+
+@pytest.mark.parametrize("side", [-1, 0])
+def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
+    # either side of the count at which one FFT costs as much as the direct
+    # terms weighted by 20: no cost rule divides them, both read one table
+    # and agree with the direct sum
+    params, con = odd_base
+    atoms = restricted_atoms(params, con.levels[4], 2)
+    period = params.period(4)
+    n_table = math.ceil(period * math.log2(period) / (20 * len(atoms)))
     ks = np.arange(1, n_table + side + 1, dtype=np.int64) * 7919
     tables = []
-    half_table = expsums.half_table
-    monkeypatch.setattr(expsums, "half_table",
-                        lambda *a: tables.append(a) or half_table(*a))
-    got = expsums._atom_sums(atoms, ks, period)
-    assert len(tables) == (side == 0)
+    class_table = expsums._class_table
+    monkeypatch.setattr(expsums, "_class_table",
+                        lambda *a: tables.append(a) or class_table(*a))
+    got = expsums.gather(atoms, ks, period)
+    assert len(tables) == 1
     direct = exp_sum(atoms, ks, period)
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
 
 
 def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
     params, con = odd_base
-    monkeypatch.setattr(expsums, "half_table", None)
+    monkeypatch.setattr(expsums, "_class_table", None)
+    monkeypatch.setattr(expsums, "class_sums", None)
     atoms = con.levels[5].atoms
-    assert expsums._atom_sums(atoms, 30437, params.period(5)) \
+    assert expsums.gather(atoms, 30437, params.period(5)) \
         == exp_sum(atoms, 30437, params.period(5))
+
+
+def _half_table_gather(atoms, ks, period):
+    """S(ks) from one real-input FFT over the period, mirrored above
+    period / 2: the one-class table, written out."""
+    ind = np.zeros(period)
+    ind[atoms] = 1.0
+    half = np.fft.rfft(ind)
+    m = ks % period
+    mirrored = m > period // 2
+    m[mirrored] = period - m[mirrored]
+    s = half[m]
+    s[mirrored] = s[mirrored].conj()
+    return s
 
 
 @pytest.mark.parametrize("period", [4096, 6561])
 def test_half_table_mirrors_to_the_direct_sums(period):
+    # one class: the half table, bit for bit
     rng = np.random.default_rng(period)
     atoms = rng.choice(period, size=40, replace=False)
     ks = np.concatenate([np.arange(period), [-1, -period // 2, 3 * period + 5]])
-    got = expsums._table_sums(atoms, ks, period)
+    got = expsums.gather(atoms, ks, period)
+    assert expsums.split(period) == (period, 1)
+    assert np.array_equal(got, _half_table_gather(atoms, ks, period))
     assert np.abs(got - exp_sum(atoms, ks, period)).max() < 1e-11 * len(atoms)
     assert np.array_equal(exp_sum_all(atoms, period), got[:period])
     # conjugate twins read the same table entry, mirrored
     assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
-    assert expsums._table_sums(atoms, period - 7, period) == got[period - 7]
+    assert expsums.gather(atoms, [period - 7], period)[0] == got[period - 7]
+
+
+@pytest.mark.parametrize("period, block", [(16**4, 2**12), (9**4, 729), (25**3, 3125)],
+                         ids=["16^4-M16", "9^4-M9", "25^3-M5"])
+def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
+    # a block below the period splits it into M classes; even M has the
+    # class M/2, which mirrors onto itself like class 0
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    B, M = expsums.split(period)
+    assert (B, B * M) == (block, period)
+    rng = np.random.default_rng(period)
+    atoms = rng.choice(period, size=40, replace=False)
+    ks = np.concatenate([np.arange(period),
+                         [0, period // 2, period - 1, period, 3 * period + 7,
+                          -1, -(period // 2), -3 * period - 7]])
+    got = expsums.gather(atoms, ks, period)
+    assert np.abs(got - exp_sum(atoms, ks, period)).max() < 1e-11 * len(atoms)
+    assert np.array_equal(exp_sum_all(atoms, period), got[:period])
+    # twins read the same entry, mirrored: across the paired classes c and
+    # M - c, and inside classes 0 and M/2
+    assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
+    # k, k + P, k - P and -k read one entry
+    extra = got[period:]
+    assert extra[3] == got[0] and extra[4] == got[7] and extra[5] == got[period - 1]
+    assert extra[7] == got[7].conj()
+    # the half classes hold every k up to its twin
+    covered = set()
+    for kb, sums in expsums.half_classes(period):
+        assert len(kb) == B
+        assert np.abs(sums(atoms) - got[kb]).max() < 1e-11 * len(atoms)
+        covered.update(np.minimum(kb, period - kb).tolist())
+    assert covered == set(range(period // 2 + 1))
 
 
 def test_exp_sum_scalar_and_zero():
