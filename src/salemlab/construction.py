@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsums
-from .expsums import _subset_sums, _unit, gather, half_classes
+from .expsums import _subset_sums, _unit, half_classes
 from .params import ConstructionParams, make_progression
 
 # Longest period checked over every residue, and draws per base block or
@@ -79,29 +79,36 @@ def frequency_set(params: ConstructionParams, period: int, rng):
 # ---------------------------------------------------------------------------
 # base blocks
 
-def uniform_mean(ks, period: int, N: int) -> np.ndarray:
-    """U(k)/N for the digit sum U(k) = S_[N](k) = sum_{d<N} e(dk/period), from
-    exact residues: U(k) = (1 - e(k/Q)) / (1 - e(k/period)), Q = period/N,
-    off the multiples of the period, where U(k)/N = 1 exactly."""
-    ks = np.asarray(ks, dtype=np.int64)
-    q = period // N
-    out = np.ones(len(ks), dtype=np.complex128)
-    return np.divide(1 - _unit(ks % q, q), N * (1 - _unit(ks % period, period)),
-                     out=out, where=ks % period != 0)
+def deviation_measure(params: ConstructionParams, parents, kept):
+    """(points, weights): +1/t on each point of ``kept``, -1/N on every child
+    aN + d, d < N, of each of ``parents``. At period P = N^(j+1), parents
+    below Q = N^j, its sum is the deviation of ``kept`` from the uniform
+    refinement of ``parents``, S_P(kept)(k)/t - U(k)/N * S_Q(parents)(k),
+    as U(k) S_Q(parents)(k) = sum_{a,d} e((aN + d)k/P), U(k) = S_[N](k)."""
+    N = params.N
+    children = (np.asarray(parents, dtype=np.int64)[:, None] * N + np.arange(N)).ravel()
+    weights = np.concatenate([np.full(len(kept), 1 / params.t),
+                              np.full(len(children), -1 / N)])
+    return np.concatenate([np.asarray(kept, dtype=np.int64), children]), weights
+
+
+def _subset_deviations(atoms, sets, ks, period, N, t):
+    """Row i is S(ks)/t over atoms[sets[i]] minus S(ks)/N over all atoms:
+    one ``_subset_sums`` call with the whole set as its last row."""
+    rows = _subset_sums(atoms, np.vstack([sets, np.ones(len(atoms), dtype=bool)]),
+                        ks, period)
+    rows[:-1] /= t
+    rows[:-1] -= rows[-1] / N
+    return rows[:-1]
 
 
 def block_deviations(members, ks, period, N, t) -> np.ndarray:
     """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x:
-    the rotations B_x = members + x mod N are N subsets of [0, N), summed
-    in one ``expsums._subset_sums`` call."""
-    ks = np.asarray(ks, dtype=np.int64)
+    the rotations B_x = members + x mod N are N subsets of [0, N)."""
     x = np.arange(N)[:, None]
     rotations = np.zeros((N, N), dtype=bool)
     rotations[x, (x + np.asarray(members, dtype=np.int64)) % N] = True
-    dev = _subset_sums(np.arange(N), rotations, ks, period)
-    dev /= t
-    dev -= uniform_mean(ks, period, N)
-    return dev
+    return _subset_deviations(np.arange(N), rotations, ks, period, N, t)
 
 
 def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
@@ -231,19 +238,15 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     e(x) = exp(-2 pi i x), P = N^(j+1), Q = N^j, A_ell the atoms of mask ell
     and D_a the row of a,
 
-        s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N)
-                 = S_P(C_ell)(k)/t - U(k)/N * S_Q(A_ell)(k),
+        s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N),
 
-    where C_ell = {aN + d : a in A_ell, d in D_a} is the part of level j+1
-    under A_ell, structured rows patched as written, and U = S_[N]
-    (``uniform_mean``). Each term sums e(xk/P) over integers x, so
-    s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) has a
-    block per class of ``expsums.half_classes(P)``: the class table of
-    C_ell, S_Q(A_ell) gathered and U formed at its k. A sample is one
-    block; it splits C_ell by its last digit d, S_P(C_ell)(k) =
-    sum_d e(dk/P) S_Q(C_{ell,d})(k) with C_{ell,d} the parents of the
-    digit-d points, and evaluates those N subsets of A_ell and A_ell itself
-    in one ``_subset_sums`` call, so that no table is longer than Q.
+    the sum at period P of the ``deviation_measure`` of A_ell and its
+    children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
+    s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) reads
+    one table of the measure per ell and class of ``expsums.half_classes``.
+    A sample is one block: with C_{ell,d} the parents of digit d, s_ell(k)
+    is sum_{d<N} e(dk/P) (S_Q(C_{ell,d})(k)/t - S_Q(A_ell)(k)/N), by
+    Horner's rule over one ``_subset_sums`` call at period Q.
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
@@ -251,36 +254,30 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     parents = [level.atoms[mask] for mask in masks]
     if ks is not None:
         w = _unit(ks % period, period)
-        uniform = uniform_mean(ks, period, N)
 
     def sampled(digits):
         for atoms, mask in zip(parents, masks):
-            # row d < N: the parents of digit d; row N: all of A_ell
-            sets = np.zeros((N + 1, len(atoms)), dtype=bool)
+            # row d: the parents of digit d
+            sets = np.zeros((N, len(atoms)), dtype=bool)
             sets[digits[mask], np.arange(len(atoms))[:, None]] = True
-            sets[N] = True
-            parts = _subset_sums(atoms, sets, ks, q)
-            # Horner's rule in w = e(k/P) over the digits d = N-1, ..., 0
+            parts = _subset_deviations(atoms, sets, ks, q, N, t)
+            # Horner's rule in w over the digits d = N-1, ..., 0
             s = parts[N - 1]
             for d in range(N - 2, -1, -1):
                 s *= w
                 s += parts[d]
-            s /= t
-            s -= uniform * parts[N]
             yield s
 
-    def in_class(digits, kb, table):
-        uniform = uniform_mean(kb, period, N)
+    def in_class(digits, table):
         for atoms, mask in zip(parents, masks):
-            s = table((atoms[:, None] * N + digits[mask]).ravel())
-            s /= t
-            s -= uniform * gather(atoms, kb, q)
-            yield s
+            kept = (atoms[:, None] * N + digits[mask]).ravel()
+            points, weights = deviation_measure(params, atoms, kept)
+            yield table(points, weights=weights)
 
     def sums(digits):
         if ks is not None:
             return [(ks, sampled(digits))]
-        return ((kb, in_class(digits, kb, table)) for kb, table in half_classes(period))
+        return ((kb, in_class(digits, table)) for kb, table in half_classes(period))
     return sums
 
 

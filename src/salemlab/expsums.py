@@ -1,10 +1,11 @@
 """Exponential sums over integer atoms.
 
-S(k) = sum over atoms a of exp(-2 pi i a k / period) at integer k, summed
-directly with exact residues (``exp_sum``) or read from the tables of the
-residue classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``),
-each one length-B FFT (``class_sums``; one class is the real-input half
-table). As S(P - k) = conj S(k), the classes c <= M/2 decide every k
+S(k) = sum over atoms a of w_a exp(-2 pi i a k / period) at integer k, with
+real weights w (1 unless given; weighted atoms may repeat), summed directly
+with exact residues (``exp_sum``) or read from the tables of the residue
+classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``), each one
+length-B FFT (``class_sums``; one class is the real-input half table). As
+S(P - k) = conj S(k), the classes c <= M/2 decide every k
 (``half_classes``); an array of k reads them one at a time (``gather``).
 Subsets of one atom list sampled at more frequencies than a table is long
 take one factored evaluator (``_subset_sums``).
@@ -35,10 +36,10 @@ _CHUNK = 2**20
 BLOCK = 2**16
 
 
-def exp_sum(atoms, k, period):
-    """S(k) = sum over atoms of exp(-2 pi i a k / period), summed directly at
-    the given k (scalar or array), with the residues a * k mod period exact
-    in int64."""
+def exp_sum(atoms, k, period, *, weights=1.0):
+    """S(k) = sum over atoms of w_a exp(-2 pi i a k / period), summed directly
+    at the given k (scalar or array), with the residues a * k mod period
+    exact in int64; ``weights`` w is a scalar or one float per atom."""
     ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
     residues = np.asarray(atoms, dtype=np.int64) % period
     out = np.zeros(len(ks), dtype=np.complex128)
@@ -51,9 +52,10 @@ def exp_sum(atoms, k, period):
         # depend on which other frequencies share the call
         if n == 1:
             kc = np.repeat(kc, 2)
-        out[lo : lo + n] = _unit(
-            _mulmod(residues[:, None], kc[None, :], period), period
-        ).sum(axis=0)[:n]
+        terms = _unit(_mulmod(residues[:, None], kc[None, :], period), period)
+        if np.ndim(weights) or weights != 1:    # so unit weights keep every bit
+            terms *= np.reshape(weights, (-1, 1))
+        out[lo : lo + n] = terms.sum(axis=0)[:n]
     return out[0] if np.ndim(k) == 0 else out
 
 
@@ -73,40 +75,42 @@ def split(n):
     return B, n // B
 
 
-def class_sums(atoms, n, B, c):
-    """S(k) of period n at k = c + (n // B) m, m < B: the FFT of the atoms
-    aliased mod B, twiddled by e(a c / n) of exact residues (the four-step
-    split of D. H. Bailey, J. Supercomputing 4, 1990)."""
+def class_sums(atoms, n, B, c, *, weights=1.0):
+    """S(k) of period n at k = c + (n // B) m, m < B: the FFT of the weighted
+    atoms aliased mod B, twiddled by e(a c / n) of exact residues (the
+    four-step split of D. H. Bailey, J. Supercomputing 4, 1990)."""
     x = np.zeros(B, dtype=np.complex128)
-    np.add.at(x, atoms % B, _unit(_mulmod(atoms, c, n), n))
+    np.add.at(x, atoms % B, _unit(_mulmod(atoms, c, n), n) * weights)
     return np.fft.fft(x)
 
 
-def _class_table(atoms, period, B, c):
+def _class_table(atoms, period, B, c, weights=1.0):
     """S over class c of ``split(period)``, or if B = period the half table."""
     if B < period:
-        return class_sums(atoms, period, B, c)
+        return class_sums(atoms, period, B, c, weights=weights)
     ind = np.zeros(period)
-    ind[atoms] = 1.0
+    np.add.at(ind, atoms, weights)
     return np.fft.rfft(ind)
 
 
 def half_classes(period):
-    """(ks, sums), sums(atoms) = S(ks), per class c <= M/2 of ``split(period)``
-    (one class: ks = [0, period // 2]); together they decide every k."""
+    """(ks, sums), sums(atoms, weights=w) = S(ks), per class c <= M/2 of
+    ``split(period)`` (one class: ks = [0, period // 2]); together they
+    decide every k."""
     B, M = split(period)
     for c in range(M // 2 + 1):
         ks = c + M * np.arange(B if M > 1 else period // 2 + 1, dtype=np.int64)
-        yield ks, lambda atoms, c=c: _class_table(atoms, period, B, c)
+        yield ks, lambda atoms, c=c, *, weights=1.0: _class_table(
+            atoms, period, B, c, weights)
 
 
-def gather(atoms, k, period):
+def gather(atoms, k, period, *, weights=1.0):
     """S(k) at integer k: a scalar k, or a period above ``FFT_BUDGET``, by
     the direct sum; an array from the table of each class it meets. k reads
     its twin period - k, conjugated, when its class c exceeds M/2, or when
     c is 0 or M/2 (each its own mirror) and k > period / 2."""
     if np.ndim(k) == 0 or period > FFT_BUDGET:
-        return exp_sum(atoms, k, period)
+        return exp_sum(atoms, k, period, weights=weights)
     residues = np.asarray(atoms, dtype=np.int64) % period
     B, M = split(period)
     m = np.asarray(k, dtype=np.int64) % period
@@ -117,13 +121,13 @@ def gather(atoms, k, period):
         mirrored |= 2 * c > M
     np.subtract(period, m, out=m, where=mirrored)
     if M == 1:
-        s = _class_table(residues, period, B, 0)[m]
+        s = _class_table(residues, period, B, 0, weights)[m]
     else:
         np.remainder(m, M, out=c)
         s = np.empty(len(m), dtype=np.complex128)
         for cls in np.flatnonzero(np.bincount(c, minlength=M)):
             at = np.flatnonzero(c == cls)
-            s[at] = class_sums(residues, period, B, cls)[m[at] // M]
+            s[at] = class_sums(residues, period, B, cls, weights=weights)[m[at] // M]
     np.negative(s.imag, out=s.imag, where=mirrored)
     return s
 

@@ -65,13 +65,15 @@ CONFIG_KEYS = {
 
 def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParams:
     """Derive all construction parameters from the base triple (N0, t0, n0)."""
-    N0, t0, n0, j_max = int(N0), int(t0), int(n0), int(j_max)
+    N0, t0, n0, j_max, seed = int(N0), int(t0), int(n0), int(j_max), int(seed)
     if not (1 < t0 < N0):
         raise ParamError(f"need 1 < t0 < N0, got t0={t0}, N0={N0}")
     if n0 < 1:
         raise ParamError(f"need n0 >= 1, got {n0}")
     if j_max < 0:
         raise ParamError(f"need j_max >= 0, got {j_max}")
+    if seed < 0:
+        raise ParamError(f"need seed >= 0, got {seed}")
     N = N0 ** (2 * n0)
     t = t0 ** (2 * n0)
     if N ** (j_max + 1) >= 2**MAX_FREQ_BITS:
@@ -81,7 +83,7 @@ def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParam
         )
     alpha = math.log(t0) / math.log(N0)
     params = ConstructionParams(
-        N0=N0, t0=t0, n0=n0, N=N, t=t, alpha=alpha, j_max=j_max, seed=int(seed),
+        N0=N0, t0=t0, n0=n0, N=N, t=t, alpha=alpha, j_max=j_max, seed=seed,
         **overrides,
     )
     for key in ("c_eta", "c_rot"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import LevelSet, structured_mask
+from .construction import LevelSet, deviation_measure, structured_mask
 from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
 from .params import ConstructionParams
 
@@ -44,21 +44,16 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
     return prefactor(k, params.period(j)) * sums * float(params.t) ** (-j)
 
 
-def _window_coefficients(params: ConstructionParams, level: LevelSet, ell: int, k):
-    """Coefficients of the measure weighted by the structured window of
-    depth ell (ell = 0: the plain measure)."""
-    s = gather(restricted_atoms(params, level, ell), k, params.period(level.j))
-    return _coefficients(params, level.j, k, s)
-
-
 def mu_hat(params: ConstructionParams, level: LevelSet, k):
     """Fourier coefficient of the level-j measure at integer frequency k."""
-    return _window_coefficients(params, level, 0, k)
+    return f_mu_hat(params, level, 0, k)
 
 
 def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
-    """Fourier coefficient of the structured-window weighted measure."""
-    return _window_coefficients(params, level, ell, k)
+    """Fourier coefficient of the measure weighted by the structured window
+    of depth ell (ell = 0: the plain measure)."""
+    s = gather(restricted_atoms(params, level, ell), k, params.period(level.j))
+    return _coefficients(params, level.j, k, s)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +80,7 @@ class Spectrum:
 def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,
                      ell=None) -> Spectrum:
     ks = np.asarray(ks, dtype=np.int64)
-    coeffs = _window_coefficients(params, level, ell or 0, ks)
+    coeffs = f_mu_hat(params, level, ell or 0, ks)
     weight = "mu" if ell in (None, 0) else f"f_ell({ell})"
     return Spectrum(j=level.j, weight=weight, ks=ks, coefficients=coeffs)
 
@@ -108,24 +103,24 @@ def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet,
                     ks, ell: int = 0) -> TelescopeReport:
     """Verify |coef_{j+1}(k) - coef_j(k)| against the level-step envelope
     C * min(1, N^(j+1)/|k|) * t^(-(j+1)/2) * ln(8 N^(j+1)) with C = 2*c_rot.
-    """
+    The difference is prefactor(k, P) t^(-j) s(k), P = N^(j+1), s the sum of
+    the window's ``deviation_measure`` from level j to j+1: one table, no
+    cancellation."""
     if hi.j != lo.j + 1:
         raise ValueError("telescope_check needs consecutive levels")
-    j = lo.j
-    N, t = params.N, params.t
+    j, t = lo.j, params.t
     ks = np.asarray(ks, dtype=np.int64)
     ks = ks[ks != 0]
     C = 2.0 * params.c_rot
-    windows = [(level.j, restricted_atoms(params, level, ell)) for level in (hi, lo)]
+    period = params.period(j + 1)
+    points, weights = deviation_measure(params, restricted_atoms(params, lo, ell),
+                                        restricted_atoms(params, hi, ell))
 
     def ratio(ks, sums):
-        coef_hi, coef_lo = (
-            _coefficients(params, jj, ks, sums(atoms, ks, params.period(jj)))
-            for jj, atoms in windows
-        )
-        lhs = np.abs(coef_hi - coef_lo)
-        envelope = np.minimum(1.0, N ** (j + 1) / np.abs(ks).astype(np.float64))
-        rhs = C * envelope * t ** (-(j + 1) / 2) * math.log(8 * N ** (j + 1))
+        s = sums(points, ks, period, weights=weights)
+        lhs = np.abs(prefactor(ks, period) * s * float(t) ** -j)
+        envelope = np.minimum(1.0, period / np.abs(ks).astype(np.float64))
+        rhs = C * envelope * t ** (-(j + 1) / 2) * math.log(8 * period)
         return lhs / rhs
 
     worst_k, max_ratio = _worst(ks, ratio)

@@ -88,6 +88,7 @@ def test_bad_set_item_exits_2(tmp_path, capsys, item, message):
     ("c_eta=0", "need a finite c_eta > 0, got 0.0"),
     ("c_rot=nan", "need a finite c_rot > 0, got nan"),
     ("c_rot=inf", "need a finite c_rot > 0, got inf"),
+    ("seed=-1", "need seed >= 0, got -1"),
 ])
 def test_out_of_range_override_exits_2(tmp_path, capsys, item, message):
     cfg = tmp_path / "desk.cfg"

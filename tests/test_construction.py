@@ -14,7 +14,7 @@ from salemlab import (
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    child_digits, frequency_set, patch_structured, rotation_sums, uniform_mean,
+    child_digits, frequency_set, patch_structured, rotation_sums,
 )
 from salemlab.storage import level_to_text
 
@@ -196,22 +196,6 @@ def test_frequency_set_modes(desk_params):
     assert ks.min() >= 0 and ks.max() < desk_params.period(6)
 
 
-def test_uniform_sum_matches_direct():
-    # uniform_mean is U(k)/N; first more ks than one period Q = 256, then
-    # fewer
-    N, period = 16, 4096
-    for ks in (np.arange(0, 2 * period, 17, dtype=np.int64),
-               np.array([0, 1, 256, 4095, 4096, 8192 + 512], dtype=np.int64)):
-        direct = np.exp(
-            -2j * np.pi * np.arange(N)[:, None] * ks[None, :] / period
-        ).sum(axis=0)
-        got = uniform_mean(ks, period, N)
-        assert np.allclose(N * got, direct, atol=1e-9)
-        # exact at the multiples of Q: 1 at those of the period, else 0
-        on_q = ks % (period // N) == 0
-        assert got[on_q].tolist() == np.where(ks[on_q] % period == 0, 1, 0).tolist()
-
-
 def test_block_deviations_fft_matches_direct():
     # every residue reads the per-subset tables of ``_subset_sums``; the
     # half period, shorter than the period, its factored products
@@ -220,9 +204,11 @@ def test_block_deviations_fft_matches_direct():
     for n_ks in (period, period // 2 + 1):
         ks = np.arange(n_ks, dtype=np.int64)
         fft = block_deviations(members, ks, period, N, t)
+        uniform = np.exp(
+            -2j * np.pi * np.arange(N)[:, None] * ks[None, :] / period
+        ).sum(axis=0)
         direct = np.array([
-            exp_sum((x + np.array(members)) % N, ks, period) / t
-            - uniform_mean(ks, period, N)
+            exp_sum((x + np.array(members)) % N, ks, period) / t - uniform / N
             for x in range(N)
         ])
         assert np.abs(fft - direct).max() < 1e-8

@@ -14,6 +14,7 @@ from salemlab import (
 )
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
+from salemlab.construction import deviation_measure
 from salemlab.spectral import exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
@@ -180,6 +181,17 @@ def _half_table_gather(atoms, ks, period):
     return s
 
 
+def _signed_repeated(rng, atoms):
+    """The atoms with their first three repeated, and signed weights."""
+    points = np.append(atoms, atoms[:3])
+    return points, np.append(rng.uniform(-1, 1, len(atoms)), [0.5, -2.0, 1.0])
+
+
+def _direct_weighted(points, weights, ks, period):
+    terms = np.exp(-2j * np.pi * (points[:, None] * ks[None, :] % period) / period)
+    return (weights[:, None] * terms).sum(axis=0)
+
+
 @pytest.mark.parametrize("period", [4096, 6561])
 def test_half_table_mirrors_to_the_direct_sums(period):
     # one class: the half table, bit for bit
@@ -194,6 +206,19 @@ def test_half_table_mirrors_to_the_direct_sums(period):
     # conjugate twins read the same table entry, mirrored
     assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
     assert expsums.gather(atoms, [period - 7], period)[0] == got[period - 7]
+    # unit weights given explicitly change no bit
+    ones = np.ones(len(atoms))
+    assert np.array_equal(expsums.gather(atoms, ks, period, weights=ones), got)
+    assert np.array_equal(exp_sum(atoms, ks, period, weights=ones),
+                          exp_sum(atoms, ks, period))
+    # signed weights on a repeated atom, the table and the direct sum
+    points, weights = _signed_repeated(rng, atoms)
+    want = _direct_weighted(points, weights, ks, period)
+    scale = 1e-11 * np.abs(weights).sum()
+    weighted = expsums.gather(points, ks, period, weights=weights)
+    assert np.abs(weighted - want).max() < scale
+    assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
+    assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
 
 
 @pytest.mark.parametrize("period, block", [(16**4, 2**12), (9**4, 729), (25**3, 3125)],
@@ -219,11 +244,25 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     extra = got[period:]
     assert extra[3] == got[0] and extra[4] == got[7] and extra[5] == got[period - 1]
     assert extra[7] == got[7].conj()
+    # unit weights given explicitly change no bit
+    ones = np.ones(len(atoms))
+    assert np.array_equal(expsums.gather(atoms, ks, period, weights=ones), got)
+    # signed weights on a repeated atom, against the direct sum, with the
+    # same exact twins
+    points, weights = _signed_repeated(rng, atoms)
+    want = _direct_weighted(points, weights, ks, period)
+    scale = 1e-11 * np.abs(weights).sum()
+    weighted = expsums.gather(points, ks, period, weights=weights)
+    assert np.abs(weighted - want).max() < scale
+    assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
+    assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
     # the half classes hold every k up to its twin
     covered = set()
     for kb, sums in expsums.half_classes(period):
         assert len(kb) == B
         assert np.abs(sums(atoms) - got[kb]).max() < 1e-11 * len(atoms)
+        assert np.abs(sums(points, weights=weights) - want[kb]).max() < scale
+        assert np.array_equal(sums(atoms, weights=ones), sums(atoms))
         covered.update(np.minimum(kb, period - kb).tolist())
     assert covered == set(range(period // 2 + 1))
 
@@ -365,17 +404,40 @@ def test_telescope_witness_is_the_direct_one(odd_base):
     ks = _verify_frequencies(params, 4)
     rep = telescope_check(params, lo, hi, ks, ell=4)
     ks = ks[ks != 0]
-
-    def coef(level):
-        period = params.period(level.j)
-        sums = exp_sum(restricted_atoms(params, level, 4), ks, period)
-        return prefactor(ks, period) * sums * 4.0 ** -level.j
-
+    # the signed measure: +1/t on the window's points at level 5, -1/N on
+    # every child of its points at level 4
+    parents = restricted_atoms(params, lo, 4)
+    points = np.concatenate([restricted_atoms(params, hi, 4),
+                             (parents[:, None] * 9 + np.arange(9)).ravel()])
+    weights = np.concatenate([np.full(4 * len(parents), 1 / 4),
+                              np.full(9 * len(parents), -1 / 9)])
+    sums = exp_sum(points, ks, 9**5, weights=weights)
     envelope = np.minimum(1.0, 9**5 / np.abs(ks).astype(np.float64))
     rhs = rep.constant * envelope * 4 ** (-5 / 2) * math.log(8 * 9**5)
-    ratio = np.abs(coef(hi) - coef(lo)) / rhs
+    ratio = np.abs(prefactor(ks, 9**5) * sums * 4.0 ** -4) / rhs
     assert rep.max_ratio == ratio.max()
     assert rep.worst_k == ks[ratio.argmax()]
+
+
+@pytest.mark.parametrize("N0", [4, 3], ids=["even-base", "odd-base"])
+def test_telescope_sum_is_the_coefficient_difference(N0):
+    # prefactor(k, P) t^(-j) s(k), s the deviation measure's sum at period P,
+    # is coef_{j+1}(k) - coef_j(k) for every k in [-4P, 4P], the multiples
+    # of Q and of P among them
+    params = derive_params(N0, 2, 1, j_max=3, seed=7)
+    con = build_construction(params)
+    for lo, hi in zip(con.levels[:-1], con.levels[1:]):
+        j, P = lo.j, params.period(lo.j + 1)
+        ks = np.arange(-4 * P, 4 * P + 1, dtype=np.int64)
+        for ell in range(j + 1):
+            points, weights = deviation_measure(
+                params, restricted_atoms(params, lo, ell),
+                restricted_atoms(params, hi, ell))
+            signed = (prefactor(ks, P) * expsums.gather(points, ks, P, weights=weights)
+                      * float(params.t) ** -j)
+            coef_lo = f_mu_hat(params, lo, ell, ks)
+            diff = f_mu_hat(params, hi, ell, ks) - coef_lo
+            assert np.abs(signed - diff).max() <= 1e-12 * np.abs(coef_lo).max()
 
 
 def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
