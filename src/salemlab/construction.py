@@ -10,11 +10,12 @@ thresholds with retry on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import expsums
-from .expsums import _subset_sums, _unit, half_classes
+from .expsums import _sample_blocks, _subset_sums, _unit, half_classes
 from .params import ConstructionParams, make_progression
 
 # Longest period checked over every residue, and draws per base block or
@@ -140,7 +141,8 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
     ks, mode = frequency_set(params, period, rng)
 
     def deviation(members):
-        blocks = [ks] if ks is not None else (kb for kb, _ in half_classes(period))
+        blocks = (_sample_blocks(ks, period) if ks is not None
+                  else (kb for kb, _ in half_classes(period)))
         return max(np.abs(block_deviations(members, kb, period, N, t)).max()
                    for kb in blocks)
 
@@ -244,29 +246,27 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
     s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) reads
     one table of the measure per ell and class of ``expsums.half_classes``.
-    A sample is one block: with C_{ell,d} the parents of digit d, s_ell(k)
-    is sum_{d<N} e(dk/P) (S_Q(C_{ell,d})(k)/t - S_Q(A_ell)(k)/N), by
-    Horner's rule over one ``_subset_sums`` call at period Q.
+    A sample is read in the blocks of ``expsums._sample_blocks`` at period Q:
+    with C_{ell,d} the parents of digit d, s_ell(k) is
+    sum_{d<N} e(dk/P) (S_Q(C_{ell,d})(k)/t - S_Q(A_ell)(k)/N), by Horner's
+    rule over one ``_subset_sums`` call per block and ell.
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
     masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
     parents = [level.atoms[mask] for mask in masks]
     if ks is not None:
-        w = _unit(ks % period, period)
+        blocks = [(kb, _unit(kb % period, period)) for kb in _sample_blocks(ks, q)]
 
-    def sampled(digits):
+    def sampled(digits, kb, w):
         for atoms, mask in zip(parents, masks):
             # row d: the parents of digit d
             sets = np.zeros((N, len(atoms)), dtype=bool)
             sets[digits[mask], np.arange(len(atoms))[:, None]] = True
-            parts = _subset_deviations(atoms, sets, ks, q, N, t)
-            # Horner's rule in w over the digits d = N-1, ..., 0
-            s = parts[N - 1]
-            for d in range(N - 2, -1, -1):
-                s *= w
-                s += parts[d]
-            yield s
+            # Horner's rule in w over the rows d = N-1, ..., 0, which are
+            # freed before the next ell's are built
+            yield reduce(lambda s, row: s * w + row,
+                         _subset_deviations(atoms, sets, kb, q, N, t)[::-1])
 
     def in_class(digits, table):
         for atoms, mask in zip(parents, masks):
@@ -276,7 +276,7 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
 
     def sums(digits):
         if ks is not None:
-            return [(ks, sampled(digits))]
+            return ((kb, sampled(digits, kb, w)) for kb, w in blocks)
         return ((kb, in_class(digits, table)) for kb, table in half_classes(period))
     return sums
 

@@ -7,8 +7,8 @@ classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``), each one
 length-B FFT (``class_sums``; one class is the real-input half table). As
 S(P - k) = conj S(k), the classes c <= M/2 decide every k
 (``half_classes``); an array of k reads them one at a time (``gather``).
-Subsets of one atom list sampled at more frequencies than a table is long
-take one factored evaluator (``_subset_sums``).
+Subsets of one atom list at the same frequencies take one evaluator
+(``_subset_sums``), a sample of them in blocks (``_sample_blocks``).
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class SpectralError(RuntimeError):
 FFT_BUDGET = 2**26
 
 # Entries of one atom-by-frequency array in ``exp_sum`` and ``_subset_sums``
-# (16 MB). At 2^22, the j = 5 check of N = 16, j_max = 6 raised the
-# construct peak RSS from 157 MB (set by j = 4) to 208 MB.
-_CHUNK = 2**20
+# (1 MB of complex128).
+_CHUNK = 2**16
 
 # Most frequencies per residue class (1 MB of complex128); read at call time.
 BLOCK = 2**16
@@ -141,12 +140,13 @@ def _subset_sums(atoms, sets, ks, period):
     c_eta=1, c_rot=0.25, seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096,
     the route below took 18 s and the tables 2.7 s, on one BLAS thread).
     Otherwise every term is a product of per-atom factors
-    e(x) = exp(-2 pi i x) of exact residues. On the leading run k < K0 of
-    ks, k = hB + l with B about sqrt(K0), so each subset costs one matrix
-    product of e(a hB / period) and e(a l / period). Every other k has three
-    base-C digits, C^3 >= period, and the subsets share the products of
-    their factors e(a d C^i / period). No atom-by-frequency array exceeds
-    ``_CHUNK`` entries.
+    e(x) = exp(-2 pi i x) of exact residues. On the leading run
+    k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), each subset costs one
+    matrix product of e(a (k0 + hB) / period) and e(a l / period). Every
+    other k has three base-C digits, C^3 >= period, and the subsets share the
+    products of their factors e(a d C^i / period). The factors of one slice
+    of atoms hold at most ``_CHUNK`` entries together, and so do a product
+    over one block of the other k and the factor gathered into it.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if period <= len(ks):
@@ -155,9 +155,10 @@ def _subset_sums(atoms, sets, ks, period):
             row[:] = gather(atoms[s], ks, period)
         return out
     residues = np.asarray(atoms, dtype=np.int64) % period
-    run = int(np.argmin(np.append(ks == np.arange(len(ks)), False)))
+    run = int(np.argmin(np.append(ks - np.arange(len(ks)) == ks[:1], False)))
     B = math.isqrt(max(run - 1, 0)) + 1
     H = -(-run // B)
+    starts = (ks[:1] % period + np.arange(H) * B) % period
     rest = ks[run:] % period
     C = round(period ** (1 / 3))
     C += C**3 < period
@@ -167,20 +168,28 @@ def _subset_sums(atoms, sets, ks, period):
     step = max(1, _CHUNK // n_factors)
     for lo in range(0, len(residues), step):
         r, chosen = residues[lo : lo + step], sets[:, lo : lo + step]
-        high = _unit(_mulmod(np.arange(H)[:, None] * B, r[None, :], period), period)
+        high = _unit(_mulmod(starts[:, None], r[None, :], period), period)
         low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
         for row, s in zip(out, chosen):
             row[:run] += (high[:, s] @ low[s]).ravel()[:run]
         factors = [(_unit(_mulmod(u[:, None], r[None, :], period), period), inv)
                    for u, inv in digits]
         weights = chosen.T.astype(np.complex128)
-        cols = max(1, _CHUNK // len(r))
+        cols = max(1, _CHUNK // (2 * len(r)))
         for c in range(0, len(rest), cols):
             g = np.ones((min(cols, len(rest) - c), len(r)), dtype=np.complex128)
             for f, inv in factors:
                 g *= f[inv[c : c + cols]]
             out[:, run + c : run + c + len(g)] += (g @ weights).T
     return out
+
+
+def _sample_blocks(ks, period):
+    """ks in consecutive blocks for ``_subset_sums`` at ``period``, its route
+    decided on all of ks: one block when it takes the tables (period <= |ks|),
+    which each block would rebuild, else blocks of BLOCK // 4 frequencies."""
+    n = len(ks) if period <= len(ks) else BLOCK // 4
+    return [ks[lo : lo + n] for lo in range(0, len(ks), n)]
 
 
 def _unit(residues, period):

@@ -13,7 +13,7 @@ from salemlab import (
     verify_construction,
 )
 from salemlab.construction import (
-    LevelSet, _fix_cardinality, block_deviations, build_base_block,
+    Construction, LevelSet, _fix_cardinality, block_deviations, build_base_block,
     child_digits, frequency_set, patch_structured, rotation_sums,
 )
 from salemlab.storage import level_to_text
@@ -260,7 +260,8 @@ def _per_atom_sums(params, level, digits, ks):
 
 
 # `ends` keeps only the first and last sampled frequencies, so that Q
-# exceeds |ks| and the subset sums take the factored route; `block` lowers
+# exceeds |ks| and the subset sums take the factored route (with 40000 first
+# ones, in blocks that start inside the leading run k < 2^16); `block` lowers
 # ``expsums.BLOCK`` below the period, so that the exhaustive check reads
 # M = 16 (even, with the self-mirrored class M/2) or M = 9 residue classes
 ROTATION_SUM_CASES = [
@@ -270,6 +271,7 @@ ROTATION_SUM_CASES = [
     (3, 4, 2**10, "sampled", None, None),      # P = 9^5: the sample covers the period
     (4, 4, 2**16, "sampled", (4096, 512), None),
     (3, 4, 2**10, "sampled", (4096, 512), None),
+    (4, 4, 2**16, "sampled", (40000, 512), None),   # factored, in three blocks
     (4, 2, 2**20, "exhaustive", None, 2**8),
     (3, 3, 2**20, "exhaustive", None, 729),
 ]
@@ -277,7 +279,8 @@ ROTATION_SUM_CASES = [
 
 @pytest.mark.parametrize(
     "N0, j, budget, mode, ends, block", ROTATION_SUM_CASES,
-    ids=["-".join(map(str, case[:4])) + ("-ends" if case[4] else "")
+    ids=["-".join(map(str, case[:4]))
+         + ("-ends" + ("" if case[4][0] == 4096 else str(case[4][0])) if case[4] else "")
          + (f"-block{case[5]}" if case[5] else "")
          for case in ROTATION_SUM_CASES])
 def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
@@ -299,8 +302,9 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
     digits = child_digits(params, level, members, xs)
     checked = ks if ks is not None else np.arange(P // 2 + 1)
     sums = rotation_sums(params, level, ks)
-    covered = set()
+    covered, blocks = set(), []
     for kb, block_sums in sums(digits):
+        blocks.append(kb)
         got = list(block_sums)
         want = _per_atom_sums(params, level, digits, kb)
         assert len(got) == j + 1
@@ -308,9 +312,18 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
             size = params.t * int(structured_mask(params, level, ell).sum())
             assert np.abs(g - w).max() < 1e-9 * size
         covered.update((kb if ks is not None else np.minimum(kb, P - kb)).tolist())
-    # a sample is one block; the classes decide every residue mod P, each k
-    # through itself or its twin P - k
+    # the classes decide every residue mod P, each k through itself or its
+    # twin P - k
     assert covered == set(checked.tolist())
+    if ks is not None:
+        # the blocks partition the sample in order; the period-Q tables,
+        # built once, take it whole, and the factored route in blocks of at
+        # most BLOCK // 4
+        assert np.array_equal(np.concatenate(blocks), ks)
+        if params.N**j <= len(ks):
+            assert len(blocks) == 1
+        else:
+            assert max(len(kb) for kb in blocks) <= expsums.BLOCK // 4
     if block:
         assert len(kb) == block < P
 
@@ -440,17 +453,22 @@ def test_half_period_check_matches_a_full_period_scan(N0, j_max):
                 peak, rel=1e-12)
 
 
-def _peak_array_bytes(run, monkeypatch, block):
-    """tracemalloc's peak during ``run()`` with ``expsums.BLOCK = block``, run
-    once before, so that lazy imports and FFT plans are not counted."""
-    monkeypatch.setattr(expsums, "BLOCK", block)
-    run()
+def _peak_bytes(run):
+    """tracemalloc's peak during ``run()``."""
     tracemalloc.start()
     try:
         run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_array_bytes(run, monkeypatch, block):
+    """``_peak_bytes(run)`` with ``expsums.BLOCK = block``, run once before,
+    so that lazy imports and FFT plans are not counted."""
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    run()
+    return _peak_bytes(run)
 
 
 def test_rotation_check_holds_no_half_period_array(desk_params, desk, monkeypatch):
@@ -479,6 +497,34 @@ def test_base_block_check_holds_no_half_period_array(monkeypatch):
     assert blocks[0] == blocks[1]
     assert blocks[0].mode == "exhaustive" and blocks[0].verified_k_count == 16 * P
     assert peak < 16 * P // 2
+
+
+def test_sampled_checks_stream_their_frequency_blocks():
+    # N = 25: both checks of level 5 are sampled (P = 25^5 exceeds
+    # EXHAUSTIVE_BUDGET) and take the factored route (Q = 25^4 exceeds |ks|);
+    # with rows over the whole sample, the last build_level peaked at
+    # 78.9 MiB and the base block below at 41.8 MiB
+    params = derive_params(5, 2, 1, j_max=5, seed=7)
+    rng = np.random.default_rng(params.seed)
+    con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
+    for _ in range(4):
+        construction.build_level(params, con, rng)
+    peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
+    assert con.audit[-1]["rotation_mode"] == "sampled"
+    assert params.N**4 > con.audit[-1]["rotation_verified_k"]
+    assert peak < 20 * 2**20
+    # as written before the sample was streamed
+    assert _level_sha256(params, con)[5] == (
+        "cc9c18db0e1117f9c2245ac9245ad00799813ed500ac4f2c8a0a6e5c6111de9a")
+    # eta_4 < 2 at c_eta = 0.5: the base block is checked on the sample too
+    params = derive_params(5, 2, 1, j_max=5, seed=7, c_eta=0.5)
+    blocks = []
+    peak = _peak_bytes(
+        lambda: blocks.append(build_base_block(params, 4, np.random.default_rng(7))))
+    base = blocks[0]
+    assert base.mode == "sampled" and base.members == [0, 1, 5, 11]
+    assert base.margin == pytest.approx(0.7440385723108581, rel=1e-12)
+    assert peak < 20 * 2**20
 
 
 def test_rotation_retries_exhausted_names_the_witness():

@@ -79,10 +79,12 @@ def test_subset_sums_match_exp_sum_per_subset(data):
         st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)),
         min_size=n_sets, max_size=n_sets)), dtype=bool)
     run = data.draw(st.sampled_from([0, 1, 2, 50, 300]))
+    # the leading run may start anywhere, and wrap past a multiple of the period
+    k0 = data.draw(st.sampled_from([0, 1, 4097, period - 3, 5 * period + 2]))
     rest = data.draw(st.lists(st.integers(1, 10 * period), max_size=40))
     if run == 0 and not rest:
         rest = [period + 1]
-    ks = np.concatenate([np.arange(run), rest]).astype(np.int64)   # run, rest or both
+    ks = np.concatenate([k0 + np.arange(run), rest]).astype(np.int64)   # run, rest or both
     # a small chunk splits the atoms and the other frequencies into pieces
     chunk = data.draw(st.sampled_from([expsums._CHUNK, 64]))
     with mock.patch.object(expsums, "_CHUNK", chunk):
