@@ -50,7 +50,7 @@ _TABLES_KEPT = 64
 
 
 # Widest count array of ``_sum_counts``, r (max Y - min Y) + 1 entries, read
-# at call time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 entries, 384 MB).
+# at call time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 int32, 192 MB).
 WIDTH_BUDGET = 2**26
 
 
@@ -80,10 +80,11 @@ def _table(key: bytes, r: int) -> EnergyTable:
 def _sum_counts(Y, r: int) -> np.ndarray:
     """g[i] = the number of r-tuples over Y summing to r * min(Y) + i.
 
-    g_s = g_{s-1} (+) 1_Y is built by one int64 shift-add per element of Y,
-    so every count is an integer add; the counts sum to |Y|^r < 2^63. Any
-    |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y, one
-    atom included, before the power is formed or the r - 1 steps are run.
+    g_s = g_{s-1} (+) 1_Y is built by one integer shift-add per element of Y.
+    An r-tuple's last element is fixed by its sum, so g is int32 when
+    |Y|^(r-1) < 2^31 and int64 otherwise; the counts sum to |Y|^r < 2^63.
+    Any |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y,
+    one atom included, before the power is formed or a step is run.
     """
     Y = np.unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
@@ -98,16 +99,16 @@ def _sum_counts(Y, r: int) -> np.ndarray:
     if r * top + 1 > WIDTH_BUDGET:
         raise EnergyError(f"order-{r} sum counts of width {r * top + 1} "
                           f"exceed the width budget {WIDTH_BUDGET}")
-    g = np.zeros(top + 1, dtype=np.int64)
+    g = np.zeros(top + 1, dtype=np.int32 if len(Y) ** (r - 1) < 2**31 else np.int64)
     g[Y0] = 1
     for _ in range(r - 1):
-        new = np.zeros(len(g) + top, dtype=np.int64)
-        supp = np.flatnonzero(g)
-        if len(supp) >= _DENSE_SHARE * len(g):
+        new = np.zeros(len(g) + top, dtype=g.dtype)
+        if np.count_nonzero(g) >= _DENSE_SHARE * len(g):
             for y in Y0:
                 new[y : y + len(g)] += g
         else:
             # the indices supp + y are distinct, so the buffered add is exact
+            supp = np.flatnonzero(g)
             vals = g[supp]
             for y in Y0:
                 new[supp + y] += vals
@@ -116,10 +117,10 @@ def _sum_counts(Y, r: int) -> np.ndarray:
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """sum a * b of nonnegative int64 counts as an exact int: one int64 dot
-    when max(a) * sum(b) bounds it below 2^63, Python ints otherwise."""
-    if int(a.max()) * int(b.sum()) < 2**63:
-        return int(np.dot(a, b))
+    """sum a * b of nonnegative counts as an exact int: an einsum adding in int64
+    (np.dot wraps on int32; astype copies) when max(a) * sum(b) < 2^63, else ints."""
+    if int(a.max()) * int(b.sum(dtype=np.int64)) < 2**63:
+        return int(np.einsum("i,i->", a, b, dtype=np.int64))
     nz = np.flatnonzero(a)
     return sum(map(operator.mul, a[nz].tolist(), b[nz].tolist()))
 

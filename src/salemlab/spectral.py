@@ -8,6 +8,7 @@ direct sum, and the worst slack reported.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 from .construction import LevelSet, deviation_measure, structured_mask
 from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
 from .params import ConstructionParams
+from .storage import atomic_write_text
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +69,10 @@ class Spectrum:
     coefficients: np.ndarray
 
     def to_csv(self, path):
-        from .storage import atomic_write_text
-
-        lines = ["k,re,im,abs"]
-        for k, c in zip(self.ks, self.coefficients):
-            lines.append(
-                f"{int(k)},{float(c.real)!r},{float(c.imag)!r},{float(abs(c))!r}"
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        """Stream k,re,im,abs rows; abs(c) per value, as np.abs can differ."""
+        rows = (f"{k},{c.real!r},{c.imag!r},{abs(c)!r}\n"
+                for k, c in zip(self.ks.tolist(), self.coefficients.tolist()))
+        atomic_write_text(path, itertools.chain(["k,re,im,abs\n"], rows))
 
 
 def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,

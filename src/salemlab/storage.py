@@ -28,12 +28,13 @@ class StorageError(ValueError):
     """Missing, corrupt, or inconsistent persisted data."""
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text) -> None:
+    """Write a string, or the strings of an iterable in turn, all or nothing."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -70,6 +71,44 @@ def test_energy_beyond_int64_is_exact():
     g = loop_counts(Y, 3)
     assert table.M == _python_dot(g, g) > 2**63
     assert table.correlation[2] == _python_dot(g[:-2], g[2:]) > 2**63
+
+
+@pytest.mark.parametrize("size, dtype", [(1290, np.int32), (1291, np.int64)])
+def test_counts_narrow_to_int32_below_the_entry_bound(size, dtype):
+    # an entry of g_4 is at most |Y|^3: 1290^3 < 2^31 <= 1291^3
+    g = energy._sum_counts(range(size), 4)
+    assert g.dtype == dtype
+    assert np.array_equal(g, loop_counts(range(size), 4))
+
+
+@given(Y=st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True),
+       r=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_counts_stay_below_the_entry_bound(Y, r):
+    assert energy._sum_counts(Y, r).max() <= len(Y) ** (r - 1)
+
+
+def test_exact_dot_adds_int32_counts_without_wrapping():
+    rng = np.random.default_rng(5)
+    a, b = (rng.integers(2**20 - 64, 2**20, 2**12).astype(np.int32)
+            for _ in range(2))
+    want = _python_dot(a, b)
+    assert want > 2**51 and int(np.dot(a, b)) != want   # int32 products wrap
+    assert energy._exact_dot(a, b) == want
+
+
+def test_largest_desk_table_holds_narrow_counts(desk_params, desk):
+    # g_2 (2^21 entries) and g_3 (3 * 2^20) are live at once; in int64 they
+    # and the old support index peaked at 44.2 MiB
+    Y = restricted_atoms(desk_params, desk.levels[5], 0)
+    energy._table.cache_clear()
+    tracemalloc.start()
+    try:
+        sum_distribution(Y, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 # (j, ell, r, M, support_size, correlations) of every desk seed-7 table, and

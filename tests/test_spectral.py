@@ -350,6 +350,23 @@ def test_spectrum_csv(tmp_path, desk_params, desk):
     assert (k, float(re), float(im), float(mag)) == ("0", 1.0, 0.0, 1.0)
 
 
+def test_spectrum_csv_streams_the_per_row_format(tmp_path, desk_params, desk):
+    spec = compute_spectrum(desk_params, desk.levels[4],
+                            np.arange(2**16, dtype=np.int64))
+    out = tmp_path / "spec.csv"
+    tracemalloc.start()
+    try:
+        spec.to_csv(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20     # the joined rows and their copy took 16.6 MiB
+    want = "k,re,im,abs\n" + "".join(
+        f"{int(k)},{float(c.real)!r},{float(c.imag)!r},{float(abs(c))!r}\n"
+        for k, c in zip(spec.ks, spec.coefficients))
+    assert out.read_bytes() == want.encode()
+
+
 def test_telescope_bounds_hold(desk_params, desk):
     ks = np.arange(1, 2**14, dtype=np.int64)
     for j in range(1, 5):

@@ -8,8 +8,8 @@ from salemlab import (
     StorageError, load_construction, structured_atoms, write_construction,
 )
 from salemlab.storage import (
-    level_filename, level_to_text, parse_level_text, read_level,
-    write_manifest,
+    atomic_write_text, level_filename, level_to_text, parse_level_text,
+    read_level, write_manifest,
 )
 
 
@@ -45,6 +45,21 @@ def test_writes_are_byte_stable(tmp_path, desk_params, desk):
     for j in range(desk_params.j_max + 1):
         name = level_filename(j)
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_streamed_write_that_fails_leaves_the_old_file(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("old\n")
+
+    def rows():
+        for i in range(10):
+            yield f"{i}\n"
+        raise RuntimeError("row 10")
+
+    with pytest.raises(RuntimeError, match="row 10"):
+        atomic_write_text(path, rows())
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.glob("spec.csv.*")) == []
 
 
 def test_corrupt_atom_line_names_the_line(written):
