@@ -36,27 +36,27 @@ class EnergyTable:
     support_size: int
 
 
-# Share of the width of g_{s-1} that its support must cover for the step to
-# add g whole at each shift; below it the step adds only the support. Summed
-# over the verify tables of the desk and N = 9 configs at j_max = 5 (2-vCPU
-# Xeon guest, numpy 2.4.6), 1/8 and 1/4 were fastest (1.6-1.8 s and 0.16-0.21
-# s); 1/16 took desk to 4.0-4.7 s, and 1/2 took N = 9 to 0.44 s.
-_DENSE_SHARE = 1 / 8
-
 # Tables kept by the memo of ``sum_distribution``. verify builds one per
 # window and order, and its interpolation chain rereads the 2(j_max + 1)
 # top-level ones; j_max + 1 <= 19 for every accepted base, so 64 keeps them.
 _TABLES_KEPT = 64
 
 
-# Widest count array of ``_sum_counts``, r (max Y - min Y) + 1 entries, read
-# at call time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 int32, 192 MB).
+# Widest table of ``_sum_counts``, r (max Y - min Y) + 1 sums, read at call
+# time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 sums). Memory follows the
+# length the runs cover: 1.02 M counts in desk's widest (3 * 2^20 sums).
 WIDTH_BUDGET = 2**26
 
 
 # Refused orders r >= MAX_ORDER: any |Y| >= 2 has |Y|^r >= 2^63 there, and
 # the B-spline values of ``bspline_integers`` cost O(r^2) rational terms.
 MAX_ORDER = 63
+
+
+# Zero gap beyond which a table is split into runs; at least MAX_ORDER, so no
+# correlation with |d| < r straddles two runs. All desk tables (2-vCPU Xeon
+# guest, numpy 2.4.6) took 0.16-0.20 s at 4096 or 16384, 0.25-0.32 s at 1024.
+_RUN_GAP = 4096
 
 
 def sum_distribution(Y, r: int) -> EnergyTable:
@@ -68,19 +68,24 @@ def sum_distribution(Y, r: int) -> EnergyTable:
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
 def _table(key: bytes, r: int) -> EnergyTable:
-    g = _sum_counts(np.frombuffer(key, dtype=np.int64), r)
-    M = _exact_dot(g, g)
+    runs = [g for _, g in _sum_counts(np.frombuffer(key, dtype=np.int64), r)]
+    M = sum(_exact_dot(g, g) for g in runs)
     corr = {0: M}
     for d in range(1, r):
-        corr[d] = corr[-d] = _exact_dot(g[:-d], g[d:]) if d < len(g) else 0
+        corr[d] = corr[-d] = sum(_exact_dot(g[:-d], g[d:]) for g in runs if d < len(g))
     return EnergyTable(r=r, M=M, correlation=MappingProxyType(corr),
-                       support_size=int(np.count_nonzero(g)))
+                       support_size=sum(int(np.count_nonzero(g)) for g in runs))
 
 
-def _sum_counts(Y, r: int) -> np.ndarray:
-    """g[i] = the number of r-tuples over Y summing to r * min(Y) + i.
+def _sum_counts(Y, r: int) -> list:
+    """The r-fold sum counts over Y as sorted runs (start, g): g[i] r-tuples
+    sum to r * min(Y) + start + i, and none sums between runs. A run starts
+    and ends on a nonzero count, and runs lie more than _RUN_GAP zeros apart.
 
-    g_s = g_{s-1} (+) 1_Y is built by one integer shift-add per element of Y.
+    g_s = g_{s-1} (+) 1_Y adds each run of g_{s-1}, shifted by each y in Y,
+    into the run of g_s that holds it, one contiguous add each. The runs of
+    g_{s-1} and of 1_Y summed pairwise cover g_s, and such a sum holds no
+    zero gap over _RUN_GAP, so joining them across shorter gaps needs no split.
     An r-tuple's last element is fixed by its sum, so g is int32 when
     |Y|^(r-1) < 2^31 and int64 otherwise; the counts sum to |Y|^r < 2^63.
     Any |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y,
@@ -99,21 +104,29 @@ def _sum_counts(Y, r: int) -> np.ndarray:
     if r * top + 1 > WIDTH_BUDGET:
         raise EnergyError(f"order-{r} sum counts of width {r * top + 1} "
                           f"exceed the width budget {WIDTH_BUDGET}")
-    g = np.zeros(top + 1, dtype=np.int32 if len(Y) ** (r - 1) < 2**31 else np.int64)
-    g[Y0] = 1
-    for _ in range(r - 1):
-        new = np.zeros(len(g) + top, dtype=g.dtype)
-        if np.count_nonzero(g) >= _DENSE_SHARE * len(g):
-            for y in Y0:
-                new[y : y + len(g)] += g
-        else:
-            # the indices supp + y are distinct, so the buffered add is exact
-            supp = np.flatnonzero(g)
-            vals = g[supp]
-            for y in Y0:
-                new[supp + y] += vals
-        g = new
-    return g
+    y_lo, y_hi = _cover(Y0, Y0 + 1)
+    runs = [(0, np.ones(1, dtype=np.int32 if len(Y) ** (r - 1) < 2**31 else np.int64))]
+    for _ in range(r):     # from g_0, the one empty sum
+        lo, hi = np.array([(a, a + len(g)) for a, g in runs]).T
+        out_lo = out_hi = lo[:0]
+        for b, e in zip(y_lo, y_hi):   # one run of 1_Y at a time bounds the pairs held
+            out_lo, out_hi = _cover(np.r_[out_lo, lo + b], np.r_[out_hi, hi + e - 1])
+        out = [np.zeros(e - b, dtype=runs[0][1].dtype) for b, e in zip(out_lo, out_hi)]
+        for a, g in runs:
+            into = np.searchsorted(out_lo, a + Y0, side="right") - 1
+            for k, off in zip(into.tolist(), (a + Y0 - out_lo[into]).tolist()):
+                out[k][off : off + len(g)] += g
+        runs = list(zip(out_lo.tolist(), out))
+    return runs
+
+
+def _cover(lo: np.ndarray, hi: np.ndarray):
+    """Sorted runs [start, end) covering the intervals [lo, hi), joined
+    across gaps of at most _RUN_GAP."""
+    order = np.argsort(lo, kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    cut = np.flatnonzero(lo[1:] - reach[:-1] > _RUN_GAP)
+    return lo[np.r_[0, cut + 1]], reach[np.r_[cut, len(lo) - 1]]
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:

@@ -304,14 +304,16 @@ def ball_condition_report(params: ConstructionParams, level: LevelSet) -> dict:
     sup_window = 0.0
     two_alpha = 2.0**params.alpha
     for m in range(j + 1):
-        prefixes = level.atoms // N ** (j - m)
-        counts = np.bincount(prefixes, minlength=N**m)
+        cells, counts = np.unique(level.atoms // N ** (j - m), return_counts=True)
         # N-adic ratio: (count * t^{-j}) / N^{-m alpha} = count * t^{m-j}
         top = int(counts.max())
         ratio = Fraction(top * t**m, t**j)
         sup_adic = max(sup_adic, ratio)
-        window_counts = counts[:-1] + counts[1:] if m >= 1 else counts
-        wtop = int(window_counts.max()) if len(window_counts) else top
+        # a window [u, u + 2) as full as any starts at an occupied cell u; at
+        # u = N^m - 1, past the last window, the count is at most the window
+        # at u - 1's, and at m = 0 the one cell is the window
+        windows = counts + np.append(np.where(np.diff(cells) == 1, counts[1:], 0), 0)
+        wtop = int(windows.max())
         wratio = float(Fraction(wtop * t**m, t**j)) / two_alpha
         sup_window = max(sup_window, wratio)
         per_scale.append({"m": m, "adic_ratio": float(ratio),

@@ -2,6 +2,7 @@
 against; nothing in salemlab calls them."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -47,3 +48,24 @@ def f_mu_hat_real(params, level, ell: int, xi):
         ).sum(axis=0)
     out *= np.exp(-1j * np.pi * z) * np.sinc(z) * float(params.t) ** (-level.j)
     return out[0] if np.ndim(xi) == 0 else out
+
+
+def dense_ball_scan(params, level) -> dict:
+    """The ball-condition report from a count of every N-adic cell at each
+    scale m (N^m entries) and of every width-2 window of adjacent cells."""
+    j, N, t = level.j, params.N, params.t
+    per_scale, sup_adic, sup_window = [], Fraction(0), 0.0
+    for m in range(j + 1):
+        counts = np.bincount(level.atoms // N ** (j - m), minlength=N**m)
+        top = int(counts.max())
+        ratio = Fraction(top * t**m, t**j)
+        sup_adic = max(sup_adic, ratio)
+        window_counts = counts[:-1] + counts[1:] if m >= 1 else counts
+        wtop = int(window_counts.max()) if len(window_counts) else top
+        wratio = float(Fraction(wtop * t**m, t**j)) / 2.0**params.alpha
+        sup_window = max(sup_window, wratio)
+        per_scale.append({"m": m, "adic_ratio": float(ratio),
+                          "window_ratio": wratio})
+    return {"j": j, "sup_adic_ratio": float(sup_adic),
+            "sup_adic_exact_one": sup_adic == 1,
+            "sup_window_ratio": sup_window, "per_scale": per_scale}

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -34,34 +33,77 @@ def test_energy_translation_invariant(Y, r, shift):
     b = sum_distribution([y + shift for y in Y], r)
     assert a.M == b.M
     assert a.correlation == b.correlation
-    assert np.array_equal(energy._sum_counts(Y, r),
-                          energy._sum_counts([y + shift for y in Y], r))
+    assert np.array_equal(_dense(Y, r), _dense([y + shift for y in Y], r))
 
 
 def _python_dot(a, b) -> int:
     return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
 
 
-@pytest.mark.parametrize("share", [0.0, math.inf], ids=["dense", "sparse"])
+def _dense(Y, r) -> np.ndarray:
+    """The runs of ``_sum_counts`` written into one array of the table's width."""
+    runs = energy._sum_counts(Y, r)
+    g = np.zeros(runs[-1][0] + len(runs[-1][1]), dtype=runs[0][1].dtype)
+    for start, counts in runs:
+        g[start : start + len(counts)] = counts
+    return g
+
+
+def _check_runs(runs):
+    # runs are sorted, start and end on nonzero counts, and lie more than the
+    # gap apart
+    for (a, g), (b, _) in zip(runs, runs[1:]):
+        assert b - (a + len(g)) > energy._RUN_GAP
+    assert all(g[0] and g[-1] for _, g in runs)
+
+
+@pytest.mark.parametrize("gap", [energy.MAX_ORDER, 2**40], ids=["smallest-gap", "one-run"])
 @given(Y=st.lists(st.integers(0, 3000), min_size=1, max_size=40, unique=True),
        r=st.integers(1, 3), shift=st.integers(-10**6, 10**6))
 @settings(max_examples=60, deadline=None)
-def test_both_forms_equal_the_loop(share, Y, r, shift):
-    """Each step forced to the contiguous add (share 0) or to the support add
-    (share inf) gives the loop's counts, and the table their exact energies.
-    The uncached chain is called, since a table may predate the patch."""
+def test_run_forms_equal_the_loop(gap, Y, r, shift):
+    """Runs split at the smallest gap allowed, or one run over the whole
+    width (the whole-array add), give the loop's counts and the table their
+    exact energies. The uncached chain is called, since a table may predate
+    the patch."""
     Y = [y + shift for y in Y]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(energy, "_DENSE_SHARE", share)
-        counts = energy._sum_counts(Y, r)
     g = loop_counts(Y, r)
-    assert np.array_equal(counts, g)
-    table = sum_distribution(Y, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_RUN_GAP", gap)
+        runs = energy._sum_counts(Y, r)
+        _check_runs(runs)
+        assert np.array_equal(_dense(Y, r), g)
+        table = energy._table.__wrapped__(np.unique(Y).tobytes(), r)
+    if gap >= len(g):
+        assert len(runs) == 1
     assert table.M == _python_dot(g, g)
     assert table.support_size == np.count_nonzero(g)
     for d in range(1, r):
         want = _python_dot(g[:-d], g[d:])
         assert table.correlation[d] == table.correlation[-d] == want
+
+
+@pytest.mark.parametrize("gap", [energy.MAX_ORDER, energy._RUN_GAP])
+@pytest.mark.parametrize("zeros, n_runs", [(0, 4), (1, 5)])
+def test_runs_split_one_zero_past_the_gap(gap, zeros, n_runs):
+    # the 4-fold sums of {0, 1, s} start with the clusters 0..4 and s..s+3,
+    # _RUN_GAP + zeros zeros apart; the later clusters lie further apart
+    Y = [0, 1, gap + zeros + 5]
+    g = loop_counts(Y, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "_RUN_GAP", gap)
+        runs = energy._sum_counts(Y, 4)
+        _check_runs(runs)
+        table = energy._table.__wrapped__(np.unique(Y).tobytes(), 4)
+    assert len(runs) == n_runs
+    assert table.support_size == np.count_nonzero(g) == 15
+    for d in range(4):
+        assert table.correlation[d] == _python_dot(g[: len(g) - d], g[d:])
+
+
+def test_run_gap_covers_every_correlation():
+    # a correlation with |d| < r < MAX_ORDER never spans a gap of _RUN_GAP
+    assert energy._RUN_GAP >= energy.MAX_ORDER
 
 
 def test_energy_beyond_int64_is_exact():
@@ -76,7 +118,7 @@ def test_energy_beyond_int64_is_exact():
 @pytest.mark.parametrize("size, dtype", [(1290, np.int32), (1291, np.int64)])
 def test_counts_narrow_to_int32_below_the_entry_bound(size, dtype):
     # an entry of g_4 is at most |Y|^3: 1290^3 < 2^31 <= 1291^3
-    g = energy._sum_counts(range(size), 4)
+    g = _dense(range(size), 4)
     assert g.dtype == dtype
     assert np.array_equal(g, loop_counts(range(size), 4))
 
@@ -85,7 +127,7 @@ def test_counts_narrow_to_int32_below_the_entry_bound(size, dtype):
        r=st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_counts_stay_below_the_entry_bound(Y, r):
-    assert energy._sum_counts(Y, r).max() <= len(Y) ** (r - 1)
+    assert _dense(Y, r).max() <= len(Y) ** (r - 1)
 
 
 def test_exact_dot_adds_int32_counts_without_wrapping():
@@ -98,8 +140,8 @@ def test_exact_dot_adds_int32_counts_without_wrapping():
 
 
 def test_largest_desk_table_holds_narrow_counts(desk_params, desk):
-    # g_2 (2^21 entries) and g_3 (3 * 2^20) are live at once; in int64 they
-    # and the old support index peaked at 44.2 MiB
+    # g_2 and g_3 are live at once: runs of 348,043 and 1,016,910 int32
+    # counts (5.3 MiB peak), against 2^21 and 3 * 2^20 over the whole width
     Y = restricted_atoms(desk_params, desk.levels[5], 0)
     energy._table.cache_clear()
     tracemalloc.start()
@@ -108,7 +150,7 @@ def test_largest_desk_table_holds_narrow_counts(desk_params, desk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * 2**20
+    assert peak < 8 * 2**20
 
 
 # (j, ell, r, M, support_size, correlations) of every desk seed-7 table, and
@@ -138,7 +180,7 @@ def test_energy_integers_are_pinned(desk_params, desk):
 
 def test_sum_distribution_basics():
     # 2-fold sums of {0,1}: 0 once, 1 twice, 2 once
-    assert energy._sum_counts([0, 1], 2).tolist() == [1, 2, 1]
+    assert _dense([0, 1], 2).tolist() == [1, 2, 1]
     table = sum_distribution([0, 1], 2)
     assert table.M == 1 + 4 + 1
     assert table.correlation == {0: 6, 1: 4, -1: 4}
@@ -149,7 +191,7 @@ def test_sum_distribution_basics():
 @settings(max_examples=30, deadline=None)
 def test_sum_counts_start_at_r_times_the_minimum(Y, r, shift):
     Y = [y + shift for y in Y]
-    g = energy._sum_counts(Y, r)
+    g = _dense(Y, r)
     counts = Counter(sum(tup) for tup in product(Y, repeat=r))
     assert {r * min(Y) + i: int(c) for i, c in enumerate(g) if c} == counts
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
 from salemlab import (
@@ -14,8 +14,10 @@ from salemlab import (
     lp_norm_quadrature, lq_mass, restriction_ratio, thresholds,
 )
 from salemlab import expsums, norms
+from salemlab.construction import LevelSet
 from salemlab.norms import _EM_START, _hurwitz, pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
+from _oracles import dense_ball_scan
 
 
 def test_quadrature_matches_exact_even_orders(desk_params, desk):
@@ -243,6 +245,21 @@ def test_holder_chain(desk_params, desk):
 def test_holder_chain_rejects_bad_p(desk_params, desk):
     with pytest.raises(NormError):
         holder_chain_check(desk_params, desk.levels[2], [0], 6.0, 3)
+
+
+@pytest.mark.parametrize("base", [(4, 2), (3, 2)], ids=["N16", "N9"])
+@given(j=st.integers(0, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ball_scan_matches_the_dense_scan(base, j, data):
+    # isolated atoms (length 1), intervals across adjacent cells, and the
+    # cells at 0 and N^j - 1; m = 0 is every level's first scale
+    params = derive_params(*base, 1, j_max=4, seed=7)
+    top = params.N**j - 1
+    spans = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(1, 2 * params.N)),
+                               min_size=1, max_size=6))
+    atoms = np.unique(np.concatenate([np.arange(a, min(a + n, top + 1)) for a, n in spans]))
+    level = LevelSet(j=j, atoms=atoms.astype(np.int64))
+    assert ball_condition_report(params, level) == dense_ball_scan(params, level)
 
 
 def test_ball_condition(desk_params, desk):
