@@ -60,7 +60,7 @@ def _verify_frequencies(params, j) -> np.ndarray:
     # sampled frequencies beyond the period exercise the min(1, .) regime
     rng = np.random.default_rng(params.seed ^ 0x5A5A)
     ks.append(rng.integers(period, period * 64, size=2048, dtype=np.int64))
-    return np.unique(np.concatenate(ks))
+    return expsums.sorted_unique(np.concatenate(ks))
 
 
 def run_verification(con: Construction) -> list[dict]:

@@ -74,7 +74,7 @@ def frequency_set(params: ConstructionParams, period: int, rng):
     if step2 > 0:
         n2 = min(params.N**2, 2**12)
         parts.append(np.arange(n2, dtype=np.int64) * step2)
-    return np.unique(np.concatenate(parts)), "sampled"
+    return expsums.sorted_unique(np.concatenate(parts)), "sampled"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .construction import LevelSet
+from .expsums import sorted_unique
 from .params import ConstructionParams
 from .spectral import restricted_atoms
 
@@ -63,7 +64,7 @@ def sum_distribution(Y, r: int) -> EnergyTable:
     """Exact order-r energy of Y and the short-range correlations that the
     B-spline norm identity needs, summed exactly beyond int64. A table depends
     on the set and r alone: each is built once per process, without counts."""
-    return _table(np.unique(np.asarray(Y, dtype=np.int64)).tobytes(), r)
+    return _table(sorted_unique(np.asarray(Y, dtype=np.int64)).tobytes(), r)
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
@@ -91,7 +92,7 @@ def _sum_counts(Y, r: int) -> list:
     Any |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y,
     one atom included, before the power is formed or a step is run.
     """
-    Y = np.unique(np.asarray(Y, dtype=np.int64))
+    Y = sorted_unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
         raise EnergyError("empty set")
     if r < 1:

@@ -6,7 +6,9 @@ samples beyond the reported window [-K, K] are folded in exactly through
 Hurwitz zeta values, so the lattice sum covers the whole line; the envelope
 tail bound is reported alongside for the truncated window. A period of the
 lattice is evaluated one residue class of at most ``expsums.BLOCK`` points
-at a time, so no array of half a period is formed.
+at a time, so no array of half a period is formed. The samples of a class
+lie at one offset from the grid k / B, so their weights over every period
+past the first are read by Horner's rule from one Taylor table per call.
 """
 
 from __future__ import annotations
@@ -87,31 +89,68 @@ def _hurwitz(p: float, a):
     return head + a ** -p * (a / (p - 1.0) + 0.5 + u * poly)
 
 
-def _class_weights(i, n_per: int, p: float, folded: bool):
-    """Head and tail weights of the lattice samples eta = i / n_per, 0 < i < n_per.
+def _weight_table(p: float, B: int, delta: float):
+    """Taylor rows in the class offset of the smooth lattice weights, on the
+    grid x = k / B, k = 0..B: a list of (2, B + 1) arrays.
+
+    A sample eta stands for the points eta + m of every period m >= 0. The
+    head sum H(eta) = sum over 1 <= m < _HEAD_PERIODS of (eta + m)^-p and the
+    tail T(eta) = zeta(p, eta + _HEAD_PERIODS) are smooth on [0, 1]; their
+    n-th derivatives over n! are (-1)^n C(p + n - 1, n) times the same sums
+    at exponent p + n. Array n holds those at x: H, term by term below
+    _EM_START and then zeta(p + n, x + _EM_START) - zeta(p + n, x +
+    _HEAD_PERIODS), and T. The list stops at the first n with
+    C(p + n - 1, n) delta^n < 2^-60, which bounds the first omitted
+    term against its sum at every x and offset |delta| or less, as
+    x + m >= 1; the terms after it fall geometrically.
+    """
+    x = np.arange(B + 1) / B
+    rows, coeff, n = [], 1.0, 0
+    while abs(coeff) * delta**n >= 2.0**-60:
+        q = p + n
+        beyond = _hurwitz(q, x + _HEAD_PERIODS)
+        direct = sum((x + m) ** -q for m in range(1, _EM_START))
+        rows.append(np.array((direct + _hurwitz(q, x + _EM_START) - beyond,
+                              beyond)) * coeff)
+        n += 1
+        coeff *= -(q / n)
+    return rows
+
+
+def _class_weights(table, c: int, n_per: int, p: float, folded: bool):
+    """Head and tail weights of the lattice samples eta = i / n_per of class
+    c, i = c + M k, 0 < i < n_per, with B + 1 the width of the rows of
+    ``_weight_table`` ``table`` and M = n_per / B.
 
     The sample at eta stands for the points eta + m of every period m >= 0,
     weighted |sin(pi eta)|^p / (pi (eta + m))^p: summed over m < _HEAD_PERIODS
-    (term by term below _EM_START, then zeta(p, eta + _EM_START) -
-    zeta(p, eta + _HEAD_PERIODS)) for the head, and pi^-p zeta(p, eta +
-    _HEAD_PERIODS) beyond for the tail. ``folded`` adds the mirror 1 - eta,
-    whose |T| is the same. The m = 0 terms are formed as
-    (|sin(pi eta)| / (pi eta))^p <= 1 and the rest, each at most 1, scaled
-    by (|sin(pi eta)| / pi)^p, so no large p forms inf * 0.
+    for the head, and beyond for the tail. ``folded`` adds the mirror 1 - eta,
+    whose |T| is the same. With eta = k / B + delta, delta = c / n_per, the
+    smooth sums H(eta) and T(eta) over the periods m >= 1 are the table's
+    rows at k / B by Horner in delta, and the mirror's the rows at (B - k) / B
+    in -delta. The m = 0 terms are formed as (|sin(pi eta)| / (pi eta))^p <= 1
+    and the rest, each at most 1, scaled by (|sin(pi eta)| / pi)^p, so no
+    large p forms inf * 0.
     """
+    B = table[0].shape[-1] - 1
+    skip = int(c == 0)
+    i = c + n_per // B * np.arange(skip, B)
+    delta = c / n_per
     # sin(pi eta) = sin(pi (1 - eta)), formed below 1/2: near eta = 1 the
     # rounding of pi eta would cost digits
     amp = np.abs(np.sin(np.pi * (np.minimum(i, n_per - i) / n_per))) / math.pi
-    near, h, t = np.zeros(len(i)), np.zeros(len(i)), np.zeros(len(i))
-    for eta in (i / n_per, (n_per - i) / n_per)[: 1 + folded]:
+    near, smooth = np.zeros(len(i)), np.zeros((2, len(i)))
+    for eta, at, d in ((i / n_per, slice(skip, B), delta),
+                       ((n_per - i) / n_per, slice(B - skip, 0, -1), -delta)
+                       )[: 1 + folded]:
         near += (amp / eta) ** p
-        for m in range(1, _EM_START):
-            h += (eta + m) ** -p
-        beyond = _hurwitz(p, eta + _HEAD_PERIODS)
-        h += _hurwitz(p, eta + _EM_START) - beyond
-        t += beyond
-    scale = amp**p
-    return h * scale + near, t * scale
+        acc = table[-1][:, at].copy()
+        for row in table[-2::-1]:
+            acc *= d
+            acc += row[:, at]
+        smooth += acc
+    h, t = smooth * amp**p
+    return h + near, t
 
 
 def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
@@ -129,7 +168,10 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     The n_per = 4 N^j samples of a period are read in the residue classes
     i = c + M m, m < B, of ``expsums.split``, one length-B FFT each. |T| is
     even, so only the classes c <= M/2 are evaluated, each one's weights
-    dotted with |T|^p of every window.
+    dotted with |T|^p of every window. Class c samples eta = m / B + delta,
+    delta = c / n_per <= 1 / (2B): the weights of every period past the
+    first come by Horner in delta from one ``_weight_table`` on the grid
+    m / B.
 
     For even p = 2r the lattice sum is the integral itself, up to roundoff:
     the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
@@ -146,6 +188,7 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     K = _HEAD_PERIODS * period
     n_per = period * _SAMPLES_PER_UNIT
     B, M = split(n_per)
+    table = _weight_table(p, B, M // 2 / n_per)
     windows = [restricted_atoms(params, level, ell) for ell in ells]
     tj = float(params.t) ** (-j)
     # the origin counts once; lattice points at nonzero multiples of the
@@ -154,8 +197,8 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     tail = [0.0] * len(windows)
     for c in range(M // 2 + 1):
         skip = int(c == 0)
-        head_w, tail_w = _class_weights((c + M * np.arange(B))[skip:], n_per,
-                                        p, folded=0 < 2 * c < M)
+        head_w, tail_w = _class_weights(table, c, n_per, p,
+                                        folded=0 < 2 * c < M)
         for w, atoms in enumerate(windows):
             A = (np.abs(class_sums(atoms, n_per, B, c)[skip:]) * tj) ** p
             head[w] += 2.0 * float(np.dot(A, head_w))

@@ -1,12 +1,14 @@
 """Independent reference computations that the tests compare the package
 against; nothing in salemlab calls them."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from salemlab.norms import _EM_START, _HEAD_PERIODS, _hurwitz
 from salemlab.spectral import restricted_atoms
 
 
@@ -30,6 +32,26 @@ def loop_counts(Y, r: int) -> np.ndarray:
             new[y : y + width + 1] += g
         g, width = new, width + top
     return g
+
+
+def point_weights(i, n_per: int, p: float, folded: bool):
+    """Head and tail lattice weights of the samples eta = i / n_per, each
+    summed at its own eta: (eta + m)^-p term by term for 1 <= m < _EM_START,
+    then zeta(p, eta + _EM_START) - zeta(p, eta + _HEAD_PERIODS) for the head
+    and zeta(p, eta + _HEAD_PERIODS) for the tail, all scaled by
+    (|sin(pi eta)| / pi)^p, plus (|sin(pi eta)| / (pi eta))^p in the head;
+    ``folded`` adds the mirror 1 - eta."""
+    amp = np.abs(np.sin(np.pi * (np.minimum(i, n_per - i) / n_per))) / math.pi
+    near, h, t = np.zeros(len(i)), np.zeros(len(i)), np.zeros(len(i))
+    for eta in (i / n_per, (n_per - i) / n_per)[: 1 + folded]:
+        near += (amp / eta) ** p
+        for m in range(1, _EM_START):
+            h += (eta + m) ** -p
+        beyond = _hurwitz(p, eta + _HEAD_PERIODS)
+        h += _hurwitz(p, eta + _EM_START) - beyond
+        t += beyond
+    scale = amp**p
+    return h * scale + near, t * scale
 
 
 def f_mu_hat_real(params, level, ell: int, xi):

@@ -261,9 +261,10 @@ def _per_atom_sums(params, level, digits, ks):
 
 # `ends` keeps only the first and last sampled frequencies, so that Q
 # exceeds |ks| and the subset sums take the factored route (with 40000 first
-# ones, in blocks that start inside the leading run k < 2^16); `block` lowers
-# ``expsums.BLOCK`` below the period, so that the exhaustive check reads
-# M = 16 (even, with the self-mirrored class M/2) or M = 9 residue classes
+# ones, in blocks of ``expsums.BLOCK`` = 2^14 frequencies that start inside
+# the leading run k < 2^16); `block` lowers ``expsums.BLOCK`` below the
+# period, so that the exhaustive check reads M = 16 (even, with the
+# self-mirrored class M/2) or M = 9 residue classes
 ROTATION_SUM_CASES = [
     (4, 2, 2**20, "exhaustive", None, None),
     (4, 4, 2**16, "sampled", None, None),      # P = 2^20: a genuine sample
@@ -318,12 +319,12 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
     if ks is not None:
         # the blocks partition the sample in order; the period-Q tables,
         # built once, take it whole, and the factored route in blocks of at
-        # most BLOCK // 4
+        # most BLOCK = 2^14 frequencies
         assert np.array_equal(np.concatenate(blocks), ks)
         if params.N**j <= len(ks):
             assert len(blocks) == 1
         else:
-            assert max(len(kb) for kb in blocks) <= expsums.BLOCK // 4
+            assert max(len(kb) for kb in blocks) <= expsums.BLOCK
     if block:
         assert len(kb) == block < P
 

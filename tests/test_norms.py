@@ -17,7 +17,7 @@ from salemlab import expsums, norms
 from salemlab.construction import LevelSet
 from salemlab.norms import _EM_START, _hurwitz, pick_r
 from salemlab.spectral import exp_sum_all, restricted_atoms
-from _oracles import dense_ball_scan
+from _oracles import dense_ball_scan, point_weights
 
 
 def test_quadrature_matches_exact_even_orders(desk_params, desk):
@@ -136,13 +136,38 @@ def test_blocked_lattice_matches_full_lattice(monkeypatch, N0, block):
 
 def test_class_weights_are_mirror_symmetric():
     # sin(pi eta) near eta = 1 is formed from 1 - eta: from eta itself the
-    # rounding of pi eta costs up to 1e-9 relative at n_per = 2^22
+    # rounding of pi eta costs 1.3e-12 relative at i = n_per - 256, n_per =
+    # 2^22. Folded, the classes 0 and M/2 hold i and n_per - i at mirrored
+    # places; at M/2 the two read H(eta) from different rows of the table
     n_per = 2**22
-    i = np.array([1, 2, 3, 1000, n_per // 3])
+    B, M = expsums.split(n_per)
     for p in (3.0, 50.5):
-        for w, mirror in zip(norms._class_weights(i, n_per, p, True),
-                             norms._class_weights(n_per - i, n_per, p, True)):
-            assert w == pytest.approx(mirror, rel=1e-14, abs=0)
+        table = norms._weight_table(p, B, M // 2 / n_per)
+        for c in (0, M // 2):
+            for w in norms._class_weights(table, c, n_per, p, True):
+                np.testing.assert_allclose(w, w[::-1], rtol=1e-14, atol=0)
+
+
+# (n_per, BLOCK): desk level 5 (M = 256), N = 9 at level 5 (M = 18), N = 9
+# at level 3 with an odd M = 3, and desk level 5 in classes of 2^10
+@pytest.mark.parametrize("n_per, block", [(4 * 16**5, None), (4 * 9**5, None),
+                                          (4 * 9**3, 1000), (4 * 16**5, 2**10)])
+def test_class_weights_match_point_weights(monkeypatch, n_per, block):
+    if block:
+        monkeypatch.setattr(expsums, "BLOCK", block)
+    B, M = expsums.split(n_per)
+    for p in (1.5, 2.5, 3.0, 8.0, 50.5, 100.5, 200.0, 1001.0):
+        table = norms._weight_table(p, B, M // 2 / n_per)
+        for c in {0, 1, M // 2 - 1, M // 2} - {-1}:
+            folded = 0 < 2 * c < M
+            i = (c + M * np.arange(B))[int(c == 0):]
+            head, tail = norms._class_weights(table, c, n_per, p, folded)
+            want_head, want_tail = point_weights(i, n_per, p, folded)
+            np.testing.assert_allclose(head, want_head, rtol=1e-13, atol=0)
+            # subnormal floats lie 2^-1074 apart, coarser than 1e-13
+            # relative below 5e-311
+            np.testing.assert_allclose(tail, want_tail, rtol=1e-13,
+                                       atol=np.finfo(float).smallest_subnormal)
 
 
 def test_blocked_lattice_holds_no_half_period_array(desk_params, desk, monkeypatch):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from salemlab import (
     SpectralError, build_construction, compute_spectrum, decay_report,
@@ -267,6 +267,18 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
         assert np.array_equal(sums(atoms, weights=ones), sums(atoms))
         covered.update(np.minimum(kb, period - kb).tolist())
     assert covered == set(range(period // 2 + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2**62, 2**62) | st.integers(-8, 8), max_size=200))
+@example([])
+@example([3, -1, 3, -2**63, -1, 0, 2**63 - 1, 3])
+def test_sorted_unique_equals_numpy_unique(values):
+    # small values repeat; an empty list keeps the int64 dtype
+    values = np.array(values, dtype=np.int64)
+    got = expsums.sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_exp_sum_scalar_and_zero():
