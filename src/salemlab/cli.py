@@ -124,20 +124,23 @@ def cmd_analyze(args) -> int:
     level = con.levels[j]
     lmax = min(args.lmax, j)
 
+    ks = np.arange(args.kmax, dtype=np.int64)
+    if args.spectrum or args.decay:
+        # each coefficient depends on its own k alone, so --decay reads |coef|
+        # of the ell = 0 spectrum that --spectrum writes (decay_report drops k = 0)
+        spec = compute_spectrum(params, level, ks)
+        mags = np.abs(spec.coefficients)
     if args.spectrum:
-        ks = np.arange(args.kmax, dtype=np.int64)
         for ell in range(0, lmax + 1):
-            spec = compute_spectrum(params, level, ks, ell=ell)
+            if ell:
+                spec = compute_spectrum(params, level, ks, ell=ell)
             name = f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
             spec.to_csv(out_dir / name)
             manifest["outputs"].append(str(out_dir / name))
 
     if args.decay:
-        ks = np.arange(1, args.kmax, dtype=np.int64)
-        spec = compute_spectrum(params, level, ks)
-        rep = decay_report(spec.ks, spec.coefficients, args.beta)
         path = out_dir / f"decay_mu_j{j}.json"
-        write_json(path, asdict(rep))
+        write_json(path, asdict(decay_report(ks, mags, args.beta)))
         manifest["outputs"].append(str(path))
 
     if args.energy:
@@ -242,7 +245,8 @@ def build_parser():
     a.add_argument("--ratio", action="store_true")
     a.add_argument("--kmax", type=_checked(int, ">= 2", lambda v: v >= 2),
                    default=4096)
-    a.add_argument("--beta", type=float, default=0.4)
+    a.add_argument("--beta", type=_checked(float, "0 <= beta <= 2", lambda v: 0 <= v <= 2),
+                   default=0.4, help="decay weight exponent, 0 <= beta <= 2")
     a.add_argument("--lmax", type=_checked(int, ">= 0", lambda v: v >= 0),
                    default=2)
     a.add_argument("--r", type=_checked(int, "every r >= 1", lambda v: v >= 1,

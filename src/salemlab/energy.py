@@ -49,6 +49,13 @@ _TABLES_KEPT = 64
 WIDTH_BUDGET = 2**26
 
 
+# Most shift-adds of one ``_sum_counts``, read at call time: step s adds
+# |Y| shifts of g_(s-1), at most (s - 1) (max Y - min Y) + 1 counts wide.
+# 2^38 keeps deep verify's level-6 table (about 2.1e11 adds) and refuses the
+# level-3 tables of N0 = 10, t0 = 9 (5.2e11 at r = 2), about ten minutes each.
+WORK_BUDGET = 2**38
+
+
 # Refused orders r >= MAX_ORDER: any |Y| >= 2 has |Y|^r >= 2^63 there, and
 # the B-spline values of ``bspline_integers`` cost O(r^2) rational terms.
 MAX_ORDER = 63
@@ -90,7 +97,9 @@ def _sum_counts(Y, r: int) -> list:
     An r-tuple's last element is fixed by its sum, so g is int32 when
     |Y|^(r-1) < 2^31 and int64 otherwise; the counts sum to |Y|^r < 2^63.
     Any |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y,
-    one atom included, before the power is formed or a step is run.
+    one atom included, before the power is formed or a step is run; so is a
+    table wider than WIDTH_BUDGET, or one whose shift-adds could exceed
+    WORK_BUDGET.
     """
     Y = sorted_unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
@@ -105,6 +114,10 @@ def _sum_counts(Y, r: int) -> list:
     if r * top + 1 > WIDTH_BUDGET:
         raise EnergyError(f"order-{r} sum counts of width {r * top + 1} "
                           f"exceed the width budget {WIDTH_BUDGET}")
+    adds = len(Y) * (r + top * r * (r - 1) // 2)    # sum over s < r of |Y| (s top + 1)
+    if adds > WORK_BUDGET:
+        raise EnergyError(f"order-{r} sum counts of |Y| = {len(Y)} atoms need up to "
+                          f"{adds:.3g} shift-adds, over the work budget {WORK_BUDGET}")
     y_lo, y_hi = _cover(Y0, Y0 + 1)
     runs = [(0, np.ones(1, dtype=np.int32 if len(Y) ** (r - 1) < 2**31 else np.int64))]
     for _ in range(r):     # from g_0, the one empty sum

@@ -8,7 +8,6 @@ direct sum, and the worst slack reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .construction import LevelSet, deviation_measure, structured_mask
 from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
+from .floatrepr import WIDTH, float_rows
 from .params import ConstructionParams
 from .storage import atomic_write_text
 
@@ -61,6 +61,9 @@ def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
 # ---------------------------------------------------------------------------
 # spectra
 
+_CSV_BLOCK = 1024    # rows per formatted CSV block: 0.2 MB of cells
+
+
 @dataclass
 class Spectrum:
     j: int
@@ -69,10 +72,21 @@ class Spectrum:
     coefficients: np.ndarray
 
     def to_csv(self, path):
-        """Stream k,re,im,abs rows; abs(c) per value, as np.abs can differ."""
-        rows = (f"{k},{c.real!r},{c.imag!r},{abs(c)!r}\n"
-                for k, c in zip(self.ks.tolist(), self.coefficients.tolist()))
-        atomic_write_text(path, itertools.chain(["k,re,im,abs\n"], rows))
+        """Write k,re,im,abs rows, all or nothing, _CSV_BLOCK rows at a time:
+        k as numpy spells an int64, each float as its repr (``floatrepr``), and
+        abs as np.hypot(re, im), the C hypot that abs(complex) calls (np.abs differs)."""
+        def blocks():
+            yield "k,re,im,abs\n"
+            for lo in range(0, len(self.ks), _CSV_BLOCK):
+                c = np.asarray(self.coefficients[lo : lo + _CSV_BLOCK], np.complex128)
+                k = np.asarray(self.ks[lo : lo + _CSV_BLOCK], np.int64).astype(f"S{WIDTH}")
+                cells = np.full((len(c), 4, WIDTH + 1), ord(","), np.uint8)
+                cells[:, 0, :WIDTH] = k.view(np.uint8).reshape(-1, WIDTH)
+                cells[:, 1:, :WIDTH] = float_rows(np.stack(
+                    [c.real, c.imag, np.hypot(c.real, c.imag)], axis=1)).reshape(-1, 3, WIDTH)
+                cells[:, 3, WIDTH] = ord("\n")
+                yield np.compress(cells.ravel() != 0, cells).tobytes().decode("ascii")
+        atomic_write_text(path, blocks())
 
 
 def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,

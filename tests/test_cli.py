@@ -331,6 +331,15 @@ def test_energy_width_beyond_the_budget_exits_3(built, capsys, monkeypatch):
     assert "exceed the width budget 4096" in capsys.readouterr().err
 
 
+def test_energy_work_beyond_the_budget_exits_3(built, capsys, monkeypatch):
+    # level 3's ell = 0, r = 2 table: 64 atoms spanning less than 16^3 need at
+    # most 64 * (2 + 4095) adds
+    energy._table.cache_clear()
+    monkeypatch.setattr(energy, "WORK_BUDGET", 2**16)
+    assert main(["analyze", str(built), "--energy"]) == 3
+    assert "over the work budget 65536" in capsys.readouterr().err
+
+
 def test_energy_tables_are_counted_once_per_process(built, monkeypatch):
     counted = []
     count = energy._sum_counts
@@ -374,11 +383,16 @@ def test_manifest_with_a_transform_budget_still_loads(built):
     ("--p", "inf", "need finite numbers, got inf"),
     ("--p", "2,nan", "need finite numbers, got 2,nan"),
     ("--q", "inf", "need finite numbers, got inf"),
+    ("--beta", "nan", "need finite numbers, got nan"),
+    ("--beta", "inf", "need finite numbers, got inf"),
+    ("--beta", "-1e400", "need finite numbers, got -1e400"),
+    ("--beta", "1e308", "need 0 <= beta <= 2, got 1e308"),
 ])
 def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
                                                    message):
+    # "--beta=-1e400": as a separate argument, argparse takes it for an option
     with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(built), "--energy", "--decay", flag, value])
+        main(["analyze", str(built), "--energy", "--decay", f"{flag}={value}"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
 

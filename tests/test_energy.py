@@ -234,6 +234,17 @@ def test_empty_and_bad_order():
         sum_distribution([1], 0)
 
 
+def test_work_budget_refuses_a_table_before_its_first_step(monkeypatch):
+    # |Y| = 3 and max - min = 9: steps s = 0, 1, 2 add at most 3 (9 s + 1) each
+    Y = np.array([10, 15, 19])
+    monkeypatch.setattr(energy, "WORK_BUDGET", 90)
+    energy._sum_counts(Y, 3)
+    monkeypatch.setattr(energy, "WORK_BUDGET", 89)
+    with pytest.raises(EnergyError, match=r"order-3 .* \|Y\| = 3 atoms need up to 90 "
+                                          r"shift-adds, over the work budget 89"):
+        energy._sum_counts(Y, 3)
+
+
 def test_constructed_level_energies_exceed_bound(desk_params, desk):
     for j in range(0, 6):
         for ell in range(0, j + 1):

@@ -15,7 +15,7 @@ from salemlab import (
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
 from salemlab.construction import deviation_measure
-from salemlab.spectral import exp_sum_all, prefactor
+from salemlab.spectral import Spectrum, exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
 
@@ -377,6 +377,29 @@ def test_spectrum_csv_streams_the_per_row_format(tmp_path, desk_params, desk):
         f"{int(k)},{float(c.real)!r},{float(c.imag)!r},{float(abs(c))!r}\n"
         for k, c in zip(spec.ks, spec.coefficients))
     assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("ks, coefficients", [
+    ([-2**63, -65536, -1, 0, 7, 2**63 - 1],
+     [1 + 0j, -0.0 - 2.5e-7j, 1e16 + 1e-5j, complex("nan+infj"), 3 - 4j, 5e-324j]),
+    ([5], [0.1 + 0.2j]),
+    ([], []),
+])
+def test_spectrum_csv_spells_every_row_as_the_per_row_format(tmp_path, ks, coefficients):
+    spec = Spectrum(j=0, weight="mu", ks=np.array(ks, dtype=np.int64),
+                    coefficients=np.array(coefficients, dtype=np.complex128))
+    out = tmp_path / "spec.csv"
+    spec.to_csv(out)
+    want = "k,re,im,abs\n" + "".join(f"{k},{c.real!r},{c.imag!r},{abs(c)!r}\n"
+                                     for k, c in zip(ks, coefficients))
+    assert out.read_bytes() == want.encode()
+
+
+def test_hypot_is_abs_of_complex_on_the_desk_level_4_spectra(desk_params, desk):
+    # the CSV's abs column; np.abs differs in the last digit on about a third
+    for ell in range(3):
+        c = compute_spectrum(desk_params, desk.levels[4], np.arange(2**16), ell=ell).coefficients
+        assert np.hypot(c.real, c.imag).tolist() == [abs(v) for v in c.tolist()]
 
 
 def test_telescope_bounds_hold(desk_params, desk):
