@@ -16,7 +16,8 @@ from .construction import Construction, ConstructionError, verify_construction
 from .energy import energy_lower_bound, sum_distribution
 from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
 from .spectral import (
-    f_mu_hat, mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
+    ScreenPlan, f_mu_hat, mu_hat, restricted_atoms, telescope_check,
+    trivial_bound_check,
 )
 
 
@@ -63,6 +64,19 @@ def _verify_frequencies(params, j) -> np.ndarray:
     return expsums.sorted_unique(np.concatenate(ks))
 
 
+def _decay_screens(con: Construction, j: int) -> tuple[list, list]:
+    """The telescoping reports of j -> j + 1 (none at j = 0) and the trivial
+    bound cases of level j + 1, every window, all over the frequencies of j
+    at period N^(j+1): one ``ScreenPlan`` serves the 2j + 3 screens and is
+    dropped on return."""
+    params, lo, hi = con.params, con.levels[j], con.levels[j + 1]
+    plan = ScreenPlan(_verify_frequencies(params, j), params.period(j + 1))
+    reports = [telescope_check(params, lo, hi, plan, ell=ell)
+               for ell in range(j + 1)] if j else []
+    cases = [trivial_bound_check(params, hi, ell, plan) for ell in range(j + 2)]
+    return reports, cases
+
+
 def run_verification(con: Construction) -> list[dict]:
     """The full invariant suite; one record per check."""
     params = con.params
@@ -105,11 +119,11 @@ def run_verification(con: Construction) -> list[dict]:
 
     # telescoping decay j -> j + 1 and the trivial bound of level j + 1, both
     # over the frequencies of j
-    freqs = [_verify_frequencies(params, j) for j in range(params.j_max)]
-    reports = [
-        telescope_check(params, con.levels[j], con.levels[j + 1], freqs[j], ell=ell)
-        for j in range(1, params.j_max) for ell in range(0, j + 1)
-    ]
+    reports, cases = [], []
+    for j in range(params.j_max):
+        level_reports, level_cases = _decay_screens(con, j)
+        reports += level_reports
+        cases += level_cases
     if reports:
         worst_rep = max(reports, key=lambda r: r.max_ratio)
         checks.append(record(
@@ -118,8 +132,6 @@ def run_verification(con: Construction) -> list[dict]:
             witness={"j": worst_rep.j, "ell": worst_rep.ell, "k": worst_rep.worst_k},
         ))
 
-    cases = [trivial_bound_check(params, level, ell, freqs[level.j - 1])
-             for level in con.levels[1:] for ell in range(0, level.j + 1)]
     checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
 
     # energy lower bound; the interpolation chain below rereads the top-level

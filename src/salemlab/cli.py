@@ -20,6 +20,7 @@ from . import __version__
 from .checks import energy_case, gate, record, run_verification
 from .construction import ConstructionError, build_construction
 from .energy import EnergyError, sum_distribution
+from .expsums import Frequencies
 from .norms import NormError, lp_norm, restriction_ratio, thresholds
 from .params import CONFIG_KEYS, ParamError, derive_params
 from .spectral import SpectralError, compute_spectrum, decay_report, restricted_atoms
@@ -124,23 +125,25 @@ def cmd_analyze(args) -> int:
     level = con.levels[j]
     lmax = min(args.lmax, j)
 
-    ks = np.arange(args.kmax, dtype=np.int64)
     if args.spectrum or args.decay:
-        # each coefficient depends on its own k alone, so --decay reads |coef|
-        # of the ell = 0 spectrum that --spectrum writes (decay_report drops k = 0)
-        spec = compute_spectrum(params, level, ks)
-        mags = np.abs(spec.coefficients)
-    if args.spectrum:
-        for ell in range(0, lmax + 1):
-            if ell:
-                spec = compute_spectrum(params, level, ks, ell=ell)
-            name = f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
-            spec.to_csv(out_dir / name)
-            manifest["outputs"].append(str(out_dir / name))
+        # the spectra share one plan of the frequencies, and each is dropped
+        # before the next; --decay reads |coef| of the ell = 0 spectrum that
+        # --spectrum writes (decay_report drops k = 0)
+        plan = Frequencies(np.arange(args.kmax, dtype=np.int64), params.period(j))
+        for ell in range(0, lmax + 1 if args.spectrum else 1):
+            spec = compute_spectrum(params, level, plan, ell=ell)
+            if ell == 0 and args.decay:
+                decay = decay_report(plan.ks, spec.coefficients, args.beta)
+            if args.spectrum:
+                name = f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
+                spec.to_csv(out_dir / name)
+                manifest["outputs"].append(str(out_dir / name))
+            del spec
+        del plan
 
     if args.decay:
         path = out_dir / f"decay_mu_j{j}.json"
-        write_json(path, asdict(decay_report(ks, mags, args.beta)))
+        write_json(path, asdict(decay))
         manifest["outputs"].append(str(path))
 
     if args.energy:
@@ -222,6 +225,26 @@ def _checked(kind, need: str, ok, many: bool = False):
     return parse
 
 
+# The number options of ``analyze``. argparse takes a word that starts with
+# "-" for an option unless it reads -1 or -1.5, so "--beta -1e400" would end
+# in "expected one argument"; ``main`` passes such a pair as "--beta=-1e400",
+# and the option's rule decides it.
+_NUMBER_OPTIONS = ("--level", "--kmax", "--beta", "--lmax", "--r", "--p", "--q")
+
+
+def _joined_numbers(argv):
+    """argv with each number option followed by a word that starts with a
+    single "-" joined to it by "="."""
+    out = []
+    for word in argv:
+        if (out and out[-1] in _NUMBER_OPTIONS and word.startswith("-")
+                and not word.startswith("--")):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="salemlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -266,7 +289,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_joined_numbers(argv))
     try:
         return args.func(args)
     except (ParamError, StorageError) as exc:

@@ -6,7 +6,9 @@ with exact residues (``exp_sum``) or read from the tables of the residue
 classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``), each one
 length-B FFT (``class_sums``; one class is the real-input half table). As
 S(P - k) = conj S(k), the classes c <= M/2 decide every k
-(``half_classes``); an array of k reads them one at a time (``gather``).
+(``half_classes``). An array of k is folded and split into them once
+(``Frequencies``) and reads them one at a time, for as many atom sets as
+share it; ``gather`` is one such read.
 Subsets of one atom list at the same frequencies take one evaluator
 (``_subset_sums``), a sample of them in blocks (``_sample_blocks``).
 """
@@ -104,31 +106,79 @@ def half_classes(period):
             atoms, period, B, c, weights)
 
 
-def gather(atoms, k, period, *, weights=1.0):
-    """S(k) at integer k: a scalar k, or a period above ``FFT_BUDGET``, by
-    the direct sum; an array from the table of each class it meets. k reads
-    its twin period - k, conjugated, when its class c exceeds M/2, or when
-    c is 0 or M/2 (each its own mirror) and k > period / 2."""
-    if np.ndim(k) == 0 or period > FFT_BUDGET:
-        return exp_sum(atoms, k, period, weights=weights)
-    residues = np.asarray(atoms, dtype=np.int64) % period
-    B, M = split(period)
-    m = np.asarray(k, dtype=np.int64) % period
-    mirrored = m > period // 2
-    if M > 1:
+class Frequencies:
+    """One array of integer frequencies k at one period, folded and split
+    once for any atoms summed at them (``sums``).
+
+    k reads its twin period - k, conjugated, when its class c of
+    ``split(period)`` exceeds M/2, or when c is 0 or M/2 (each its own
+    mirror) and k > period / 2. Per class met, in increasing c, the plan
+    holds the int32 positions of its k in the array, their int32 rows in the
+    class table and the mirror mask: 9 bytes per frequency. A period above
+    ``FFT_BUDGET`` builds no table: its one "class" is the direct sum at
+    every k, in the order of the array.
+    """
+
+    def __init__(self, k, period):
+        self.ks = np.asarray(k, dtype=np.int64)
+        self.period = period
+        if period > FFT_BUDGET:
+            self.B = None
+            at = np.arange(len(self.ks), dtype=np.int32)
+            self._classes = [(None, at, at, np.zeros(len(at), dtype=bool))]
+            return
+        self.B, M = split(period)
+        m = self.ks % period
         c = m % M
-        mirrored &= 2 * c % M == 0
+        mirrored = 2 * c % M == 0
+        mirrored &= m > period // 2
         mirrored |= 2 * c > M
-    np.subtract(period, m, out=m, where=mirrored)
-    if M == 1:
-        s = _class_table(residues, period, B, 0, weights)[m]
-    else:
+        np.subtract(period, m, out=m, where=mirrored)
         np.remainder(m, M, out=c)
-        s = np.empty(len(m), dtype=np.complex128)
-        for cls in np.flatnonzero(np.bincount(c, minlength=M)):
-            at = np.flatnonzero(c == cls)
-            s[at] = class_sums(residues, period, B, cls, weights=weights)[m[at] // M]
-    np.negative(s.imag, out=s.imag, where=mirrored)
+        counts = np.bincount(c, minlength=M)
+        order = np.argsort(c, kind="stable")
+        del c
+        np.floor_divide(m, M, out=m)
+        rows = m.astype(np.int32)[order]
+        flip = mirrored[order]
+        del m, mirrored
+        order = order.astype(np.int32)
+        self._classes = []
+        lo = 0
+        for c in np.flatnonzero(counts):
+            hi = lo + counts[c]
+            self._classes.append((c, order[lo:hi], rows[lo:hi], flip[lo:hi]))
+            lo = hi
+
+    def __len__(self):
+        return len(self.ks)
+
+    def sums(self, atoms, *, weights=1.0):
+        """(positions, S(k) at them) in blocks of at most ``BLOCK``
+        frequencies, class by class, read from the class's table
+        (``class_sums``; one class: the half table) and conjugated where
+        mirrored."""
+        residues = np.asarray(atoms, dtype=np.int64) % self.period
+        for c, at, rows, flip in self._classes:
+            if c is None:
+                table = exp_sum(atoms, self.ks, self.period, weights=weights)
+            else:
+                table = _class_table(residues, self.period, self.B, c, weights)
+            for lo in range(0, len(at), BLOCK):
+                s = table[rows[lo : lo + BLOCK]]
+                np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])
+                yield at[lo : lo + BLOCK], s
+
+
+def gather(atoms, k, period, *, weights=1.0):
+    """S(k) at integer k: a scalar k by the direct sum, an array through its
+    plan (``Frequencies``), from the table of each class it meets."""
+    if np.ndim(k) == 0:
+        return exp_sum(atoms, k, period, weights=weights)
+    plan = Frequencies(k, period)
+    s = np.empty(len(plan), dtype=np.complex128)
+    for at, sums in plan.sums(atoms, weights=weights):
+        s[at] = sums
     return s
 
 

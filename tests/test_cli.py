@@ -387,14 +387,20 @@ def test_manifest_with_a_transform_budget_still_loads(built):
     ("--beta", "inf", "need finite numbers, got inf"),
     ("--beta", "-1e400", "need finite numbers, got -1e400"),
     ("--beta", "1e308", "need 0 <= beta <= 2, got 1e308"),
+    ("--p", "-2e0", "need every p > 1, got -2e0"),
+    ("--q", "-1e0", "need q >= 1, got -1e0"),
+    ("--r", "-1,2", "need every r >= 1, got -1,2"),
+    ("--level", "-1e0", "bad int '-1e0'"),
 ])
 def test_analyze_rejects_bad_numbers_at_parse_time(built, capsys, flag, value,
                                                    message):
-    # "--beta=-1e400": as a separate argument, argparse takes it for an option
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", str(built), "--energy", "--decay", f"{flag}={value}"])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    # joined by "=" and as its own argument, which argparse would take for
+    # an option when it starts with "-" and is not plain -1 or -1.5
+    for value_args in ([f"{flag}={value}"], [flag, value]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(built), "--energy", "--decay", *value_args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

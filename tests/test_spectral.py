@@ -15,7 +15,7 @@ from salemlab import (
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
 from salemlab.construction import deviation_measure
-from salemlab.spectral import Spectrum, exp_sum_all, prefactor
+from salemlab.spectral import ScreenPlan, Spectrum, exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
 
@@ -169,6 +169,23 @@ def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
         == exp_sum(atoms, 30437, params.period(5))
 
 
+def test_plan_above_the_budget_takes_the_direct_sum(odd_base, monkeypatch):
+    # a period above FFT_BUDGET builds no table: gather and a spectrum read
+    # the direct sums, and the screens refine to the same witness
+    params, con = odd_base
+    level = con.levels[3]
+    atoms, period = level.atoms, params.period(3)
+    ks = np.arange(-50, 3000, 7, dtype=np.int64)
+    want = exp_sum(atoms, ks, period)
+    tabled = trivial_bound_check(params, level, 1, ks)
+    monkeypatch.setattr(expsums, "FFT_BUDGET", period - 1)
+    monkeypatch.setattr(expsums, "_class_table", None)
+    assert np.array_equal(expsums.gather(atoms, ks, period), want)
+    spec = compute_spectrum(params, level, ks)
+    assert np.array_equal(spec.coefficients, prefactor(ks, period) * want * 4.0 ** -3)
+    assert trivial_bound_check(params, level, 1, ks) == tabled
+
+
 def _half_table_gather(atoms, ks, period):
     """S(ks) from one real-input FFT over the period, mirrored above
     period / 2: the one-class table, written out."""
@@ -267,6 +284,60 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
         assert np.array_equal(sums(atoms, weights=ones), sums(atoms))
         covered.update(np.minimum(kb, period - kb).tolist())
     assert covered == set(range(period // 2 + 1))
+
+
+def _classwise_gather(atoms, ks, period, weights=1.0):
+    """S(ks) as one gather read the class tables before the frequency plan:
+    each k folded onto its twin where mirrored, each class met found by a
+    mask and read from its own table."""
+    residues = np.asarray(atoms, dtype=np.int64) % period
+    B, M = expsums.split(period)
+    m = np.asarray(ks, dtype=np.int64) % period
+    c = m % M
+    mirrored = (m > period // 2) & (2 * c % M == 0) | (2 * c > M)
+    m[mirrored] = period - m[mirrored]
+    c = m % M
+    s = np.empty(len(m), dtype=np.complex128)
+    for cls in np.flatnonzero(np.bincount(c, minlength=M)):
+        at = np.flatnonzero(c == cls)
+        s[at] = expsums._class_table(residues, period, B, cls, weights)[m[at] // M]
+    np.negative(s.imag, out=s.imag, where=mirrored)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plan_sums_assemble_to_the_classwise_gather(data):
+    # one class (M = 1), even M and odd M, with blocks of BLOCK positions;
+    # one plan serves several atom sets, with unit or signed weights
+    period, block, M = data.draw(st.sampled_from(
+        [(81, 81, 1), (4096, 256, 16), (1000, 100, 10), (2187, 243, 9), (3125, 625, 5)]))
+    # k from [-3P, 3P], some of them the twins' edges 0, P/2, P and -P/2
+    n = data.draw(st.integers(1, 300))
+    ks = np.random.default_rng(data.draw(st.integers(0, 2**32))).integers(
+        -3 * period, 3 * period + 1, size=n)
+    ks[: n // 8] = np.resize([0, period // 2, period, -(period // 2)], n // 8)
+    with mock.patch.object(expsums, "BLOCK", block):
+        assert expsums.split(period) == (block, M)
+        plan = expsums.Frequencies(ks, period)
+        for _ in range(data.draw(st.integers(1, 3))):
+            atoms = np.array(data.draw(st.lists(st.integers(0, 4 * period),
+                                                min_size=1, max_size=40)))
+            weights = 1.0
+            if data.draw(st.booleans()):
+                weights = np.array(data.draw(st.lists(
+                    st.floats(-2, 2), min_size=len(atoms), max_size=len(atoms))))
+            got = np.full(len(ks), np.nan, dtype=np.complex128)
+            positions = []
+            for at, sums in plan.sums(atoms, weights=weights):
+                assert at.dtype == np.int32 and len(at) <= block
+                got[at] = sums
+                positions += at.tolist()
+            assert sorted(positions) == list(range(len(ks)))
+            want = _classwise_gather(atoms, ks, period, weights)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            gathered = expsums.gather(atoms, ks, period, weights=weights)
+            assert np.array_equal(gathered.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,6 +495,35 @@ def test_trivial_bound(desk_params, desk):
             assert rep["passed"], rep
 
 
+def test_one_level_4_spectrum_stays_small(desk_params, desk):
+    # a spectrum is filled class by class in blocks of at most BLOCK
+    # frequencies: 5.69 MiB of temporaries when it was formed whole
+    ks = np.arange(65536, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        spec = compute_spectrum(desk_params, desk.levels[4], ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.coefficients) == len(ks)
+    assert peak < 4.5 * 2**20
+
+
+def test_one_level_4_telescoping_screen_stays_small(desk_params, desk):
+    # the screen is |S(k)| times one real factor, written class by class:
+    # 6.84 MiB when each screen formed the complex prefactor over the set,
+    # and here the screen builds its own plan
+    ks = _verify_frequencies(desk_params, 4)
+    tracemalloc.start()
+    try:
+        rep = telescope_check(desk_params, desk.levels[4], desk.levels[5], ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 5 * 2**20
+
+
 def test_decay_report_shape():
     ks = np.arange(1, 4096)
     coeffs = 1.0 / np.sqrt(1.0 + ks)          # exact beta = 1 model decay
@@ -501,5 +601,41 @@ def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
     calls = []
     monkeypatch.setattr(checks, "_verify_frequencies",
                         lambda p, j: calls.append(j) or _verify_frequencies(p, j))
+    # ... and each set is folded and split once, at its period N^(j+1)
+    plans = []
+    init = expsums.Frequencies.__init__
+    monkeypatch.setattr(expsums.Frequencies, "__init__",
+                        lambda self, k, period: plans.append(period)
+                        or init(self, k, period))
     assert all(c["passed"] for c in checks.run_verification(con))
     assert calls == list(range(params.j_max))
+    assert plans == [params.period(j + 1) for j in range(params.j_max)]
+
+
+@pytest.mark.parametrize("config", ["desk", "odd_base"])
+def test_verify_screens_equal_the_checks_called_alone(request, monkeypatch, config):
+    # every telescoping and trivial-bound report of run_verification, read
+    # through the plan its level shares, equals the same check given the
+    # raw frequency array
+    if config == "desk":
+        params, con = request.getfixturevalue("desk_params"), request.getfixturevalue("desk")
+    else:
+        params, con = request.getfixturevalue("odd_base")
+    seen = []
+    for name in ("telescope_check", "trivial_bound_check"):
+        def traced(*args, check=getattr(checks, name), **kwargs):
+            seen.append((check, args, kwargs, check(*args, **kwargs)))
+            return seen[-1][-1]
+        monkeypatch.setattr(checks, name, traced)
+    records = {r["name"]: r for r in checks.run_verification(con)}
+    assert len(seen) == sum(2 * j + 3 for j in range(params.j_max)) - 1
+    for check, args, kwargs, got in seen:
+        plan = args[3]
+        assert isinstance(plan, ScreenPlan)
+        j = next(j for j in range(params.j_max) if params.period(j + 1) == plan.period)
+        alone = check(*args[:3], _verify_frequencies(params, j), **kwargs)
+        assert alone == got
+    telescoping = [got for check, *_, got in seen if check is telescope_check]
+    worst = max(telescoping, key=lambda r: r.max_ratio)
+    assert records["telescoping"]["max_ratio"] == worst.max_ratio
+    assert records["telescoping"]["witness"]["k"] == worst.worst_k
