@@ -119,18 +119,16 @@ def _plan(kind, ks, period):
 # ---------------------------------------------------------------------------
 # screens
 
-class ScreenPlan:
-    """The nonzero frequencies of one checked set at period P, folded and
-    split once (``expsums.Frequencies``), with the real factor by which a
-    screen turns |S(k)| into its ratio up to a constant. The telescoping
-    step j -> j + 1 and the trivial bound of level j + 1, all at
-    P = N^(j+1), read one; each factor is formed on first use."""
+class ScreenPlan(expsums.Frequencies):
+    """The plan of the nonzero frequencies of one checked set at period P,
+    with the real factors by which a screen turns |S(k)| into its ratio up
+    to a constant. The telescoping step j -> j + 1 and the trivial bound of
+    level j + 1, all at P = N^(j+1), read one; each factor is formed on
+    first use."""
 
     def __init__(self, ks, period):
         ks = np.asarray(ks, dtype=np.int64)
-        self.frequencies = expsums.Frequencies(ks[ks != 0], period)
-        self.period = period
-        self.ks = self.frequencies.ks
+        super().__init__(ks[ks != 0], period)
 
     @cached_property
     def sine(self):
@@ -150,7 +148,7 @@ class ScreenPlan:
     def screen(self, factor, scale, atoms, weights=1.0):
         """scale * factor(k) * |S(k)| over the frequencies, class by class."""
         out = np.empty(len(self.ks))
-        for at, sums in self.frequencies.sums(atoms, weights=weights):
+        for at, sums in self.sums(atoms, weights=weights):
             out[at] = np.abs(sums) * factor[at]
         out *= scale
         return out
