@@ -10,7 +10,6 @@ thresholds with retry on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -93,23 +92,18 @@ def deviation_measure(params: ConstructionParams, parents, kept):
     return np.concatenate([np.asarray(kept, dtype=np.int64), children]), weights
 
 
-def _subset_deviations(atoms, sets, ks, period, N, t):
-    """Row i is S(ks)/t over atoms[sets[i]] minus S(ks)/N over all atoms:
-    one ``_subset_sums`` call with the whole set as its last row."""
-    rows = _subset_sums(atoms, np.vstack([sets, np.ones(len(atoms), dtype=bool)]),
-                        ks, period)
+def block_deviations(members, ks, period, N, t) -> np.ndarray:
+    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x:
+    the rotations B_x = members + x mod N are N subsets of [0, N), summed by
+    one ``_subset_sums`` call with [0, N) itself as its last row."""
+    x = np.arange(N)[:, None]
+    sets = np.zeros((N + 1, N), dtype=bool)
+    sets[x, (x + np.asarray(members, dtype=np.int64)) % N] = True
+    sets[N] = True
+    rows = _subset_sums(np.arange(N), sets, ks, period)
     rows[:-1] /= t
     rows[:-1] -= rows[-1] / N
     return rows[:-1]
-
-
-def block_deviations(members, ks, period, N, t) -> np.ndarray:
-    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x:
-    the rotations B_x = members + x mod N are N subsets of [0, N)."""
-    x = np.arange(N)[:, None]
-    rotations = np.zeros((N, N), dtype=bool)
-    rotations[x, (x + np.asarray(members, dtype=np.int64)) % N] = True
-    return _subset_deviations(np.arange(N), rotations, ks, period, N, t)
 
 
 def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
@@ -246,27 +240,38 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
     s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) reads
     one table of the measure per ell and class of ``expsums.half_classes``.
-    A sample is read in the blocks of ``expsums._sample_blocks`` at period Q:
-    with C_{ell,d} the parents of digit d, s_ell(k) is
-    sum_{d<N} e(dk/P) (S_Q(C_{ell,d})(k)/t - S_Q(A_ell)(k)/N), by Horner's
-    rule over one ``_subset_sums`` call per block and ell.
+    A sample is read in the blocks of ``expsums._sample_blocks`` at period Q,
+    as s_ell(k) = S_P(C_ell)(k)/t - U(k)/N S_Q(A_ell)(k), U(k) = S_[N](k):
+    one ``_subset_sums`` call per block and ell gives two rows, C_ell as the
+    parents of each last digit d twisted by e(dk/P), and A_ell. U is summed
+    by Horner's rule in e(k/P) when its block is read.
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
     masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
     parents = [level.atoms[mask] for mask in masks]
-    if ks is not None:
-        blocks = [(kb, _unit(kb % period, period)) for kb in _sample_blocks(ks, q)]
 
-    def sampled(digits, kb, w):
+    def deviation(atoms, digits, kb, uniform):
+        # row 0, digit d: the parents of digit d; row 1: the atoms at digit 0
+        sets = np.zeros((2, N, len(atoms)), dtype=bool)
+        sets[0, digits, np.arange(len(atoms))[:, None]] = True
+        sets[1, 0] = True
+        kept, window = _subset_sums(atoms, sets, kb, q)
+        kept /= t
+        window *= uniform
+        kept -= window
+        return kept
+
+    def sampled(digits, kb):
+        w = _unit(kb % period, period)
+        uniform = np.ones(len(kb), dtype=np.complex128)
+        for _ in range(N - 1):
+            uniform *= w
+            uniform += 1
+        del w
+        uniform /= N
         for atoms, mask in zip(parents, masks):
-            # row d: the parents of digit d
-            sets = np.zeros((N, len(atoms)), dtype=bool)
-            sets[digits[mask], np.arange(len(atoms))[:, None]] = True
-            # Horner's rule in w over the rows d = N-1, ..., 0, which are
-            # freed before the next ell's are built
-            yield reduce(lambda s, row: s * w + row,
-                         _subset_deviations(atoms, sets, kb, q, N, t)[::-1])
+            yield deviation(atoms, digits[mask], kb, uniform)
 
     def in_class(digits, table):
         for atoms, mask in zip(parents, masks):
@@ -276,7 +281,7 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
 
     def sums(digits):
         if ks is not None:
-            return ((kb, sampled(digits, kb, w)) for kb, w in blocks)
+            return ((kb, sampled(digits, kb)) for kb in _sample_blocks(ks, q))
         return ((kb, in_class(digits, table)) for kb, table in half_classes(period))
     return sums
 
@@ -302,8 +307,8 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
         # (max |t^(-j+ell/2) s_ell| per ell, None) or (None, the rejection)
         out = [0.0] * (j + 1)
         for kb, block in sums(digits):
-            for ell, s in enumerate(block):
-                mag = np.abs(s)
+            # each sum is dropped once its magnitude is taken
+            for ell, mag in enumerate(map(np.abs, block)):
                 mag *= t ** (-j + ell / 2)
                 i = int(mag.argmax())
                 if mag[i] >= lams[ell]:

@@ -183,55 +183,124 @@ def gather(atoms, k, period, *, weights=1.0):
 
 
 def _subset_sums(atoms, sets, ks, period):
-    """Row i is S(ks) over atoms[sets[i]], for a boolean (subsets, atoms)
-    matrix ``sets``.
+    """Row i is S(ks) at period n * period over the points a n + d with a in
+    atoms[sets[i, d]], for a boolean (rows, n, atoms) array ``sets``; a
+    (rows, atoms) one is n = 1, so that row i is S(ks) over atoms[sets[i]].
 
-    With period <= |ks| the frequencies read each table at least once on
-    average, and each subset goes through ``gather`` (at N0=3, j_max=6,
-    c_eta=1, c_rot=0.25, seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096,
-    the route below took 18 s and the tables 2.7 s, on one BLAS thread).
-    Otherwise every term is a product of per-atom factors
+    As e((a n + d) k / (n period)) = e(a k / period) e(d k / (n period)),
+    digit set d is summed at ``period`` and twisted by e(d k / (n period))
+    as it is added: a row holds one result for all its digit sets, and no
+    point pays its own exponentials. With period <= |ks| the frequencies
+    read each table at least once on average; one plan (``Frequencies``)
+    serves every digit set, and each row adds its digit sets by Horner's
+    rule in w = e(k / (n period)) (at N0=3, j_max=6, c_eta=1, c_rot=0.25,
+    seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096, the route below
+    took 18 s and the tables 2.7 s, on one BLAS thread). Otherwise every
+    term is a product of per-atom and per-digit factors
     e(x) = exp(-2 pi i x) of exact residues. On the leading run
-    k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), each subset costs one
-    matrix product of e(a (k0 + hB) / period) and e(a l / period). Every
-    other k has three base-C digits, C^3 >= period, and the subsets share the
-    products of their factors e(a d C^i / period). The factors of one slice
-    of atoms hold at most ``_CHUNK`` entries together, and so do a product
-    over one block of the other k and the factor gathered into it.
+    k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row costs one
+    matrix product of the factors e(a (k0 + hB) / period) and
+    e(a l / period) of its points, the first twisted by the H-vector
+    e(d (k0 + hB) / (n period)) of each point's digit, the second by the
+    B-vector e(d l / (n period)). Every other k has three base-C digits,
+    C^3 >= period: one matrix product sums the digit sets over the
+    products of their factors e(a d C^i / period), and each row adds them
+    twisted by w^d, one running product per frequency. A slice of atoms
+    holds its run factors and the factors a row gathers from them in at
+    most ``_CHUNK`` / 2 entries, its other factors in ``_CHUNK``, and a
+    block of the other k holds the product of those factors, the factor
+    gathered into it and the digit sets' sums in ``_CHUNK``.
     """
     ks = np.asarray(ks, dtype=np.int64)
+    sets = np.asarray(sets, dtype=bool)
+    if sets.ndim == 2:
+        sets = sets[:, None, :]
+    n = sets.shape[1]
+    full = n * period
     if period <= len(ks):
-        out = np.empty((len(sets), len(ks)), dtype=np.complex128)
+        plan = Frequencies(ks, period)
+        out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
+        w = _unit(ks % full, full) if n > 1 else None
         for row, s in zip(out, sets):
-            row[:] = gather(atoms[s], ks, period)
+            used = s.any(axis=1)
+            top = np.flatnonzero(used).max(initial=0)
+            for d in range(top, -1, -1):
+                if d < top:
+                    row *= w
+                if used[d]:
+                    for at, sums in plan.sums(atoms[s[d]]):
+                        row[at] += sums
         return out
+    out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
     residues = np.asarray(atoms, dtype=np.int64) % period
     run = int(np.argmin(np.append(ks - np.arange(len(ks)) == ks[:1], False)))
     B = math.isqrt(max(run - 1, 0)) + 1
     H = -(-run // B)
     starts = (ks[:1] % period + np.arange(H) * B) % period
+    if n > 1:
+        d = np.arange(n)
+        heads = (ks[:1] % full + np.arange(H) * B) % full
+        twist_high = _unit(_mulmod(heads[:, None], d[None, :], full), full)
+        twist_low = _unit(d[:, None] * np.arange(B)[None, :] % full, full)
+        w = _unit(ks[run:] % full, full)
+
+    def run_sums(high, low, row):
+        # the run's sums of one row over a slice of atoms
+        d, a = np.nonzero(row)
+        if len(a) == len(low) and not d.any():     # every atom, untwisted
+            return (high @ low).ravel()[:run]
+        left, right = high[:, a], low[a]
+        if d.any():
+            left *= twist_high[:, d]
+            right *= twist_low[d]
+        return (left @ right).ravel()[:run]
+
+    # a row gathers an atom's run factors once per digit set it is in
+    per_atom = int(sets.sum(axis=1).max(initial=0))
+    step = max(1, _CHUNK // (2 * (H + B) * (1 + per_atom)))
+    for lo in range(0, len(residues), step):
+        r = residues[lo : lo + step]
+        high = _unit(_mulmod(starts[:, None], r[None, :], period), period)
+        low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
+        for i, row in enumerate(sets[:, :, lo : lo + step]):
+            out[i, :run] += run_sums(high, low, row)
+
     rest = ks[run:] % period
+    if not len(rest):
+        return out
     C = round(period ** (1 / 3))
     C += C**3 < period
     digits = [np.unique(rest // C**i % C * C**i, return_inverse=True) for i in range(3)]
-    out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
-    n_factors = H + B + sum(len(u) for u, _ in digits)
-    step = max(1, _CHUNK // n_factors)
-    for lo in range(0, len(residues), step):
-        r, chosen = residues[lo : lo + step], sets[:, lo : lo + step]
-        high = _unit(_mulmod(starts[:, None], r[None, :], period), period)
-        low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
-        for row, s in zip(out, chosen):
-            row[:run] += (high[:, s] @ low[s]).ravel()[:run]
+    # the digit sets summed there, row by row, each row's from its digit 0
+    pairs = sets.any(axis=2)
+    pairs[:, 0] = True
+    digit = np.nonzero(pairs)[1]
+    first = np.flatnonzero(digit == 0)
+
+    def add_rest(r, chosen):
+        # the sums at the other k over a slice of atoms, block by block
         factors = [(_unit(_mulmod(u[:, None], r[None, :], period), period), inv)
                    for u, inv in digits]
-        weights = chosen.T.astype(np.complex128)
-        cols = max(1, _CHUNK // (2 * len(r)))
+        weights = chosen[pairs].T.astype(np.complex128)
+        cols = max(1, _CHUNK // (2 * len(r) + len(digit)))
         for c in range(0, len(rest), cols):
-            g = np.ones((min(cols, len(rest) - c), len(r)), dtype=np.complex128)
-            for f, inv in factors:
+            (f, inv), *others = factors
+            g = f[inv[c : c + cols]]
+            for f, inv in others:
                 g *= f[inv[c : c + cols]]
-            out[:, run + c : run + c + len(g)] += (g @ weights).T
+            sums = g @ weights
+            if n > 1:
+                powers = np.empty((len(g), n), dtype=np.complex128)
+                powers[:, 0] = 1
+                powers[:, 1:] = w[c : c + len(g), None]
+                np.cumprod(powers, axis=1, out=powers)
+                sums *= powers[:, digit]
+                sums = np.add.reduceat(sums, first, axis=1)
+            out[:, run + c : run + c + len(g)] += sums.T
+
+    step = max(1, _CHUNK // sum(len(u) for u, _ in digits))
+    for lo in range(0, len(residues), step):
+        add_rest(residues[lo : lo + step], sets[:, :, lo : lo + step])
     return out
 
 
@@ -257,7 +326,9 @@ def sorted_unique(values):
 
 def _unit(residues, period):
     """e(r / period) = exp(-2 pi i r / period) of exact residues r."""
-    return np.exp(-2j * np.pi * residues / period)
+    z = -2j * np.pi * residues
+    z /= period
+    return np.exp(z, out=z)
 
 
 def _mulmod(a, b, period):
@@ -269,7 +340,9 @@ def _mulmod(a, b, period):
     """
     period = int(period)
     if (period - 1) ** 2 < 2**63:
-        return (a * b) % period
+        out = a * b
+        out %= period
+        return out
     bits = period.bit_length()
     if bits > 62:
         raise SpectralError(f"period {period} needs more than 62 bits")
