@@ -513,7 +513,8 @@ def test_sampled_checks_stream_their_frequency_blocks():
     peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
     assert con.audit[-1]["rotation_mode"] == "sampled"
     assert params.N**4 > con.audit[-1]["rotation_verified_k"]
-    assert peak < 20 * 2**20
+    # two rows per block and window: 3.1 MiB
+    assert peak < 4 * 2**20
     # as written before the sample was streamed
     assert _level_sha256(params, con)[5] == (
         "cc9c18db0e1117f9c2245ac9245ad00799813ed500ac4f2c8a0a6e5c6111de9a")
@@ -525,7 +526,27 @@ def test_sampled_checks_stream_their_frequency_blocks():
     base = blocks[0]
     assert base.mode == "sampled" and base.members == [0, 1, 5, 11]
     assert base.margin == pytest.approx(0.7440385723108581, rel=1e-12)
-    assert peak < 20 * 2**20
+    # N + 1 = 26 rows of one block of 2^14: 10.2 MiB
+    assert peak < 12 * 2**20
+
+
+def test_sampled_tables_route_holds_two_rows():
+    # N = 36: level 4's rotation check is sampled (P = 36^4 exceeds
+    # EXHAUSTIVE_BUDGET) and reads the period-Q tables (Q = 36^3 = 46656 is
+    # below |ks|) in one block of the whole sample; with its N + 1 rows over
+    # that block, the last build_level peaked at 45.7 MiB
+    params = derive_params(6, 2, 1, j_max=4, seed=7)
+    rng = np.random.default_rng(params.seed)
+    con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
+    for _ in range(3):
+        construction.build_level(params, con, rng)
+    peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
+    assert con.audit[-1]["rotation_mode"] == "sampled"
+    assert params.N**3 <= con.audit[-1]["rotation_verified_k"]
+    assert peak < 8 * 2**20
+    # as written with the N + 1 rows
+    assert _level_sha256(params, con)[4] == (
+        "0c0e664e03a19b9bd64bf9cf1bc9d9a09f1d1c97a4ad7c10a6e0c2ad0dc6e92f")
 
 
 def test_rotation_retries_exhausted_names_the_witness():

@@ -74,14 +74,20 @@ def test_subset_sums_match_exp_sum_per_subset(data):
     period = data.draw(st.sampled_from([9**5, 2**20, 16**9, 25**4]))
     atoms = np.array(data.draw(
         st.lists(st.integers(0, period - 1), min_size=1, max_size=40)), dtype=np.int64)
-    n_sets = data.draw(st.integers(1, 5))
-    sets = np.array(data.draw(st.lists(
-        st.lists(st.booleans(), min_size=len(atoms), max_size=len(atoms)),
-        min_size=n_sets, max_size=n_sets)), dtype=bool)
+    # subsets of the atoms, or one row of n digit sets: the points a n + d at
+    # period n * period, each digit set twisted by e(dk / (n period))
+    n = data.draw(st.sampled_from([1, 2, 3, 16]))
+    n_sets = data.draw(st.integers(1, 5)) if n == 1 else 1
+    shape = (n_sets, n, len(atoms))
+    sets = np.array(data.draw(st.lists(st.booleans(), min_size=math.prod(shape),
+                                       max_size=math.prod(shape))),
+                    dtype=bool).reshape(shape)
+    if n == 1:
+        sets = sets[:, 0]
     run = data.draw(st.sampled_from([0, 1, 2, 50, 300]))
     # the leading run may start anywhere, and wrap past a multiple of the period
     k0 = data.draw(st.sampled_from([0, 1, 4097, period - 3, 5 * period + 2]))
-    rest = data.draw(st.lists(st.integers(1, 10 * period), max_size=40))
+    rest = data.draw(st.lists(st.integers(1, 10 * n * period), max_size=40))
     if run == 0 and not rest:
         rest = [period + 1]
     ks = np.concatenate([k0 + np.arange(run), rest]).astype(np.int64)   # run, rest or both
@@ -90,9 +96,11 @@ def test_subset_sums_match_exp_sum_per_subset(data):
     with mock.patch.object(expsums, "_CHUNK", chunk):
         got = expsums._subset_sums(atoms, sets, ks, period)
     assert got.shape == (n_sets, len(ks))
-    for row, s in zip(got, sets):
-        want = exp_sum(atoms[s], ks, period)
-        assert np.abs(row - want).max() <= 1e-9 * s.sum()
+    for row, s in zip(got, sets.reshape(shape)):
+        digit, at = np.nonzero(s)
+        points = atoms[at] * n + digit
+        want = exp_sum(points, ks, n * period)
+        assert np.abs(row - want).max() <= 1e-9 * len(points)
 
 
 def test_subset_sums_hold_one_result_when_every_frequency_is_in_the_run():
