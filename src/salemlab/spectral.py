@@ -276,19 +276,26 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
     """
     ks = np.abs(np.asarray(ks, dtype=np.int64))
     mags = np.abs(np.asarray(coefficients))
-    keep = ks > 0
-    ks, mags = ks[keep], mags[keep]
+    if not ks.all():
+        keep = ks > 0
+        ks, mags = ks[keep], mags[keep]
     if len(ks) == 0:
         raise SpectralError("decay_report needs a nonempty set of nonzero frequencies")
-    weighted = mags * (1.0 + ks) ** (beta / 2)
-    octaves = np.floor(np.log2(ks)).astype(int)
-    table = {}
-    raw_max = {}
-    for m in range(octaves.min(), octaves.max() + 1):
-        sel = octaves == m
-        if sel.any():
-            table[m] = float(weighted[sel].max())
-            raw_max[m] = float(mags[sel].max())
+    # octave floor(log2 k) of each k, counted from the lowest, and the
+    # maxima of each octave met in one pass
+    octaves = np.log2(ks).astype(np.intp)
+    lowest = int(octaves.min())
+    octaves -= lowest
+    met = np.flatnonzero(np.bincount(octaves))
+    raw = np.zeros(met[-1] + 1)
+    np.maximum.at(raw, octaves, mags)
+    weighted = ks + 1.0
+    weighted **= beta / 2
+    weighted *= mags
+    top = np.zeros(len(raw))
+    np.maximum.at(top, octaves, weighted)
+    table = {lowest + int(m): float(top[m]) for m in met}
+    raw_max = {lowest + int(m): float(raw[m]) for m in met}
     xs = np.array([m for m, v in raw_max.items() if v > 0], dtype=float)
     ys = np.log2([raw_max[int(m)] for m in xs])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
