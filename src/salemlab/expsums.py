@@ -236,12 +236,10 @@ def _subset_sums(atoms, sets, ks, period):
     run = int(np.argmin(np.append(ks - np.arange(len(ks)) == ks[:1], False)))
     B = math.isqrt(max(run - 1, 0)) + 1
     H = -(-run // B)
-    starts = (ks[:1] % period + np.arange(H) * B) % period
+    k0 = ks[0] if run else 0
     if n > 1:
-        d = np.arange(n)
-        heads = (ks[:1] % full + np.arange(H) * B) % full
-        twist_high = _unit(_mulmod(heads[:, None], d[None, :], full), full)
-        twist_low = _unit(d[:, None] * np.arange(B)[None, :] % full, full)
+        twist_high = _progression(np.arange(n), k0, B, H, full).T
+        twist_low = _progression(np.arange(n), 0, 1, B, full)
         w = _unit(ks[run:] % full, full)
 
     def run_sums(high, low, row):
@@ -260,8 +258,8 @@ def _subset_sums(atoms, sets, ks, period):
     step = max(1, _CHUNK // (2 * (H + B) * (1 + per_atom)))
     for lo in range(0, len(residues), step):
         r = residues[lo : lo + step]
-        high = _unit(_mulmod(starts[:, None], r[None, :], period), period)
-        low = _unit(_mulmod(r[:, None], np.arange(B)[None, :], period), period)
+        high = _progression(r, k0, B, H, period).T
+        low = _progression(r, 0, 1, B, period)
         for i, row in enumerate(sets[:, :, lo : lo + step]):
             out[i, :run] += run_sums(high, low, row)
 
@@ -302,6 +300,19 @@ def _subset_sums(atoms, sets, ks, period):
     for lo in range(0, len(residues), step):
         add_rest(residues[lo : lo + step], sets[:, :, lo : lo + step])
     return out
+
+
+def _progression(r, start, step, count, period):
+    """e(r (start + i step) / period) for residues r (rows) and i < count
+    (columns): with i = D i1 + i0, D about sqrt(count), the product of the
+    factors e(r (start + i0 step) / period) and e(r D i1 step / period) of
+    exact residues, about 2 sqrt(count) exponentials per residue."""
+    D = math.isqrt(max(count - 1, 0)) + 1
+    fine = _unit(_mulmod(r[:, None], np.arange(D) * step % period, period), period)
+    fine *= _unit(_mulmod(r, start % period, period), period)[:, None]
+    coarse = np.arange(-(-count // D)) * (D * step) % period
+    coarse = _unit(_mulmod(r[:, None], coarse, period), period)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(r), -1)[:, :count]
 
 
 def _sample_blocks(ks, period):
