@@ -10,7 +10,9 @@ S(P - k) = conj S(k), the classes c <= M/2 decide every k
 (``Frequencies``) and reads them one at a time, for as many atom sets as
 share it; ``gather`` is one such read.
 Subsets of one atom list at the same frequencies take one evaluator
-(``_subset_sums``), a sample of them in blocks (``_sample_blocks``).
+(``_subset_sums``), a sample of them in blocks (``_sample_blocks``); a row
+may fold in a last digit d, summing the points a n + d at period n * period
+as its digit sets twisted by e(dk / (n period)).
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def _subset_sums(atoms, sets, ks, period):
     e(x) = exp(-2 pi i x) of exact residues. On the leading run
     k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row costs one
     matrix product of the factors e(a (k0 + hB) / period) and
-    e(a l / period) of its points, the first twisted by the H-vector
+    e(a l / period) of its points (``_progression``), the first twisted by
+    the H-vector
     e(d (k0 + hB) / (n period)) of each point's digit, the second by the
     B-vector e(d l / (n period)). Every other k has three base-C digits,
     C^3 >= period: one matrix product sums the digit sets over the
