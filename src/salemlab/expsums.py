@@ -245,20 +245,35 @@ def _subset_sums(atoms, sets, ks, period):
         twist_low = _progression(np.arange(n), 0, 1, B, full)
         w = _unit(ks[run:] % full, full)
 
-    def run_sums(high, low, row):
-        # the run's sums of one row over a slice of atoms
-        d, a = np.nonzero(row)
-        if len(a) == len(low) and not d.any():     # every atom, untwisted
-            return (high @ low).ravel()[:run]
-        left, right = high[:, a], low[a]
-        if d.any():
-            left *= twist_high[:, d]
-            right *= twist_low[d]
-        return (left @ right).ravel()[:run]
-
     # a row gathers an atom's run factors once per digit set it is in
     per_atom = int(sets.sum(axis=1).max(initial=0))
     step = max(1, _CHUNK // (2 * (H + B) * (1 + per_atom)))
+    # every row and slice gathers into the same work arrays: temporaries
+    # of this size, allocated per row, go back to the system and are
+    # faulted in again (60k minor faults at deep's level 6 in a fresh
+    # process, against 11k with the work arrays)
+    work = np.empty((3, max(H, B) * per_atom * min(step, len(residues))),
+                    dtype=np.complex128)
+    product = np.empty((H, B), dtype=np.complex128)
+
+    def gathered(table, index, axis, slot):
+        # the rows (axis 0) or columns (axis 1) of table at index, in work[slot]
+        shape = list(table.shape)
+        shape[axis] = len(index)
+        return np.take(table, index, axis=axis, mode="clip",
+                       out=work[slot, : shape[0] * shape[1]].reshape(shape))
+
+    def run_sums(high, low, row):
+        # the run's sums of one row over a slice of atoms, in product
+        d, a = np.nonzero(row)
+        if len(a) == len(low) and not d.any():     # every atom, untwisted
+            return np.matmul(high, low, out=product).ravel()[:run]
+        left, right = gathered(high, a, 1, 0), gathered(low, a, 0, 1)
+        if d.any():
+            left *= gathered(twist_high, d, 1, 2)
+            right *= gathered(twist_low, d, 0, 2)
+        return np.matmul(left, right, out=product).ravel()[:run]
+
     for lo in range(0, len(residues), step):
         r = residues[lo : lo + step]
         high = _progression(r, k0, B, H, period).T

@@ -513,7 +513,7 @@ def test_sampled_checks_stream_their_frequency_blocks():
     peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
     assert con.audit[-1]["rotation_mode"] == "sampled"
     assert params.N**4 > con.audit[-1]["rotation_verified_k"]
-    # two rows per block and window: 3.1 MiB
+    # two rows per block and window: 3.2 MiB
     assert peak < 4 * 2**20
     # as written before the sample was streamed
     assert _level_sha256(params, con)[5] == (
