@@ -203,16 +203,16 @@ def _subset_sums(atoms, sets, ks, period):
     k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row costs one
     matrix product of the factors e(a (k0 + hB) / period) and
     e(a l / period) of its points (``_progression``), the first twisted by
-    the H-vector
-    e(d (k0 + hB) / (n period)) of each point's digit, the second by the
-    B-vector e(d l / (n period)). Every other k has three base-C digits,
-    C^3 >= period: one matrix product sums the digit sets over the
-    products of their factors e(a d C^i / period), and each row adds them
-    twisted by w^d, one running product per frequency. A slice of atoms
-    holds its run factors and the factors a row gathers from them in at
-    most ``_CHUNK`` / 2 entries, its other factors in ``_CHUNK``, and a
-    block of the other k holds the product of those factors, the factor
-    gathered into it and the digit sets' sums in ``_CHUNK``.
+    the H-vector e(d (k0 + hB) / (n period)) of each point's digit, the
+    second by the B-vector e(d l / (n period)). Every other k has three
+    base-C digits, C^3 >= period: one matrix product sums the digit sets
+    over the products of their factors e(a d C^i / period), and each row
+    adds them twisted by w^d, one running product per frequency. A slice of
+    atoms holds its run factors and those one row gathers from them in at
+    most ``_CHUNK`` / 2 entries (and a gathered twist beside them), its
+    other factors in ``_CHUNK``, and a block of the other k holds the
+    product of those factors, the factor gathered into it and the digit
+    sets' sums in ``_CHUNK``.
     """
     ks = np.asarray(ks, dtype=np.int64)
     sets = np.asarray(sets, dtype=bool)

@@ -276,9 +276,8 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
     """
     ks = np.abs(np.asarray(ks, dtype=np.int64))
     mags = np.abs(np.asarray(coefficients))
-    if not ks.all():
-        keep = ks > 0
-        ks, mags = ks[keep], mags[keep]
+    keep = ks > 0
+    ks, mags = ks[keep], mags[keep]
     if len(ks) == 0:
         raise SpectralError("decay_report needs a nonempty set of nonzero frequencies")
     # octave floor(log2 k) of each k, counted from the lowest, and the
