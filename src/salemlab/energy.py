@@ -44,8 +44,8 @@ _TABLES_KEPT = 64
 
 
 # Widest table of ``_sum_counts``, r (max Y - min Y) + 1 sums, read at call
-# time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 sums). Memory follows the
-# length the runs cover: 1.02 M counts in desk's widest (3 * 2^20 sums).
+# time; 2^26 keeps N = 16's j = 6 tables (3 * 2^24 sums). Memory is g_(r-1)
+# and one run of g_r: 348,043 + 168,190 counts in desk's widest (3 * 2^20).
 WIDTH_BUDGET = 2**26
 
 
@@ -76,30 +76,35 @@ def sum_distribution(Y, r: int) -> EnergyTable:
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
 def _table(key: bytes, r: int) -> EnergyTable:
-    runs = [g for _, g in _sum_counts(np.frombuffer(key, dtype=np.int64), r)]
-    M = sum(_exact_dot(g, g) for g in runs)
-    corr = {0: M}
-    for d in range(1, r):
-        corr[d] = corr[-d] = sum(_exact_dot(g[:-d], g[d:]) for g in runs if d < len(g))
-    return EnergyTable(r=r, M=M, correlation=MappingProxyType(corr),
-                       support_size=sum(int(np.count_nonzero(g)) for g in runs))
+    """M, the |d| < r correlations and the support of g_r, run by run."""
+    runs = _sum_counts(np.frombuffer(key, dtype=np.int64), r)   # refuses first
+    corr, support = [0] * r, 0
+    for _, g in runs:
+        for d in range(min(r, len(g))):
+            corr[d] += _exact_dot(g[: len(g) - d], g[d:])
+        support += int(np.count_nonzero(g))
+        del g              # before the next run is formed
+    return EnergyTable(r=r, M=corr[0], support_size=support, correlation=MappingProxyType(
+        {d: corr[abs(d)] for d in range(1 - r, r)}))
 
 
-def _sum_counts(Y, r: int) -> list:
-    """The r-fold sum counts over Y as sorted runs (start, g): g[i] r-tuples
-    sum to r * min(Y) + start + i, and none sums between runs. A run starts
-    and ends on a nonzero count, and runs lie more than _RUN_GAP zeros apart.
+def _sum_counts(Y, r: int):
+    """The r-fold sum counts over Y as an iterator of sorted runs (start, g):
+    g[i] r-tuples sum to r * min(Y) + start + i, and none sums between runs.
+    A run starts and ends on a nonzero count, and runs lie more than _RUN_GAP
+    zeros apart.
 
     g_s = g_{s-1} (+) 1_Y adds each run of g_{s-1}, shifted by each y in Y,
     into the run of g_s that holds it, one contiguous add each. The runs of
     g_{s-1} and of 1_Y summed pairwise cover g_s, and such a sum holds no
     zero gap over _RUN_GAP, so joining them across shorter gaps needs no split.
+    g_1 ... g_{r-1} are built whole, g_r one run at a time as it is read.
     An r-tuple's last element is fixed by its sum, so g is int32 when
     |Y|^(r-1) < 2^31 and int64 otherwise; the counts sum to |Y|^r < 2^63.
     Any |Y| >= 2 reaches 2^63 by r = 63, so r >= 63 is refused on every Y,
     one atom included, before the power is formed or a step is run; so is a
     table wider than WIDTH_BUDGET, or one whose shift-adds could exceed
-    WORK_BUDGET.
+    WORK_BUDGET; each is raised by the call itself, before any run is read.
     """
     Y = sorted_unique(np.asarray(Y, dtype=np.int64))
     if len(Y) == 0:
@@ -118,20 +123,29 @@ def _sum_counts(Y, r: int) -> list:
     if adds > WORK_BUDGET:
         raise EnergyError(f"order-{r} sum counts of |Y| = {len(Y)} atoms need up to "
                           f"{adds:.3g} shift-adds, over the work budget {WORK_BUDGET}")
-    y_lo, y_hi = _cover(Y0, Y0 + 1)
     runs = [(0, np.ones(1, dtype=np.int32 if len(Y) ** (r - 1) < 2**31 else np.int64))]
-    for _ in range(r):     # from g_0, the one empty sum
-        lo, hi = np.array([(a, a + len(g)) for a, g in runs]).T
-        out_lo = out_hi = lo[:0]
-        for b, e in zip(y_lo, y_hi):   # one run of 1_Y at a time bounds the pairs held
-            out_lo, out_hi = _cover(np.r_[out_lo, lo + b], np.r_[out_hi, hi + e - 1])
-        out = [np.zeros(e - b, dtype=runs[0][1].dtype) for b, e in zip(out_lo, out_hi)]
-        for a, g in runs:
-            into = np.searchsorted(out_lo, a + Y0, side="right") - 1
-            for k, off in zip(into.tolist(), (a + Y0 - out_lo[into]).tolist()):
-                out[k][off : off + len(g)] += g
-        runs = list(zip(out_lo.tolist(), out))
-    return runs
+    for _ in range(r - 1):     # from g_0, the one empty sum
+        runs = list(_step(runs, Y0))
+    return _step(runs, Y0)
+
+
+def _step(runs: list, Y0: np.ndarray):
+    """The runs of g_s = g_{s-1} (+) 1_Y in order: a run holds the pairs (run of
+    g_{s-1} at a, y) not yet added with a + y below its end, one searchsorted."""
+    lo, hi = np.array([(a, a + len(g)) for a, g in runs]).T
+    out_lo = out_hi = lo[:0]
+    for b, e in zip(*_cover(Y0, Y0 + 1)):   # one run of 1_Y at a time bounds the pairs held
+        out_lo, out_hi = _cover(np.r_[out_lo, lo + b], np.r_[out_hi, hi + e - 1])
+    done = np.zeros(len(runs), dtype=np.intp)     # the ys added, per run of g_{s-1}
+    for b, e in zip(out_lo.tolist(), out_hi.tolist()):
+        out, upto = np.zeros(e - b, dtype=runs[0][1].dtype), np.searchsorted(Y0, e - lo)
+        for i in np.flatnonzero(upto > done).tolist():
+            a, g = runs[i]
+            for off in (Y0[done[i] : upto[i]] + (a - b)).tolist():
+                out[off : off + len(g)] += g
+        done = upto
+        yield b, out
+        del out
 
 
 def _cover(lo: np.ndarray, hi: np.ndarray):

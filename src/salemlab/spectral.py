@@ -297,7 +297,8 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
     raw_max = {lowest + int(m): float(raw[m]) for m in met}
     xs = np.array([m for m, v in raw_max.items() if v > 0], dtype=float)
     ys = np.log2([raw_max[int(m)] for m in xs])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
+    xs -= xs.mean() if len(xs) else 0.0     # least squares in closed form, no LAPACK
+    slope = float(np.sum(xs * (ys - ys.mean())) / np.sum(xs * xs)) if len(xs) >= 2 else None
     return DecayReport(
         beta=beta,
         sup_constant=float(weighted.max()),

@@ -42,7 +42,7 @@ def _python_dot(a, b) -> int:
 
 def _dense(Y, r) -> np.ndarray:
     """The runs of ``_sum_counts`` written into one array of the table's width."""
-    runs = energy._sum_counts(Y, r)
+    runs = list(energy._sum_counts(Y, r))
     g = np.zeros(runs[-1][0] + len(runs[-1][1]), dtype=runs[0][1].dtype)
     for start, counts in runs:
         g[start : start + len(counts)] = counts
@@ -70,7 +70,7 @@ def test_run_forms_equal_the_loop(gap, Y, r, shift):
     g = loop_counts(Y, r)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_RUN_GAP", gap)
-        runs = energy._sum_counts(Y, r)
+        runs = list(energy._sum_counts(Y, r))
         _check_runs(runs)
         assert np.array_equal(_dense(Y, r), g)
         table = energy._table.__wrapped__(np.unique(Y).tobytes(), r)
@@ -92,7 +92,7 @@ def test_runs_split_one_zero_past_the_gap(gap, zeros, n_runs):
     g = loop_counts(Y, 4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "_RUN_GAP", gap)
-        runs = energy._sum_counts(Y, 4)
+        runs = list(energy._sum_counts(Y, 4))
         _check_runs(runs)
         table = energy._table.__wrapped__(np.unique(Y).tobytes(), 4)
     assert len(runs) == n_runs
@@ -140,8 +140,9 @@ def test_exact_dot_adds_int32_counts_without_wrapping():
 
 
 def test_largest_desk_table_holds_narrow_counts(desk_params, desk):
-    # g_2 and g_3 are live at once: runs of 348,043 and 1,016,910 int32
-    # counts (5.3 MiB peak), against 2^21 and 3 * 2^20 over the whole width
+    # g_2 whole and one run of g_3 are live at once: 348,043 int32 counts in
+    # 15 runs and at most 168,190 of g_3's 1,016,910 in 25 runs (2.1 MiB
+    # peak), against 2^21 and 3 * 2^20 over the whole width
     Y = restricted_atoms(desk_params, desk.levels[5], 0)
     energy._table.cache_clear()
     tracemalloc.start()
@@ -150,7 +151,37 @@ def test_largest_desk_table_holds_narrow_counts(desk_params, desk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < (348_043 + 168_190) * 4 + 2**19
+
+
+def test_last_step_holds_one_output_run(monkeypatch):
+    # eight clusters 2^20 apart of 16 atoms 2048 apart: g_2 has 15 runs, and
+    # g_3 has 22 runs of 92,161 counts, 360 KiB each. Tracing restarts its
+    # peak once g_2 is built, so the peak is g_2 and what the last step holds
+    Y = (np.arange(8)[:, None] * 2**20 + 2048 * np.arange(16)).ravel()
+    g_2 = sum(g.nbytes for _, g in energy._sum_counts(Y, 2))
+    g_3 = [g.nbytes for _, g in energy._sum_counts(Y, 3)]
+    assert len(g_3) == 22 and min(g_3) == max(g_3) == 92_161 * 4
+    count = energy._sum_counts
+
+    def counted(Y, r):
+        runs = count(Y, r)
+        tracemalloc.reset_peak()
+        return runs
+
+    monkeypatch.setattr(energy, "_sum_counts", counted)
+    key = np.unique(Y).tobytes()
+    tracemalloc.start()
+    try:
+        table = energy._table.__wrapped__(key, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    g = _dense(Y, 3)
+    assert table.M == _python_dot(g, g)
+    # 256 KiB covers einsum's int64 buffers (130 KiB); a second run held
+    # while the next is formed would add 360 KiB
+    assert peak < g_2 + max(g_3) + 2**18
 
 
 # (j, ell, r, M, support_size, correlations) of every desk seed-7 table, and

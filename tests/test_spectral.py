@@ -543,6 +543,19 @@ def test_decay_report_shape():
     assert vals[0] > vals[-1]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_decay_slope_is_the_least_squares_fit(seed):
+    # the closed-form slope against np.polyfit's over random octave maxima
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, 2**rng.integers(3, 21), 3000)
+    coeffs = (rng.standard_normal(3000) + 1j) * ks ** -rng.uniform(0.2, 1.5)
+    rep = decay_report(ks, coeffs, beta=0.5)
+    octaves = np.floor(np.log2(ks)).astype(int)
+    xs = np.unique(octaves)
+    ys = [np.log2(np.abs(coeffs[octaves == m]).max()) for m in xs]
+    assert rep.fitted_exponent == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12)
+
+
 def test_trivial_bound_witness_is_the_direct_one(odd_base):
     # k = 30437 and its twin 59049 - 30437 = 28612 tie in exact arithmetic;
     # the table alone can pick either, the direct sum picks 30437
