@@ -16,8 +16,7 @@ from .construction import Construction, ConstructionError, verify_construction
 from .energy import energy_lower_bound, sum_distribution
 from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
 from .spectral import (
-    ScreenPlan, f_mu_hat, mu_hat, restricted_atoms, telescope_check,
-    trivial_bound_check,
+    f_mu_hat, mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
 )
 
 
@@ -51,6 +50,15 @@ def energy_case(params, level, ell: int, r: int, table) -> dict:
     }
 
 
+def _plancherel_sum(atoms, period) -> float:
+    """sum over k < period of |S(k)|^2 from the half classes of the period
+    (``expsums.half_classes``): a class 0 < c < M/2 counts for its mirror
+    M - c too."""
+    return sum((2 if 0 < 2 * ks[0] < period // len(ks) else 1)
+               * float(np.sum(np.abs(sums(atoms)) ** 2))
+               for ks, sums in expsums.half_classes(period))
+
+
 def _verify_frequencies(params, j) -> np.ndarray:
     period = params.N ** (j + 1)
     top = min(period, 2**16)
@@ -67,10 +75,10 @@ def _verify_frequencies(params, j) -> np.ndarray:
 def _decay_screens(con: Construction, j: int) -> tuple[list, list]:
     """The telescoping reports of j -> j + 1 (none at j = 0) and the trivial
     bound cases of level j + 1, every window, all over the frequencies of j
-    at period N^(j+1): one ``ScreenPlan`` serves the 2j + 3 screens and is
-    dropped on return."""
+    at period N^(j+1), none of them 0: one plan of them serves the 2j + 3
+    screens and is dropped on return."""
     params, lo, hi = con.params, con.levels[j], con.levels[j + 1]
-    plan = ScreenPlan(_verify_frequencies(params, j), params.period(j + 1))
+    plan = expsums.Frequencies(_verify_frequencies(params, j), params.period(j + 1))
     reports = [telescope_check(params, lo, hi, plan, ell=ell)
                for ell in range(j + 1)] if j else []
     cases = [trivial_bound_check(params, hi, ell, plan) for ell in range(j + 2)]
@@ -88,34 +96,30 @@ def run_verification(con: Construction) -> list[dict]:
                        error=str(exc))]
     checks = [record("construction-invariants", "nesting/cardinality", True)]
 
-    # Parseval per level, summed over the residue classes of the period
-    worst = 0.0
+    # Parseval per level; the witness is the first level at the largest error
+    errors = []
     for level in con.levels:
         period = params.period(level.j)
-        if period > expsums.FFT_BUDGET:
-            continue
-        B, M = expsums.split(period)
-        tables = (expsums.class_sums(level.atoms, period, B, c) for c in range(M))
-        total = sum(float(np.sum(np.abs(s) ** 2)) for s in tables)
         expected = period * len(level.atoms)
-        worst = max(worst, abs(total - expected) / expected)
-    checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst))
+        errors.append(abs(_plancherel_sum(level.atoms, period) - expected) / expected)
+    worst = max(errors)
+    checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst,
+                         witness={"j": errors.index(worst)}))
 
-    # normalization and window masses
-    ok = True
-    worst = 0.0
+    # normalization and window masses: the coefficient at 0 and the exact
+    # atom count of each window; the witness is the first window whose count
+    # is off, else the first at the largest error
+    cases = []
     for level in con.levels:
-        worst = max(worst, abs(complex(mu_hat(params, level, 0)) - 1.0))
-        for ell in range(0, level.j + 1):
-            expected = float(params.t) ** (-ell / 2)
-            worst = max(
-                worst, abs(complex(f_mu_hat(params, level, ell, 0)) - expected)
-            )
-            ok = ok and direct_mass(params, level, ell) == Fraction(
-                1, params.sqrt_t**ell
-            )
-    checks.append(record("mass-identity", "3.1-mass", ok and worst < 1e-12,
-                         worst_abs_error=worst))
+        for ell in range(level.j + 1):
+            coef = f_mu_hat(params, level, ell, 0) if ell else mu_hat(params, level, 0)
+            cases.append((direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
+                          abs(complex(coef) - float(params.t) ** (-ell / 2)),
+                          {"j": level.j, "ell": ell}))
+    wrong, _, witness = max(cases, key=lambda case: case[:2])
+    worst = max(error for _, error, _ in cases)
+    checks.append(record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
+                         worst_abs_error=worst, witness=witness))
 
     # telescoping decay j -> j + 1 and the trivial bound of level j + 1, both
     # over the frequencies of j
@@ -125,11 +129,12 @@ def run_verification(con: Construction) -> list[dict]:
         reports += level_reports
         cases += level_cases
     if reports:
-        worst_rep = max(reports, key=lambda r: r.max_ratio)
+        worst_rep = max(reports, key=lambda r: r["max_ratio"])
         checks.append(record(
-            "telescoping", "2.7/2.8", all(r.passed for r in reports),
-            max_ratio=worst_rep.max_ratio,
-            witness={"j": worst_rep.j, "ell": worst_rep.ell, "k": worst_rep.worst_k},
+            "telescoping", "2.7/2.8", all(r["passed"] for r in reports),
+            max_ratio=worst_rep["max_ratio"],
+            witness={"j": worst_rep["j"], "ell": worst_rep["ell"],
+                     "k": worst_rep["worst_k"]},
         ))
 
     checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))

@@ -4,11 +4,12 @@ S(k) = sum over atoms a of w_a exp(-2 pi i a k / period) at integer k, with
 real weights w (1 unless given; weighted atoms may repeat), summed directly
 with exact residues (``exp_sum``) or read from the tables of the residue
 classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``), each one
-length-B FFT (``class_sums``; one class is the real-input half table). As
-S(P - k) = conj S(k), the classes c <= M/2 decide every k
-(``half_classes``). An array of k is folded and split into them once
-(``Frequencies``) and reads them one at a time, for as many atom sets as
-share it; ``gather`` is one such read.
+length-B FFT (``class_sums``, the one table kernel; M = 1 is the one class
+c = 0, the whole period). As S(P - k) = conj S(k), the classes c <= M/2
+decide every k (``half_classes``, the one iterator over a whole period). An
+array of k is folded and split into them once (``Frequencies``) and reads
+them one at a time, for as many atom sets as share it; ``gather`` is one
+such read.
 Subsets of one atom list at the same frequencies take one evaluator
 (``_subset_sums``), a sample of them in blocks (``_sample_blocks``); a row
 may fold in a last digit d, summing the points a n + d at period n * period
@@ -88,24 +89,15 @@ def class_sums(atoms, n, B, c, *, weights=1.0):
     return np.fft.fft(x)
 
 
-def _class_table(atoms, period, B, c, weights=1.0):
-    """S over class c of ``split(period)``, or if B = period the half table."""
-    if B < period:
-        return class_sums(atoms, period, B, c, weights=weights)
-    ind = np.zeros(period)
-    np.add.at(ind, atoms, weights)
-    return np.fft.rfft(ind)
-
-
 def half_classes(period):
     """(ks, sums), sums(atoms, weights=w) = S(ks), per class c <= M/2 of
-    ``split(period)`` (one class: ks = [0, period // 2]); together they
+    ``split(period)`` (M = 1: c = 0 and ks = [0, period)); together they
     decide every k."""
     B, M = split(period)
     for c in range(M // 2 + 1):
-        ks = c + M * np.arange(B if M > 1 else period // 2 + 1, dtype=np.int64)
-        yield ks, lambda atoms, c=c, *, weights=1.0: _class_table(
-            atoms, period, B, c, weights)
+        ks = c + M * np.arange(B, dtype=np.int64)
+        yield ks, lambda atoms, c=c, *, weights=1.0: class_sums(
+            atoms, period, B, c, weights=weights)
 
 
 class Frequencies:
@@ -158,14 +150,13 @@ class Frequencies:
     def sums(self, atoms, *, weights=1.0):
         """(positions, S(k) at them) in blocks of at most ``BLOCK``
         frequencies, class by class, read from the class's table
-        (``class_sums``; one class: the half table) and conjugated where
-        mirrored."""
+        (``class_sums``) and conjugated where mirrored."""
         residues = np.asarray(atoms, dtype=np.int64) % self.period
         for c, at, rows, flip in self._classes:
             if c is None:
                 table = exp_sum(atoms, self.ks, self.period, weights=weights)
             else:
-                table = _class_table(residues, self.period, self.B, c, weights)
+                table = class_sums(residues, self.period, self.B, c, weights=weights)
             for lo in range(0, len(at), BLOCK):
                 s = table[rows[lo : lo + BLOCK]]
                 np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])

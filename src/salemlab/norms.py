@@ -22,7 +22,7 @@ import numpy as np
 
 from .construction import LevelSet
 from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
-from .expsums import class_sums, split
+from .expsums import half_classes, split
 from .params import ConstructionParams
 from .spectral import restricted_atoms
 
@@ -167,7 +167,8 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
 
     The n_per = 4 N^j samples of a period are read in the residue classes
     i = c + M m, m < B, of ``expsums.split``, one length-B FFT each. |T| is
-    even, so only the classes c <= M/2 are evaluated, each one's weights
+    even, so only the classes c <= M/2 are evaluated
+    (``expsums.half_classes``), each one's weights
     dotted with |T|^p of every window. Class c samples eta = m / B + delta,
     delta = c / n_per <= 1 / (2B): the weights of every period past the
     first come by Horner in delta from one ``_weight_table`` on the grid
@@ -195,12 +196,13 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     # period carry sin = 0 and drop out, and -xi doubles the rest
     head = [(len(atoms) * tj) ** p for atoms in windows]
     tail = [0.0] * len(windows)
-    for c in range(M // 2 + 1):
+    for ks, sums in half_classes(n_per):
+        c = int(ks[0])
         skip = int(c == 0)
         head_w, tail_w = _class_weights(table, c, n_per, p,
                                         folded=0 < 2 * c < M)
         for w, atoms in enumerate(windows):
-            A = (np.abs(class_sums(atoms, n_per, B, c)[skip:]) * tj) ** p
+            A = (np.abs(sums(atoms)[skip:]) * tj) ** p
             head[w] += 2.0 * float(np.dot(A, head_w))
             tail[w] += 2.0 * float(np.dot(A, tail_w))
     # 2 (N^j env_peak / pi)^p K^(1-p) / (p - 1), with no large power formed

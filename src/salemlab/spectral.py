@@ -2,17 +2,16 @@
 
 Integer-frequency coefficients come from the exact exponential sums of
 ``expsums``, read from the residue-class tables of the period through one
-plan of the frequencies (``expsums.Frequencies``). Decay bounds are screened
-on |S(k)| from the tables, times one real factor per frequency
-(``ScreenPlan``), their witnesses recomputed by the direct sum, and the worst
-slack reported.
+plan of the frequencies (``expsums.Frequencies``). Both decay bounds go
+through one screen (``_screen``): |S(k)| from the tables times one real
+factor per frequency, formed block by block, with the witnesses recomputed
+by the direct sum and the worst ratio reported.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -98,7 +97,7 @@ def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,
     """The coefficients of window ell (None or 0: the measure) at ``ks``, an
     array or a plan at the level's period (``expsums.Frequencies``) that
     several spectra share; filled class by class, in the plan's blocks."""
-    plan = _plan(expsums.Frequencies, ks, params.period(level.j))
+    plan = _plan(ks, params.period(level.j))
     coeffs = np.empty(len(plan), dtype=np.complex128)
     for at, sums in plan.sums(restricted_atoms(params, level, ell or 0)):
         coeffs[at] = _coefficients(params, level.j, plan.ks[at], sums)
@@ -106,11 +105,11 @@ def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,
     return Spectrum(j=level.j, weight=weight, ks=plan.ks, coefficients=coeffs)
 
 
-def _plan(kind, ks, period):
-    """``ks`` itself if it is a ``kind`` plan at ``period``, else a new one
-    over the array ``ks``."""
-    if not isinstance(ks, kind):
-        return kind(ks, period)
+def _plan(ks, period):
+    """``ks`` itself if it is a plan at ``period``, else a new one over the
+    array ``ks``."""
+    if not isinstance(ks, expsums.Frequencies):
+        return expsums.Frequencies(ks, period)
     if ks.period != period:
         raise ValueError(f"a plan at period {ks.period} read at period {period}")
     return ks
@@ -119,68 +118,50 @@ def _plan(kind, ks, period):
 # ---------------------------------------------------------------------------
 # screens
 
-class ScreenPlan(expsums.Frequencies):
-    """The plan of the nonzero frequencies of one checked set at period P,
-    with the real factors by which a screen turns |S(k)| into its ratio up
-    to a constant. The telescoping step j -> j + 1 and the trivial bound of
-    level j + 1, all at P = N^(j+1), read one; each factor is formed on
-    first use."""
+def _screen(ks, period, points, weights, scale, ratio, *, envelope):
+    """The largest ``ratio``, its witness and the count over the nonzero
+    frequencies ``ks``, an array (k = 0 dropped) or a plan of them at
+    ``period`` (``expsums.Frequencies``) that several screens share.
 
-    def __init__(self, ks, period):
+    The tables only screen: per block, scale * factor(k) * |S(k)| over the
+    weighted points, the factor |sin(pi k / P)| from the folded
+    min(k mod P, P - k mod P), divided by min(|k|, P) with ``envelope``;
+    ``_worst`` recomputes the k near the screened maximum by ``ratio``."""
+    if not isinstance(ks, expsums.Frequencies):
         ks = np.asarray(ks, dtype=np.int64)
-        super().__init__(ks[ks != 0], period)
-
-    @cached_property
-    def sine(self):
-        """|sin(pi k / P)|, from the folded min(k mod P, P - k mod P)."""
-        r = self.ks % self.period
-        np.minimum(r, self.period - r, out=r)
-        return np.sin(np.pi / self.period * r)
-
-    @cached_property
-    def prefactor_over_envelope(self):
-        """|prefactor(k, P)| / min(1, P/|k|) = |sin(pi k / P)| P / (pi min(|k|, P))."""
-        out = np.minimum(np.abs(self.ks), self.period).astype(np.float64)
-        np.divide(self.sine, out, out=out)
-        out *= self.period / np.pi
-        return out
-
-    def screen(self, factor, scale, atoms, weights=1.0):
-        """scale * factor(k) * |S(k)| over the frequencies, class by class."""
-        out = np.empty(len(self.ks))
-        for at, sums in self.sums(atoms, weights=weights):
-            out[at] = np.abs(sums) * factor[at]
-        out *= scale
-        return out
+        ks = ks[ks != 0]
+    plan = _plan(ks, period)
+    screened = np.empty(len(plan))
+    for at, sums in plan.sums(points, weights=weights):
+        k = plan.ks[at]
+        factor = k % period
+        np.minimum(factor, period - factor, out=factor)
+        factor = np.sin(np.pi / period * factor)
+        if envelope:
+            factor /= np.minimum(np.abs(k), period)
+        screened[at] = np.abs(sums) * factor
+    screened *= scale
+    worst_k, max_ratio = _worst(plan.ks, screened, ratio)
+    return {"max_ratio": max_ratio, "worst_k": worst_k, "checked": len(plan)}
 
 
 # ---------------------------------------------------------------------------
 # telescoping decay between consecutive levels
 
-@dataclass
-class TelescopeReport:
-    j: int
-    ell: int                  # 0 means the plain measure
-    constant: float           # C used on the right-hand side
-    max_ratio: float
-    worst_k: int
-    checked: int
-    passed: bool
-
-
 def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet,
-                    ks, ell: int = 0) -> TelescopeReport:
+                    ks, ell: int = 0) -> dict:
     """Verify |coef_{j+1}(k) - coef_j(k)| against the level-step envelope
     C * min(1, N^(j+1)/|k|) * t^(-(j+1)/2) * ln(8 N^(j+1)) with C = 2*c_rot.
     The difference is prefactor(k, P) t^(-j) s(k), P = N^(j+1), s the sum of
     the window's ``deviation_measure`` from level j to j+1: one table, no
-    cancellation. ``ks`` is an array or a ``ScreenPlan`` at P."""
+    cancellation. ``ks`` is an array or a plan at P (``_screen``), and
+    |prefactor(k, P)| / min(1, P/|k|) = |sin(pi k / P)| P / (pi min(|k|, P))
+    its screen factor. The record is the trivial bound's plus ``constant``."""
     if hi.j != lo.j + 1:
         raise ValueError("telescope_check needs consecutive levels")
     j, t = lo.j, params.t
     C = 2.0 * params.c_rot
     period = params.period(j + 1)
-    plan = _plan(ScreenPlan, ks, period)
     points, weights = deviation_measure(params, restricted_atoms(params, lo, ell),
                                         restricted_atoms(params, hi, ell))
 
@@ -191,23 +172,19 @@ def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet,
         rhs = C * envelope * t ** (-(j + 1) / 2) * math.log(8 * period)
         return lhs / rhs
 
-    scale = float(t) ** -j / (C * t ** (-(j + 1) / 2) * math.log(8 * period))
-    screened = plan.screen(plan.prefactor_over_envelope, scale, points, weights)
-    worst_k, max_ratio = _worst(plan.ks, screened, ratio)
-    return TelescopeReport(
-        j=j, ell=ell, constant=C, max_ratio=max_ratio, worst_k=worst_k,
-        checked=len(plan.ks), passed=max_ratio < 1.0,
-    )
+    scale = float(t) ** -j * period / np.pi / (C * t ** (-(j + 1) / 2)
+                                               * math.log(8 * period))
+    rep = _screen(ks, period, points, weights, scale, ratio, envelope=True)
+    return {"j": j, "ell": ell, "constant": C, **rep, "passed": rep["max_ratio"] < 1.0}
 
 
 def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
                         ks) -> dict:
-    """Check |coef(k)| <= N^h t^(-ell/2) / (pi |k|) over nonzero frequencies,
-    ``ks`` an array or a ``ScreenPlan`` at the level's period P = N^j. The
-    ratio is |sin(pi k / P)| |S(k)| t^(ell/2 - j)."""
+    """Check |coef(k)| <= N^j t^(-ell/2) / (pi |k|) over nonzero frequencies,
+    ``ks`` an array or a plan at the level's period P = N^j (``_screen``).
+    The ratio is |sin(pi k / P)| |S(k)| t^(ell/2 - j)."""
     atoms = restricted_atoms(params, level, ell)
     period = params.period(level.j)
-    plan = _plan(ScreenPlan, ks, period)
 
     def ratio(ks):
         coeffs = np.abs(_coefficients(params, level.j, ks, exp_sum(atoms, ks, period)))
@@ -218,13 +195,9 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
         )
         return coeffs / bound
 
-    screened = plan.screen(plan.sine, float(params.t) ** (ell / 2 - level.j), atoms)
-    worst_k, max_ratio = _worst(plan.ks, screened, ratio)
-    return {
-        "j": level.j, "ell": ell, "max_ratio": max_ratio,
-        "worst_k": worst_k, "checked": len(plan.ks),
-        "passed": max_ratio <= 1.0 + 1e-12,
-    }
+    rep = _screen(ks, period, atoms, 1.0, float(params.t) ** (ell / 2 - level.j),
+                  ratio, envelope=False)
+    return {"j": level.j, "ell": ell, **rep, "passed": rep["max_ratio"] <= 1.0 + 1e-12}
 
 
 # Screening width of the witness refinement: the class tables agree with the

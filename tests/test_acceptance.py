@@ -100,8 +100,8 @@ def test_criterion_05_telescoping(desk_params, desk):
             for ks in (exhaustive, beyond):
                 rep = telescope_check(desk_params, desk.levels[j],
                                       desk.levels[j + 1], ks, ell=ell)
-                worst = max(worst, rep.max_ratio)
-                ok = ok and rep.passed
+                worst = max(worst, rep["max_ratio"])
+                ok = ok and rep["passed"]
     elapsed = time.monotonic() - t0
     report(5, "level-step decay bound, C = 2 c_rot, |k| < 2^20 + beyond",
            ok and elapsed < 120.0, f"max ratio {worst:.2e}, {elapsed:.0f}s")

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from salemlab import construction, energy, expsums
+from salemlab import checks, construction, energy, expsums
 from salemlab.cli import main
 from salemlab.energy import EnergyError
 from salemlab.storage import level_filename
@@ -277,6 +278,45 @@ def test_verify_detects_planted_fault(built, capsys):
     captured = capsys.readouterr()
     assert "FAIL construction-invariants" in captured.out
     assert "nesting" in captured.out + captured.err
+
+
+def test_failing_parseval_names_its_level(built, capsys, monkeypatch):
+    # the tables of level 2's period, 16^2, read twice the sums
+    half_classes = expsums.half_classes
+
+    def doubled(period):
+        for ks, sums in half_classes(period):
+            yield ks, (lambda atoms, sums=sums: 2 * sums(atoms)) if period == 256 else sums
+
+    monkeypatch.setattr(expsums, "half_classes", doubled)
+    assert main(["verify", str(built)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL parseval" in captured.out
+    assert "verify: FAILED parseval: {'j': 2}" in captured.err
+
+
+def test_failing_mass_identity_names_its_window(built, capsys, monkeypatch):
+    # level 2's window 1 counts one atom short
+    direct_mass = checks.direct_mass
+
+    def short(params, level, ell):
+        mass = direct_mass(params, level, ell)
+        return mass - Fraction(1, params.t**level.j) if (level.j, ell) == (2, 1) else mass
+
+    monkeypatch.setattr(checks, "direct_mass", short)
+    assert main(["verify", str(built)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL mass-identity" in captured.out
+    assert "verify: FAILED mass-identity: {'j': 2, 'ell': 1}" in captured.err
+
+
+def test_verify_beyond_the_transform_budget_exits_3(built, capsys, monkeypatch):
+    # Parseval reads every level's period before the decay screens run:
+    # the top level's 16^3 points are refused there
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 4095)
+    monkeypatch.setattr(checks, "_decay_screens", None)
+    assert main(["verify", str(built)]) == 3
+    assert "resource limit: transform length 4096 exceeds" in capsys.readouterr().err
 
 
 def test_verify_missing_dir_exits_2(tmp_path, capsys):

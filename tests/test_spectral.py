@@ -15,7 +15,7 @@ from salemlab import (
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
 from salemlab.construction import deviation_measure
-from salemlab.spectral import ScreenPlan, Spectrum, exp_sum_all, prefactor
+from salemlab.spectral import Spectrum, exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
 
@@ -139,9 +139,9 @@ def test_few_frequencies_read_the_tables(odd_base, monkeypatch):
     period = params.period(4)
     ks = np.array([7919, 2 * 7919], dtype=np.int64)
     tables = []
-    class_table = expsums._class_table
-    monkeypatch.setattr(expsums, "_class_table",
-                        lambda *a: tables.append(a) or class_table(*a))
+    class_sums = expsums.class_sums
+    monkeypatch.setattr(expsums, "class_sums",
+                        lambda *a, **kw: tables.append(a) or class_sums(*a, **kw))
     got = expsums.gather(atoms, ks, period)
     assert len(tables) == 1
     direct = exp_sum(atoms, ks, period)
@@ -159,9 +159,9 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
     n_table = math.ceil(period * math.log2(period) / (20 * len(atoms)))
     ks = np.arange(1, n_table + side + 1, dtype=np.int64) * 7919
     tables = []
-    class_table = expsums._class_table
-    monkeypatch.setattr(expsums, "_class_table",
-                        lambda *a: tables.append(a) or class_table(*a))
+    class_sums = expsums.class_sums
+    monkeypatch.setattr(expsums, "class_sums",
+                        lambda *a, **kw: tables.append(a) or class_sums(*a, **kw))
     got = expsums.gather(atoms, ks, period)
     assert len(tables) == 1
     direct = exp_sum(atoms, ks, period)
@@ -170,7 +170,6 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
 
 def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
     params, con = odd_base
-    monkeypatch.setattr(expsums, "_class_table", None)
     monkeypatch.setattr(expsums, "class_sums", None)
     atoms = con.levels[5].atoms
     assert expsums.gather(atoms, 30437, params.period(5)) \
@@ -187,7 +186,7 @@ def test_plan_above_the_budget_takes_the_direct_sum(odd_base, monkeypatch):
     want = exp_sum(atoms, ks, period)
     tabled = trivial_bound_check(params, level, 1, ks)
     monkeypatch.setattr(expsums, "FFT_BUDGET", period - 1)
-    monkeypatch.setattr(expsums, "_class_table", None)
+    monkeypatch.setattr(expsums, "class_sums", None)
     assert np.array_equal(expsums.gather(atoms, ks, period), want)
     spec = compute_spectrum(params, level, ks)
     assert np.array_equal(spec.coefficients, prefactor(ks, period) * want * 4.0 ** -3)
@@ -195,15 +194,16 @@ def test_plan_above_the_budget_takes_the_direct_sum(odd_base, monkeypatch):
 
 
 def _half_table_gather(atoms, ks, period):
-    """S(ks) from one real-input FFT over the period, mirrored above
-    period / 2: the one-class table, written out."""
-    ind = np.zeros(period)
+    """S(ks) from one complex FFT over the period, read on its half
+    [0, period / 2] and mirrored above it: the one-class table, written
+    out."""
+    ind = np.zeros(period, dtype=np.complex128)
     ind[atoms] = 1.0
-    half = np.fft.rfft(ind)
+    whole = np.fft.fft(ind)
     m = ks % period
     mirrored = m > period // 2
     m[mirrored] = period - m[mirrored]
-    s = half[m]
+    s = whole[m]
     s[mirrored] = s[mirrored].conj()
     return s
 
@@ -221,7 +221,7 @@ def _direct_weighted(points, weights, ks, period):
 
 @pytest.mark.parametrize("period", [4096, 6561])
 def test_half_table_mirrors_to_the_direct_sums(period):
-    # one class: the half table, bit for bit
+    # one class: the whole period's table, read on its half, bit for bit
     rng = np.random.default_rng(period)
     atoms = rng.choice(period, size=40, replace=False)
     ks = np.concatenate([np.arange(period), [-1, -period // 2, 3 * period + 5]])
@@ -308,7 +308,7 @@ def _classwise_gather(atoms, ks, period, weights=1.0):
     s = np.empty(len(m), dtype=np.complex128)
     for cls in np.flatnonzero(np.bincount(c, minlength=M)):
         at = np.flatnonzero(c == cls)
-        s[at] = expsums._class_table(residues, period, B, cls, weights)[m[at] // M]
+        s[at] = expsums.class_sums(residues, period, B, cls, weights=weights)[m[at] // M]
     np.negative(s.imag, out=s.imag, where=mirrored)
     return s
 
@@ -346,6 +346,27 @@ def test_plan_sums_assemble_to_the_classwise_gather(data):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             gathered = expsums.gather(atoms, ks, period, weights=weights)
             assert np.array_equal(gathered.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_half_class_parseval_equals_the_all_class_sum(data):
+    # one class (M = 1), even M and odd M: a class 0 < c < M/2 counts for
+    # its mirror M - c, and one class is the all-class sum bit for bit
+    period, block, M = data.draw(st.sampled_from(
+        [(81, 81, 1), (4096, 4096, 1), (4096, 256, 16), (1000, 100, 10),
+         (2187, 243, 9), (3125, 625, 5)]))
+    atoms = np.array(data.draw(st.lists(st.integers(0, period - 1), min_size=1,
+                                        max_size=60, unique=True)))
+    with mock.patch.object(expsums, "BLOCK", block):
+        assert expsums.split(period) == (block, M)
+        every = sum(float(np.sum(np.abs(expsums.class_sums(atoms, period, block, c)) ** 2))
+                    for c in range(M))
+        half = checks._plancherel_sum(atoms, period)
+    if M == 1:
+        assert half == every
+    assert half == pytest.approx(every, rel=1e-13, abs=0)
+    assert half == pytest.approx(period * len(atoms), rel=1e-12, abs=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,7 +508,7 @@ def test_telescope_bounds_hold(desk_params, desk):
         for ell in range(0, j + 1):
             rep = telescope_check(desk_params, desk.levels[j],
                                   desk.levels[j + 1], ks, ell=ell)
-            assert rep.passed, (j, ell, rep.max_ratio, rep.worst_k)
+            assert rep["passed"], (j, ell, rep["max_ratio"], rep["worst_k"])
 
 
 def test_telescope_needs_consecutive_levels(desk_params, desk):
@@ -518,9 +539,10 @@ def test_one_level_4_spectrum_stays_small(desk_params, desk):
 
 
 def test_one_level_4_telescoping_screen_stays_small(desk_params, desk):
-    # the screen is |S(k)| times one real factor, written class by class:
-    # 6.84 MiB when each screen formed the complex prefactor over the set,
-    # and here the screen builds its own plan
+    # the screen is |S(k)| times one real factor, formed and written block
+    # by block: 6.84 MiB when each screen formed the complex prefactor over
+    # the set, 3.75 MiB with the factors held over the set, and here the
+    # screen builds its own plan
     ks = _verify_frequencies(desk_params, 4)
     tracemalloc.start()
     try:
@@ -528,8 +550,8 @@ def test_one_level_4_telescoping_screen_stays_small(desk_params, desk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed
-    assert peak < 5 * 2**20
+    assert rep["passed"]
+    assert peak < 3.25 * 2**20
 
 
 def test_decay_report_shape():
@@ -588,10 +610,10 @@ def test_telescope_witness_is_the_direct_one(odd_base):
                               np.full(9 * len(parents), -1 / 9)])
     sums = exp_sum(points, ks, 9**5, weights=weights)
     envelope = np.minimum(1.0, 9**5 / np.abs(ks).astype(np.float64))
-    rhs = rep.constant * envelope * 4 ** (-5 / 2) * math.log(8 * 9**5)
+    rhs = rep["constant"] * envelope * 4 ** (-5 / 2) * math.log(8 * 9**5)
     ratio = np.abs(prefactor(ks, 9**5) * sums * 4.0 ** -4) / rhs
-    assert rep.max_ratio == ratio.max()
-    assert rep.worst_k == ks[ratio.argmax()]
+    assert rep["max_ratio"] == ratio.max()
+    assert rep["worst_k"] == ks[ratio.argmax()]
 
 
 @pytest.mark.parametrize("N0", [4, 3], ids=["even-base", "odd-base"])
@@ -652,11 +674,11 @@ def test_verify_screens_equal_the_checks_called_alone(request, monkeypatch, conf
     assert len(seen) == sum(2 * j + 3 for j in range(params.j_max)) - 1
     for check, args, kwargs, got in seen:
         plan = args[3]
-        assert isinstance(plan, ScreenPlan)
+        assert isinstance(plan, expsums.Frequencies)
         j = next(j for j in range(params.j_max) if params.period(j + 1) == plan.period)
         alone = check(*args[:3], _verify_frequencies(params, j), **kwargs)
         assert alone == got
     telescoping = [got for check, *_, got in seen if check is telescope_check]
-    worst = max(telescoping, key=lambda r: r.max_ratio)
-    assert records["telescoping"]["max_ratio"] == worst.max_ratio
-    assert records["telescoping"]["witness"]["k"] == worst.worst_k
+    worst = max(telescoping, key=lambda r: r["max_ratio"])
+    assert records["telescoping"]["max_ratio"] == worst["max_ratio"]
+    assert records["telescoping"]["witness"]["k"] == worst["worst_k"]
