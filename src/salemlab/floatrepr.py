@@ -5,14 +5,15 @@ the shortest decimal that reads back as the value, the nearest if several
 are, as CPython's dtoa picks; its 55 x 125-bit products run on 32-bit limbs.
 Layout by CPython: fixed notation for decimal exponents -4..15, else
 ``d.ddde+XX``; ``.0`` on integral values; ``-0.0``, ``nan``, ``inf``. Each
-value fills a row of ``WIDTH`` bytes whose non-NUL bytes spell it.
+value fills a row of ``WIDTH`` bytes whose non-NUL bytes spell it, its last
+byte NUL; ``int_rows`` spells int64 values in rows of the same kind.
 """
 
 import functools
 
 import numpy as np
 
-WIDTH = 45    # sign, 5 before the digits, 17 digits each with a slot for the point, 5 after
+WIDTH = 48    # sign, 5 before, 17 digits each with a slot for the point, 5 after, 3 NUL
 _U = np.uint64
 _P10 = 10 ** np.arange(20, dtype=_U)
 _P5 = 5 ** np.arange(22, dtype=_U)
@@ -81,41 +82,56 @@ def _shortest(bits):
     vr_tz[at] = div5 & (w % p5 == 0)
     vm_tz[at] = ~div5 & ok & ((w - _U(1) - mm_shift[at]) % p5 == 0)
     vp[at] -= ~div5 & ~ok & ((w + _U(2)) % p5 == 0)
-    removed, last = np.zeros(len(bits), np.int64), np.zeros(len(bits), _U)
-    # drop digits while the interval holds a shorter decimal, then an exact vm's zeros
-    for stop in (lambda i: vp[i] // _U(10) <= vm[i] // _U(10),
-                 lambda i: ~vm_tz[i] | (vm[i] // _U(10) * _U(10) != vm[i])):
-        live = np.flatnonzero(~stop(slice(None)))
-        while live.size:
-            r, m = vr[live], vm[live]
-            vr[live], vp[live], vm[live] = r // _U(10), vp[live] // _U(10), m // _U(10)
-            vm_tz[live] &= vm[live] * _U(10) == m
-            vr_tz[live] &= last[live] == 0
-            last[live] = r - vr[live] * _U(10)
-            removed[live] += 1
-            live = live[~stop(live)]
-    last[vr_tz & (last == 5) & (vr & _U(1) == 0)] = 4     # round half to even
-    return vr + (((vr == vm) & ~(accept & vm_tz)) | (last >= 5)), e10.take(ie) + removed
+    # Ryū drops a digit while (vm, vp] holds a multiple of 10, then, where vm
+    # is exact, while vm ends in 0: the d digits for which [vm, vp] holds a
+    # multiple of 10^d, vm counting only if exact. Count them, divide once.
+    lo, removed, d = vm - vm_tz, np.zeros(len(bits), np.intp), _U(10)
+    while (more := vp // d > lo // d).any():
+        removed += more
+        d *= _U(10)
+    p = _P10.take(removed)
+    out = vr // p
+    base = out * p
+    half = (vr - base) * _U(2)           # the dropped digits, against p / 2
+    down = (half < p) | ((half == p) & vr_tz & (out & _U(1) == 0))    # half to even
+    # up where vm keeps out's digits but is not exact, or past half
+    return out + ((vm > base) | ((vm == base) & ~vm_tz) | ~down), e10.take(ie) + removed
 
 
 @functools.cache
 def _layout():
-    """The layout as tables: each four-digit group, a '.' after each digit; by
-    scientific exponent E + 324, 5 slots before the digits (``0.000``, ``inf``)
-    and 5 after (``e-XX``); by key (fixed E + 5, or 0) * 18 + digit count, the
-    mask of the digits and point shown, one zero digit after an integral's point."""
+    """Tables of 8-byte words: each four-digit group, a '.' after each digit;
+    by E + 324 (E the scientific exponent; 309 inf, 310 nan, 311 zero), bytes
+    1-5 (``0.000``, ``inf``), the last word (``e-XX``) and a key, (fixed E + 5,
+    or 0, or 21: none) * 18; by key + digit count, or 396 + an int's, the mask
+    of the five digit words, one zero digit after an integral's point."""
     quads = np.arange(10**4, dtype=np.int16)[:, None] // 10 ** np.arange(3, -1, -1, dtype=np.int16)
     quads = np.stack([quads % 10 + ord("0"), np.full_like(quads, ord("."))], -1)
     ends = np.frombuffer(b"".join(
-        (("0." + "0" * (-1 - E) if -4 <= E < 0 else {309: "inf", 310: "nan"}.get(E, ""))
-         .ljust(5, "\0") + ("" if -4 <= E < 16 or E > 308 else f"e{E:+03d}").ljust(5, "\0"))
-        .encode() for E in range(-324, 311)), np.uint8).reshape(-1, 10)
+        (("\0" + ("0." + "0" * (-1 - E) if -4 <= E < 0 else
+                  {309: "inf", 310: "nan", 311: "0.0"}.get(E, ""))).ljust(8, "\0")
+         + ("" if -4 <= E < 16 or E > 308 else f"e{E:+03d}").ljust(8, "\0")).encode()
+        for E in range(-324, 312)), np.int64).reshape(-1, 2)
+    E = np.arange(-324, 312)
+    ends = np.column_stack([ends, np.where((E >= -4) & (E < 16), E + 5, (E > 308) * 21) * 18])
     E, nd, col = np.arange(-5, 16)[:, None], np.arange(18), np.arange(17)[:, None, None]
     whole = E >= 0
     shown = col < np.where(whole, np.maximum(nd, E + 2), nd)
     point = col == np.where(whole, E, np.where((E < -4) & (nd > 1), 0, -1))
     mask = np.stack([shown, point], axis=-1).transpose(1, 2, 0, 3).reshape(-1, 34)
-    return quads.astype(np.uint8).ravel().view(_U), ends, mask * np.uint8(255)
+    ints = (np.arange(40) % 2 == 0) & (np.arange(40) // 2 >= 20 - np.arange(20)[:, None])
+    mask = np.concatenate([np.pad(mask, ((0, 18), (6, 0))), ints]) * np.uint8(255)
+    return quads.astype(np.uint8).ravel().view(np.int64), ends, mask.view(np.int64)
+
+
+def _digits(v, mask):
+    """(len(v), 6) words: the 20 digits of each uint64 v, a '.' slot after
+    each, ANDed with ``mask``, then a word of zeros."""
+    q = np.stack([v // _P10[e] for e in range(16, -1, -4)], axis=1)   # four-digit groups
+    q -= q // _U(10**4) * _U(10**4)
+    q = _layout()[0].take(q.view(np.int64))
+    q &= mask
+    return np.concatenate([q, np.zeros_like(q[:, :1])], axis=1)
 
 
 def float_rows(x) -> np.ndarray:
@@ -124,17 +140,20 @@ def float_rows(x) -> np.ndarray:
     finite, nan = np.isfinite(x), np.isnan(x)
     regular = finite & (x != 0)      # the others run as 1/3, a short digit loop
     sig, exp10 = _shortest(np.where(regular, x.view(_U) & _U(2**63 - 1), _U(0x3FD5555555555555)))
-    sig[~regular] = 0
-    nd = np.where(finite, np.maximum(np.searchsorted(_P10, sig, side="right"), 1), 0)
-    E = np.where(regular, exp10 + nd - 1, np.where(finite, 0, 309 + nan))  # 309 inf, 310 nan
-    quads, ends, mask = _layout()
-    key = np.where((E >= -4) & (E < 16), E + 5, 0) * 18 + nd
-    groups, v = np.empty((len(x), 5), _U), sig * _P10[17 - nd]
-    for k in range(4, -1, -1):
-        v, r = v // _U(10**4), v
-        groups[:, k] = quads.take((r - v * _U(10**4)).view(np.int64))
-    rows = np.empty((len(x), WIDTH), np.uint8)
-    rows[:, 0] = (np.signbit(x) & ~nan) * np.uint8(ord("-"))
-    rows[:, 1:6], rows[:, 40:] = np.split(ends.take(E + 324, axis=0), [5], axis=1)
-    rows[:, 6:40] = groups.view(np.uint8)[:, 6:] & mask.take(key, axis=0)
-    return rows
+    nd = np.searchsorted(_P10[1:], sig, side="right") + 1
+    E = np.where(regular, exp10 + nd - 1, 309 + nan + 2 * (x == 0))
+    _, ends, mask = _layout()
+    head, tail, key = ends.take(E + 324, axis=0).T
+    rows = _digits(sig * _P10[17 - nd], mask.take(key + nd, axis=0))
+    rows[:, 0] |= head | (np.signbit(x) & ~nan) * ord("-")
+    rows[:, 5] = tail
+    return rows.view(np.uint8)
+
+
+def int_rows(k) -> np.ndarray:
+    """(len(k), WIDTH) uint8 rows whose non-NUL bytes spell each int64 k."""
+    k = np.asarray(k, dtype=np.int64).ravel()
+    a = np.abs(k).view(_U)       # |-2^63| is 2^63 as a uint64
+    rows = _digits(a, _layout()[2].take(397 + np.searchsorted(_P10[1:], a, side="right"), axis=0))
+    rows[:, 0] |= (k < 0) * ord("-")
+    return rows.view(np.uint8)

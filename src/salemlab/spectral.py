@@ -18,7 +18,7 @@ import numpy as np
 from . import expsums
 from .construction import LevelSet, deviation_measure, structured_mask
 from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
-from .floatrepr import WIDTH, float_rows
+from .floatrepr import WIDTH, float_rows, int_rows
 from .params import ConstructionParams
 from .storage import atomic_write_text
 
@@ -76,19 +76,19 @@ class Spectrum:
 
     def to_csv(self, path):
         """Write k,re,im,abs rows, all or nothing, _CSV_BLOCK rows at a time:
-        k as numpy spells an int64, each float as its repr (``floatrepr``), and
-        abs as np.hypot(re, im), the C hypot that abs(complex) calls (np.abs differs)."""
+        k in decimal and each float as its repr (``floatrepr``), and abs as
+        np.hypot(re, im), the C hypot that abs(complex) calls (np.abs differs)."""
         def blocks():
             yield "k,re,im,abs\n"
             for lo in range(0, len(self.ks), _CSV_BLOCK):
                 c = np.asarray(self.coefficients[lo : lo + _CSV_BLOCK], np.complex128)
-                k = np.asarray(self.ks[lo : lo + _CSV_BLOCK], np.int64).astype(f"S{WIDTH}")
-                cells = np.full((len(c), 4, WIDTH + 1), ord(","), np.uint8)
-                cells[:, 0, :WIDTH] = k.view(np.uint8).reshape(-1, WIDTH)
-                cells[:, 1:, :WIDTH] = float_rows(np.stack(
+                cells = np.empty((len(c), 4, WIDTH), np.uint8)
+                cells[:, 0] = int_rows(self.ks[lo : lo + _CSV_BLOCK])
+                cells[:, 1:] = float_rows(np.stack(
                     [c.real, c.imag, np.hypot(c.real, c.imag)], axis=1)).reshape(-1, 3, WIDTH)
-                cells[:, 3, WIDTH] = ord("\n")
-                yield np.compress(cells.ravel() != 0, cells).tobytes().decode("ascii")
+                cells[:, :, -1] = ord(",")     # each row's last byte is NUL
+                cells[:, 3, -1] = ord("\n")
+                yield cells.tobytes().translate(None, b"\0").decode("ascii")
         atomic_write_text(path, blocks())
 
 
@@ -247,34 +247,31 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
     |coef| against log k, None below two octaves; more negative than
     -beta/2 means faster decay than the target.
     """
-    ks = np.abs(np.asarray(ks, dtype=np.int64))
-    mags = np.abs(np.asarray(coefficients))
-    keep = ks > 0
-    ks, mags = ks[keep], mags[keep]
-    if len(ks) == 0:
+    # the maxima by octave floor(log2 |k|) of each k != 0, met block by block
+    # so that no array of the spectrum's length is formed
+    ks, raw, top = np.asarray(ks, dtype=np.int64), np.zeros(64), np.zeros(64)
+    met, sup = np.zeros(64, bool), -np.inf
+    for lo in range(0, len(ks), expsums.BLOCK):
+        k = np.abs(ks[lo : lo + expsums.BLOCK])
+        keep = k > 0
+        k, mags = k[keep], np.abs(np.asarray(coefficients[lo : lo + expsums.BLOCK])[keep])
+        octaves = np.log2(k).astype(np.intp)
+        met[octaves] = True
+        np.maximum.at(raw, octaves, mags)
+        weighted = (k + 1.0) ** (beta / 2) * mags
+        np.maximum.at(top, octaves, weighted)
+        sup = np.maximum(sup, weighted.max(initial=-np.inf))
+    if not met.any():
         raise SpectralError("decay_report needs a nonempty set of nonzero frequencies")
-    # octave floor(log2 k) of each k, counted from the lowest, and the
-    # maxima of each octave met in one pass
-    octaves = np.log2(ks).astype(np.intp)
-    lowest = int(octaves.min())
-    octaves -= lowest
-    met = np.flatnonzero(np.bincount(octaves))
-    raw = np.zeros(met[-1] + 1)
-    np.maximum.at(raw, octaves, mags)
-    weighted = ks + 1.0
-    weighted **= beta / 2
-    weighted *= mags
-    top = np.zeros(len(raw))
-    np.maximum.at(top, octaves, weighted)
-    table = {lowest + int(m): float(top[m]) for m in met}
-    raw_max = {lowest + int(m): float(raw[m]) for m in met}
+    table = {int(m): float(top[m]) for m in np.flatnonzero(met)}
+    raw_max = {int(m): float(raw[m]) for m in np.flatnonzero(met)}
     xs = np.array([m for m, v in raw_max.items() if v > 0], dtype=float)
     ys = np.log2([raw_max[int(m)] for m in xs])
     xs -= xs.mean() if len(xs) else 0.0     # least squares in closed form, no LAPACK
     slope = float(np.sum(xs * (ys - ys.mean())) / np.sum(xs * xs)) if len(xs) >= 2 else None
     return DecayReport(
         beta=beta,
-        sup_constant=float(weighted.max()),
+        sup_constant=float(sup),
         dyadic_maxima=table,
         fitted_exponent=slope,
     )

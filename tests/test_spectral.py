@@ -472,7 +472,9 @@ def test_spectrum_csv_streams_the_per_row_format(tmp_path, desk_params, desk):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20     # the joined rows and their copy took 16.6 MiB
+    # the joined rows and their copy took 16.6 MiB; 4096-row blocks, or k
+    # formatted for the whole spectrum at once, pass 2 MiB
+    assert peak < 2 * 2**20
     want = "k,re,im,abs\n" + "".join(
         f"{int(k)},{float(c.real)!r},{float(c.imag)!r},{float(abs(c))!r}\n"
         for k, c in zip(spec.ks, spec.coefficients))
@@ -576,6 +578,27 @@ def test_decay_slope_is_the_least_squares_fit(seed):
     xs = np.unique(octaves)
     ys = [np.log2(np.abs(coeffs[octaves == m]).max()) for m in xs]
     assert rep.fitted_exponent == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-12)
+
+
+def test_decay_report_forms_no_spectrum_length_array(odd_base):
+    # analyze's call on odd-base level 4: its ell = 0 spectrum over
+    # arange(65536), k = 0 included; dropping k = 0 from |k| and |coef| over
+    # the whole spectrum peaked at 2.13 MiB above these inputs
+    params, con = odd_base
+    ks = np.arange(2**16, dtype=np.int64)
+    coeffs = compute_spectrum(params, con.levels[4], ks).coefficients
+    tracemalloc.start()
+    try:
+        rep = decay_report(ks, coeffs, beta=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20
+    octaves = np.log2(ks[1:]).astype(int)
+    weighted = (ks[1:] + 1.0) ** 0.25 * np.abs(coeffs[1:])
+    assert rep.sup_constant == weighted.max()
+    assert rep.dyadic_maxima == {int(m): weighted[octaves == m].max()
+                                 for m in np.unique(octaves)}
 
 
 def test_trivial_bound_witness_is_the_direct_one(odd_base):
