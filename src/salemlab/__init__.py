@@ -16,7 +16,7 @@ from .storage import (
 )
 from .spectral import (
     SpectralError, Spectrum, compute_spectrum, decay_report, exp_sum, f_mu_hat,
-    mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
+    restricted_atoms, telescope_check, trivial_bound_check,
 )
 from .energy import (
     EnergyError, EnergyTable, bspline_integers, energy_lower_bound,
@@ -36,7 +36,7 @@ __all__ = [
     "StorageError", "load_construction", "read_level", "write_construction",
     "write_level",
     "SpectralError", "Spectrum", "compute_spectrum", "decay_report",
-    "exp_sum", "f_mu_hat", "mu_hat", "restricted_atoms",
+    "exp_sum", "f_mu_hat", "restricted_atoms",
     "telescope_check", "trivial_bound_check",
     "EnergyError", "EnergyTable", "bspline_integers", "energy_lower_bound",
     "exact_l2r_norm", "l2r_lower_bound", "sum_distribution",

@@ -15,9 +15,7 @@ from . import expsums
 from .construction import Construction, ConstructionError, verify_construction
 from .energy import energy_lower_bound, sum_distribution
 from .norms import ball_condition_report, direct_mass, holder_chain_check, pick_r
-from .spectral import (
-    f_mu_hat, mu_hat, restricted_atoms, telescope_check, trivial_bound_check,
-)
+from .spectral import f_mu_hat, restricted_atoms, telescope_check, trivial_bound_check
 
 
 def record(name: str, inequality: str, passed, **detail) -> dict:
@@ -52,11 +50,9 @@ def energy_case(params, level, ell: int, r: int, table) -> dict:
 
 def _plancherel_sum(atoms, period) -> float:
     """sum over k < period of |S(k)|^2 from the half classes of the period
-    (``expsums.half_classes``): a class 0 < c < M/2 counts for its mirror
-    M - c too."""
-    return sum((2 if 0 < 2 * ks[0] < period // len(ks) else 1)
-               * float(np.sum(np.abs(sums(atoms)) ** 2))
-               for ks, sums in expsums.half_classes(period))
+    (``expsums.half_classes``), a mirrored class counting twice."""
+    return sum((2 if mirrored else 1) * float(np.sum(np.abs(sums(atoms)) ** 2))
+               for _, sums, mirrored in expsums.half_classes(period))
 
 
 def _verify_frequencies(params, j) -> np.ndarray:
@@ -112,7 +108,7 @@ def run_verification(con: Construction) -> list[dict]:
     cases = []
     for level in con.levels:
         for ell in range(level.j + 1):
-            coef = f_mu_hat(params, level, ell, 0) if ell else mu_hat(params, level, 0)
+            coef = f_mu_hat(params, level, ell, 0)
             cases.append((direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
                           abs(complex(coef) - float(params.t) ** (-ell / 2)),
                           {"j": level.j, "ell": ell}))

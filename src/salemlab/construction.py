@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsums
-from .expsums import _sample_blocks, _subset_sums, _unit, half_classes
+from .expsums import _subset_sums, _unit, half_classes
 from .params import ConstructionParams, make_progression
 
 # Longest period checked over every residue, and draws per base block or
@@ -93,17 +93,19 @@ def deviation_measure(params: ConstructionParams, parents, kept):
 
 
 def block_deviations(members, ks, period, N, t) -> np.ndarray:
-    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation x:
-    the rotations B_x = members + x mod N are N subsets of [0, N), summed by
-    one ``_subset_sums`` call with [0, N) itself as its last row."""
+    """Matrix D[x, i] = S_{B_x}(k_i)/t - S_{[N]}(k_i)/N for every rotation
+    B_x = members + x mod N: one product of the N x N rotation matrix, 1/t
+    on B_x less 1/N everywhere, with the powers w^d, d < N, of
+    w = e(k/period) of exact residues."""
     x = np.arange(N)[:, None]
-    sets = np.zeros((N + 1, N), dtype=bool)
-    sets[x, (x + np.asarray(members, dtype=np.int64)) % N] = True
-    sets[N] = True
-    rows = _subset_sums(np.arange(N), sets, ks, period)
-    rows[:-1] /= t
-    rows[:-1] -= rows[-1] / N
-    return rows[:-1]
+    rotations = np.full((N, N), -1 / N)
+    rotations[x, (x + np.asarray(members, dtype=np.int64)) % N] += 1 / t
+    w = _unit(np.asarray(ks, dtype=np.int64) % period, period)
+    powers = np.empty((N, len(w)), dtype=np.complex128)
+    powers[0] = 1
+    for d in range(1, N):
+        np.multiply(powers[d - 1], w, out=powers[d])
+    return rotations @ powers
 
 
 def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
@@ -133,12 +135,17 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
 
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
+    # |D(P - k)| = |D(k)|, so the half period [0, P/2] decides every residue
+    n = period // 2 + 1 if ks is None else len(ks)
+    step = max(1, expsums.BLOCK // N)
+
+    def columns(lo):
+        # the frequencies of one deviation matrix of about BLOCK entries
+        return np.arange(lo, min(lo + step, n)) if ks is None else ks[lo : lo + step]
 
     def deviation(members):
-        blocks = (_sample_blocks(ks, period) if ks is not None
-                  else (kb for kb, _ in half_classes(period)))
-        return max(np.abs(block_deviations(members, kb, period, N, t)).max()
-                   for kb in blocks)
+        return max(np.abs(block_deviations(members, columns(lo), period, N, t)).max()
+                   for lo in range(0, n, step))
 
     p = t / N
     worst = None
@@ -240,50 +247,72 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
     s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) reads
     one table of the measure per ell and class of ``expsums.half_classes``.
-    A sample is read in the blocks of ``expsums._sample_blocks`` at period Q,
-    as s_ell(k) = S_P(C_ell)(k)/t - U(k)/N S_Q(A_ell)(k), U(k) = S_[N](k):
-    one ``_subset_sums`` call per block and ell gives two rows, C_ell as the
-    parents of each last digit d twisted by e(dk/P), and A_ell. U is summed
-    by Horner's rule in e(k/P) when its block is read.
+    A sample is read as s_ell(k) = S_P(C_ell)(k)/t - U(k)/N S_Q(A_ell)(k),
+    U(k) = S_[N](k) summed by Horner's rule in e(k/P). With Q <= |ks| the
+    frequencies read each period-Q table at least once on average: the
+    sample is one block, read through two plans (``expsums.Frequencies``)
+    at P and at Q, built here with U. Otherwise it is read in blocks of
+    ``expsums.BLOCK`` frequencies, each ell by one ``_subset_sums`` call of
+    two rows at period Q: C_ell as the parents of each last digit d twisted
+    by e(dk/P), and A_ell.
     """
     N, t, j = params.N, params.t, level.j
     period, q = N ** (j + 1), N**j
     masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
     parents = [level.atoms[mask] for mask in masks]
 
-    def deviation(atoms, digits, kb, uniform):
+    if ks is None:
+        def in_class(digits, table):
+            for atoms, mask in zip(parents, masks):
+                kept = (atoms[:, None] * N + digits[mask]).ravel()
+                points, weights = deviation_measure(params, atoms, kept)
+                yield table(points, weights=weights)
+
+        return lambda digits: ((kb, in_class(digits, table))
+                               for kb, table, _ in half_classes(period))
+
+    def uniform(kb):
+        # U(k)/N, by Horner's rule in w = e(k/P)
+        w, u = _unit(kb % period, period), np.ones(len(kb), dtype=np.complex128)
+        for _ in range(N - 1):
+            u *= w
+            u += 1
+        u /= N
+        return u
+
+    def sampled(digits, kb, u, deviation):
+        # each sum is yielded unbound, so that the check's magnitude drops it
+        for atoms, mask in zip(parents, masks):
+            yield deviation(atoms, digits[mask], kb, u)
+
+    if q <= len(ks):
+        at_p, at_q = expsums.Frequencies(ks, period), expsums.Frequencies(ks, q)
+        u = uniform(ks)
+
+        def planned(atoms, digits, kb, u):
+            kept = at_p.gather((atoms[:, None] * N + digits).ravel())
+            kept /= t
+            window = at_q.gather(atoms)
+            window *= u
+            kept -= window
+            return kept
+
+        return lambda digits: iter([(ks, sampled(digits, ks, u, planned))])
+
+    def factored(atoms, digits, kb, u):
         # row 0, digit d: the parents of digit d; row 1: the atoms at digit 0
         sets = np.zeros((2, N, len(atoms)), dtype=bool)
         sets[0, digits, np.arange(len(atoms))[:, None]] = True
         sets[1, 0] = True
         kept, window = _subset_sums(atoms, sets, kb, q)
         kept /= t
-        window *= uniform
+        window *= u
         kept -= window
         return kept
 
-    def sampled(digits, kb):
-        w = _unit(kb % period, period)
-        uniform = np.ones(len(kb), dtype=np.complex128)
-        for _ in range(N - 1):
-            uniform *= w
-            uniform += 1
-        del w
-        uniform /= N
-        for atoms, mask in zip(parents, masks):
-            yield deviation(atoms, digits[mask], kb, uniform)
-
-    def in_class(digits, table):
-        for atoms, mask in zip(parents, masks):
-            kept = (atoms[:, None] * N + digits[mask]).ravel()
-            points, weights = deviation_measure(params, atoms, kept)
-            yield table(points, weights=weights)
-
-    def sums(digits):
-        if ks is not None:
-            return ((kb, sampled(digits, kb)) for kb in _sample_blocks(ks, q))
-        return ((kb, in_class(digits, table)) for kb, table in half_classes(period))
-    return sums
+    blocks = [ks[lo : lo + expsums.BLOCK] for lo in range(0, len(ks), expsums.BLOCK)]
+    return lambda digits: ((kb, sampled(digits, kb, uniform(kb), factored))
+                           for kb in blocks)
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet,
@@ -387,7 +416,8 @@ def build_construction(params: ConstructionParams) -> Construction:
 def check_level_invariants(params: ConstructionParams, prev: LevelSet | None,
                            level: LevelSet) -> None:
     """Raise ConstructionError on any cardinality, range, order or nesting
-    breach, or when an atom of the structured sublist is missing."""
+    breach, when an atom of the structured sublist is missing, or when a
+    parent in ``prev`` has other than t children."""
     N, t = params.N, params.t
     j = level.j
     a = level.atoms
@@ -403,8 +433,14 @@ def check_level_invariants(params: ConstructionParams, prev: LevelSet | None,
         raise ConstructionError(
             f"level {j}: {count} structured atoms != sqrt(t)^j={params.sqrt_t ** j}"
         )
-    if prev is not None and not set((a // N).tolist()) <= set(prev.atoms.tolist()):
-        raise ConstructionError(f"level {j}: nesting breach")
+    if prev is not None:
+        parents, counts = np.unique(a // N, return_counts=True)
+        if not np.array_equal(parents, prev.atoms):
+            raise ConstructionError(f"level {j}: nesting breach")
+        i = int(np.argmax(counts != t))
+        if counts[i] != t:
+            raise ConstructionError(
+                f"level {j}: parent {parents[i]} has {counts[i]} children != t={t}")
 
 
 def verify_construction(con: Construction) -> None:

@@ -10,10 +10,10 @@ decide every k (``half_classes``, the one iterator over a whole period). An
 array of k is folded and split into them once (``Frequencies``) and reads
 them one at a time, for as many atom sets as share it; ``gather`` is one
 such read.
-Subsets of one atom list at the same frequencies take one evaluator
-(``_subset_sums``), a sample of them in blocks (``_sample_blocks``); a row
-may fold in a last digit d, summing the points a n + d at period n * period
-as its digit sets twisted by e(dk / (n period)).
+Digit sets of one atom list at the same frequencies take one factored
+evaluator (``_subset_sums``): a row folds in a last digit d, summing the
+points a n + d at period n * period as its digit sets twisted by
+e(dk / (n period)).
 """
 
 from __future__ import annotations
@@ -90,14 +90,15 @@ def class_sums(atoms, n, B, c, *, weights=1.0):
 
 
 def half_classes(period):
-    """(ks, sums), sums(atoms, weights=w) = S(ks), per class c <= M/2 of
-    ``split(period)`` (M = 1: c = 0 and ks = [0, period)); together they
-    decide every k."""
+    """(ks, sums, mirrored), sums(atoms, weights=w) = S(ks), per class
+    c <= M/2 of ``split(period)`` (M = 1: c = 0 and ks = [0, period));
+    together they decide every k. ``mirrored`` is 0 < 2c < M: the class also
+    stands for its mirror M - c, whose sums are the conjugates."""
     B, M = split(period)
     for c in range(M // 2 + 1):
         ks = c + M * np.arange(B, dtype=np.int64)
         yield ks, lambda atoms, c=c, *, weights=1.0: class_sums(
-            atoms, period, B, c, weights=weights)
+            atoms, period, B, c, weights=weights), 0 < 2 * c < M
 
 
 class Frequencies:
@@ -162,37 +163,33 @@ class Frequencies:
                 np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])
                 yield at[lo : lo + BLOCK], s
 
+    def gather(self, atoms, *, weights=1.0):
+        """S(k) at every k of the plan, in the order of its array."""
+        s = np.empty(len(self), dtype=np.complex128)
+        for at, sums in self.sums(atoms, weights=weights):
+            s[at] = sums
+        return s
+
 
 def gather(atoms, k, period, *, weights=1.0):
     """S(k) at integer k: a scalar k by the direct sum, an array through its
     plan (``Frequencies``), from the table of each class it meets."""
     if np.ndim(k) == 0:
         return exp_sum(atoms, k, period, weights=weights)
-    plan = Frequencies(k, period)
-    s = np.empty(len(plan), dtype=np.complex128)
-    for at, sums in plan.sums(atoms, weights=weights):
-        s[at] = sums
-    return s
+    return Frequencies(k, period).gather(atoms, weights=weights)
 
 
 def _subset_sums(atoms, sets, ks, period):
     """Row i is S(ks) at period n * period over the points a n + d with a in
-    atoms[sets[i, d]], for a boolean (rows, n, atoms) array ``sets``; a
-    (rows, atoms) one is n = 1, so that row i is S(ks) over atoms[sets[i]].
+    atoms[sets[i, d]], for a boolean (rows, n, atoms) array ``sets``.
 
     As e((a n + d) k / (n period)) = e(a k / period) e(d k / (n period)),
     digit set d is summed at ``period`` and twisted by e(d k / (n period))
     as it is added: a row holds one result for all its digit sets, and no
-    point pays its own exponentials. With period <= |ks| the frequencies
-    read each table at least once on average; one plan (``Frequencies``)
-    serves every digit set, and each row adds its digit sets by Horner's
-    rule in w = e(k / (n period)) (at N0=3, j_max=6, c_eta=1, c_rot=0.25,
-    seed 7 and ``construction.EXHAUSTIVE_BUDGET`` 4096, the route below
-    took 18 s and the tables 2.7 s, on one BLAS thread). Otherwise every
-    term is a product of per-atom and per-digit factors
-    e(x) = exp(-2 pi i x) of exact residues. On the leading run
-    k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row costs one
-    matrix product of the factors e(a (k0 + hB) / period) and
+    point pays its own exponentials. Every term is a product of per-atom
+    and per-digit factors e(x) = exp(-2 pi i x) of exact residues. On the
+    leading run k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row
+    costs one matrix product of the factors e(a (k0 + hB) / period) and
     e(a l / period) of its points (``_progression``), the first twisted by
     the H-vector e(d (k0 + hB) / (n period)) of each point's digit, the
     second by the B-vector e(d l / (n period)). Every other k has three
@@ -207,24 +204,8 @@ def _subset_sums(atoms, sets, ks, period):
     """
     ks = np.asarray(ks, dtype=np.int64)
     sets = np.asarray(sets, dtype=bool)
-    if sets.ndim == 2:
-        sets = sets[:, None, :]
     n = sets.shape[1]
     full = n * period
-    if period <= len(ks):
-        plan = Frequencies(ks, period)
-        out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
-        w = _unit(ks % full, full) if n > 1 else None
-        for row, s in zip(out, sets):
-            used = s.any(axis=1)
-            top = np.flatnonzero(used).max(initial=0)
-            for d in range(top, -1, -1):
-                if d < top:
-                    row *= w
-                if used[d]:
-                    for at, sums in plan.sums(atoms[s[d]]):
-                        row[at] += sums
-        return out
     out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
     residues = np.asarray(atoms, dtype=np.int64) % period
     run = int(np.argmin(np.append(ks - np.arange(len(ks)) == ks[:1], False)))
@@ -322,14 +303,6 @@ def _progression(r, start, step, count, period):
     coarse = np.arange(-(-count // D)) * (D * step) % period
     coarse = _unit(_mulmod(r[:, None], coarse, period), period)
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(r), -1)[:, :count]
-
-
-def _sample_blocks(ks, period):
-    """ks in consecutive blocks for ``_subset_sums`` at ``period``, its route
-    decided on all of ks: one block when it takes the tables (period <= |ks|),
-    which each block would rebuild, else blocks of BLOCK frequencies."""
-    n = len(ks) if period <= len(ks) else BLOCK
-    return [ks[lo : lo + n] for lo in range(0, len(ks), n)]
 
 
 def sorted_unique(values):

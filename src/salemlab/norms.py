@@ -196,11 +196,10 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     # period carry sin = 0 and drop out, and -xi doubles the rest
     head = [(len(atoms) * tj) ** p for atoms in windows]
     tail = [0.0] * len(windows)
-    for ks, sums in half_classes(n_per):
+    for ks, sums, mirrored in half_classes(n_per):
         c = int(ks[0])
         skip = int(c == 0)
-        head_w, tail_w = _class_weights(table, c, n_per, p,
-                                        folded=0 < 2 * c < M)
+        head_w, tail_w = _class_weights(table, c, n_per, p, folded=mirrored)
         for w, atoms in enumerate(windows):
             A = (np.abs(sums(atoms)[skip:]) * tj) ** p
             head[w] += 2.0 * float(np.dot(A, head_w))

@@ -49,11 +49,6 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
     return prefactor(k, params.period(j)) * sums * float(params.t) ** (-j)
 
 
-def mu_hat(params: ConstructionParams, level: LevelSet, k):
-    """Fourier coefficient of the level-j measure at integer frequency k."""
-    return f_mu_hat(params, level, 0, k)
-
-
 def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Fourier coefficient of the measure weighted by the structured window
     of depth ell (ell = 0: the plain measure)."""
@@ -252,7 +247,7 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
     ks, raw, top = np.asarray(ks, dtype=np.int64), np.zeros(64), np.zeros(64)
     met, sup = np.zeros(64, bool), -np.inf
     for lo in range(0, len(ks), expsums.BLOCK):
-        k = np.abs(ks[lo : lo + expsums.BLOCK])
+        k = np.abs(ks[lo : lo + expsums.BLOCK]).view(np.uint64)   # |-2^63| = 2^63
         keep = k > 0
         k, mags = k[keep], np.abs(np.asarray(coefficients[lo : lo + expsums.BLOCK])[keep])
         octaves = np.log2(k).astype(np.intp)

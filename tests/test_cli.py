@@ -280,13 +280,34 @@ def test_verify_detects_planted_fault(built, capsys):
     assert "nesting" in captured.out + captured.err
 
 
+def test_verify_names_a_parent_without_t_children(built, capsys):
+    # without recorded hashes, atom 8, a non-structured child of parent 0,
+    # moves to the unused digit 0 under parent 1 (atom 16): every parent is
+    # still met, and verify names the level and the parent with 3 children
+    manifest = json.loads((built / "manifest.json").read_text())
+    del manifest["level_sha256"]
+    (built / "manifest.json").write_text(json.dumps(manifest))
+    path = built / level_filename(3)
+    lines = path.read_text().splitlines()
+    sep = lines.index("--")
+    atoms = [int(line) for line in lines[1:sep]]
+    assert atoms[:4] == [0, 8, 9, 15] and 16 not in atoms
+    lines[1:sep] = map(str, sorted(set(atoms) - {8} | {16}))
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(built)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL construction-invariants" in captured.out
+    assert "level 3: parent 0 has 3 children != t=4" in captured.err
+
+
 def test_failing_parseval_names_its_level(built, capsys, monkeypatch):
     # the tables of level 2's period, 16^2, read twice the sums
     half_classes = expsums.half_classes
 
     def doubled(period):
-        for ks, sums in half_classes(period):
-            yield ks, (lambda atoms, sums=sums: 2 * sums(atoms)) if period == 256 else sums
+        for ks, sums, mirrored in half_classes(period):
+            yield (ks, (lambda atoms, sums=sums: 2 * sums(atoms)) if period == 256
+                   else sums, mirrored)
 
     monkeypatch.setattr(expsums, "half_classes", doubled)
     assert main(["verify", str(built)]) == 1

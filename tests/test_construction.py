@@ -142,6 +142,23 @@ def test_nesting_violation_detected(desk_params, desk):
         check_level_invariants(desk_params, desk.levels[1], bad)
 
 
+def test_parent_without_t_children_detected(desk_params, desk):
+    # a non-structured child of the first parent moves to an unused digit
+    # under the second: the set of parents is unchanged, with t - 1 and
+    # t + 1 children
+    N, t = desk_params.N, desk_params.t
+    prev, level = desk.levels[2], desk.levels[3]
+    first, second = prev.atoms[:2]
+    atoms = level.atoms.copy()
+    mine = (atoms // N == first) & ~structured_mask(desk_params, level, 3)
+    free = next(second * N + d for d in range(N) if second * N + d not in atoms)
+    atoms[np.flatnonzero(mine)[0]] = free
+    bad = LevelSet(j=3, atoms=np.sort(atoms))
+    with pytest.raises(ConstructionError,
+                       match=f"level 3: parent {first} has {t - 1} children != t={t}"):
+        check_level_invariants(desk_params, prev, bad)
+
+
 def test_missing_structured_atom_detected(desk_params, desk):
     level = desk.levels[2]
     atoms = level.atoms.tolist()
@@ -197,21 +214,21 @@ def test_frequency_set_modes(desk_params):
 
 
 def test_block_deviations_fft_matches_direct():
-    # every residue reads the per-subset tables of ``_subset_sums``; the
-    # half period, shorter than the period, its factored products
-    N, t, period = 16, 4, 16**3
-    members = [0, 1, 2, 15]
-    for n_ks in (period, period // 2 + 1):
-        ks = np.arange(n_ks, dtype=np.int64)
-        fft = block_deviations(members, ks, period, N, t)
-        uniform = np.exp(
-            -2j * np.pi * np.arange(N)[:, None] * ks[None, :] / period
-        ).sum(axis=0)
-        direct = np.array([
-            exp_sum((x + np.array(members)) % N, ks, period) / t - uniform / N
-            for x in range(N)
-        ])
-        assert np.abs(fft - direct).max() < 1e-8
+    # one product of the rotation matrix with the powers of e(k/P), at even
+    # and odd N, over the whole period, the half period and k beyond the
+    # period (negative too)
+    for N, t, members in ((16, 4, [0, 1, 2, 15]), (9, 4, [0, 2, 4, 8])):
+        period = N**3
+        beyond = np.arange(-3 * period - 5, 5 * period, 997, dtype=np.int64)
+        for ks in (np.arange(period), np.arange(period // 2 + 1), beyond):
+            fft = block_deviations(members, ks, period, N, t)
+            uniform = exp_sum(np.arange(N), ks, period)
+            direct = np.array([
+                exp_sum((x + np.array(members)) % N, ks, period) / t - uniform / N
+                for x in range(N)
+            ])
+            assert fft.shape == (N, len(ks))
+            assert np.abs(fft - direct).max() < 1e-8
 
 
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=16), st.integers(2, 8))
@@ -259,7 +276,8 @@ def _per_atom_sums(params, level, digits, ks):
     return out
 
 
-# `ends` keeps only the first and last sampled frequencies, so that Q
+# A sample of at least Q = N^j frequencies is read through the plans at P
+# and Q. `ends` keeps only the first and last sampled frequencies, so that Q
 # exceeds |ks| and the subset sums take the factored route (with 40000 first
 # ones, in blocks of ``expsums.BLOCK`` = 2^14 frequencies that start inside
 # the leading run k < 2^16); `block` lowers ``expsums.BLOCK`` below the
@@ -275,6 +293,7 @@ ROTATION_SUM_CASES = [
     (4, 4, 2**16, "sampled", (40000, 512), None),   # factored, in three blocks
     (4, 2, 2**20, "exhaustive", None, 2**8),
     (3, 3, 2**20, "exhaustive", None, 729),
+    (6, 3, 2**20, "sampled", None, None),      # N = 36, 64 atoms: the plans
 ]
 
 
@@ -317,9 +336,9 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
     # twin P - k
     assert covered == set(checked.tolist())
     if ks is not None:
-        # the blocks partition the sample in order; the period-Q tables,
-        # built once, take it whole, and the factored route in blocks of at
-        # most BLOCK = 2^14 frequencies
+        # the blocks partition the sample in order; the plans, built once,
+        # take it whole, and the factored route in blocks of at most
+        # BLOCK = 2^14 frequencies
         assert np.array_equal(np.concatenate(blocks), ks)
         if params.N**j <= len(ks):
             assert len(blocks) == 1
@@ -333,8 +352,8 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
 # level SHA-256s from level 2 on are those of acceptance on the level as
 # written, with the structured rows patched. The last two rows reject
 # sampled draws: N = 25 checks j = 4 by the factored subset sums (Q > |ks|),
-# N = 9 with an exhaustive budget of 4096 checks j = 3..5 by the period-Q
-# tables.
+# N = 9 with an exhaustive budget of 4096 checks j = 3..5 through the plans
+# at P and Q.
 RETRY_CASES = [
     (4, 4, 7, 192.0, 0.35, 2**20, [0, 1, 4, 4], [
         "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
@@ -502,9 +521,9 @@ def test_base_block_check_holds_no_half_period_array(monkeypatch):
 
 def test_sampled_checks_stream_their_frequency_blocks():
     # N = 25: both checks of level 5 are sampled (P = 25^5 exceeds
-    # EXHAUSTIVE_BUDGET) and take the factored route (Q = 25^4 exceeds |ks|);
-    # with rows over the whole sample, the last build_level peaked at
-    # 78.9 MiB and the base block below at 41.8 MiB
+    # EXHAUSTIVE_BUDGET), and the rotation check takes the factored route
+    # (Q = 25^4 exceeds |ks|); with rows over the whole sample, the last
+    # build_level peaked at 78.9 MiB and the base block below at 41.8 MiB
     params = derive_params(5, 2, 1, j_max=5, seed=7)
     rng = np.random.default_rng(params.seed)
     con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
@@ -526,15 +545,17 @@ def test_sampled_checks_stream_their_frequency_blocks():
     base = blocks[0]
     assert base.mode == "sampled" and base.members == [0, 1, 5, 11]
     assert base.margin == pytest.approx(0.7440385723108581, rel=1e-12)
-    # N + 1 = 26 rows of one block of 2^14: 10.2 MiB
-    assert peak < 12 * 2**20
+    # the powers and deviations of about 2^14 / N frequencies at a time; at
+    # N + 1 = 26 rows of one block of 2^14 frequencies it was 10.2 MiB
+    assert peak < 3 * 2**20
 
 
-def test_sampled_tables_route_holds_two_rows():
+def test_sampled_plan_route_reads_the_sample_in_one_block():
     # N = 36: level 4's rotation check is sampled (P = 36^4 exceeds
-    # EXHAUSTIVE_BUDGET) and reads the period-Q tables (Q = 36^3 = 46656 is
-    # below |ks|) in one block of the whole sample; with its N + 1 rows over
-    # that block, the last build_level peaked at 45.7 MiB
+    # EXHAUSTIVE_BUDGET) and reads plans at P and Q (Q = 36^3 = 46656 is
+    # below |ks|) in one block of the whole sample; with N + 1 rows of
+    # period-Q tables over that block, the last build_level peaked at
+    # 45.7 MiB
     params = derive_params(6, 2, 1, j_max=4, seed=7)
     rng = np.random.default_rng(params.seed)
     con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
@@ -544,7 +565,8 @@ def test_sampled_tables_route_holds_two_rows():
     assert con.audit[-1]["rotation_mode"] == "sampled"
     assert params.N**3 <= con.audit[-1]["rotation_verified_k"]
     assert peak < 8 * 2**20
-    # as written with the N + 1 rows
+    # as written with the N + 1 rows, with two rows of the period-Q tables,
+    # and through the plans
     assert _level_sha256(params, con)[4] == (
         "0c0e664e03a19b9bd64bf9cf1bc9d9a09f1d1c97a4ad7c10a6e0c2ad0dc6e92f")
 

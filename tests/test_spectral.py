@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from salemlab import (
     SpectralError, build_construction, compute_spectrum, decay_report,
-    derive_params, exp_sum, f_mu_hat, mu_hat,
+    derive_params, exp_sum, f_mu_hat,
     restricted_atoms, telescope_check, trivial_bound_check,
 )
 from salemlab import checks, expsums
@@ -69,21 +69,19 @@ def test_exp_sum_matches_python_int_reference(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_subset_sums_match_exp_sum_per_subset(data):
-    # periods above the number of frequencies take the factored route; 16^9
-    # takes _mulmod's Horner path, and the cube root of 25^4 rounds down
+    # 16^9 takes _mulmod's Horner path, and the cube root of 25^4 rounds down
     period = data.draw(st.sampled_from([9**5, 2**20, 16**9, 25**4]))
     atoms = np.array(data.draw(
         st.lists(st.integers(0, period - 1), min_size=1, max_size=40)), dtype=np.int64)
-    # subsets of the atoms, or one row of n digit sets: the points a n + d at
-    # period n * period, each digit set twisted by e(dk / (n period))
+    # rows of one digit set each (n = 1), or one row of n digit sets: the
+    # points a n + d at period n * period, each digit set twisted by
+    # e(dk / (n period))
     n = data.draw(st.sampled_from([1, 2, 3, 16]))
     n_sets = data.draw(st.integers(1, 5)) if n == 1 else 1
     shape = (n_sets, n, len(atoms))
     sets = np.array(data.draw(st.lists(st.booleans(), min_size=math.prod(shape),
                                        max_size=math.prod(shape))),
                     dtype=bool).reshape(shape)
-    if n == 1:
-        sets = sets[:, 0]
     run = data.draw(st.sampled_from([0, 1, 2, 50, 300]))
     # the leading run may start anywhere, and wrap past a multiple of the period
     k0 = data.draw(st.sampled_from([0, 1, 4097, period - 3, 5 * period + 2]))
@@ -96,7 +94,7 @@ def test_subset_sums_match_exp_sum_per_subset(data):
     with mock.patch.object(expsums, "_CHUNK", chunk):
         got = expsums._subset_sums(atoms, sets, ks, period)
     assert got.shape == (n_sets, len(ks))
-    for row, s in zip(got, sets.reshape(shape)):
+    for row, s in zip(got, sets):
         digit, at = np.nonzero(s)
         points = atoms[at] * n + digit
         want = exp_sum(points, ks, n * period)
@@ -107,7 +105,7 @@ def test_subset_sums_hold_one_result_when_every_frequency_is_in_the_run():
     # the leading run's table used to be a second full-size array, and the
     # result a concatenated third
     rng = np.random.default_rng(3)
-    sets = rng.random((8, 16)) < 0.5
+    sets = rng.random((8, 1, 16)) < 0.5
     ks = np.arange(2**16, dtype=np.int64)
     tracemalloc.start()
     try:
@@ -118,7 +116,7 @@ def test_subset_sums_hold_one_result_when_every_frequency_is_in_the_run():
     assert got.shape == (8, 2**16)
     assert peak < 1.5 * got.nbytes
     for row, s in zip(got[:, ::4099], sets):
-        assert np.abs(row - exp_sum(np.flatnonzero(s), ks[::4099], 2**20)).max() < 1e-9 * 16
+        assert np.abs(row - exp_sum(np.flatnonzero(s[0]), ks[::4099], 2**20)).max() < 1e-9 * 16
 
 
 def test_lone_frequency_sums_like_a_batch(odd_base):
@@ -285,8 +283,9 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
     # the half classes hold every k up to its twin
     covered = set()
-    for kb, sums in expsums.half_classes(period):
+    for kb, sums, mirrored in expsums.half_classes(period):
         assert len(kb) == B
+        assert mirrored == (0 < 2 * kb[0] < period // B)
         assert np.abs(sums(atoms) - got[kb]).max() < 1e-11 * len(atoms)
         assert np.abs(sums(points, weights=weights) - want[kb]).max() < scale
         assert np.array_equal(sums(atoms, weights=ones), sums(atoms))
@@ -413,7 +412,7 @@ def test_prefactor_values():
 
 def test_mu_hat_normalization(desk_params, desk):
     for level in desk.levels:
-        assert complex(mu_hat(desk_params, level, 0)) == pytest.approx(1.0, abs=1e-13)
+        assert complex(f_mu_hat(desk_params, level, 0, 0)) == pytest.approx(1.0, abs=1e-13)
         for ell in range(0, level.j + 1):
             got = complex(f_mu_hat(desk_params, level, ell, 0))
             assert got == pytest.approx(
@@ -428,7 +427,7 @@ def test_mu_hat_periodic_in_k_up_to_prefactor(desk_params, desk):
     level = desk.levels[3]
     period = desk_params.period(3)
     k = np.array([5, 5 + period, 5 + 2 * period], dtype=np.int64)
-    vals = mu_hat(desk_params, level, k)
+    vals = f_mu_hat(desk_params, level, 0, k)
     # the exponential sum repeats; only the smoothing prefactor changes
     pre = prefactor(k, period)
     ratios = vals / pre
@@ -565,6 +564,12 @@ def test_decay_report_shape():
     # weighted maxima decrease since the model decays faster than beta/2
     vals = [rep.dyadic_maxima[m] for m in sorted(rep.dyadic_maxima)]
     assert vals[0] > vals[-1]
+
+
+def test_decay_report_counts_the_most_negative_frequency():
+    # |-2^63| overflows int64 back to -2^63; as a uint64 it is 2^63, octave 63
+    rep = decay_report(np.array([-2**63, 5], dtype=np.int64), [1.0, 1.0], 0.5)
+    assert set(rep.dyadic_maxima) == {2, 63}
 
 
 @pytest.mark.parametrize("seed", range(6))
