@@ -76,6 +76,20 @@ def frequency_set(params: ConstructionParams, period: int, rng):
     return expsums.sorted_unique(np.concatenate(parts)), "sampled"
 
 
+def _scan(blocks, limits):
+    """Both deviation checks: (largest magnitude per window, None) over ``blocks``
+    of (ks, one magnitude array per window), or (None, (magnitude, limit, k,
+    window)) at the first block and window whose magnitude reaches its limit."""
+    peaks = [0.0] * len(limits)
+    for kb, mags in blocks:
+        for w, mag in enumerate(mags):
+            i = int(mag.argmax())
+            if mag[i] >= limits[w]:
+                return None, (mag[i], limits[w], int(kb[i]), w)
+            peaks[w] = max(peaks[w], mag[i])
+    return peaks, None
+
+
 # ---------------------------------------------------------------------------
 # base blocks
 
@@ -139,41 +153,35 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
     n = period // 2 + 1 if ks is None else len(ks)
     step = max(1, expsums.BLOCK // N)
 
-    def columns(lo):
-        # the frequencies of one deviation matrix of about BLOCK entries
-        return np.arange(lo, min(lo + step, n)) if ks is None else ks[lo : lo + step]
-
-    def deviation(members):
-        return max(np.abs(block_deviations(members, columns(lo), period, N, t)).max()
-                   for lo in range(0, n, step))
+    def check(members, limit):
+        # deviation matrices of about BLOCK entries, read as max_x |D_x(k)|
+        kbs = (np.arange(lo, min(lo + step, n)) if ks is None else ks[lo : lo + step]
+               for lo in range(0, n, step))
+        return _scan(((kb, [np.abs(block_deviations(members, kb, period, N, t)).max(axis=0)])
+                      for kb in kbs), [limit])
 
     p = t / N
-    worst = None
+    rejected = None
     for _ in range(MAX_RETRIES):
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
-        dev = deviation(draw)
-        if dev > eta / 2:
-            worst = dev
+        peaks, rejected = check(draw, eta / 2)
+        if rejected is not None:
             continue
         members = _fix_cardinality(set(int(m) for m in draw), t, N)
-        dev2 = deviation(members)
-        if dev2 > eta:
+        _, broken = check(members, eta)
+        if broken is not None:
             raise ConstructionError(
-                f"deviation {dev2:.4g} > eta={eta:.4g} after cardinality fix at j={j}"
-            )
+                "deviation {:.4g} >= eta={:.4g} at k={} after cardinality fix "
+                "at j={}".format(*broken[:3], j))
         return BaseBlock(members=members, eta=eta,
                          verified_k_count=N * (period if ks is None else len(ks)),
-                         mode=mode, margin=float(dev / (eta / 2)))
-    if worst is None:
-        raise ConstructionError(
-            f"base block retries exhausted at j={j}: no draw had members"
-        )
-    raise ConstructionError(
-        f"base block retries exhausted at j={j}: worst deviation {worst:.4g} "
-        f"vs threshold {eta / 2:.4g}"
-    )
+                         mode=mode, margin=float(peaks[0] / (eta / 2)))
+    if rejected is None:
+        raise ConstructionError(f"base block retries exhausted at j={j}: no draw had members")
+    raise ConstructionError("base block retries exhausted at j={}: deviation {:.4g} >= {:.4g} "
+                            "at k={}".format(j, *rejected[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +253,10 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
 
     the sum at period P of the ``deviation_measure`` of A_ell and its
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
-    s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) reads
-    one table of the measure per ell and class of ``expsums.half_classes``.
+    s_ell(P - k) = conj s_ell(k), and the exhaustive check (ks None) builds
+    the j + 1 measures once per draw and reads one table of each per class
+    of ``expsums.half_classes``, a class that is its own mirror (c = 0,
+    c = M/2) only at k <= P/2: each pair of twins k, P - k is read once.
     A sample is read as s_ell(k) = S_P(C_ell)(k)/t - U(k)/N S_Q(A_ell)(k),
     U(k) = S_[N](k) summed by Horner's rule in e(k/P). With Q <= |ks| the
     frequencies read each period-Q table at least once on average: the
@@ -262,14 +272,15 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, ks):
     parents = [level.atoms[mask] for mask in masks]
 
     if ks is None:
-        def in_class(digits, table):
-            for atoms, mask in zip(parents, masks):
-                kept = (atoms[:, None] * N + digits[mask]).ravel()
-                points, weights = deviation_measure(params, atoms, kept)
-                yield table(points, weights=weights)
+        def exhaustive(digits):
+            measures = [deviation_measure(params, a, (a[:, None] * N + digits[m]).ravel())
+                        for a, m in zip(parents, masks)]
+            for kb, table, mirrored in half_classes(period):
+                # a class that is its own mirror holds both twins k and P - k
+                n = len(kb) if mirrored else np.searchsorted(kb, period // 2, side="right")
+                yield kb[:n], (table(points, weights=weights)[:n] for points, weights in measures)
 
-        return lambda digits: ((kb, in_class(digits, table))
-                               for kb, table, _ in half_classes(period))
+        return exhaustive
 
     def uniform(kb):
         # U(k)/N, by Horner's rule in w = e(k/P)
@@ -323,36 +334,21 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     ``rotation_margins``, the largest |t^(-j+ell/2) s_ell(k)| / threshold
     over the checked k for each ell, and ``rotation_margin``, their
     maximum. A draw is rejected at the first block and ell whose sum
-    reaches its threshold; an exhaustive witness k is folded into [0, P/2],
-    as each |s_ell| is symmetric (``rotation_sums``)."""
+    reaches its threshold (``_scan``)."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
     ks, mode = frequency_set(params, period, rng)
     sums = rotation_sums(params, level, ks)
-    lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
-                                     for ell in range(1, j + 1)]
+    lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
+    scales = [t ** (-j + ell / 2) for ell in range(j + 1)]
 
-    def peaks(digits):
-        # (max |t^(-j+ell/2) s_ell| per ell, None) or (None, the rejection)
-        out = [0.0] * (j + 1)
-        for kb, block in sums(digits):
-            # each sum is dropped once its magnitude is taken
-            for ell, mag in enumerate(map(np.abs, block)):
-                mag *= t ** (-j + ell / 2)
-                i = int(mag.argmax())
-                if mag[i] >= lams[ell]:
-                    k = kb[i] if ks is not None else min(kb[i], period - kb[i])
-                    return None, (mag[i], lams[ell], int(k), ell)
-                out[ell] = max(out[ell], mag[i])
-        return out, None
-
-    worst = None
     for attempt in range(MAX_RETRIES):
         xs = rng.integers(0, N, size=len(level.atoms))
         digits = child_digits(params, level, base_block.members, xs)
-        found, rejected = peaks(digits)
-        if rejected is not None:
-            worst = rejected
+        # each sum is dropped once its magnitude is taken
+        found, worst = _scan(((kb, map(np.multiply, map(np.abs, block), scales))
+                              for kb, block in sums(digits)), lams)
+        if worst is not None:
             continue
         margins = [float(m / lam) for m, lam in zip(found, lams)]
         atoms = np.sort((level.atoms[:, None] * N + digits).ravel())

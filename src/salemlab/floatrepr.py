@@ -76,12 +76,12 @@ def _shortest(bits):
     vr_tz = (mv & low.take(ie)) == 0
     vm_tz = accept & q_le_1.take(ie) & (mm_shift == 1)
     vp -= ~accept & q_le_1.take(ie)
-    at = np.flatnonzero(q_exact.take(ie) >= 0)
-    p5, w, ok = _P5[q_exact[ie[at]]], mv[at], accept[at]
-    div5 = w % _U(5) == 0
-    vr_tz[at] = div5 & (w % p5 == 0)
-    vm_tz[at] = ~div5 & ok & ((w - _U(1) - mm_shift[at]) % p5 == 0)
-    vp[at] -= ~div5 & ~ok & ((w + _U(2)) % p5 == 0)
+    if len(at := np.flatnonzero(q_exact.take(ie) >= 0)):
+        p5, w, ok = _P5[q_exact[ie[at]]], mv[at], accept[at]
+        div5 = w % _U(5) == 0
+        vr_tz[at] = div5 & (w % p5 == 0)
+        vm_tz[at] = ~div5 & ok & ((w - _U(1) - mm_shift[at]) % p5 == 0)
+        vp[at] -= ~div5 & ~ok & ((w + _U(2)) % p5 == 0)
     # Ryū drops a digit while (vm, vp] holds a multiple of 10, then, where vm
     # is exact, while vm ends in 0: the d digits for which [vm, vp] holds a
     # multiple of 10^d, vm counting only if exact. Count them, divide once.

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .construction import LevelSet
-from .energy import bspline_integers, exact_l2r_norm, l2r_lower_bound
+from .energy import exact_l2r_norm, l2r_lower_bound
 from .expsums import half_classes, split
 from .params import ConstructionParams
 from .spectral import restricted_atoms
@@ -279,18 +279,21 @@ def pick_r(params: ConstructionParams, p: float) -> int:
     return max(math.ceil(p / 2.0), math.floor(1.0 / params.alpha) + 1)
 
 
+def _bound_3_1(params: ConstructionParams, ell: int, p: float, r: int) -> float:
+    """Theorem 3.1's lower bound on ||phi_ell||_p^p, C_2r N^ell r^(-ell-1) t^(-ell(p+1)/2)."""
+    return float(l2r_lower_bound(params, ell, r)["bound"]) * params.t ** (ell * (2 * r - p) / 2)
+
+
 def restriction_ratio(params: ConstructionParams, level: LevelSet, ells,
                       p: float, q: float) -> list[RatioReport]:
     """One report per window of ``ells``, their norms from one ``lp_norm``."""
     r = pick_r(params, p)
-    C2r = float(bspline_integers(r).C2r)
     th = thresholds(params.alpha, beta=params.alpha, q=q)
     reports = []
     for ell, est in zip(ells, lp_norm(params, level, ells, p)):
         numerator = est.value ** (1.0 / p)
         denominator = lq_mass(params, ell, q)["norm"]
-        bound = (C2r * params.N**ell * float(r) ** (-ell - 1)
-                 * float(params.t) ** (-ell * (p + 1) / 2))
+        bound = _bound_3_1(params, ell, p, r)
         reports.append(RatioReport(
             j=level.j, ell=ell, p=p, q=q, numerator=numerator,
             denominator=denominator, ratio=numerator / denominator,
@@ -321,7 +324,7 @@ def holder_chain_check(params: ConstructionParams, level: LevelSet, ells,
         rhs = pp * sup ** (2 * r - p)
         lift = float(params.t) ** (ell * (2 * r - p) / 2)
         implied = lhs * lift
-        bound31 = float(l2r_lower_bound(params, ell, r)["bound"]) * lift
+        bound31 = _bound_3_1(params, ell, p, r)
         reports.append({
             "j": level.j, "ell": ell, "p": p, "r": r,
             "lhs_2r": lhs, "p_norm_power": pp, "sup_bound": sup,

@@ -251,6 +251,7 @@ def decay_report(ks, coefficients, beta: float) -> DecayReport:
         keep = k > 0
         k, mags = k[keep], np.abs(np.asarray(coefficients[lo : lo + expsums.BLOCK])[keep])
         octaves = np.log2(k).astype(np.intp)
+        octaves -= k >> octaves.view(np.uint64) == 0   # log2 rounds 2^m - 1, m > 53, up
         met[octaves] = True
         np.maximum.at(raw, octaves, mags)
         weighted = (k + 1.0) ** (beta / 2) * mags

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from salemlab import (
 )
 from salemlab.construction import (
     Construction, LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    child_digits, frequency_set, patch_structured, rotation_sums,
+    child_digits, deviation_measure, frequency_set, patch_structured, rotation_sums,
 )
 from salemlab.storage import level_to_text
 
@@ -344,8 +345,16 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
             assert len(blocks) == 1
         else:
             assert max(len(kb) for kb in blocks) <= expsums.BLOCK
+    if ks is None:
+        # a class that is its own mirror (c = 0, or c = M/2 at even M) is
+        # read only up to P/2, every other class whole
+        B, M = expsums.split(P)
+        for kb in blocks:
+            c = int(kb[0])
+            assert np.array_equal(kb, np.arange(c, P // 2 + 1, M) if 2 * c % M == 0
+                                  else c + M * np.arange(B))
     if block:
-        assert len(kb) == block < P
+        assert expsums.split(P)[0] == block < P
 
 
 # c_rot lowered until rotation draws get rejected; the retries and the
@@ -597,4 +606,117 @@ def test_base_block_retries_exhausted_names_the_worst_deviation():
     with pytest.raises(ConstructionError) as info:
         build_construction(params)
     assert str(info.value) == ("base block retries exhausted at j=1: "
-                               "worst deviation 1.085 vs threshold 0.57")
+                               "deviation 1.085 >= 0.57 at k=58")
+
+
+def test_rejected_base_block_draw_stops_at_its_first_breaching_block(monkeypatch):
+    # eta_1 / 2 = 0.57 at c_eta = 0.5 rejects every draw of level 2's block;
+    # at BLOCK = 2^8 each draw's half period [0, 128] is 9 blocks of 16
+    # frequencies, and a draw reads them up to the first whose largest
+    # |D_x(k)| reaches eta / 2
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=0.5)
+    N, t, P, limit = params.N, params.t, params.period(2), params.eta(1) / 2
+    monkeypatch.setattr(expsums, "BLOCK", 2**8)
+    calls = []
+    monkeypatch.setattr(construction, "block_deviations",
+                        lambda members, ks, *args: calls.append((members, ks))
+                        or block_deviations(members, ks, *args))
+    with pytest.raises(ConstructionError) as info:
+        build_base_block(params, 1, np.random.default_rng(7))
+    draws = []
+    for members, ks in calls:
+        if ks[0] == 0:
+            draws.append((members, []))
+        draws[-1][1].append(ks)
+    # 63 draws with members read 93 blocks, not 63 * 9 = 567
+    assert len(draws) == 63 and len(calls) == 93
+    for members, read in draws:
+        full = np.abs(block_deviations(members, np.arange(P // 2 + 1), P, N, t)).max(axis=0)
+        first = next(i for i, lo in enumerate(range(0, P // 2 + 1, 16))
+                     if full[lo : lo + 16].max() >= limit)
+        assert len(read) == first + 1
+        assert np.array_equal(np.concatenate(read), np.arange(P // 2 + 1)[: 16 * len(read)])
+    # the error names the last draw's breach, a k of its last block read
+    m, k = re.fullmatch(r"base block retries exhausted at j=1: deviation (\S+) "
+                        r">= 0.57 at k=(\d+)", str(info.value)).groups()
+    assert int(k) in read[-1] and full[int(k)] >= limit
+    assert float(m) == pytest.approx(full[int(k)], rel=1e-3)
+
+
+def test_base_block_margin_is_that_of_a_full_period_scan():
+    # the accepted draw of level 4's block (eta_3 < 2 at c_eta = 1), found by
+    # replaying the draws, scanned over every residue mod P = 2^16
+    params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=1.0)
+    N, t, P, eta = params.N, params.t, params.period(4), params.eta(3)
+    base = build_base_block(params, 3, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    while True:
+        draw = np.flatnonzero(rng.random(N) < t / N)
+        if len(draw):
+            full = np.abs(block_deviations(draw, np.arange(P), P, N, t)).max()
+            if full < eta / 2:
+                break
+    assert base.mode == "exhaustive"
+    assert base.margin == pytest.approx(full / (eta / 2), rel=1e-12)
+
+
+def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
+        desk_params, desk, monkeypatch):
+    # P = 16^4 in M = 256 classes of B = 2^8: j + 1 measures per draw, read
+    # in each of the 129 classes c <= M/2
+    j = 3
+    level = desk.levels[j]
+    monkeypatch.setattr(expsums, "BLOCK", 2**8)
+    built = []
+    monkeypatch.setattr(construction, "deviation_measure",
+                        lambda *args: built.append(args) or deviation_measure(*args))
+    sums = rotation_sums(desk_params, level, None)
+    xs = np.random.default_rng(0).integers(0, desk_params.N, size=len(level.atoms))
+    digits = child_digits(desk_params, level, [0, 1, 2, 15], xs)
+    for draw in range(1, 3):
+        tables = sum(len(list(block)) for _, block in sums(digits))
+        assert tables == (256 // 2 + 1) * (j + 1)
+        assert len(built) == draw * (j + 1)
+
+
+@pytest.mark.parametrize("block", [2**14, 64], ids=["M1", "M64"])
+def test_rotation_scan_reads_half_periods_without_a_fold(block, monkeypatch):
+    # c_rot = 0.35 rejects draws at j = 1 (P = 256) and j = 2 (P = 4096),
+    # read in one class of the whole period (M = 1), or at M = 4 and M = 64.
+    # Each rejection names a k whose sum reaches its threshold, as read: in
+    # [0, P/2], or in a class 0 < c < M/2, which holds k on both sides of
+    # P/2 (the twins P - k of its upper half lie in the class M - c, which
+    # is not read). The accepted draw's maxima are those over both twins k
+    # and P - k of every residue.
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    scans, drawn = [], []
+    scan = construction._scan
+
+    def recorded(blocks, limits):
+        scans.append((len(limits) - 1, scan(blocks, limits)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(construction, "_scan", recorded)
+    monkeypatch.setattr(construction, "child_digits",
+                        lambda *args: drawn.append(child_digits(*args)) or drawn[-1])
+    params = derive_params(4, 2, 1, j_max=3, seed=7, c_rot=0.35)
+    N = params.N
+    con = build_construction(params)
+    assert [rec["retries"] for rec in con.audit] == [0, 1, 4]
+    assert _level_sha256(params, con)[2:] == RETRY_CASES[0][7][:2]
+    assert [j for j, _ in scans] == [1] * 2 + [2] * 5
+    for (j, (peaks, rejected)), digits in zip(scans, drawn, strict=True):
+        level = con.levels[j]
+        written = LevelSet(j + 1, np.sort((level.atoms[:, None] * N + digits).ravel()))
+        M = expsums.split(N ** (j + 1))[1]
+        if rejected is not None:
+            m, lam, k, ell = rejected
+            assert k <= N ** (j + 1) // 2 or 0 < 2 * (k % M) < M
+            ratio = _full_period_ratios(params, level, written, ell)[k]
+            assert ratio >= 1 and m / lam == pytest.approx(ratio, rel=1e-12)
+            continue
+        assert np.array_equal(written.atoms, con.levels[j + 1].atoms)
+        for ell, peak in enumerate(peaks):
+            lam = params.lambda_rot(j) if ell == 0 else params.lambda_rot_ell(j, ell)
+            full = _full_period_ratios(params, level, written, ell)
+            assert peak / lam == pytest.approx(full.max(), rel=1e-12)

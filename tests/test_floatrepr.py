@@ -56,6 +56,17 @@ def test_digit_count_sweep_spells_its_repr():
     assert _spelled(x) == [repr(v) for v in x.tolist()]
 
 
+def test_blocks_with_and_without_exact_large_values_spell_their_repr():
+    # values of 2^54 and above take the exactness test by 5^q (2^54 + 4 and
+    # 1.75 * 2^54 spell one digit short without it); a block with none of
+    # them skips it
+    big = [1.5 * 2.0**60, 2.0**54 + 4, 1.75 * 2.0**54, 2.0**55 + 8, 1e22]
+    small = [0.1, 1.0, 123456.5, 2.0**53 + 2, 1e-300]
+    for values in (small, big + small, [v for pair in zip(big, small) for v in pair]):
+        x = np.array(values + [-v for v in values])
+        assert _spelled(x) == [repr(v) for v in x.tolist()]
+
+
 def test_int_rows_spell_each_int64():
     tens = [10**e + d for e in range(19) for d in (-1, 0, 1)]
     ks = [0, -2**63, -2**63 + 1, 2**63 - 1] + tens + [-k for k in tens]

@@ -267,6 +267,17 @@ def test_holder_chain(desk_params, desk):
             assert rep["slack"] >= -1e-9
 
 
+def test_restriction_ratio_and_holder_chain_share_the_3_1_bound(desk_params, desk):
+    # one formula: the same float for the same (ell, p, r), r = pick_r(p)
+    for p in (3.0, 4.0):
+        r = pick_r(desk_params, p)
+        for level in desk.levels[2:4]:
+            ells = list(range(level.j + 1))
+            ratios = restriction_ratio(desk_params, level, ells, p, 2.0)
+            chains = holder_chain_check(desk_params, level, ells, p, r)
+            assert [rep.bound_3_1 for rep in ratios] == [rep["bound_3_1"] for rep in chains]
+
+
 def test_holder_chain_rejects_bad_p(desk_params, desk):
     with pytest.raises(NormError):
         holder_chain_check(desk_params, desk.levels[2], [0], 6.0, 3)

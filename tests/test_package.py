@@ -85,3 +85,12 @@ def test_blas_threads_do_not_change_the_levels():
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                    capture_output=True, text=True).stdout)
     assert outs[0] == outs[1]
+
+
+def test_readme_library_example_runs():
+    # the README's one python block, run as a script against the source tree
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    [code] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, text=True)

@@ -572,6 +572,15 @@ def test_decay_report_counts_the_most_negative_frequency():
     assert set(rep.dyadic_maxima) == {2, 63}
 
 
+def test_decay_report_octaves_are_integer_floors_of_log2():
+    # np.log2 rounds a uint64 |k| to float: 2^m - 1 above 2^48 read as 2^m
+    for m in range(1, 63):
+        for k, octave in ((2**m - 1, m - 1), (2**m, m), (2**m + 1, m)):
+            assert set(decay_report([k, -k], [1.0, 1.0], 0.5).dyadic_maxima) == {octave}
+    rep = decay_report([-2**63, 2**63 - 1, 2**54 - 1, 5], [1.0] * 4, 0.5)
+    assert set(rep.dyadic_maxima) == {2, 53, 62, 63}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_decay_slope_is_the_least_squares_fit(seed):
     # the closed-form slope against np.polyfit's over random octave maxima
