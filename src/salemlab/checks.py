@@ -162,5 +162,6 @@ def run_verification(con: Construction) -> list[dict]:
         "ball-condition", "frostman",
         rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
         sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
+        witness={"adic": rep["sup_adic_witness"], "window": rep["sup_window_witness"]},
     ))
     return checks

@@ -10,15 +10,9 @@ decide every k (``half_classes``, the one iterator over a whole period). An
 array of k is folded and split into them once (``Frequencies``) and reads
 them one at a time, for as many atom sets as share it; ``gather`` is one
 such read.
-Digit sets of one atom list at the same frequencies take one factored
-evaluator (``_subset_sums``): a row folds in a last digit d, summing the
-points a n + d at period n * period as its digit sets twisted by
-e(dk / (n period)).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,8 +26,7 @@ class SpectralError(RuntimeError):
 # assignment lowers it.
 FFT_BUDGET = 2**26
 
-# Entries of one atom-by-frequency array in ``exp_sum`` and ``_subset_sums``
-# (1 MB of complex128).
+# Entries of one atom-by-frequency array in ``exp_sum`` (1 MB of complex128).
 _CHUNK = 2**16
 
 # Most frequencies per residue class (256 KB of complex128, so that a class's
@@ -177,132 +170,6 @@ def gather(atoms, k, period, *, weights=1.0):
     if np.ndim(k) == 0:
         return exp_sum(atoms, k, period, weights=weights)
     return Frequencies(k, period).gather(atoms, weights=weights)
-
-
-def _subset_sums(atoms, sets, ks, period):
-    """Row i is S(ks) at period n * period over the points a n + d with a in
-    atoms[sets[i, d]], for a boolean (rows, n, atoms) array ``sets``.
-
-    As e((a n + d) k / (n period)) = e(a k / period) e(d k / (n period)),
-    digit set d is summed at ``period`` and twisted by e(d k / (n period))
-    as it is added: a row holds one result for all its digit sets, and no
-    point pays its own exponentials. Every term is a product of per-atom
-    and per-digit factors e(x) = exp(-2 pi i x) of exact residues. On the
-    leading run k = k0 + hB + l < k0 + K0 of ks, B about sqrt(K0), a row
-    costs one matrix product of the factors e(a (k0 + hB) / period) and
-    e(a l / period) of its points (``_progression``), the first twisted by
-    the H-vector e(d (k0 + hB) / (n period)) of each point's digit, the
-    second by the B-vector e(d l / (n period)). Every other k has three
-    base-C digits, C^3 >= period: one matrix product sums the digit sets
-    over the products of their factors e(a d C^i / period), and each row
-    adds them twisted by w^d, one running product per frequency. A slice of
-    atoms holds its run factors and those one row gathers from them in at
-    most ``_CHUNK`` / 2 entries (and a gathered twist beside them), its
-    other factors in ``_CHUNK``, and a block of the other k holds the
-    product of those factors, the factor gathered into it and the digit
-    sets' sums in ``_CHUNK``.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    sets = np.asarray(sets, dtype=bool)
-    n = sets.shape[1]
-    full = n * period
-    out = np.zeros((len(sets), len(ks)), dtype=np.complex128)
-    residues = np.asarray(atoms, dtype=np.int64) % period
-    run = int(np.argmin(np.append(ks - np.arange(len(ks)) == ks[:1], False)))
-    B = math.isqrt(max(run - 1, 0)) + 1
-    H = -(-run // B)
-    k0 = ks[0] if run else 0
-    if n > 1:
-        twist_high = _progression(np.arange(n), k0, B, H, full).T
-        twist_low = _progression(np.arange(n), 0, 1, B, full)
-        w = _unit(ks[run:] % full, full)
-
-    # a row gathers an atom's run factors once per digit set it is in
-    per_atom = int(sets.sum(axis=1).max(initial=0))
-    step = max(1, _CHUNK // (2 * (H + B) * (1 + per_atom)))
-    # every row and slice gathers into the same work arrays: temporaries
-    # of this size, allocated per row, go back to the system and are
-    # faulted in again (60k minor faults at deep's level 6 in a fresh
-    # process, against 11k with the work arrays)
-    work = np.empty((3, max(H, B) * per_atom * min(step, len(residues))),
-                    dtype=np.complex128)
-    product = np.empty((H, B), dtype=np.complex128)
-
-    def gathered(table, index, axis, slot):
-        # the rows (axis 0) or columns (axis 1) of table at index, in work[slot]
-        shape = list(table.shape)
-        shape[axis] = len(index)
-        return np.take(table, index, axis=axis, mode="clip",
-                       out=work[slot, : shape[0] * shape[1]].reshape(shape))
-
-    def run_sums(high, low, row):
-        # the run's sums of one row over a slice of atoms, in product
-        d, a = np.nonzero(row)
-        if len(a) == len(low) and not d.any():     # every atom, untwisted
-            return np.matmul(high, low, out=product).ravel()[:run]
-        left, right = gathered(high, a, 1, 0), gathered(low, a, 0, 1)
-        if d.any():
-            left *= gathered(twist_high, d, 1, 2)
-            right *= gathered(twist_low, d, 0, 2)
-        return np.matmul(left, right, out=product).ravel()[:run]
-
-    for lo in range(0, len(residues), step):
-        r = residues[lo : lo + step]
-        high = _progression(r, k0, B, H, period).T
-        low = _progression(r, 0, 1, B, period)
-        for i, row in enumerate(sets[:, :, lo : lo + step]):
-            out[i, :run] += run_sums(high, low, row)
-
-    rest = ks[run:] % period
-    if not len(rest):
-        return out
-    C = round(period ** (1 / 3))
-    C += C**3 < period
-    digits = [np.unique(rest // C**i % C * C**i, return_inverse=True) for i in range(3)]
-    # the digit sets summed there, row by row, each row's from its digit 0
-    pairs = sets.any(axis=2)
-    pairs[:, 0] = True
-    digit = np.nonzero(pairs)[1]
-    first = np.flatnonzero(digit == 0)
-
-    def add_rest(r, chosen):
-        # the sums at the other k over a slice of atoms, block by block
-        factors = [(_unit(_mulmod(u[:, None], r[None, :], period), period), inv)
-                   for u, inv in digits]
-        weights = chosen[pairs].T.astype(np.complex128)
-        cols = max(1, _CHUNK // (2 * len(r) + len(digit)))
-        for c in range(0, len(rest), cols):
-            (f, inv), *others = factors
-            g = f[inv[c : c + cols]]
-            for f, inv in others:
-                g *= f[inv[c : c + cols]]
-            sums = g @ weights
-            if n > 1:
-                powers = np.empty((len(g), n), dtype=np.complex128)
-                powers[:, 0] = 1
-                powers[:, 1:] = w[c : c + len(g), None]
-                np.cumprod(powers, axis=1, out=powers)
-                sums *= powers[:, digit]
-                sums = np.add.reduceat(sums, first, axis=1)
-            out[:, run + c : run + c + len(g)] += sums.T
-
-    step = max(1, _CHUNK // sum(len(u) for u, _ in digits))
-    for lo in range(0, len(residues), step):
-        add_rest(residues[lo : lo + step], sets[:, :, lo : lo + step])
-    return out
-
-
-def _progression(r, start, step, count, period):
-    """e(r (start + i step) / period) for residues r (rows) and i < count
-    (columns): with i = D i1 + i0, D about sqrt(count), the product of the
-    factors e(r (start + i0 step) / period) and e(r D i1 step / period) of
-    exact residues, about 2 sqrt(count) exponentials per residue."""
-    D = math.isqrt(max(count - 1, 0)) + 1
-    fine = _unit(_mulmod(r[:, None], np.arange(D) * step % period, period), period)
-    fine *= _unit(_mulmod(r, start % period, period), period)[:, None]
-    coarse = np.arange(-(-count // D)) * (D * step) % period
-    coarse = _unit(_mulmod(r[:, None], coarse, period), period)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(r), -1)[:, :count]
 
 
 def sorted_unique(values):

@@ -343,32 +343,38 @@ def holder_chain_check(params: ConstructionParams, level: LevelSet, ells,
 def ball_condition_report(params: ConstructionParams, level: LevelSet) -> dict:
     """Mass-to-length ratios mu(I)/|I|^alpha over all N-adic intervals at
     every scale up to the level, and over width-2 N-adic windows straddling
-    endpoints. Uses the exact identity N^(m*alpha) = t^m."""
+    endpoints. Uses the exact identity N^(m*alpha) = t^m. Each supremum's
+    witness is the first scale m that reaches it, with its first cell or
+    window start there."""
     j = level.j
     N, t = params.N, params.t
     per_scale = []
-    sup_adic = Fraction(0)
-    sup_window = 0.0
+    sup_adic, adic_at = Fraction(0), None
+    sup_window, window_at = 0.0, None
     two_alpha = 2.0**params.alpha
     for m in range(j + 1):
         cells, counts = np.unique(level.atoms // N ** (j - m), return_counts=True)
         # N-adic ratio: (count * t^{-j}) / N^{-m alpha} = count * t^{m-j}
-        top = int(counts.max())
-        ratio = Fraction(top * t**m, t**j)
-        sup_adic = max(sup_adic, ratio)
+        i = int(counts.argmax())
+        ratio = Fraction(int(counts[i]) * t**m, t**j)
+        if ratio > sup_adic:
+            sup_adic, adic_at = ratio, {"m": m, "cell": int(cells[i])}
         # a window [u, u + 2) as full as any starts at an occupied cell u; at
         # u = N^m - 1, past the last window, the count is at most the window
         # at u - 1's, and at m = 0 the one cell is the window
         windows = counts + np.append(np.where(np.diff(cells) == 1, counts[1:], 0), 0)
-        wtop = int(windows.max())
-        wratio = float(Fraction(wtop * t**m, t**j)) / two_alpha
-        sup_window = max(sup_window, wratio)
+        i = int(windows.argmax())
+        wratio = float(Fraction(int(windows[i]) * t**m, t**j)) / two_alpha
+        if wratio > sup_window:
+            sup_window, window_at = wratio, {"m": m, "start": int(cells[i])}
         per_scale.append({"m": m, "adic_ratio": float(ratio),
                           "window_ratio": wratio})
     return {
         "j": j,
         "sup_adic_ratio": float(sup_adic),
         "sup_adic_exact_one": sup_adic == 1,
+        "sup_adic_witness": adic_at,
         "sup_window_ratio": sup_window,
+        "sup_window_witness": window_at,
         "per_scale": per_scale,
     }

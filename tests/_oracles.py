@@ -74,20 +74,29 @@ def f_mu_hat_real(params, level, ell: int, xi):
 
 def dense_ball_scan(params, level) -> dict:
     """The ball-condition report from a count of every N-adic cell at each
-    scale m (N^m entries) and of every width-2 window of adjacent cells."""
+    scale m (N^m entries) and of every width-2 window of adjacent cells. A
+    witness is the first m at its supremum, with the first cell there, or
+    the first occupied start of a window as full as any (a window at an
+    empty cell holds no more than the one after it)."""
     j, N, t = level.j, params.N, params.t
     per_scale, sup_adic, sup_window = [], Fraction(0), 0.0
+    adic_at = window_at = None
     for m in range(j + 1):
         counts = np.bincount(level.atoms // N ** (j - m), minlength=N**m)
         top = int(counts.max())
         ratio = Fraction(top * t**m, t**j)
-        sup_adic = max(sup_adic, ratio)
+        if ratio > sup_adic:
+            sup_adic, adic_at = ratio, {"m": m, "cell": int(counts.argmax())}
         window_counts = counts[:-1] + counts[1:] if m >= 1 else counts
         wtop = int(window_counts.max()) if len(window_counts) else top
         wratio = float(Fraction(wtop * t**m, t**j)) / 2.0**params.alpha
-        sup_window = max(sup_window, wratio)
+        if wratio > sup_window:
+            every = counts + np.append(counts[1:], 0)
+            start = np.flatnonzero((every == wtop) & (counts > 0))[0]
+            sup_window, window_at = wratio, {"m": m, "start": int(start)}
         per_scale.append({"m": m, "adic_ratio": float(ratio),
                           "window_ratio": wratio})
     return {"j": j, "sup_adic_ratio": float(sup_adic),
-            "sup_adic_exact_one": sup_adic == 1,
-            "sup_window_ratio": sup_window, "per_scale": per_scale}
+            "sup_adic_exact_one": sup_adic == 1, "sup_adic_witness": adic_at,
+            "sup_window_ratio": sup_window, "sup_window_witness": window_at,
+            "per_scale": per_scale}

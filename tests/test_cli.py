@@ -331,6 +331,33 @@ def test_failing_mass_identity_names_its_window(built, capsys, monkeypatch):
     assert "verify: FAILED mass-identity: {'j': 2, 'ell': 1}" in captured.err
 
 
+def test_failing_ball_condition_names_its_witness(built, capsys, monkeypatch):
+    # the window supremum doubled past 2: the record names the scale and
+    # start of each supremum, the first scale that reaches it
+    report = checks.ball_condition_report
+    monkeypatch.setattr(checks, "ball_condition_report", lambda *args: {
+        **report(*args), "sup_window_ratio": 2 * report(*args)["sup_window_ratio"]})
+    assert main(["verify", str(built)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL ball-condition" in captured.out
+    assert ("verify: FAILED ball-condition: {'adic': {'m': 0, 'cell': 0}, "
+            "'window': {'m': 1, 'start': 0}}") in captured.err
+
+
+def test_construct_beyond_the_transform_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # at c_rot = 0.35 the rotations of j = 3 are read over all 16^4
+    # residues, which the budget refuses; at the default constants the
+    # triangle bound accepts them unread, and every level is written
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 4096)
+    argv = ["construct", "--set", "N0=4", "--set", "t0=2", "--set", "n0=1",
+            "--set", "j_max=4", "--set", "seed=7"]
+    assert main(argv + ["--set", "c_rot=0.35", "-o", str(tmp_path / "a")]) == 3
+    assert ("resource limit: transform length 65536 exceeds the dense transform "
+            "budget 4096") in capsys.readouterr().err
+    assert main(argv + ["-o", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / level_filename(4)).exists()
+
+
 def test_verify_beyond_the_transform_budget_exits_3(built, capsys, monkeypatch):
     # Parseval reads every level's period before the decay screens run:
     # the top level's 16^3 points are refused there

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from salemlab import construction, expsums
 from salemlab import (
@@ -14,7 +14,7 @@ from salemlab import (
     verify_construction,
 )
 from salemlab.construction import (
-    Construction, LevelSet, _fix_cardinality, block_deviations, build_base_block,
+    LevelSet, _fix_cardinality, block_deviations, build_base_block,
     child_digits, deviation_measure, frequency_set, patch_structured, rotation_sums,
 )
 from salemlab.storage import level_to_text
@@ -277,54 +277,29 @@ def _per_atom_sums(params, level, digits, ks):
     return out
 
 
-# A sample of at least Q = N^j frequencies is read through the plans at P
-# and Q. `ends` keeps only the first and last sampled frequencies, so that Q
-# exceeds |ks| and the subset sums take the factored route (with 40000 first
-# ones, in blocks of ``expsums.BLOCK`` = 2^14 frequencies that start inside
-# the leading run k < 2^16); `block` lowers ``expsums.BLOCK`` below the
-# period, so that the exhaustive check reads M = 16 (even, with the
-# self-mirrored class M/2) or M = 9 residue classes
-ROTATION_SUM_CASES = [
-    (4, 2, 2**20, "exhaustive", None, None),
-    (4, 4, 2**16, "sampled", None, None),      # P = 2^20: a genuine sample
-    (3, 3, 2**20, "exhaustive", None, None),
-    (3, 4, 2**10, "sampled", None, None),      # P = 9^5: the sample covers the period
-    (4, 4, 2**16, "sampled", (4096, 512), None),
-    (3, 4, 2**10, "sampled", (4096, 512), None),
-    (4, 4, 2**16, "sampled", (40000, 512), None),   # factored, in three blocks
-    (4, 2, 2**20, "exhaustive", None, 2**8),
-    (3, 3, 2**20, "exhaustive", None, 729),
-    (6, 3, 2**20, "sampled", None, None),      # N = 36, 64 atoms: the plans
-]
+# `block` lowers ``expsums.BLOCK`` below the period, so that the check
+# reads M = 16 (even, with the self-mirrored class M/2) or M = 9 residue
+# classes; the ids are those the cases had when a budget of 2^20 could
+# also send the check to a sample
+ROTATION_SUM_CASES = [(4, 2, None), (3, 3, None), (4, 2, 2**8), (3, 3, 729)]
 
 
 @pytest.mark.parametrize(
-    "N0, j, budget, mode, ends, block", ROTATION_SUM_CASES,
-    ids=["-".join(map(str, case[:4]))
-         + ("-ends" + ("" if case[4][0] == 4096 else str(case[4][0])) if case[4] else "")
-         + (f"-block{case[5]}" if case[5] else "")
-         for case in ROTATION_SUM_CASES])
-def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
-                                              monkeypatch):
+    "N0, j, block", ROTATION_SUM_CASES,
+    ids=[f"{N0}-{j}-1048576-exhaustive" + (f"-block{block}" if block else "")
+         for N0, j, block in ROTATION_SUM_CASES])
+def test_rotation_sums_match_per_atom_formula(N0, j, block, monkeypatch):
     params = derive_params(N0, 2, 1, j_max=j, seed=7)
     level = build_construction(params).levels[j]
     rng = np.random.default_rng(N0 * 10 + j)
-    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", budget)
     if block:
         monkeypatch.setattr(expsums, "BLOCK", block)
     P = params.N ** (j + 1)
-    ks, got_mode = frequency_set(params, P, rng)
-    assert got_mode == mode
-    if ends:
-        ks = np.concatenate([ks[: ends[0]], ks[-ends[1] :]])
-        assert params.N**j > len(ks)
     members = sorted(rng.choice(params.N, size=params.t, replace=False).tolist())
     xs = rng.integers(0, params.N, size=len(level.atoms))
     digits = child_digits(params, level, members, xs)
-    checked = ks if ks is not None else np.arange(P // 2 + 1)
-    sums = rotation_sums(params, level, ks)
     covered, blocks = set(), []
-    for kb, block_sums in sums(digits):
+    for kb, block_sums in rotation_sums(params, level)(digits):
         blocks.append(kb)
         got = list(block_sums)
         want = _per_atom_sums(params, level, digits, kb)
@@ -332,37 +307,29 @@ def test_rotation_sums_match_per_atom_formula(N0, j, budget, mode, ends, block,
         for ell, (g, w) in enumerate(zip(got, want)):
             size = params.t * int(structured_mask(params, level, ell).sum())
             assert np.abs(g - w).max() < 1e-9 * size
-        covered.update((kb if ks is not None else np.minimum(kb, P - kb)).tolist())
+        covered.update(np.minimum(kb, P - kb).tolist())
     # the classes decide every residue mod P, each k through itself or its
     # twin P - k
-    assert covered == set(checked.tolist())
-    if ks is not None:
-        # the blocks partition the sample in order; the plans, built once,
-        # take it whole, and the factored route in blocks of at most
-        # BLOCK = 2^14 frequencies
-        assert np.array_equal(np.concatenate(blocks), ks)
-        if params.N**j <= len(ks):
-            assert len(blocks) == 1
-        else:
-            assert max(len(kb) for kb in blocks) <= expsums.BLOCK
-    if ks is None:
-        # a class that is its own mirror (c = 0, or c = M/2 at even M) is
-        # read only up to P/2, every other class whole
-        B, M = expsums.split(P)
-        for kb in blocks:
-            c = int(kb[0])
-            assert np.array_equal(kb, np.arange(c, P // 2 + 1, M) if 2 * c % M == 0
-                                  else c + M * np.arange(B))
+    assert covered == set(range(P // 2 + 1))
+    # a class that is its own mirror (c = 0, or c = M/2 at even M) is read
+    # only up to P/2, every other class whole
+    B, M = expsums.split(P)
+    for kb in blocks:
+        c = int(kb[0])
+        assert np.array_equal(kb, np.arange(c, P // 2 + 1, M) if 2 * c % M == 0
+                              else c + M * np.arange(B))
     if block:
         assert expsums.split(P)[0] == block < P
 
 
 # c_rot lowered until rotation draws get rejected; the retries and the
 # level SHA-256s from level 2 on are those of acceptance on the level as
-# written, with the structured rows patched. The last two rows reject
-# sampled draws: N = 25 checks j = 4 by the factored subset sums (Q > |ks|),
-# N = 9 with an exhaustive budget of 4096 checks j = 3..5 through the plans
-# at P and Q.
+# written, with the structured rows patched, every draw read over all
+# residues. In the last two rows the base blocks are drawn (c_eta = 1), and
+# a budget of 4096 sends N = 9's blocks of j >= 3 to a sample. Those rows
+# were pinned when rotations above the budget were read on a sample too,
+# which accepted levels up to 1.0051 (N = 25, j = 4) and 1.0522 (N = 9,
+# j = 5) times lam_0.
 RETRY_CASES = [
     (4, 4, 7, 192.0, 0.35, 2**20, [0, 1, 4, 4], [
         "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
@@ -374,18 +341,18 @@ RETRY_CASES = [
         "db1e31f5c9b606aefebe5216569c2e1bd2c11733b1977c91003210545b3692b0",
         "085ca36d001fe09d36659c9371f45a0ddcf271ffbefcd0332bc3519e15a45760",
     ]),
-    (5, 5, 5, 1.0, 0.34, 2**20, [0, 0, 0, 2, 1], [
+    (5, 5, 5, 1.0, 0.34, 2**20, [0, 0, 0, 2, 6], [
         "06dddd71284f6d26bb70460a5a3900d489df55c2a98a26c7d48a3f4fc24ee15e",
         "2816abed4417716e3c30160e798ccc48534bf58aff3d247bbc3fa2ec3c1ee947",
         "34ac146170b57b863ce3ab19e9ef2afee61f3923f24de7a01ff19daa36004db5",
-        "179f861c96458aa0edea0bf61ff1f7f086e575a52e7abf8fbd2839304cd5bebe",
+        "35fda06441607dce0a2427a185bec161eaa7fcd0ab190b81b5fab4945747afa8",
     ]),
-    (3, 6, 2, 1.0, 0.3, 4096, [0, 1, 0, 10, 0, 3], [
+    (3, 6, 2, 1.0, 0.3, 4096, [0, 1, 0, 10, 0, 5], [
         "44831b905a63220cdaf534c7d652d149057179283bde2058d569ff9125550469",
         "8305f7f18a61be2850bdf9e57c52ccd3d3c5585dbf69b57baf8abfd997d5cb80",
         "a4da932694ee0b03bbf856d88195f603d1011b0df191c6c898e14e35a9a8a96a",
         "004570fc33663afa311aa55f3dad332c6b9d4b43f9ea518a2b086cd73b596824",
-        "fafa34ab79c9ec50bfc25030a29f139092f112b08cd704670ef810297d73001a",
+        "1fe6c0795bb97db04d2239beb77965808adb33b3aeb80d333cea03850fcf26d6",
     ]),
 ]
 
@@ -407,9 +374,9 @@ def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, budget,
     verify_construction(con)
 
 
-def _full_period_ratios(params, level, written, ell):
-    """|t^(-j+ell/2) s_ell(k)| / threshold for every k in [0, P), P = N^(j+1),
-    from full-period FFTs of the written atoms under A_ell."""
+def _full_period_sums(params, level, written, ell):
+    """|t^(-j+ell/2) s_ell(k)| for every k in [0, P), P = N^(j+1), from
+    full-period FFTs of the written atoms under A_ell."""
     N, t, j = params.N, params.t, level.j
     P = N ** (j + 1)
 
@@ -423,30 +390,78 @@ def _full_period_ratios(params, level, written, ell):
     C = written.atoms[structured_mask(params, written, ell)]
     A = level.atoms[structured_mask(params, level, ell)]
     s = sums(C, P) / t - sums(np.arange(N), P) / N * np.tile(sums(A, P // N), N)
+    return np.abs(t ** (-j + ell / 2) * s)
+
+
+def _full_period_ratios(params, level, written, ell):
+    """``_full_period_sums`` over the threshold of ell."""
+    j = level.j
     lam = params.lambda_rot(j) if ell == 0 else params.lambda_rot_ell(j, ell)
-    return np.abs(t ** (-j + ell / 2) * s) / lam
+    return _full_period_sums(params, level, written, ell) / lam
 
 
-def test_written_level_meets_its_rotation_thresholds():
-    # biting constants with every level j <= 4 accepted over all residues
-    # mod P = N^(j+1): the level written must be the level that was checked
-    params = derive_params(4, 2, 1, j_max=5, seed=1, c_eta=1.0, c_rot=0.35)
+def test_written_level_meets_its_rotation_thresholds(monkeypatch):
+    # biting constants, every level j <= 4 accepted over all residues mod
+    # P = N^(j+1): the level written must be the level that was checked.
+    # Below a budget of 4096 the base blocks of j >= 3 are sampled; the
+    # rotations were then sampled too, and seed 2's level 5 reached 1.0705
+    # times lam_0
+    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", 4096)
+    for seed in (1, 2, 3):
+        params = derive_params(4, 2, 1, j_max=5, seed=seed, c_eta=1.0, c_rot=0.35)
+        con = build_construction(params)
+        worst = (0.0,)
+        for level, written in zip(con.levels[1:-1], con.levels[2:]):
+            j = level.j
+            margins = []
+            for ell in range(j + 1):
+                ratio = _full_period_ratios(params, level, written, ell)
+                worst = max(worst, (ratio.max(), j, ell, int(ratio.argmax())))
+                margins.append(ratio.max())
+            # the audit of level j + 1 records the same margins
+            assert con.audit[j]["j"] == j + 1
+            assert con.audit[j]["rotation_mode"] == "exhaustive"
+            assert con.audit[j]["rotation_margins"] == pytest.approx(margins, rel=1e-9)
+            assert con.audit[j]["rotation_margin"] == pytest.approx(max(margins), rel=1e-9)
+        assert worst[0] < 1, (seed, worst)   # (sum over threshold, j, ell, k)
+
+
+@pytest.mark.parametrize("N0, j_max", [(4, 5), (3, 5), (4, 6)],
+                         ids=["desk", "odd-base", "deep"])
+def test_default_rotations_are_accepted_by_the_triangle_bound(N0, j_max, monkeypatch):
+    # every lam_ell exceeds 2 at the default constants, so no frequency is
+    # read: the first draw of every level is kept
+    calls = []
+    monkeypatch.setattr(construction, "rotation_sums",
+                        lambda *args: calls.append(args) or rotation_sums(*args))
+    params = derive_params(N0, 2, 1, j_max=j_max, seed=7)
     con = build_construction(params)
+    assert calls == []
+    for rec in con.audit[1:]:
+        j = rec["j"] - 1
+        lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
+                                         for ell in range(1, j + 1)]
+        assert min(lams) > 2
+        assert rec["rotation_mode"] == "trivial" and rec["rotation_verified_k"] == 0
+        assert rec["retries"] == 0
+        assert rec["rotation_margins"] == [2 / lam for lam in lams]
+        assert rec["rotation_margin"] == max(rec["rotation_margins"])
 
-    worst = (0.0,)
-    for level, written in zip(con.levels[1:-1], con.levels[2:]):
-        j = level.j
-        assert params.N ** (j + 1) <= construction.EXHAUSTIVE_BUDGET
-        margins = []
-        for ell in range(j + 1):
-            ratio = _full_period_ratios(params, level, written, ell)
-            worst = max(worst, (ratio.max(), j, ell, int(ratio.argmax())))
-            margins.append(ratio.max())
-        # the audit of level j + 1 records the same margins
-        assert con.audit[j]["j"] == j + 1
-        assert con.audit[j]["rotation_margins"] == pytest.approx(margins, rel=1e-9)
-        assert con.audit[j]["rotation_margin"] == pytest.approx(max(margins), rel=1e-9)
-    assert worst[0] < 1, worst   # (sum over threshold, j, ell, k)
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_deviation_sums_obey_the_triangle_bound(bases, data):
+    # any rows of t distinct last digits: t^(-j+ell/2) |s_ell(k)| <= 2 at
+    # every k, as each of the t^(j-ell/2) terms of s_ell is at most 2
+    params, con = data.draw(st.sampled_from(bases))
+    j = data.draw(st.integers(1, 3 if params.N < 25 else 2))
+    level = con.levels[j]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    digits = np.array([rng.choice(params.N, size=params.t, replace=False)
+                       for _ in level.atoms])
+    written = LevelSet(j + 1, np.sort((level.atoms[:, None] * params.N + digits).ravel()))
+    for ell in range(j + 1):
+        assert _full_period_sums(params, level, written, ell).max() <= 2 + 1e-9
 
 
 @pytest.mark.parametrize("N0, j_max", [(4, 5), (3, 6)], ids=["even-P", "odd-P"])
@@ -462,13 +477,12 @@ def test_half_period_check_matches_a_full_period_scan(N0, j_max):
     for level, written in zip(con.levels[1:-1], con.levels[2:]):
         j = level.j
         P = N ** (j + 1)
-        assert frequency_set(params, P, None)[1] == "exhaustive"
         # the accepted draw's rows of last digits, in the order of the parents
         digits = (written.atoms % N).reshape(len(level.atoms), t)
         lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
                                          for ell in range(1, j + 1)]
         peaks = [(0.0, 0)] * (j + 1)
-        for kb, sums in rotation_sums(params, level, None)(digits):
+        for kb, sums in rotation_sums(params, level)(digits):
             for ell, s in enumerate(sums):
                 half = np.abs(t ** (-j + ell / 2) * s) / lams[ell]
                 i = int(half.argmax())
@@ -500,15 +514,20 @@ def _peak_array_bytes(run, monkeypatch, block):
     return _peak_bytes(run)
 
 
-def test_rotation_check_holds_no_half_period_array(desk_params, desk, monkeypatch):
-    # P = 16^4 = 2^16 in classes of 2^12; the half-period check used to hold
-    # U(k)/N and the half table of each C_ell over all of [0, P/2]
-    j, P = 3, desk_params.period(4)
-    base = build_base_block(desk_params, j, np.random.default_rng(0))
+def test_rotation_check_holds_no_half_period_array(monkeypatch):
+    # P = 16^4 = 2^16 in classes of 2^12, read at c_rot = 0.35 (the default
+    # constants read nothing); the half-period check used to hold U(k)/N and
+    # the half table of each C_ell over all of [0, P/2]
+    params = derive_params(4, 2, 1, j_max=3, seed=7, c_rot=0.35)
+    level = build_construction(params).levels[3]
+    j, P = 3, params.period(4)
+    base = build_base_block(params, j, np.random.default_rng(0))
+    audits = []
     peak = _peak_array_bytes(
-        lambda: construction.choose_rotations(
-            desk_params, desk.levels[j], base, np.random.default_rng(0)),
+        lambda: audits.append(construction.choose_rotations(
+            params, level, base, np.random.default_rng(0))[1]),
         monkeypatch, 2**12)
+    assert audits[1]["rotation_mode"] == "exhaustive"
     # less than one complex128 array of P / 2 entries, temporaries included
     assert peak < 16 * P // 2
 
@@ -529,24 +548,14 @@ def test_base_block_check_holds_no_half_period_array(monkeypatch):
 
 
 def test_sampled_checks_stream_their_frequency_blocks():
-    # N = 25: both checks of level 5 are sampled (P = 25^5 exceeds
-    # EXHAUSTIVE_BUDGET), and the rotation check takes the factored route
-    # (Q = 25^4 exceeds |ks|); with rows over the whole sample, the last
-    # build_level peaked at 78.9 MiB and the base block below at 41.8 MiB
+    # N = 25 at the default constants: level 5 keeps the bytes written
+    # while its rotations were read on a sample (P = 25^5 exceeds
+    # EXHAUSTIVE_BUDGET)
     params = derive_params(5, 2, 1, j_max=5, seed=7)
-    rng = np.random.default_rng(params.seed)
-    con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
-    for _ in range(4):
-        construction.build_level(params, con, rng)
-    peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
-    assert con.audit[-1]["rotation_mode"] == "sampled"
-    assert params.N**4 > con.audit[-1]["rotation_verified_k"]
-    # two rows per block and window: 3.2 MiB
-    assert peak < 4 * 2**20
-    # as written before the sample was streamed
+    con = build_construction(params)
     assert _level_sha256(params, con)[5] == (
         "cc9c18db0e1117f9c2245ac9245ad00799813ed500ac4f2c8a0a6e5c6111de9a")
-    # eta_4 < 2 at c_eta = 0.5: the base block is checked on the sample too
+    # eta_4 < 2 at c_eta = 0.5: the base block is checked on the sample
     params = derive_params(5, 2, 1, j_max=5, seed=7, c_eta=0.5)
     blocks = []
     peak = _peak_bytes(
@@ -560,22 +569,12 @@ def test_sampled_checks_stream_their_frequency_blocks():
 
 
 def test_sampled_plan_route_reads_the_sample_in_one_block():
-    # N = 36: level 4's rotation check is sampled (P = 36^4 exceeds
-    # EXHAUSTIVE_BUDGET) and reads plans at P and Q (Q = 36^3 = 46656 is
-    # below |ks|) in one block of the whole sample; with N + 1 rows of
-    # period-Q tables over that block, the last build_level peaked at
-    # 45.7 MiB
+    # N = 36: level 4's rotations were once checked on a sample through
+    # plans at P and Q; at the default constants the triangle bound accepts
+    # them unread, and the level keeps the bytes written then
     params = derive_params(6, 2, 1, j_max=4, seed=7)
-    rng = np.random.default_rng(params.seed)
-    con = Construction(params, [LevelSet(j=0, atoms=np.zeros(1, dtype=np.int64))])
-    for _ in range(3):
-        construction.build_level(params, con, rng)
-    peak = _peak_bytes(lambda: construction.build_level(params, con, rng))
-    assert con.audit[-1]["rotation_mode"] == "sampled"
-    assert params.N**3 <= con.audit[-1]["rotation_verified_k"]
-    assert peak < 8 * 2**20
-    # as written with the N + 1 rows, with two rows of the period-Q tables,
-    # and through the plans
+    con = build_construction(params)
+    assert con.audit[-1]["rotation_mode"] == "trivial"
     assert _level_sha256(params, con)[4] == (
         "0c0e664e03a19b9bd64bf9cf1bc9d9a09f1d1c97a4ad7c10a6e0c2ad0dc6e92f")
 
@@ -670,7 +669,7 @@ def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
     built = []
     monkeypatch.setattr(construction, "deviation_measure",
                         lambda *args: built.append(args) or deviation_measure(*args))
-    sums = rotation_sums(desk_params, level, None)
+    sums = rotation_sums(desk_params, level)
     xs = np.random.default_rng(0).integers(0, desk_params.N, size=len(level.atoms))
     digits = child_digits(desk_params, level, [0, 1, 2, 15], xs)
     for draw in range(1, 3):

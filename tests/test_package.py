@@ -69,9 +69,9 @@ def test_scipy_is_a_test_dependency_only():
 
 
 def test_blas_threads_do_not_change_the_levels():
-    # N = 25, j = 4 checks its sampled rotation draws by matrix products,
-    # which OpenBLAS may split over threads; at c_eta = 1 the base blocks
-    # are drawn, and their deviations go through matrix products too
+    # N = 25 at c_eta = 1: the base blocks are drawn, and their deviations
+    # go through matrix products, which OpenBLAS may split over threads;
+    # the rotations of both configs are accepted by the triangle bound
     code = ("import hashlib; from salemlab import build_construction, derive_params; "
             "from salemlab.storage import level_to_text; "
             "configs = [dict(j_max=5, seed=7), dict(j_max=4, seed=5, c_eta=1.0)]; "

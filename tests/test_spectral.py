@@ -66,59 +66,6 @@ def test_exp_sum_matches_python_int_reference(data):
     assert np.abs(got - want).max() < 1e-9 * len(atoms)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_subset_sums_match_exp_sum_per_subset(data):
-    # 16^9 takes _mulmod's Horner path, and the cube root of 25^4 rounds down
-    period = data.draw(st.sampled_from([9**5, 2**20, 16**9, 25**4]))
-    atoms = np.array(data.draw(
-        st.lists(st.integers(0, period - 1), min_size=1, max_size=40)), dtype=np.int64)
-    # rows of one digit set each (n = 1), or one row of n digit sets: the
-    # points a n + d at period n * period, each digit set twisted by
-    # e(dk / (n period))
-    n = data.draw(st.sampled_from([1, 2, 3, 16]))
-    n_sets = data.draw(st.integers(1, 5)) if n == 1 else 1
-    shape = (n_sets, n, len(atoms))
-    sets = np.array(data.draw(st.lists(st.booleans(), min_size=math.prod(shape),
-                                       max_size=math.prod(shape))),
-                    dtype=bool).reshape(shape)
-    run = data.draw(st.sampled_from([0, 1, 2, 50, 300]))
-    # the leading run may start anywhere, and wrap past a multiple of the period
-    k0 = data.draw(st.sampled_from([0, 1, 4097, period - 3, 5 * period + 2]))
-    rest = data.draw(st.lists(st.integers(1, 10 * n * period), max_size=40))
-    if run == 0 and not rest:
-        rest = [period + 1]
-    ks = np.concatenate([k0 + np.arange(run), rest]).astype(np.int64)   # run, rest or both
-    # a small chunk splits the atoms and the other frequencies into pieces
-    chunk = data.draw(st.sampled_from([expsums._CHUNK, 64]))
-    with mock.patch.object(expsums, "_CHUNK", chunk):
-        got = expsums._subset_sums(atoms, sets, ks, period)
-    assert got.shape == (n_sets, len(ks))
-    for row, s in zip(got, sets):
-        digit, at = np.nonzero(s)
-        points = atoms[at] * n + digit
-        want = exp_sum(points, ks, n * period)
-        assert np.abs(row - want).max() <= 1e-9 * len(points)
-
-
-def test_subset_sums_hold_one_result_when_every_frequency_is_in_the_run():
-    # the leading run's table used to be a second full-size array, and the
-    # result a concatenated third
-    rng = np.random.default_rng(3)
-    sets = rng.random((8, 1, 16)) < 0.5
-    ks = np.arange(2**16, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        got = expsums._subset_sums(np.arange(16), sets, ks, 2**20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.shape == (8, 2**16)
-    assert peak < 1.5 * got.nbytes
-    for row, s in zip(got[:, ::4099], sets):
-        assert np.abs(row - exp_sum(np.flatnonzero(s[0]), ks[::4099], 2**20)).max() < 1e-9 * 16
-
-
 def test_lone_frequency_sums_like_a_batch(odd_base):
     params, con = odd_base
     atoms = con.levels[5].atoms
