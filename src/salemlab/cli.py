@@ -114,14 +114,14 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     con = load_construction(args.dir)
     params = con.params
+    j = args.level if args.level is not None else params.j_max
+    if j > params.j_max:
+        raise ParamError(f"--level {j} exceeds j_max={params.j_max}")
     out_dir = Path(args.out or (Path(args.dir) / "reports"))
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = base_manifest(args, params)
     manifest["audit"] = con.audit
     manifest["level_sha256"] = con.level_sha256
-    j = args.level if args.level is not None else params.j_max
-    if j > params.j_max:
-        raise ParamError(f"--level {j} exceeds j_max={params.j_max}")
     level = con.levels[j]
     lmax = min(args.lmax, j)
 

@@ -4,10 +4,11 @@ Atoms at level j are exact integers in [0, N^j); the integer a encodes the
 point a / N^j. The structured sublist of each level iterates an arithmetic
 progression, so it follows from the params alone (``structured_atoms``), and
 the random part of the construction is verified against explicit deviation
-thresholds with retry on failure. A rotation draw is checked at every
-integer frequency, or accepted unread where the triangle bound keeps every
-sum below its threshold; a base block above ``EXHAUSTIVE_BUDGET`` is checked
-on a sample.
+thresholds with retry on failure. Every check decides every integer
+frequency: a rotation draw is read at each residue, or accepted unread where
+the triangle bound keeps every sum below its threshold; a base block is read
+on a grid whose maximum bounds every frequency (Bernstein's inequality), and
+at each residue only where the grid cannot decide.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ from . import expsums
 from .expsums import _unit, half_classes
 from .params import ConstructionParams, make_progression
 
-# Longest period a base block is checked over every residue (a longer one
-# is sampled), and draws per base block or level; both are read at call
-# time, so one module assignment changes them.
-EXHAUSTIVE_BUDGET = 2**20
+# Draws per base block or level, read at call time.
 MAX_RETRIES = 64
 
 
@@ -42,8 +40,10 @@ class BaseBlock:
     members: list[int]       # sorted, t distinct integers in [0, N)
     eta: float
     verified_k_count: int
-    mode: str                # "exhaustive" | "sampled" | "trivial"
-    margin: float | None = None   # max deviation of the draw over eta/2
+    mode: str                # "exhaustive" | "trivial"
+    # the draw's max deviation over eta/2 lies in [margin, margin_bound]
+    margin: float | None = None
+    margin_bound: float | None = None
 
 
 @dataclass
@@ -55,31 +55,7 @@ class Construction:
 
 
 # ---------------------------------------------------------------------------
-# frequency sets
-
-def frequency_set(params: ConstructionParams, period: int, rng):
-    """Frequencies to verify a base block's bound on, with the mode actually
-    achieved.
-
-    The bound is on a sum of e(xk/period) over integers x, so
-    s(period - k) = conj s(k) and the half period decides every residue:
-    when the period fits ``EXHAUSTIVE_BUDGET`` and ``expsums.FFT_BUDGET``,
-    (None, "exhaustive"), the half period. Otherwise a
-    declared deterministic sample: all k < 2^16, a seeded uniform sample,
-    and the N-adic multiples period/N * c and period/N^2 * c.
-    """
-    if period <= min(EXHAUSTIVE_BUDGET, expsums.FFT_BUDGET):
-        return None, "exhaustive"
-    parts = [np.arange(min(2**16, period), dtype=np.int64)]
-    parts.append(rng.integers(0, period, size=4096, dtype=np.int64))
-    step = period // params.N
-    parts.append(np.arange(params.N, dtype=np.int64) * step)
-    step2 = period // params.N**2
-    if step2 > 0:
-        n2 = min(params.N**2, 2**12)
-        parts.append(np.arange(n2, dtype=np.int64) * step2)
-    return expsums.sorted_unique(np.concatenate(parts)), "sampled"
-
+# deviation scans
 
 def _scan(blocks, limits):
     """Both deviation checks: (largest magnitude per window, None) over ``blocks``
@@ -139,10 +115,18 @@ def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
 
 
 def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
-    """Digit block for level j+1, verified against the deviation threshold.
+    """Digit block for level j+1, verified against the deviation threshold
+    at every integer k.
 
     When eta_j >= 2 every deviation term is trivially within bounds and a
     deterministic block (progression plus smallest fillers) is returned.
+    Otherwise D_x(k) = S_{B_x}(k)/t - S_[N](k)/N is a polynomial of degree
+    N - 1 in e(k/P), so by Bernstein's inequality |D_x| at any real k is at
+    most its maximum on the grid k = iP/K over 1 - pi(N - 1)/K, K the least
+    power of N at least 64N (or P). A check reads the half grid
+    (|D(P - k)| = |D(k)|): a breach rejects, a maximum below limit
+    (1 - pi(N - 1)/K) accepts, and in between the half period [0, P/2] is
+    read, which a period above ``expsums.FFT_BUDGET`` refuses.
     """
     if j < 1:
         raise ValueError(f"base blocks exist for j >= 1, got {j}")
@@ -153,17 +137,27 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
         return BaseBlock(members=members, eta=eta, verified_k_count=0, mode="trivial")
 
     period = N ** (j + 1)
-    ks, mode = frequency_set(params, period, rng)
-    # |D(P - k)| = |D(k)|, so the half period [0, P/2] decides every residue
-    n = period // 2 + 1 if ks is None else len(ks)
+    K = N
+    while K < 64 * N and K < period:
+        K *= N
+    certified = 1 - np.pi * (N - 1) / K if K < period else 1.0
     step = max(1, expsums.BLOCK // N)
 
-    def check(members, limit):
-        # deviation matrices of about BLOCK entries, read as max_x |D_x(k)|
-        kbs = (np.arange(lo, min(lo + step, n)) if ks is None else ks[lo : lo + step]
-               for lo in range(0, n, step))
+    def read(members, n, stride, limit):
+        # deviation matrices of about BLOCK entries at k = stride * i, i < n,
+        # read as max_x |D_x(k)|
+        kbs = (stride * np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
         return _scan(((kb, [np.abs(block_deviations(members, kb, period, N, t)).max(axis=0)])
                       for kb in kbs), [limit])
+
+    def check(members, limit):
+        # (peaks, breach, factor) of the half grid, or of the half period
+        # where the grid cannot decide: max_k |D_x(k)| <= peaks[0] / factor
+        peaks, breach = read(members, K // 2 + 1, period // K, limit)
+        if breach is not None or peaks[0] < limit * certified:
+            return peaks, breach, certified
+        expsums.split(period)   # a band read above the budget is refused
+        return *read(members, period // 2 + 1, 1, limit), 1.0
 
     p = t / N
     rejected = None
@@ -171,18 +165,18 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
-        peaks, rejected = check(draw, eta / 2)
+        peaks, rejected, factor = check(draw, eta / 2)
         if rejected is not None:
             continue
         members = _fix_cardinality(set(int(m) for m in draw), t, N)
-        _, broken = check(members, eta)
+        broken = check(members, eta)[1]
         if broken is not None:
             raise ConstructionError(
                 "deviation {:.4g} >= eta={:.4g} at k={} after cardinality fix "
                 "at j={}".format(*broken[:3], j))
-        return BaseBlock(members=members, eta=eta,
-                         verified_k_count=N * (period if ks is None else len(ks)),
-                         mode=mode, margin=float(peaks[0] / (eta / 2)))
+        margin = float(peaks[0] / (eta / 2))
+        return BaseBlock(members=members, eta=eta, verified_k_count=N * period,
+                         mode="exhaustive", margin=margin, margin_bound=margin / factor)
     if rejected is None:
         raise ConstructionError(f"base block retries exhausted at j={j}: no draw had members")
     raise ConstructionError("base block retries exhausted at j={}: deviation {:.4g} >= {:.4g} "
@@ -297,10 +291,10 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     threshold (``_scan``)."""
     N, t, j = params.N, params.t, level.j
     period = N ** (j + 1)
-    if period > min(EXHAUSTIVE_BUDGET, expsums.FFT_BUDGET):
-        # the draw of the frequency sample this check once read, dropped so
-        # that the levels keep their bytes; it goes when the benchmark's
-        # reference is next recorded
+    if period > 2**20:
+        # the draw of the frequency sample this check once read above its
+        # retired budget of 2^20 residues, dropped so that the levels keep
+        # their bytes; it goes when the benchmark's reference is next recorded
         rng.integers(0, period, size=4096, dtype=np.int64)
     lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
     scales = [t ** (-j + ell / 2) for ell in range(j + 1)]
@@ -356,6 +350,7 @@ def build_level(params: ConstructionParams, construction: Construction, rng) -> 
             "eta": base.eta,
             "block_verified_k": base.verified_k_count,
             "block_margin": base.margin,
+            "block_margin_bound": base.margin_bound,
             **rotation,
         })
 

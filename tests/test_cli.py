@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from salemlab import checks, construction, energy, expsums
+from salemlab import checks, cli, construction, energy, expsums
 from salemlab.cli import main
+from salemlab.construction import ConstructionError
 from salemlab.energy import EnergyError
-from salemlab.storage import level_filename
+from salemlab.expsums import SpectralError
+from salemlab.norms import NormError
+from salemlab.params import ParamError
+from salemlab.storage import StorageError, level_filename
 
 
 CONFIG = "N0 = 4\nt0 = 2\nn0 = 1\nj_max = 3\nseed = 7\n"
@@ -358,6 +362,23 @@ def test_construct_beyond_the_transform_budget_exits_3(tmp_path, capsys, monkeyp
     assert (tmp_path / "b" / level_filename(4)).exists()
 
 
+def test_base_block_read_beyond_the_transform_budget_exits_3(tmp_path, capsys,
+                                                            monkeypatch):
+    # N = 9 at c_eta = 0.7, seed 3: the grid of K = 729 points cannot decide
+    # level 4's block (P = 9^4), so every residue is read, as its equal
+    # margin and bound show; a budget below P refuses that read
+    argv = ["construct", "--set", "N0=3", "--set", "t0=2", "--set", "n0=1",
+            "--set", "j_max=4", "--set", "seed=3", "--set", "c_eta=0.7"]
+    assert main(argv + ["-o", str(tmp_path / "a")]) == 0
+    audit = json.loads((tmp_path / "a" / "manifest.json").read_text())["audit"]
+    assert audit[3]["j"] == 4 and audit[3]["block_verified_k"] == 9 * 9**4
+    assert audit[3]["block_margin"] == audit[3]["block_margin_bound"] < 1
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 4096)
+    assert main(argv + ["-o", str(tmp_path / "b")]) == 3
+    assert ("resource limit: transform length 6561 exceeds the dense transform "
+            "budget 4096") in capsys.readouterr().err
+
+
 def test_verify_beyond_the_transform_budget_exits_3(built, capsys, monkeypatch):
     # Parseval reads every level's period before the decay screens run:
     # the top level's 16^3 points are refused there
@@ -398,7 +419,11 @@ def test_analyze_corrupt_level_exits_2(built, capsys):
 
 
 def test_analyze_bad_level_exits_2(built, capsys):
-    assert main(["analyze", str(built), "--level", "9", "--spectrum"]) == 2
+    out = built.parent / "new"
+    assert main(["analyze", str(built), "--level", "9", "--out", str(out),
+                 "--spectrum"]) == 2
+    assert "error: --level 9 exceeds j_max=3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_energy_overflow_exits_3(built, capsys, monkeypatch):
@@ -573,3 +598,30 @@ def test_reports_are_strict_json(built, tmp_path):
     assert parsed["manifest.json"]["thresholds"]["pq_bound"] is None
     assert parsed["ratios_j3.json"][0]["thresholds"]["pq_bound"] is None
     assert parsed["decay_mu_j3.json"]["fitted_exponent"] is None
+
+
+# each error class the entry point maps, with its exit code and the prefix
+# of its one stderr line
+EXIT_CASES = [
+    (ParamError, 2, "error:"),
+    (StorageError, 2, "error:"),
+    (ConstructionError, 1, "construction failed:"),
+    (SpectralError, 3, "resource limit:"),
+    (NormError, 3, "resource limit:"),
+    (EnergyError, 3, "resource limit:"),
+    (MemoryError, 3, "resource limit:"),
+]
+
+
+@pytest.mark.parametrize("error, code, prefix", EXIT_CASES,
+                         ids=[case[0].__name__ for case in EXIT_CASES])
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch,
+                                              error, code, prefix):
+    def stage(params):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "build_construction", stage)
+    argv = ["construct", "--set", "N0=4", "--set", "t0=2", "--set", "n0=1",
+            "-o", str(tmp_path / "run")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"{prefix} planted\n"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from salemlab import (
 )
 from salemlab.construction import (
     LevelSet, _fix_cardinality, block_deviations, build_base_block,
-    child_digits, deviation_measure, frequency_set, patch_structured, rotation_sums,
+    child_digits, deviation_measure, patch_structured, rotation_sums,
 )
 from salemlab.storage import level_to_text
 
@@ -203,17 +204,6 @@ def test_structured_mask_counts(bases):
                 assert mask.tolist() == [p in structured for p in prefixes.tolist()]
 
 
-def test_frequency_set_modes(desk_params):
-    rng = np.random.default_rng(0)
-    ks, mode = frequency_set(desk_params, desk_params.period(4), rng)
-    # the half period decides every residue; the checks read it by classes
-    assert mode == "exhaustive" and ks is None
-    ks, mode = frequency_set(desk_params, desk_params.period(6), rng)
-    assert mode == "sampled"
-    assert len(np.unique(ks)) == len(ks)
-    assert ks.min() >= 0 and ks.max() < desk_params.period(6)
-
-
 def test_block_deviations_fft_matches_direct():
     # one product of the rotation matrix with the powers of e(k/P), at even
     # and odd N, over the whole period, the half period and k beyond the
@@ -325,47 +315,45 @@ def test_rotation_sums_match_per_atom_formula(N0, j, block, monkeypatch):
 # c_rot lowered until rotation draws get rejected; the retries and the
 # level SHA-256s from level 2 on are those of acceptance on the level as
 # written, with the structured rows patched, every draw read over all
-# residues. In the last two rows the base blocks are drawn (c_eta = 1), and
-# a budget of 4096 sends N = 9's blocks of j >= 3 to a sample. Those rows
-# were pinned when rotations above the budget were read on a sample too,
-# which accepted levels up to 1.0051 (N = 25, j = 4) and 1.0522 (N = 9,
-# j = 5) times lam_0.
+# residues. In the last two rows the base blocks are drawn (c_eta = 1) and
+# decided at every residue too. Those rows were pinned when rotations were
+# read on a sample above a budget of 2^20 residues (4096 in the last row,
+# whose base blocks of j >= 3 were sampled as well), which accepted levels
+# up to 1.0051 (N = 25, j = 4) and 1.0522 (N = 9, j = 5) times lam_0.
 RETRY_CASES = [
-    (4, 4, 7, 192.0, 0.35, 2**20, [0, 1, 4, 4], [
+    (4, 4, 7, 192.0, 0.35, [0, 1, 4, 4], [
         "79e959bf7c2ea8423c714a75b01410025590323d5475d9ec72aaed82d7cc1e7a",
         "611a936035fd2e31e0ab1d9820eb24d58f03b10477cd614754e7480ab32ca817",
         "dcacf11664531f863868d2957f21d55f799187701cdbba135f6246736178dfde",
     ]),
-    (3, 4, 7, 192.0, 0.3, 2**20, [0, 1, 6, 7], [
+    (3, 4, 7, 192.0, 0.3, [0, 1, 6, 7], [
         "862b06a8e633424a32fe749492a90af0a77949fba5a1160da5a323a76f1c2bb5",
         "db1e31f5c9b606aefebe5216569c2e1bd2c11733b1977c91003210545b3692b0",
         "085ca36d001fe09d36659c9371f45a0ddcf271ffbefcd0332bc3519e15a45760",
     ]),
-    (5, 5, 5, 1.0, 0.34, 2**20, [0, 0, 0, 2, 6], [
+    (5, 5, 5, 1.0, 0.34, [0, 0, 0, 2, 6], [
         "06dddd71284f6d26bb70460a5a3900d489df55c2a98a26c7d48a3f4fc24ee15e",
         "2816abed4417716e3c30160e798ccc48534bf58aff3d247bbc3fa2ec3c1ee947",
         "34ac146170b57b863ce3ab19e9ef2afee61f3923f24de7a01ff19daa36004db5",
         "35fda06441607dce0a2427a185bec161eaa7fcd0ab190b81b5fab4945747afa8",
     ]),
-    (3, 6, 2, 1.0, 0.3, 4096, [0, 1, 0, 10, 0, 5], [
+    (3, 6, 2, 1.0, 0.3, [0, 1, 0, 0, 0, 13], [
         "44831b905a63220cdaf534c7d652d149057179283bde2058d569ff9125550469",
         "8305f7f18a61be2850bdf9e57c52ccd3d3c5585dbf69b57baf8abfd997d5cb80",
-        "a4da932694ee0b03bbf856d88195f603d1011b0df191c6c898e14e35a9a8a96a",
-        "004570fc33663afa311aa55f3dad332c6b9d4b43f9ea518a2b086cd73b596824",
-        "1fe6c0795bb97db04d2239beb77965808adb33b3aeb80d333cea03850fcf26d6",
+        "66914eaa14783657d96ea840cba3acbd8d60512b5c0450d04a23f7873c4476b2",
+        "d0b50b81f51a88885ab5da09d595e75777060eed7e8301faf1b650569c2f9c77",
+        "c60f1202da95a05049a3579ea7a729090192f11aae3162e42e0643f743448dec",
     ]),
 ]
 
 
 @pytest.mark.parametrize(
-    "N0, j_max, seed, c_eta, c_rot, budget, retries, sha256", RETRY_CASES,
-    # the names the first two rows had before the j_max, seed, c_eta and
-    # budget columns
+    "N0, j_max, seed, c_eta, c_rot, retries, sha256", RETRY_CASES,
+    # the names the first two rows had before the j_max, seed and c_eta
+    # columns
     ids=[f"{case[0]}-{case[4]}-retries{i}-sha256{i}"
          for i, case in enumerate(RETRY_CASES)])
-def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, budget,
-                              retries, sha256, monkeypatch):
-    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", budget)
+def test_rotation_retries_run(N0, j_max, seed, c_eta, c_rot, retries, sha256):
     params = derive_params(N0, 2, 1, j_max=j_max, seed=seed, c_eta=c_eta,
                            c_rot=c_rot)
     con = build_construction(params)
@@ -400,13 +388,11 @@ def _full_period_ratios(params, level, written, ell):
     return _full_period_sums(params, level, written, ell) / lam
 
 
-def test_written_level_meets_its_rotation_thresholds(monkeypatch):
+def test_written_level_meets_its_rotation_thresholds():
     # biting constants, every level j <= 4 accepted over all residues mod
     # P = N^(j+1): the level written must be the level that was checked.
-    # Below a budget of 4096 the base blocks of j >= 3 are sampled; the
-    # rotations were then sampled too, and seed 2's level 5 reached 1.0705
-    # times lam_0
-    monkeypatch.setattr(construction, "EXHAUSTIVE_BUDGET", 4096)
+    # When rotations above 4096 residues were read on a sample, seed 2's
+    # level 5 reached 1.0705 times lam_0
     for seed in (1, 2, 3):
         params = derive_params(4, 2, 1, j_max=5, seed=seed, c_eta=1.0, c_rot=0.35)
         con = build_construction(params)
@@ -547,22 +533,25 @@ def test_base_block_check_holds_no_half_period_array(monkeypatch):
     assert peak < 16 * P // 2
 
 
-def test_sampled_checks_stream_their_frequency_blocks():
+def test_drawn_n25_block_streams_its_frequency_blocks():
     # N = 25 at the default constants: level 5 keeps the bytes written
-    # while its rotations were read on a sample (P = 25^5 exceeds
-    # EXHAUSTIVE_BUDGET)
+    # while its rotations were read on a sample (P = 25^5 exceeded the
+    # 2^20 residues then read whole)
     params = derive_params(5, 2, 1, j_max=5, seed=7)
     con = build_construction(params)
     assert _level_sha256(params, con)[5] == (
         "cc9c18db0e1117f9c2245ac9245ad00799813ed500ac4f2c8a0a6e5c6111de9a")
-    # eta_4 < 2 at c_eta = 0.5: the base block is checked on the sample
+    # eta_4 < 2 at c_eta = 0.5: the base block is decided on the grid of
+    # K = 25^3 points, which bounds every residue
     params = derive_params(5, 2, 1, j_max=5, seed=7, c_eta=0.5)
     blocks = []
     peak = _peak_bytes(
         lambda: blocks.append(build_base_block(params, 4, np.random.default_rng(7))))
     base = blocks[0]
-    assert base.mode == "sampled" and base.members == [0, 1, 5, 11]
-    assert base.margin == pytest.approx(0.7440385723108581, rel=1e-12)
+    assert base.mode == "exhaustive" and base.members == [0, 6, 23, 24]
+    assert base.verified_k_count == 25 * params.period(5)
+    assert base.margin == pytest.approx(0.9727152956888283, rel=1e-12)
+    assert base.margin_bound == pytest.approx(0.9774318798497815, rel=1e-12)
     # the powers and deviations of about 2^14 / N frequencies at a time; at
     # N + 1 = 26 rows of one block of 2^14 frequencies it was 10.2 MiB
     assert peak < 3 * 2**20
@@ -642,9 +631,20 @@ def test_rejected_base_block_draw_stops_at_its_first_breaching_block(monkeypatch
     assert float(m) == pytest.approx(full[int(k)], rel=1e-3)
 
 
-def test_base_block_margin_is_that_of_a_full_period_scan():
+def _full_period_max(members, N, t, P):
+    """max over x and every k mod P of |D_x(k)|, in blocks of 2^16 / N
+    frequencies."""
+    step = 2**16 // N
+    return max(np.abs(block_deviations(members, np.arange(lo, min(lo + step, P)),
+                                       P, N, t)).max()
+               for lo in range(0, P, step))
+
+
+def test_base_block_margin_interval_holds_the_full_period_scan():
     # the accepted draw of level 4's block (eta_3 < 2 at c_eta = 1), found by
-    # replaying the draws, scanned over every residue mod P = 2^16
+    # replaying the draws, scanned over every residue mod P = 2^16; the
+    # grid of K = 4096 points decides it, and its maximum and certified
+    # bound enclose the scan's
     params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=1.0)
     N, t, P, eta = params.N, params.t, params.period(4), params.eta(3)
     base = build_base_block(params, 3, np.random.default_rng(7))
@@ -652,11 +652,65 @@ def test_base_block_margin_is_that_of_a_full_period_scan():
     while True:
         draw = np.flatnonzero(rng.random(N) < t / N)
         if len(draw):
-            full = np.abs(block_deviations(draw, np.arange(P), P, N, t)).max()
-            if full < eta / 2:
+            full = _full_period_max(draw, N, t, P) / (eta / 2)
+            if full < 1:
                 break
-    assert base.mode == "exhaustive"
-    assert base.margin == pytest.approx(full / (eta / 2), rel=1e-12)
+    assert base.mode == "exhaustive" and base.verified_k_count == N * P
+    assert base.margin <= full <= base.margin_bound
+    assert base.margin_bound == pytest.approx(
+        base.margin / (1 - np.pi * (N - 1) / 4096), rel=1e-12)
+
+
+class _FixedDraw:
+    """An rng whose every ``random(N)`` keeps exactly ``members``."""
+
+    def __init__(self, members, N):
+        self.u = np.ones(N)
+        self.u[members] = 0.0
+
+    def random(self, n):
+        return self.u
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_base_block_decisions_are_those_of_a_full_period_scan(data):
+    # a drawn block of t digits at eta_j = 1.99 and P above the grid (N = 9:
+    # K = 729; N = 16: 4096; N = 25: 15625): an accepted draw's grid
+    # maximum <= its full-period maximum <= its certified bound < eta/2,
+    # and a rejected draw breaches eta/2 at the k its error names
+    N0, j = data.draw(st.sampled_from([(3, 3), (3, 4), (4, 3), (5, 3)]))
+    params = derive_params(N0, 2, 1)
+    N, t, P = params.N, params.t, params.period(j + 1)
+    params = replace(params, c_eta=1.99**2 * t / np.log(8 * N ** (j + 2)))
+    eta = params.eta(j)
+    assert eta == pytest.approx(1.99)
+    members = sorted(data.draw(st.sets(st.integers(0, N - 1), min_size=t, max_size=t)))
+    full = _full_period_max(members, N, t, P) / (eta / 2)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construction, "MAX_RETRIES", 1)
+            base = build_base_block(params, j, _FixedDraw(members, N))
+    except ConstructionError as exc:
+        k = int(re.search(r"at k=(\d+)", str(exc)).group(1))
+        at_k = np.abs(block_deviations(members, [k], P, N, t)).max()
+        assert at_k >= eta / 2 and full >= 1
+        return
+    assert base.members == members and base.verified_k_count == N * P
+    assert base.margin <= full * (1 + 1e-12)
+    assert full <= base.margin_bound * (1 + 1e-12) and base.margin_bound < 1
+
+
+def test_deep_base_block_is_decided_on_its_grid():
+    # the deep triple at c_eta = 0.5, j = 5: P = 2^24, and the grid of
+    # K = 4096 points decides the block without reading the half period,
+    # which took about 3 s
+    params = derive_params(4, 2, 1, j_max=6, seed=7, c_eta=0.5)
+    start = time.perf_counter()
+    base = build_base_block(params, 5, np.random.default_rng(7))
+    assert time.perf_counter() - start < 0.1
+    assert base.members == [0, 1, 3, 6] and base.margin < base.margin_bound < 1
+    assert base.verified_k_count == 16 * params.period(6)
 
 
 def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
@@ -702,7 +756,7 @@ def test_rotation_scan_reads_half_periods_without_a_fold(block, monkeypatch):
     N = params.N
     con = build_construction(params)
     assert [rec["retries"] for rec in con.audit] == [0, 1, 4]
-    assert _level_sha256(params, con)[2:] == RETRY_CASES[0][7][:2]
+    assert _level_sha256(params, con)[2:] == RETRY_CASES[0][6][:2]
     assert [j for j, _ in scans] == [1] * 2 + [2] * 5
     for (j, (peaks, rejected)), digits in zip(scans, drawn, strict=True):
         level = con.levels[j]

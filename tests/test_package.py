@@ -69,15 +69,17 @@ def test_scipy_is_a_test_dependency_only():
 
 
 def test_blas_threads_do_not_change_the_levels():
-    # N = 25 at c_eta = 1: the base blocks are drawn, and their deviations
-    # go through matrix products, which OpenBLAS may split over threads;
+    # N = 16 and N = 25 at c_eta = 1: the base blocks are drawn, and their
+    # deviations go through matrix products, which OpenBLAS may split over
+    # threads (N = 16's level-4 block on the grid of K = 4096 < P points);
     # the rotations of both configs are accepted by the triangle bound
     code = ("import hashlib; from salemlab import build_construction, derive_params; "
             "from salemlab.storage import level_to_text; "
-            "configs = [dict(j_max=5, seed=7), dict(j_max=4, seed=5, c_eta=1.0)]; "
+            "configs = [(4, dict(j_max=5, seed=7, c_eta=1.0)), "
+            "(5, dict(j_max=4, seed=5, c_eta=1.0))]; "
             "print([[hashlib.sha256(level_to_text(p, level).encode()).hexdigest() "
             "for level in build_construction(p).levels] "
-            "for p in (derive_params(5, 2, 1, **c) for c in configs)])")
+            "for p in (derive_params(N0, 2, 1, **c) for N0, c in configs)])")
     outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent),
