@@ -296,7 +296,7 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
         # retired budget of 2^20 residues, dropped so that the levels keep
         # their bytes; it goes when the benchmark's reference is next recorded
         rng.integers(0, period, size=4096, dtype=np.int64)
-    lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell) for ell in range(1, j + 1)]
+    lams = [params.lambda_rot_ell(j, ell) for ell in range(j + 1)]
     scales = [t ** (-j + ell / 2) for ell in range(j + 1)]
     trivial = min(lams) > 2
     sums = None if trivial else rotation_sums(params, level)

@@ -1,15 +1,14 @@
 """Exponential sums over integer atoms.
 
 S(k) = sum over atoms a of w_a exp(-2 pi i a k / period) at integer k, with
-real weights w (1 unless given; weighted atoms may repeat), summed directly
-with exact residues (``exp_sum``) or read from the tables of the residue
-classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``), each one
-length-B FFT (``class_sums``, the one table kernel; M = 1 is the one class
-c = 0, the whole period). As S(P - k) = conj S(k), the classes c <= M/2
-decide every k (``half_classes``, the one iterator over a whole period). An
-array of k is folded and split into them once (``Frequencies``) and reads
-them one at a time, for as many atom sets as share it; ``gather`` is one
-such read.
+real weights w (1 unless given; weighted atoms may repeat). Each kind of
+input has one reader: a scalar k the direct sum with exact residues
+(``exp_sum``); an array of k its plan (``Frequencies``), folded and split
+once into the residue classes k = c + M m, m < B, of P = B M (``split``,
+B <= ``BLOCK``), each class one length-B FFT (``class_sums``, the one table
+kernel); a whole period its classes c <= M/2 (``half_classes``), which
+decide every k as S(P - k) = conj S(k). Every table refuses a period above
+``FFT_BUDGET`` through ``split``.
 """
 
 from __future__ import annotations
@@ -58,9 +57,17 @@ def exp_sum(atoms, k, period, *, weights=1.0):
 
 
 def exp_sum_all(atoms, period):
-    """S(k) for every k in [0, period), read class by class (``gather``)."""
+    """S(k) for every k in [0, period), class by class (``half_classes``):
+    each table at its ks and, where mirrored, its conjugate at period - ks."""
     split(period)   # refuses a period above FFT_BUDGET before anything is built
-    return gather(atoms, np.arange(period, dtype=np.int64), period)
+    out = np.empty(period, dtype=np.complex128)
+    residues = np.asarray(atoms, dtype=np.int64) % period
+    for ks, sums, mirrored in half_classes(period):
+        s = sums(residues)
+        out[ks] = s
+        if mirrored:
+            out[period - ks] = s.conj()
+    return out
 
 
 def split(n):
@@ -103,18 +110,12 @@ class Frequencies:
     mirror) and k > period / 2. Per class met, in increasing c, the plan
     holds the int32 positions of its k in the array, their int32 rows in the
     class table and the mirror mask: 9 bytes per frequency. A period above
-    ``FFT_BUDGET`` builds no table: its one "class" is the direct sum at
-    every k, in the order of the array.
+    ``FFT_BUDGET`` is a SpectralError (``split``).
     """
 
     def __init__(self, k, period):
         self.ks = np.asarray(k, dtype=np.int64)
         self.period = period
-        if period > FFT_BUDGET:
-            self.B = None
-            at = np.arange(len(self.ks), dtype=np.int32)
-            self._classes = [(None, at, at, np.zeros(len(at), dtype=bool))]
-            return
         self.B, M = split(period)
         m = self.ks % period
         c = m % M
@@ -147,29 +148,11 @@ class Frequencies:
         (``class_sums``) and conjugated where mirrored."""
         residues = np.asarray(atoms, dtype=np.int64) % self.period
         for c, at, rows, flip in self._classes:
-            if c is None:
-                table = exp_sum(atoms, self.ks, self.period, weights=weights)
-            else:
-                table = class_sums(residues, self.period, self.B, c, weights=weights)
+            table = class_sums(residues, self.period, self.B, c, weights=weights)
             for lo in range(0, len(at), BLOCK):
                 s = table[rows[lo : lo + BLOCK]]
                 np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])
                 yield at[lo : lo + BLOCK], s
-
-    def gather(self, atoms, *, weights=1.0):
-        """S(k) at every k of the plan, in the order of its array."""
-        s = np.empty(len(self), dtype=np.complex128)
-        for at, sums in self.sums(atoms, weights=weights):
-            s[at] = sums
-        return s
-
-
-def gather(atoms, k, period, *, weights=1.0):
-    """S(k) at integer k: a scalar k by the direct sum, an array through its
-    plan (``Frequencies``), from the table of each class it meets."""
-    if np.ndim(k) == 0:
-        return exp_sum(atoms, k, period, weights=weights)
-    return Frequencies(k, period).gather(atoms, weights=weights)
 
 
 def sorted_unique(values):

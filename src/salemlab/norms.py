@@ -35,7 +35,7 @@ class NormError(RuntimeError):
 class NormEstimate:
     p: float
     value: float
-    method: str              # exact-bspline | quadrature | lower-bound | closed-form
+    method: str              # exact-bspline | quadrature
     tail_bound: float = 0.0
     grid: dict = field(default_factory=dict)   # {"K": cutoff, "h": step}
     head_value: float = 0.0  # lattice sum restricted to [-K, K]

@@ -42,12 +42,9 @@ class ConstructionParams:
         """Block-deviation threshold for the level-(j+1) base block."""
         return math.sqrt(self.c_eta / self.t * math.log(8 * self.N ** (j + 2)))
 
-    def lambda_rot(self, j: int) -> float:
-        """Rotation-acceptance threshold for the full atom sum at level j."""
-        return self.c_rot * self.t ** (-(j + 1) / 2) * math.log(8 * self.N ** (j + 1))
-
     def lambda_rot_ell(self, j: int, ell: int) -> float:
-        """Rotation-acceptance threshold for the sum over structured atoms."""
+        """Rotation-acceptance threshold at level j for the sum over the
+        atoms of window ell (ell = 0: every atom)."""
         return (
             self.c_rot
             * self.t ** (-(j + 1) / 2 + ell / 4)

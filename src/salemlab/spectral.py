@@ -1,8 +1,10 @@
 """Exponential sums and Fourier coefficients of the level measures.
 
 Integer-frequency coefficients come from the exact exponential sums of
-``expsums``, read from the residue-class tables of the period through one
-plan of the frequencies (``expsums.Frequencies``). Both decay bounds go
+``expsums``: ``f_mu_hat`` by the direct sum, spectra and screens from the
+residue-class tables of the period through one plan of the frequencies
+(``expsums.Frequencies``), which refuses a period above
+``expsums.FFT_BUDGET``. Both decay bounds go
 through one screen (``_screen``): |S(k)| from the tables times one real
 factor per frequency, formed block by block, with the witnesses recomputed
 by the direct sum and the worst ratio reported.
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import expsums
 from .construction import LevelSet, deviation_measure, structured_mask
-from .expsums import SpectralError, exp_sum, exp_sum_all, gather  # noqa: F401 (re-export)
+from .expsums import SpectralError, exp_sum, exp_sum_all  # noqa: F401 (re-export)
 from .floatrepr import WIDTH, float_rows, int_rows
 from .params import ConstructionParams
 from .storage import atomic_write_text
@@ -51,8 +53,8 @@ def _coefficients(params: ConstructionParams, j: int, k, sums):
 
 def f_mu_hat(params: ConstructionParams, level: LevelSet, ell: int, k):
     """Fourier coefficient of the measure weighted by the structured window
-    of depth ell (ell = 0: the plain measure)."""
-    s = gather(restricted_atoms(params, level, ell), k, params.period(level.j))
+    of depth ell (ell = 0: the plain measure), by the direct sum at any k."""
+    s = exp_sum(restricted_atoms(params, level, ell), k, params.period(level.j))
     return _coefficients(params, level.j, k, s)
 
 

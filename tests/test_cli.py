@@ -475,6 +475,13 @@ def test_lattice_beyond_the_budget_exits_3(built, capsys, monkeypatch):
     assert "resource limit: transform length 16384 exceeds" in capsys.readouterr().err
 
 
+def test_spectrum_beyond_the_budget_exits_3(built, capsys, monkeypatch):
+    # a plan of the level-3 frequencies needs the period's 16^3 points
+    monkeypatch.setattr(expsums, "FFT_BUDGET", 4095)
+    assert main(["analyze", str(built), "--spectrum"]) == 3
+    assert "resource limit: transform length 4096 exceeds" in capsys.readouterr().err
+
+
 def test_manifest_with_a_transform_budget_still_loads(built):
     # runs written while the budgets and the progression were parameters
     # record them in the manifest

@@ -383,9 +383,7 @@ def _full_period_sums(params, level, written, ell):
 
 def _full_period_ratios(params, level, written, ell):
     """``_full_period_sums`` over the threshold of ell."""
-    j = level.j
-    lam = params.lambda_rot(j) if ell == 0 else params.lambda_rot_ell(j, ell)
-    return _full_period_sums(params, level, written, ell) / lam
+    return _full_period_sums(params, level, written, ell) / params.lambda_rot_ell(level.j, ell)
 
 
 def test_written_level_meets_its_rotation_thresholds():
@@ -425,8 +423,7 @@ def test_default_rotations_are_accepted_by_the_triangle_bound(N0, j_max, monkeyp
     assert calls == []
     for rec in con.audit[1:]:
         j = rec["j"] - 1
-        lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
-                                         for ell in range(1, j + 1)]
+        lams = [params.lambda_rot_ell(j, ell) for ell in range(j + 1)]
         assert min(lams) > 2
         assert rec["rotation_mode"] == "trivial" and rec["rotation_verified_k"] == 0
         assert rec["retries"] == 0
@@ -465,8 +462,7 @@ def test_half_period_check_matches_a_full_period_scan(N0, j_max):
         P = N ** (j + 1)
         # the accepted draw's rows of last digits, in the order of the parents
         digits = (written.atoms % N).reshape(len(level.atoms), t)
-        lams = [params.lambda_rot(j)] + [params.lambda_rot_ell(j, ell)
-                                         for ell in range(1, j + 1)]
+        lams = [params.lambda_rot_ell(j, ell) for ell in range(j + 1)]
         peaks = [(0.0, 0)] * (j + 1)
         for kb, sums in rotation_sums(params, level)(digits):
             for ell, s in enumerate(sums):
@@ -770,6 +766,6 @@ def test_rotation_scan_reads_half_periods_without_a_fold(block, monkeypatch):
             continue
         assert np.array_equal(written.atoms, con.levels[j + 1].atoms)
         for ell, peak in enumerate(peaks):
-            lam = params.lambda_rot(j) if ell == 0 else params.lambda_rot_ell(j, ell)
+            lam = params.lambda_rot_ell(j, ell)
             full = _full_period_ratios(params, level, written, ell)
             assert peak / lam == pytest.approx(full.max(), rel=1e-12)

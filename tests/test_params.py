@@ -31,7 +31,7 @@ def test_lambda_formulas(desk_params):
     p = desk_params
     for j in range(1, 5):
         lam = p.c_rot * p.t ** (-(j + 1) / 2) * math.log(8 * p.N ** (j + 1))
-        assert p.lambda_rot(j) == pytest.approx(lam, rel=1e-12)
+        assert p.lambda_rot_ell(j, 0) == pytest.approx(lam, rel=1e-12)
         for ell in range(1, j + 1):
             lam_ell = (
                 p.c_rot * p.t ** (-(j + 1) / 2 + ell / 4)

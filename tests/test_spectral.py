@@ -76,6 +76,27 @@ def test_lone_frequency_sums_like_a_batch(odd_base):
         assert exp_sum(atoms, int(k), params.period(5)) == batch[i]
 
 
+def _plan_read(atoms, ks, period, weights=1.0):
+    """S(ks) in the order of ks, read through one plan of them."""
+    plan = expsums.Frequencies(ks, period)
+    s = np.empty(len(plan), dtype=np.complex128)
+    for at, sums in plan.sums(atoms, weights=weights):
+        s[at] = sums
+    return s
+
+
+def _assert_whole_period_matches(atoms, period, got):
+    """``exp_sum_all`` against the plan's reads ``got`` of k in [0, period):
+    bit for bit, except in the self-mirrored classes 0 and M/2 above
+    period / 2, where the plan reads the twin's conjugate and the whole
+    period the class's own table entry."""
+    B, M = expsums.split(period)
+    whole, k = exp_sum_all(atoms, period), np.arange(period)
+    own = (2 * (k % M) % M == 0) & (k > period // 2)
+    assert np.array_equal(whole[~own], got[:period][~own])
+    assert np.abs(whole[own] - got[:period][own]).max() < 1e-11 * len(atoms)
+
+
 def test_few_frequencies_read_the_tables(odd_base, monkeypatch):
     # two frequencies, far fewer than the period: one table of one class is
     # built all the same, and agrees with the direct sum
@@ -87,7 +108,7 @@ def test_few_frequencies_read_the_tables(odd_base, monkeypatch):
     class_sums = expsums.class_sums
     monkeypatch.setattr(expsums, "class_sums",
                         lambda *a, **kw: tables.append(a) or class_sums(*a, **kw))
-    got = expsums.gather(atoms, ks, period)
+    got = _plan_read(atoms, ks, period)
     assert len(tables) == 1
     direct = exp_sum(atoms, ks, period)
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
@@ -107,7 +128,7 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
     class_sums = expsums.class_sums
     monkeypatch.setattr(expsums, "class_sums",
                         lambda *a, **kw: tables.append(a) or class_sums(*a, **kw))
-    got = expsums.gather(atoms, ks, period)
+    got = _plan_read(atoms, ks, period)
     assert len(tables) == 1
     direct = exp_sum(atoms, ks, period)
     assert np.abs(got - direct).max() < 1e-11 * len(atoms)
@@ -116,26 +137,26 @@ def test_cost_rule_boundary_agreement(odd_base, monkeypatch, side):
 def test_scalar_frequency_goes_direct(odd_base, monkeypatch):
     params, con = odd_base
     monkeypatch.setattr(expsums, "class_sums", None)
-    atoms = con.levels[5].atoms
-    assert expsums.gather(atoms, 30437, params.period(5)) \
-        == exp_sum(atoms, 30437, params.period(5))
+    level, period = con.levels[5], params.period(5)
+    assert f_mu_hat(params, level, 0, 30437) == (
+        prefactor(30437, period) * exp_sum(level.atoms, 30437, period) * 4.0 ** -5)
 
 
-def test_plan_above_the_budget_takes_the_direct_sum(odd_base, monkeypatch):
-    # a period above FFT_BUDGET builds no table: gather and a spectrum read
-    # the direct sums, and the screens refine to the same witness
+def test_plan_above_the_budget_is_refused(odd_base, monkeypatch):
+    # a period above FFT_BUDGET builds no plan, so no spectrum or screen
+    # reads it (``analyze --spectrum`` exits 3: test_cli)
     params, con = odd_base
     level = con.levels[3]
-    atoms, period = level.atoms, params.period(3)
+    period = params.period(3)
     ks = np.arange(-50, 3000, 7, dtype=np.int64)
-    want = exp_sum(atoms, ks, period)
-    tabled = trivial_bound_check(params, level, 1, ks)
     monkeypatch.setattr(expsums, "FFT_BUDGET", period - 1)
-    monkeypatch.setattr(expsums, "class_sums", None)
-    assert np.array_equal(expsums.gather(atoms, ks, period), want)
-    spec = compute_spectrum(params, level, ks)
-    assert np.array_equal(spec.coefficients, prefactor(ks, period) * want * 4.0 ** -3)
-    assert trivial_bound_check(params, level, 1, ks) == tabled
+    refused = f"transform length {period} exceeds"
+    with pytest.raises(SpectralError, match=refused):
+        expsums.Frequencies(ks, period)
+    with pytest.raises(SpectralError, match=refused):
+        compute_spectrum(params, level, ks)
+    with pytest.raises(SpectralError, match=refused):
+        trivial_bound_check(params, level, 1, ks)
 
 
 def _half_table_gather(atoms, ks, period):
@@ -170,24 +191,24 @@ def test_half_table_mirrors_to_the_direct_sums(period):
     rng = np.random.default_rng(period)
     atoms = rng.choice(period, size=40, replace=False)
     ks = np.concatenate([np.arange(period), [-1, -period // 2, 3 * period + 5]])
-    got = expsums.gather(atoms, ks, period)
+    got = _plan_read(atoms, ks, period)
     assert expsums.split(period) == (period, 1)
     assert np.array_equal(got, _half_table_gather(atoms, ks, period))
     assert np.abs(got - exp_sum(atoms, ks, period)).max() < 1e-11 * len(atoms)
-    assert np.array_equal(exp_sum_all(atoms, period), got[:period])
+    _assert_whole_period_matches(atoms, period, got)
     # conjugate twins read the same table entry, mirrored
     assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
-    assert expsums.gather(atoms, [period - 7], period)[0] == got[period - 7]
+    assert _plan_read(atoms, [period - 7], period)[0] == got[period - 7]
     # unit weights given explicitly change no bit
     ones = np.ones(len(atoms))
-    assert np.array_equal(expsums.gather(atoms, ks, period, weights=ones), got)
+    assert np.array_equal(_plan_read(atoms, ks, period, weights=ones), got)
     assert np.array_equal(exp_sum(atoms, ks, period, weights=ones),
                           exp_sum(atoms, ks, period))
     # signed weights on a repeated atom, the table and the direct sum
     points, weights = _signed_repeated(rng, atoms)
     want = _direct_weighted(points, weights, ks, period)
     scale = 1e-11 * np.abs(weights).sum()
-    weighted = expsums.gather(points, ks, period, weights=weights)
+    weighted = _plan_read(points, ks, period, weights=weights)
     assert np.abs(weighted - want).max() < scale
     assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
     assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
@@ -206,9 +227,9 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     ks = np.concatenate([np.arange(period),
                          [0, period // 2, period - 1, period, 3 * period + 7,
                           -1, -(period // 2), -3 * period - 7]])
-    got = expsums.gather(atoms, ks, period)
+    got = _plan_read(atoms, ks, period)
     assert np.abs(got - exp_sum(atoms, ks, period)).max() < 1e-11 * len(atoms)
-    assert np.array_equal(exp_sum_all(atoms, period), got[:period])
+    _assert_whole_period_matches(atoms, period, got)
     # twins read the same entry, mirrored: across the paired classes c and
     # M - c, and inside classes 0 and M/2
     assert np.array_equal(got[1:period], got[period - 1 : 0 : -1].conj())
@@ -218,13 +239,13 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     assert extra[7] == got[7].conj()
     # unit weights given explicitly change no bit
     ones = np.ones(len(atoms))
-    assert np.array_equal(expsums.gather(atoms, ks, period, weights=ones), got)
+    assert np.array_equal(_plan_read(atoms, ks, period, weights=ones), got)
     # signed weights on a repeated atom, against the direct sum, with the
     # same exact twins
     points, weights = _signed_repeated(rng, atoms)
     want = _direct_weighted(points, weights, ks, period)
     scale = 1e-11 * np.abs(weights).sum()
-    weighted = expsums.gather(points, ks, period, weights=weights)
+    weighted = _plan_read(points, ks, period, weights=weights)
     assert np.abs(weighted - want).max() < scale
     assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
     assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
@@ -241,9 +262,9 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
 
 
 def _classwise_gather(atoms, ks, period, weights=1.0):
-    """S(ks) as one gather read the class tables before the frequency plan:
-    each k folded onto its twin where mirrored, each class met found by a
-    mask and read from its own table."""
+    """S(ks) read class by class without a plan: each k folded onto its
+    twin where mirrored, each class met found by a mask and read from its
+    own table."""
     residues = np.asarray(atoms, dtype=np.int64) % period
     B, M = expsums.split(period)
     m = np.asarray(ks, dtype=np.int64) % period
@@ -290,8 +311,8 @@ def test_plan_sums_assemble_to_the_classwise_gather(data):
             assert sorted(positions) == list(range(len(ks)))
             want = _classwise_gather(atoms, ks, period, weights)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            gathered = expsums.gather(atoms, ks, period, weights=weights)
-            assert np.array_equal(gathered.view(np.uint64), want.view(np.uint64))
+            read = _plan_read(atoms, ks, period, weights=weights)
+            assert np.array_equal(read.view(np.uint64), want.view(np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,7 +635,7 @@ def test_telescope_sum_is_the_coefficient_difference(N0):
             points, weights = deviation_measure(
                 params, restricted_atoms(params, lo, ell),
                 restricted_atoms(params, hi, ell))
-            signed = (prefactor(ks, P) * expsums.gather(points, ks, P, weights=weights)
+            signed = (prefactor(ks, P) * _plan_read(points, ks, P, weights=weights)
                       * float(params.t) ** -j)
             coef_lo = f_mu_hat(params, lo, ell, ks)
             diff = f_mu_hat(params, hi, ell, ks) - coef_lo
