@@ -36,17 +36,6 @@ class LevelSet:
 
 
 @dataclass
-class BaseBlock:
-    members: list[int]       # sorted, t distinct integers in [0, N)
-    eta: float
-    verified_k_count: int
-    mode: str                # "exhaustive" | "trivial"
-    # the draw's max deviation over eta/2 lies in [margin, margin_bound]
-    margin: float | None = None
-    margin_bound: float | None = None
-
-
-@dataclass
 class Construction:
     params: ConstructionParams
     levels: list[LevelSet]
@@ -114,9 +103,12 @@ def _fix_cardinality(members: set[int], t: int, N: int) -> list[int]:
     return sorted(members)
 
 
-def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
+def build_base_block(params: ConstructionParams, j: int, rng) -> tuple[list[int], dict]:
     """Digit block for level j+1, verified against the deviation threshold
-    at every integer k.
+    at every integer k: (members, audit fields), the fields ``mode``, ``eta``,
+    ``block_verified_k``, ``block_retries`` (draws rejected before the kept
+    one), and ``block_margin`` <= the kept draw's max deviation over eta/2
+    <= ``block_margin_bound``.
 
     When eta_j >= 2 every deviation term is trivially within bounds and a
     deterministic block (progression plus smallest fillers) is returned.
@@ -133,8 +125,9 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
     N, t = params.N, params.t
     eta = params.eta(j)
     if eta >= 2:
-        members = _fix_cardinality(set(make_progression(params)), t, N)
-        return BaseBlock(members=members, eta=eta, verified_k_count=0, mode="trivial")
+        return _fix_cardinality(set(make_progression(params)), t, N), {
+            "mode": "trivial", "eta": eta, "block_verified_k": 0, "block_margin": None,
+            "block_margin_bound": None, "block_retries": 0}
 
     period = N ** (j + 1)
     K = N
@@ -161,7 +154,7 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
 
     p = t / N
     rejected = None
-    for _ in range(MAX_RETRIES):
+    for attempt in range(MAX_RETRIES):
         draw = np.flatnonzero(rng.random(N) < p)
         if len(draw) == 0:
             continue
@@ -175,8 +168,10 @@ def build_base_block(params: ConstructionParams, j: int, rng) -> BaseBlock:
                 "deviation {:.4g} >= eta={:.4g} at k={} after cardinality fix "
                 "at j={}".format(*broken[:3], j))
         margin = float(peaks[0] / (eta / 2))
-        return BaseBlock(members=members, eta=eta, verified_k_count=N * period,
-                         mode="exhaustive", margin=margin, margin_bound=margin / factor)
+        return members, {
+            "mode": "exhaustive", "eta": eta, "block_verified_k": N * period,
+            "block_margin": margin, "block_margin_bound": margin / factor,
+            "block_retries": attempt}
     if rejected is None:
         raise ConstructionError(f"base block retries exhausted at j={j}: no draw had members")
     raise ConstructionError("base block retries exhausted at j={}: deviation {:.4g} >= {:.4g} "
@@ -240,43 +235,39 @@ def child_digits(params: ConstructionParams, level: LevelSet, members,
     return table[structured_mask(params, level, level.j).astype(np.intp), xs]
 
 
-def rotation_sums(params: ConstructionParams, level: LevelSet):
-    """A function of a draw's digits (one row of t last digits per atom, as
-    from ``child_digits``) that yields its deviation sums over every residue
-    mod P class by class: pairs (kb, sums), sums yielding s_ell(kb) for
-    ell = 0, ..., j lazily. With e(x) = exp(-2 pi i x), P = N^(j+1),
+def rotation_sums(params: ConstructionParams, level: LevelSet, digits):
+    """The deviation sums of one draw's ``digits`` (one row of t last digits
+    per atom, as from ``child_digits``) over every residue mod P, class by
+    class: pairs (kb, sums), sums yielding s_ell(kb) for ell = 0, ..., j
+    lazily. With e(x) = exp(-2 pi i x), P = N^(j+1),
     Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
 
         s_ell(k) = sum_{a in A_ell} e(ak/Q) (S_{D_a}(k)/t - S_[N](k)/N),
 
     the sum at period P of the ``deviation_measure`` of A_ell and its
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
-    s_ell(P - k) = conj s_ell(k): the j + 1 measures are built once per draw
-    and read by one table each per class of ``expsums.half_classes``, a
-    class that is its own mirror (c = 0, c = M/2) only at k <= P/2, so that
-    each pair of twins k, P - k is read once. A period above
-    ``expsums.FFT_BUDGET`` is a SpectralError here, before any measure is
-    built.
+    s_ell(P - k) = conj s_ell(k): the j + 1 measures are built once and read
+    by one table each per class of ``expsums.half_classes``, a class that is
+    its own mirror (c = 0, c = M/2) only at k <= P/2, so that each pair of
+    twins k, P - k is read once. A period above ``expsums.FFT_BUDGET`` is a
+    SpectralError at the first block, before any measure is built.
     """
     N, j = params.N, level.j
     period = N ** (j + 1)
     expsums.split(period)
-    masks = [structured_mask(params, level, ell) for ell in range(j + 1)]
-    parents = [level.atoms[mask] for mask in masks]
-
-    def exhaustive(digits):
-        measures = [deviation_measure(params, a, (a[:, None] * N + digits[m]).ravel())
-                    for a, m in zip(parents, masks)]
-        for kb, table, mirrored in half_classes(period):
-            # a class that is its own mirror holds both twins k and P - k
-            n = len(kb) if mirrored else np.searchsorted(kb, period // 2, side="right")
-            yield kb[:n], (table(points, weights=weights)[:n] for points, weights in measures)
-
-    return exhaustive
+    measures = []
+    for ell in range(j + 1):
+        mask = structured_mask(params, level, ell)
+        a = level.atoms[mask]
+        measures.append(deviation_measure(params, a, (a[:, None] * N + digits[mask]).ravel()))
+    for kb, table, mirrored in half_classes(period):
+        # a class that is its own mirror holds both twins k and P - k
+        n = len(kb) if mirrored else np.searchsorted(kb, period // 2, side="right")
+        yield kb[:n], (table(points, weights=weights)[:n] for points, weights in measures)
 
 
-def choose_rotations(params: ConstructionParams, level: LevelSet,
-                     base_block: BaseBlock, rng) -> tuple[LevelSet, dict]:
+def choose_rotations(params: ConstructionParams, level: LevelSet, members,
+                     rng) -> tuple[LevelSet, dict]:
     """Draw per-atom rotations and accept the next level only when every
     deviation sum stays strictly below its threshold lam_ell at every
     integer k; returns that level and its audit fields, among them
@@ -299,17 +290,17 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
     lams = [params.lambda_rot_ell(j, ell) for ell in range(j + 1)]
     scales = [t ** (-j + ell / 2) for ell in range(j + 1)]
     trivial = min(lams) > 2
-    sums = None if trivial else rotation_sums(params, level)
 
     for attempt in range(MAX_RETRIES):
         xs = rng.integers(0, N, size=len(level.atoms))
-        digits = child_digits(params, level, base_block.members, xs)
+        digits = child_digits(params, level, members, xs)
         if trivial:
             found = [2.0] * (j + 1)
         else:
             # each sum is dropped once its magnitude is taken
-            found, worst = _scan(((kb, map(np.multiply, map(np.abs, block), scales))
-                                  for kb, block in sums(digits)), lams)
+            blocks = rotation_sums(params, level, digits)
+            found, worst = _scan(((kb, map(np.multiply, map(np.abs, sums), scales))
+                                  for kb, sums in blocks), lams)
             if worst is not None:
                 continue
         margins = [float(m / lam) for m, lam in zip(found, lams)]
@@ -318,14 +309,10 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
             "rotation_mode": "trivial" if trivial else "exhaustive",
             "rotation_verified_k": 0 if trivial else period,
             "retries": attempt, "lambda_j": lams[0],
-            "rotation_margin": max(margins),
-            "rotation_margins": margins,
-        }
+            "rotation_margin": max(margins), "rotation_margins": margins}
     m, thresh, k, ell = worst
-    raise ConstructionError(
-        f"rotation retries exhausted at j={j}: |sum|={m:.4g} >= {thresh:.4g} "
-        f"at k={k}, ell={ell}"
-    )
+    raise ConstructionError(f"rotation retries exhausted at j={j}: |sum|={m:.4g} >= "
+                            f"{thresh:.4g} at k={k}, ell={ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +321,15 @@ def choose_rotations(params: ConstructionParams, level: LevelSet,
 def build_level(params: ConstructionParams, construction: Construction, rng) -> LevelSet:
     """Extend the construction by one level and append the audit record."""
     level = construction.levels[-1]
-    j = level.j
-    N, t = params.N, params.t
-
+    N, t, j = params.N, params.t, level.j
     if j == 0:
         members = _fix_cardinality(set(make_progression(params)), t, N)
         new = LevelSet(j=1, atoms=np.array(members, dtype=np.int64))
         construction.audit.append({"j": 1, "mode": "deterministic", "retries": 0})
     else:
-        base = build_base_block(params, j, rng)
-        new, rotation = choose_rotations(params, level, base, rng)
-        construction.audit.append({
-            "j": j + 1,
-            "mode": base.mode,
-            "eta": base.eta,
-            "block_verified_k": base.verified_k_count,
-            "block_margin": base.margin,
-            "block_margin_bound": base.margin_bound,
-            **rotation,
-        })
+        members, block = build_base_block(params, j, rng)
+        new, rotation = choose_rotations(params, level, members, rng)
+        construction.audit.append({"j": j + 1, **block, **rotation})
 
     construction.levels.append(new)
     check_level_invariants(params, construction.levels[-2], new)

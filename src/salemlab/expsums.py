@@ -7,8 +7,9 @@ input has one reader: a scalar k the direct sum with exact residues
 once into the residue classes k = c + M m, m < B, of P = B M (``split``,
 B <= ``BLOCK``), each class one length-B FFT (``class_sums``, the one table
 kernel); a whole period its classes c <= M/2 (``half_classes``), which
-decide every k as S(P - k) = conj S(k). Every table refuses a period above
-``FFT_BUDGET`` through ``split``.
+decide every k as S(P - k) = conj S(k). Each pass over the classes scatters
+into one length-B array of its own; every table is a fresh FFT output.
+Every table refuses a period above ``FFT_BUDGET`` through ``split``.
 """
 
 from __future__ import annotations
@@ -80,12 +81,13 @@ def split(n):
     return B, n // B
 
 
-def class_sums(atoms, n, B, c, *, weights=1.0):
-    """S(k) of period n at k = c + (n // B) m, m < B: the FFT of the weighted
-    atoms aliased mod B, twiddled by e(a c / n) of exact residues (the
-    four-step split of D. H. Bailey, J. Supercomputing 4, 1990)."""
-    x = np.zeros(B, dtype=np.complex128)
-    np.add.at(x, atoms % B, _unit(_mulmod(atoms, c, n), n) * weights)
+def class_sums(atoms, n, x, c, *, weights=1.0):
+    """S(k) of period n at k = c + (n // B) m, m < B = len(x): the FFT of the
+    weighted atoms aliased mod B into the scatter array x, which is
+    overwritten, twiddled by e(a c / n) of exact residues (the four-step
+    split of D. H. Bailey, J. Supercomputing 4, 1990)."""
+    x.fill(0)
+    np.add.at(x, atoms % len(x), _unit(_mulmod(atoms, c, n), n) * weights)
     return np.fft.fft(x)
 
 
@@ -95,10 +97,11 @@ def half_classes(period):
     together they decide every k. ``mirrored`` is 0 < 2c < M: the class also
     stands for its mirror M - c, whose sums are the conjugates."""
     B, M = split(period)
+    x = np.empty(B, dtype=np.complex128)
     for c in range(M // 2 + 1):
         ks = c + M * np.arange(B, dtype=np.int64)
         yield ks, lambda atoms, c=c, *, weights=1.0: class_sums(
-            atoms, period, B, c, weights=weights), 0 < 2 * c < M
+            atoms, period, x, c, weights=weights), 0 < 2 * c < M
 
 
 class Frequencies:
@@ -147,8 +150,9 @@ class Frequencies:
         frequencies, class by class, read from the class's table
         (``class_sums``) and conjugated where mirrored."""
         residues = np.asarray(atoms, dtype=np.int64) % self.period
+        x = np.empty(self.B, dtype=np.complex128)
         for c, at, rows, flip in self._classes:
-            table = class_sums(residues, self.period, self.B, c, weights=weights)
+            table = class_sums(residues, self.period, x, c, weights=weights)
             for lo in range(0, len(at), BLOCK):
                 s = table[rows[lo : lo + BLOCK]]
                 np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])

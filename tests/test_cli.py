@@ -153,6 +153,8 @@ def test_verify_records_are_pinned(built):
     tele = by_name["telescoping"]
     assert tele["max_ratio"] == pytest.approx(3.4342190736385464e-05, rel=1e-9)
     assert tele["witness"] == {"j": 2, "ell": 0, "k": 180}
+    # the frequencies screened over (j, ell) = (1, 0..1) and (2, 0..2)
+    assert tele["checked"] == 22766
     for name, worst in VERIFY_WORST.items():
         assert by_name[name]["worst"] == pytest.approx(worst, rel=1e-9), name
     ball = by_name["ball-condition"]
@@ -386,6 +388,22 @@ def test_verify_beyond_the_transform_budget_exits_3(built, capsys, monkeypatch):
     monkeypatch.setattr(checks, "_decay_screens", None)
     assert main(["verify", str(built)]) == 3
     assert "resource limit: transform length 4096 exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("j_max", [0, 1])
+def test_verify_records_a_vacuous_telescoping(tmp_path, capsys, j_max):
+    # no step j -> j + 1 with j >= 1 exists, so telescoping screens nothing;
+    # its record is kept, in its place, and says so
+    out = tmp_path / "run"
+    assert main(["construct", "-o", str(out), "--set", "N0=4", "--set", "t0=2",
+                 "--set", "n0=1", "--set", f"j_max={j_max}", "--set", "seed=7"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"PASS {name} [{inequality}]" for name, inequality in VERIFY_RECORDS]
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks[3] == {"name": "telescoping", "inequality": "2.7/2.8", "passed": True,
+                         "max_ratio": None, "witness": None, "checked": 0}
 
 
 def test_verify_missing_dir_exits_2(tmp_path, capsys):

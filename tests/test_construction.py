@@ -110,11 +110,11 @@ def test_each_parent_gets_t_children(desk_params, desk):
 
 def test_trivial_regime_block(desk_params):
     rng = np.random.default_rng(0)
-    block = build_base_block(desk_params, 2, rng)
-    assert block.mode == "trivial"
-    assert block.eta >= 2.0
+    members, block = build_base_block(desk_params, 2, rng)
+    assert block["mode"] == "trivial" and block["block_retries"] == 0
+    assert block["eta"] >= 2.0
     # progression forced in, filled with the smallest spare digits
-    assert block.members == [0, 1, 2, 15]
+    assert members == [0, 1, 2, 15]
 
 
 def test_audit_records(desk_params, desk):
@@ -289,7 +289,7 @@ def test_rotation_sums_match_per_atom_formula(N0, j, block, monkeypatch):
     xs = rng.integers(0, params.N, size=len(level.atoms))
     digits = child_digits(params, level, members, xs)
     covered, blocks = set(), []
-    for kb, block_sums in rotation_sums(params, level)(digits):
+    for kb, block_sums in rotation_sums(params, level, digits):
         blocks.append(kb)
         got = list(block_sums)
         want = _per_atom_sums(params, level, digits, kb)
@@ -464,7 +464,7 @@ def test_half_period_check_matches_a_full_period_scan(N0, j_max):
         digits = (written.atoms % N).reshape(len(level.atoms), t)
         lams = [params.lambda_rot_ell(j, ell) for ell in range(j + 1)]
         peaks = [(0.0, 0)] * (j + 1)
-        for kb, sums in rotation_sums(params, level)(digits):
+        for kb, sums in rotation_sums(params, level, digits):
             for ell, s in enumerate(sums):
                 half = np.abs(t ** (-j + ell / 2) * s) / lams[ell]
                 i = int(half.argmax())
@@ -503,11 +503,11 @@ def test_rotation_check_holds_no_half_period_array(monkeypatch):
     params = derive_params(4, 2, 1, j_max=3, seed=7, c_rot=0.35)
     level = build_construction(params).levels[3]
     j, P = 3, params.period(4)
-    base = build_base_block(params, j, np.random.default_rng(0))
+    members = build_base_block(params, j, np.random.default_rng(0))[0]
     audits = []
     peak = _peak_array_bytes(
         lambda: audits.append(construction.choose_rotations(
-            params, level, base, np.random.default_rng(0))[1]),
+            params, level, members, np.random.default_rng(0))[1]),
         monkeypatch, 2**12)
     assert audits[1]["rotation_mode"] == "exhaustive"
     # less than one complex128 array of P / 2 entries, temporaries included
@@ -525,7 +525,8 @@ def test_base_block_check_holds_no_half_period_array(monkeypatch):
         lambda: blocks.append(build_base_block(params, 3, np.random.default_rng(7))),
         monkeypatch, 2**8)
     assert blocks[0] == blocks[1]
-    assert blocks[0].mode == "exhaustive" and blocks[0].verified_k_count == 16 * P
+    block = blocks[0][1]
+    assert block["mode"] == "exhaustive" and block["block_verified_k"] == 16 * P
     assert peak < 16 * P // 2
 
 
@@ -543,17 +544,17 @@ def test_drawn_n25_block_streams_its_frequency_blocks():
     blocks = []
     peak = _peak_bytes(
         lambda: blocks.append(build_base_block(params, 4, np.random.default_rng(7))))
-    base = blocks[0]
-    assert base.mode == "exhaustive" and base.members == [0, 6, 23, 24]
-    assert base.verified_k_count == 25 * params.period(5)
-    assert base.margin == pytest.approx(0.9727152956888283, rel=1e-12)
-    assert base.margin_bound == pytest.approx(0.9774318798497815, rel=1e-12)
+    members, base = blocks[0]
+    assert base["mode"] == "exhaustive" and members == [0, 6, 23, 24]
+    assert base["block_verified_k"] == 25 * params.period(5)
+    assert base["block_margin"] == pytest.approx(0.9727152956888283, rel=1e-12)
+    assert base["block_margin_bound"] == pytest.approx(0.9774318798497815, rel=1e-12)
     # the powers and deviations of about 2^14 / N frequencies at a time; at
     # N + 1 = 26 rows of one block of 2^14 frequencies it was 10.2 MiB
     assert peak < 3 * 2**20
 
 
-def test_sampled_plan_route_reads_the_sample_in_one_block():
+def test_n36_level_4_keeps_its_bytes():
     # N = 36: level 4's rotations were once checked on a sample through
     # plans at P and Q; at the default constants the triangle bound accepts
     # them unread, and the level keeps the bytes written then
@@ -583,6 +584,83 @@ def test_verified_base_blocks_run():
         "efd2e08182c8ed5532889ebe1505588ce3771ec0c93506f9b2a4e4c472fb3c59",
         "649426bc92d9f32b7f879286d2fd6dd099edc98361baf3aed61a84a6240e2eec",
     ]
+
+
+# The full audit of the two biting configurations built end to end in CI,
+# recorded before the checks returned their audit fields (``block_retries``
+# was added then): at N = 36, c_eta = 0.5 every base block from level 2 on is
+# drawn and the rotations are accepted by the triangle bound; at N = 16,
+# c_eta = 1, c_rot = 0.35 the rotations are scanned as well
+BITING_AUDITS = [
+    ((6, 2, 1), {"c_eta": 0.5}, [
+        {"j": 1, "mode": "deterministic", "retries": 0},
+        {"j": 2, "mode": "exhaustive", "eta": 1.2663924331071394,
+         "block_verified_k": 46656, "block_margin": 0.9248093114941899,
+         "block_margin_bound": 0.9248093114941899, "block_retries": 13,
+         "rotation_mode": "trivial", "rotation_verified_k": 0, "retries": 0,
+         "lambda_j": 14202.592386957398, "rotation_margin": 0.000140819362093124,
+         "rotation_margins": [0.000140819362093124, 9.957432585841183e-05]},
+        {"j": 3, "mode": "exhaustive", "eta": 1.4323720403366,
+         "block_verified_k": 1679616, "block_margin": 0.8498256532339861,
+         "block_margin_bound": 0.8498256532339861, "block_retries": 8,
+         "rotation_mode": "trivial", "rotation_verified_k": 0, "retries": 0,
+         "lambda_j": 9853.43873821299, "rotation_margin": 0.00020297482464103878,
+         "rotation_margins": [0.00020297482464103878, 0.00014352487491382882,
+                              0.00010148741232051939]},
+        {"j": 4, "mode": "exhaustive", "eta": 1.581021672604474,
+         "block_verified_k": 60466176, "block_margin": 0.7243804132024269,
+         "block_margin_bound": 0.7260916174031157, "block_retries": 15,
+         "rotation_mode": "trivial", "rotation_verified_k": 0, "retries": 0,
+         "lambda_j": 6302.790641473643, "rotation_margin": 0.00031731975782911043,
+         "rotation_margins": [0.00031731975782911043, 0.00022437895256543705,
+                              0.00015865987891455522, 0.00011218947628271853]},
+    ]),
+    ((4, 2, 1), {"c_eta": 1.0, "c_rot": 0.35}, [
+        {"j": 1, "mode": "deterministic", "retries": 0},
+        {"j": 2, "mode": "exhaustive", "eta": 1.6122350719109775,
+         "block_verified_k": 4096, "block_margin": 0.7895117657577077,
+         "block_margin_bound": 0.7895117657577077, "block_retries": 0,
+         "rotation_mode": "exhaustive", "rotation_verified_k": 256, "retries": 0,
+         "lambda_j": 0.6671541612889473, "rotation_margin": 0.8274333128609573,
+         "rotation_margins": [0.8274333128609573, 0.6142568062885871]},
+        {"j": 3, "mode": "exhaustive", "eta": 1.8145107075076026,
+         "block_verified_k": 65536, "block_margin": 0.9248196706633229,
+         "block_margin_bound": 0.9248196706633229, "block_retries": 5,
+         "rotation_mode": "exhaustive", "rotation_verified_k": 4096, "retries": 0,
+         "lambda_j": 0.45487783724246406, "rotation_margin": 0.9069238270870671,
+         "rotation_margins": [0.9069238270870671, 0.7383438969892486,
+                              0.6414456413652839]},
+        {"j": 4, "mode": "exhaustive", "eta": 1.9963958245347253,
+         "block_verified_k": 1048576, "block_margin": 0.8405623645918744,
+         "block_margin_bound": 0.850345466658776, "block_retries": 0,
+         "rotation_mode": "exhaustive", "rotation_verified_k": 65536, "retries": 0,
+         "lambda_j": 0.2880892969202272, "rotation_margin": 0.8078604506840948,
+         "rotation_margins": [0.7758270414966463, 0.7656281904726985,
+                              0.797304769458003, 0.8078604506840948]},
+    ]),
+]
+
+
+def _assert_matches(got, want, where="audit"):
+    """``got`` has ``want``'s keys, items and values, floats within rel 1e-9."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}/{i}")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9), where
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("base, constants, audit", BITING_AUDITS, ids=["N36", "rot"])
+def test_biting_audits_are_pinned(base, constants, audit):
+    params = derive_params(*base, j_max=4, seed=7, **constants)
+    _assert_matches(build_construction(params).audit, audit)
 
 
 def test_base_block_retries_exhausted_names_the_worst_deviation():
@@ -643,18 +721,21 @@ def test_base_block_margin_interval_holds_the_full_period_scan():
     # bound enclose the scan's
     params = derive_params(4, 2, 1, j_max=4, seed=7, c_eta=1.0)
     N, t, P, eta = params.N, params.t, params.period(4), params.eta(3)
-    base = build_base_block(params, 3, np.random.default_rng(7))
+    base = build_base_block(params, 3, np.random.default_rng(7))[1]
     rng = np.random.default_rng(7)
+    draws = 0
     while True:
         draw = np.flatnonzero(rng.random(N) < t / N)
+        draws += 1
         if len(draw):
             full = _full_period_max(draw, N, t, P) / (eta / 2)
             if full < 1:
                 break
-    assert base.mode == "exhaustive" and base.verified_k_count == N * P
-    assert base.margin <= full <= base.margin_bound
-    assert base.margin_bound == pytest.approx(
-        base.margin / (1 - np.pi * (N - 1) / 4096), rel=1e-12)
+    assert base["mode"] == "exhaustive" and base["block_verified_k"] == N * P
+    assert base["block_retries"] == draws - 1
+    assert base["block_margin"] <= full <= base["block_margin_bound"]
+    assert base["block_margin_bound"] == pytest.approx(
+        base["block_margin"] / (1 - np.pi * (N - 1) / 4096), rel=1e-12)
 
 
 class _FixedDraw:
@@ -686,15 +767,17 @@ def test_base_block_decisions_are_those_of_a_full_period_scan(data):
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(construction, "MAX_RETRIES", 1)
-            base = build_base_block(params, j, _FixedDraw(members, N))
+            kept, base = build_base_block(params, j, _FixedDraw(members, N))
     except ConstructionError as exc:
         k = int(re.search(r"at k=(\d+)", str(exc)).group(1))
         at_k = np.abs(block_deviations(members, [k], P, N, t)).max()
         assert at_k >= eta / 2 and full >= 1
         return
-    assert base.members == members and base.verified_k_count == N * P
-    assert base.margin <= full * (1 + 1e-12)
-    assert full <= base.margin_bound * (1 + 1e-12) and base.margin_bound < 1
+    assert kept == members and base["block_verified_k"] == N * P
+    assert base["block_retries"] == 0
+    assert base["block_margin"] <= full * (1 + 1e-12)
+    bound = base["block_margin_bound"]
+    assert full <= bound * (1 + 1e-12) and bound < 1
 
 
 def test_deep_base_block_is_decided_on_its_grid():
@@ -703,10 +786,11 @@ def test_deep_base_block_is_decided_on_its_grid():
     # which took about 3 s
     params = derive_params(4, 2, 1, j_max=6, seed=7, c_eta=0.5)
     start = time.perf_counter()
-    base = build_base_block(params, 5, np.random.default_rng(7))
+    members, base = build_base_block(params, 5, np.random.default_rng(7))
     assert time.perf_counter() - start < 0.1
-    assert base.members == [0, 1, 3, 6] and base.margin < base.margin_bound < 1
-    assert base.verified_k_count == 16 * params.period(6)
+    assert members == [0, 1, 3, 6]
+    assert base["block_margin"] < base["block_margin_bound"] < 1
+    assert base["block_verified_k"] == 16 * params.period(6)
 
 
 def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
@@ -719,11 +803,11 @@ def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
     built = []
     monkeypatch.setattr(construction, "deviation_measure",
                         lambda *args: built.append(args) or deviation_measure(*args))
-    sums = rotation_sums(desk_params, level)
     xs = np.random.default_rng(0).integers(0, desk_params.N, size=len(level.atoms))
     digits = child_digits(desk_params, level, [0, 1, 2, 15], xs)
     for draw in range(1, 3):
-        tables = sum(len(list(block)) for _, block in sums(digits))
+        blocks = rotation_sums(desk_params, level, digits)
+        tables = sum(len(list(block)) for _, block in blocks)
         assert tables == (256 // 2 + 1) * (j + 1)
         assert len(built) == draw * (j + 1)
 

@@ -272,10 +272,10 @@ def _classwise_gather(atoms, ks, period, weights=1.0):
     mirrored = (m > period // 2) & (2 * c % M == 0) | (2 * c > M)
     m[mirrored] = period - m[mirrored]
     c = m % M
-    s = np.empty(len(m), dtype=np.complex128)
+    s, x = np.empty(len(m), dtype=np.complex128), np.empty(B, dtype=np.complex128)
     for cls in np.flatnonzero(np.bincount(c, minlength=M)):
         at = np.flatnonzero(c == cls)
-        s[at] = expsums.class_sums(residues, period, B, cls, weights=weights)[m[at] // M]
+        s[at] = expsums.class_sums(residues, period, x, cls, weights=weights)[m[at] // M]
     np.negative(s.imag, out=s.imag, where=mirrored)
     return s
 
@@ -327,7 +327,8 @@ def test_half_class_parseval_equals_the_all_class_sum(data):
                                         max_size=60, unique=True)))
     with mock.patch.object(expsums, "BLOCK", block):
         assert expsums.split(period) == (block, M)
-        every = sum(float(np.sum(np.abs(expsums.class_sums(atoms, period, block, c)) ** 2))
+        x = np.empty(block, dtype=np.complex128)
+        every = sum(float(np.sum(np.abs(expsums.class_sums(atoms, period, x, c)) ** 2))
                     for c in range(M))
         half = checks._plancherel_sum(atoms, period)
     if M == 1:
