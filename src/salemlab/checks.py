@@ -62,21 +62,23 @@ def _verify_frequencies(params, j) -> np.ndarray:
     if period > top:
         rng = np.random.default_rng(params.seed ^ 0xA5A5)
         ks.append(rng.integers(top, period, size=4096, dtype=np.int64))
-    # sampled frequencies beyond the period exercise the min(1, .) regime
+    # the sample beyond the period feeds only the trivial bound, whose ratio
+    # is P-periodic, so it only reads more residues; it stays because the
+    # benchmark's reference pins the trivial bound's checked counts (71673
+    # and 67583 on desk, 61095 and 61096 on odd-base, seeds 7 and 11)
     rng = np.random.default_rng(params.seed ^ 0x5A5A)
     ks.append(rng.integers(period, period * 64, size=2048, dtype=np.int64))
     return expsums.sorted_unique(np.concatenate(ks))
 
 
 def _decay_screens(con: Construction, j: int) -> tuple[list, list]:
-    """The telescoping reports of j -> j + 1 (none at j = 0) and the trivial
-    bound cases of level j + 1, every window, all over the frequencies of j
-    at period N^(j+1), none of them 0: one plan of them serves the 2j + 3
-    screens and is dropped on return."""
+    """The telescoping reports of j -> j + 1, one per window, every residue
+    read (none at j = 0), and the trivial bound cases of level j + 1, every
+    window, over the nonzero frequencies of j at period N^(j+1): one plan of
+    them serves the j + 2 trivial-bound screens and is dropped on return."""
     params, lo, hi = con.params, con.levels[j], con.levels[j + 1]
+    reports = telescope_check(params, lo, hi) if j else []
     plan = expsums.Frequencies(_verify_frequencies(params, j), params.period(j + 1))
-    reports = [telescope_check(params, lo, hi, plan, ell=ell)
-               for ell in range(j + 1)] if j else []
     cases = [trivial_bound_check(params, hi, ell, plan) for ell in range(j + 2)]
     return reports, cases
 
@@ -117,9 +119,10 @@ def run_verification(con: Construction) -> list[dict]:
     checks.append(record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
                          worst_abs_error=worst, witness=witness))
 
-    # telescoping decay j -> j + 1 and the trivial bound of level j + 1, both
-    # over the frequencies of j; without a step from j >= 1 telescoping
-    # checks nothing, and its record says so (checked 0, no witness)
+    # telescoping decay j -> j + 1 at every residue and the trivial bound of
+    # level j + 1 over the frequencies of j; without a step from j >= 1
+    # telescoping checks nothing, and its record says so (checked 0, no
+    # witness)
     reports, cases = [], []
     for j in range(params.j_max):
         level_reports, level_cases = _decay_screens(con, j)

@@ -236,9 +236,10 @@ def child_digits(params: ConstructionParams, level: LevelSet, members,
 
 
 def rotation_sums(params: ConstructionParams, level: LevelSet, digits):
-    """The deviation sums of one draw's ``digits`` (one row of t last digits
-    per atom, as from ``child_digits``) over every residue mod P, class by
-    class: pairs (kb, sums), sums yielding s_ell(kb) for ell = 0, ..., j
+    """The deviation sums of ``digits``, one row of t last digits per atom
+    (a draw from ``child_digits`` in ``choose_rotations``, or the next saved
+    level's in ``spectral.telescope_check``), over every residue mod P, class
+    by class: pairs (kb, sums), sums yielding s_ell(kb) for ell = 0, ..., j
     lazily. With e(x) = exp(-2 pi i x), P = N^(j+1),
     Q = N^j, A_ell the atoms of mask ell and D_a the row of a,
 

@@ -1,13 +1,13 @@
 """Exponential sums and Fourier coefficients of the level measures.
 
 Integer-frequency coefficients come from the exact exponential sums of
-``expsums``: ``f_mu_hat`` by the direct sum, spectra and screens from the
-residue-class tables of the period through one plan of the frequencies
-(``expsums.Frequencies``), which refuses a period above
-``expsums.FFT_BUDGET``. Both decay bounds go
-through one screen (``_screen``): |S(k)| from the tables times one real
-factor per frequency, formed block by block, with the witnesses recomputed
-by the direct sum and the worst ratio reported.
+``expsums``: ``f_mu_hat`` by the direct sum, spectra and the trivial bound
+from the residue-class tables of the period through one plan of the
+frequencies (``expsums.Frequencies``), which refuses a period above
+``expsums.FFT_BUDGET``. The trivial bound screens |S(k)| times one real
+factor per frequency, block by block, and recomputes its witnesses by the
+direct sum. Telescoping decides every integer frequency: it reads the
+deviation sums of ``construction.rotation_sums`` at every residue.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expsums
-from .construction import LevelSet, deviation_measure, structured_mask
+from .construction import LevelSet, check_level_invariants, rotation_sums, structured_mask
 from .expsums import SpectralError, exp_sum, exp_sum_all  # noqa: F401 (re-export)
 from .floatrepr import WIDTH, float_rows, int_rows
 from .params import ConstructionParams
@@ -113,75 +113,63 @@ def _plan(ks, period):
 
 
 # ---------------------------------------------------------------------------
-# screens
+# decay checks
 
-def _screen(ks, period, points, weights, scale, ratio, *, envelope):
-    """The largest ``ratio``, its witness and the count over the nonzero
-    frequencies ``ks``, an array (k = 0 dropped) or a plan of them at
-    ``period`` (``expsums.Frequencies``) that several screens share.
-
-    The tables only screen: per block, scale * factor(k) * |S(k)| over the
-    weighted points, the factor |sin(pi k / P)| from the folded
-    min(k mod P, P - k mod P), divided by min(|k|, P) with ``envelope``;
-    ``_worst`` recomputes the k near the screened maximum by ``ratio``."""
-    if not isinstance(ks, expsums.Frequencies):
-        ks = np.asarray(ks, dtype=np.int64)
-        ks = ks[ks != 0]
-    plan = _plan(ks, period)
-    screened = np.empty(len(plan))
-    for at, sums in plan.sums(points, weights=weights):
-        k = plan.ks[at]
-        factor = k % period
-        np.minimum(factor, period - factor, out=factor)
-        factor = np.sin(np.pi / period * factor)
-        if envelope:
-            factor /= np.minimum(np.abs(k), period)
-        screened[at] = np.abs(sums) * factor
-    screened *= scale
-    worst_k, max_ratio = _worst(plan.ks, screened, ratio)
-    return {"max_ratio": max_ratio, "worst_k": worst_k, "checked": len(plan)}
-
-
-# ---------------------------------------------------------------------------
-# telescoping decay between consecutive levels
-
-def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet,
-                    ks, ell: int = 0) -> dict:
+def telescope_check(params: ConstructionParams, lo: LevelSet, hi: LevelSet) -> list[dict]:
     """Verify |coef_{j+1}(k) - coef_j(k)| against the level-step envelope
-    C * min(1, N^(j+1)/|k|) * t^(-(j+1)/2) * ln(8 N^(j+1)) with C = 2*c_rot.
-    The difference is prefactor(k, P) t^(-j) s(k), P = N^(j+1), s the sum of
-    the window's ``deviation_measure`` from level j to j+1: one table, no
-    cancellation. ``ks`` is an array or a plan at P (``_screen``), and
-    |prefactor(k, P)| / min(1, P/|k|) = |sin(pi k / P)| P / (pi min(|k|, P))
-    its screen factor. The record is the trivial bound's plus ``constant``."""
-    if hi.j != lo.j + 1:
-        raise ValueError("telescope_check needs consecutive levels")
-    j, t = lo.j, params.t
+    C * min(1, P/|k|) * t^(-(j+1)/2) * ln(8P), P = N^(j+1), C = 2*c_rot, at
+    every integer k != 0: one record per window ell = 0..j, for ``hi`` a
+    refinement of ``lo`` (``check_level_invariants``). The difference is
+    prefactor(k, P) t^(-j) s_ell(k), s_ell the window's deviation sum of
+    ``construction.rotation_sums`` (one table, no cancellation). As
+    |prefactor(k, P)| / min(1, P/|k|) = |sin(pi k/P)| P / (pi min(|k|, P))
+    and |s_ell(k)| = |s_ell(P - k)| is P-periodic, no k exceeds its folded
+    residue k' = min(k mod P, P - k mod P) <= P/2: each k' is read once,
+    ``worst_k`` is the first at the maximum and ``checked`` their count."""
+    check_level_invariants(params, lo, hi)
+    N, t, j = params.N, params.t, lo.j
     C = 2.0 * params.c_rot
     period = params.period(j + 1)
-    points, weights = deviation_measure(params, restricted_atoms(params, lo, ell),
-                                        restricted_atoms(params, hi, ell))
-
-    def ratio(ks):
-        s = exp_sum(points, ks, period, weights=weights)
-        lhs = np.abs(prefactor(ks, period) * s * float(t) ** -j)
-        envelope = np.minimum(1.0, period / np.abs(ks).astype(np.float64))
-        rhs = C * envelope * t ** (-(j + 1) / 2) * math.log(8 * period)
-        return lhs / rhs
-
     scale = float(t) ** -j * period / np.pi / (C * t ** (-(j + 1) / 2)
                                                * math.log(8 * period))
-    rep = _screen(ks, period, points, weights, scale, ratio, envelope=True)
-    return {"j": j, "ell": ell, "constant": C, **rep, "passed": rep["max_ratio"] < 1.0}
+    digits = (hi.atoms % N).reshape(len(lo.atoms), t)
+    peaks, witnesses, checked = [0.0] * (j + 1), [0] * (j + 1), 0
+    for kb, sums in rotation_sums(params, lo, digits):
+        skip = int(kb[0] == 0)      # k' = 0, read first in class 0
+        folded = np.minimum(kb[skip:], period - kb[skip:])
+        factor = np.sin(np.pi / period * folded) * scale / folded
+        checked += len(folded)
+        for ell, s in enumerate(sums):
+            ratio = np.abs(s[skip:]) * factor
+            i = int(ratio.argmax())
+            if ratio[i] > peaks[ell]:
+                peaks[ell], witnesses[ell] = float(ratio[i]), int(folded[i])
+    return [{"j": j, "ell": ell, "constant": C, "max_ratio": peak, "worst_k": k,
+             "checked": checked, "passed": peak < 1.0}
+            for ell, (peak, k) in enumerate(zip(peaks, witnesses))]
 
 
 def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
                         ks) -> dict:
-    """Check |coef(k)| <= N^j t^(-ell/2) / (pi |k|) over nonzero frequencies,
-    ``ks`` an array or a plan at the level's period P = N^j (``_screen``).
-    The ratio is |sin(pi k / P)| |S(k)| t^(ell/2 - j)."""
+    """Check |coef(k)| <= N^j t^(-ell/2) / (pi |k|) over the nonzero
+    frequencies ``ks``, an array (k = 0 dropped) or a shared plan of them at
+    the level's period P = N^j; none is a SpectralError. The tables screen
+    the ratio |S(k)| |sin(pi k / P)| t^(ell/2 - j), block by block, and
+    ``_worst`` recomputes the k near its maximum by the direct sum."""
     atoms = restricted_atoms(params, level, ell)
     period = params.period(level.j)
+    if not isinstance(ks, expsums.Frequencies):
+        ks = np.asarray(ks, dtype=np.int64)
+        ks = ks[ks != 0]
+    plan = _plan(ks, period)
+    if not plan.ks.any():
+        raise SpectralError("trivial_bound_check needs a nonempty set of nonzero frequencies")
+    screened = np.empty(len(plan))
+    for at, sums in plan.sums(atoms):
+        factor = plan.ks[at] % period
+        np.minimum(factor, period - factor, out=factor)
+        screened[at] = np.abs(sums) * np.sin(np.pi / period * factor)
+    screened *= float(params.t) ** (ell / 2 - level.j)
 
     def ratio(ks):
         coeffs = np.abs(_coefficients(params, level.j, ks, exp_sum(atoms, ks, period)))
@@ -192,18 +180,19 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
         )
         return coeffs / bound
 
-    rep = _screen(ks, period, atoms, 1.0, float(params.t) ** (ell / 2 - level.j),
-                  ratio, envelope=False)
-    return {"j": level.j, "ell": ell, **rep, "passed": rep["max_ratio"] <= 1.0 + 1e-12}
+    worst_k, max_ratio = _worst(plan.ks, screened, ratio)
+    return {"j": level.j, "ell": ell, "max_ratio": max_ratio, "worst_k": worst_k,
+            "checked": len(plan), "passed": max_ratio <= 1.0 + 1e-12}
 
 
-# Screening width of the witness refinement: the class tables agree with the
-# direct sum to about 1e-12 relative, far inside this window.
+# Screening width of the trivial bound's witness refinement: the tables
+# agree with the direct sum to about 1e-12 relative, far inside this window.
 _WITNESS_WINDOW = 1e-9
 
 
 def _worst(ks, screened, ratio):
-    """(k, ratio(k)) at the largest ``ratio`` over the frequencies ``ks``.
+    """(k, ratio(k)) at the largest ``ratio`` over the frequencies ``ks``,
+    for the trivial bound, whose sampled records the benchmark pins.
 
     ``screened`` is the ratio read from the class tables, and only screens.
     Every k whose screened ratio lies within a relative ``_WITNESS_WINDOW`` of

@@ -90,20 +90,14 @@ def test_criterion_04_normalization(desk_params, desk):
 
 def test_criterion_05_telescoping(desk_params, desk):
     t0 = time.monotonic()
-    rng = np.random.default_rng(5)
-    exhaustive = np.arange(1, 2**20, dtype=np.int64)
-    beyond = np.unique(rng.integers(2**20, 2**26, size=8192, dtype=np.int64))
     worst = 0.0
     ok = True
     for j in range(1, 5):
-        for ell in range(0, j + 1):
-            for ks in (exhaustive, beyond):
-                rep = telescope_check(desk_params, desk.levels[j],
-                                      desk.levels[j + 1], ks, ell=ell)
-                worst = max(worst, rep["max_ratio"])
-                ok = ok and rep["passed"]
+        for rep in telescope_check(desk_params, desk.levels[j], desk.levels[j + 1]):
+            worst = max(worst, rep["max_ratio"])
+            ok = ok and rep["passed"]
     elapsed = time.monotonic() - t0
-    report(5, "level-step decay bound, C = 2 c_rot, |k| < 2^20 + beyond",
+    report(5, "level-step decay bound, C = 2 c_rot, at every integer k",
            ok and elapsed < 120.0, f"max ratio {worst:.2e}, {elapsed:.0f}s")
 
 

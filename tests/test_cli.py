@@ -153,13 +153,32 @@ def test_verify_records_are_pinned(built):
     tele = by_name["telescoping"]
     assert tele["max_ratio"] == pytest.approx(3.4342190736385464e-05, rel=1e-9)
     assert tele["witness"] == {"j": 2, "ell": 0, "k": 180}
-    # the frequencies screened over (j, ell) = (1, 0..1) and (2, 0..2)
-    assert tele["checked"] == 22766
+    # the residues read over (j, ell) = (1, 0..1) and (2, 0..2): every pair
+    # {k, P - k}, k != 0, of P = 16^2 and 16^3 once per window
+    assert tele["checked"] == 2 * 128 + 3 * 2048
     for name, worst in VERIFY_WORST.items():
         assert by_name[name]["worst"] == pytest.approx(worst, rel=1e-9), name
     ball = by_name["ball-condition"]
     assert ball["sup_adic"] == 1.0
     assert ball["sup_window"] == pytest.approx(1.414213562373095, rel=1e-9)
+
+
+def test_failing_telescoping_names_its_witness(built, capsys):
+    # in verify only telescoping reads c_rot: at 0.01 its constant C = 2 c_rot
+    # is far below the ratios read at the default 6144
+    path = built / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"]["c_rot"] = 0.01
+    path.write_text(json.dumps(manifest))
+    assert main(["verify", str(built)]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL telescoping [2.7/2.8]"]
+    # the ratios scale by 6144 / 0.01, so the witness is the one pinned above
+    assert captured.err == "verify: FAILED telescoping: {'j': 2, 'ell': 0, 'k': 180}\n"
+    tele = json.loads(path.read_text())["checks"][3]
+    assert tele["witness"] == {"j": 2, "ell": 0, "k": 180}
+    assert tele["max_ratio"] == pytest.approx(3.4342190736385464e-05 * 614400, rel=1e-9)
 
 
 def test_verify_keeps_the_construct_audit(built):

@@ -14,7 +14,7 @@ from salemlab import (
 )
 from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
-from salemlab.construction import deviation_measure
+from salemlab.construction import ConstructionError, deviation_measure
 from salemlab.spectral import Spectrum, exp_sum_all, prefactor
 from _oracles import f_mu_hat_real
 
@@ -473,17 +473,27 @@ def test_hypot_is_abs_of_complex_on_the_desk_level_4_spectra(desk_params, desk):
 
 
 def test_telescope_bounds_hold(desk_params, desk):
-    ks = np.arange(1, 2**14, dtype=np.int64)
     for j in range(1, 5):
-        for ell in range(0, j + 1):
-            rep = telescope_check(desk_params, desk.levels[j],
-                                  desk.levels[j + 1], ks, ell=ell)
-            assert rep["passed"], (j, ell, rep["max_ratio"], rep["worst_k"])
+        reps = telescope_check(desk_params, desk.levels[j], desk.levels[j + 1])
+        assert [rep["ell"] for rep in reps] == list(range(j + 1))
+        for rep in reps:
+            assert rep["passed"], (j, rep["ell"], rep["max_ratio"], rep["worst_k"])
+            # every residue pair {k, P - k}, k != 0, read once
+            assert rep["checked"] == desk_params.period(j + 1) // 2
 
 
 def test_telescope_needs_consecutive_levels(desk_params, desk):
-    with pytest.raises(ValueError, match="consecutive"):
-        telescope_check(desk_params, desk.levels[1], desk.levels[3], [1, 2])
+    with pytest.raises(ConstructionError, match="nesting breach"):
+        telescope_check(desk_params, desk.levels[1], desk.levels[3])
+
+
+@pytest.mark.parametrize("ks", [[0], [], np.zeros(3, dtype=np.int64)])
+def test_trivial_bound_needs_a_nonzero_frequency(desk_params, desk, ks):
+    # as an array (k = 0 dropped) and as a plan at the level's period
+    level = desk.levels[2]
+    for given in (ks, expsums.Frequencies(ks, desk_params.period(2))):
+        with pytest.raises(SpectralError, match="nonempty set of nonzero frequencies"):
+            trivial_bound_check(desk_params, level, 1, given)
 
 
 def test_trivial_bound(desk_params, desk):
@@ -509,19 +519,16 @@ def test_one_level_4_spectrum_stays_small(desk_params, desk):
 
 
 def test_one_level_4_telescoping_screen_stays_small(desk_params, desk):
-    # the screen is |S(k)| times one real factor, formed and written block
-    # by block: 6.84 MiB when each screen formed the complex prefactor over
-    # the set, 3.75 MiB with the factors held over the set, and here the
-    # screen builds its own plan
-    ks = _verify_frequencies(desk_params, 4)
+    # the step 4 -> 5 reads every residue of P = 16^5 class by class, with
+    # the five windows' tables of one class held at a time: about 1.6 MiB
     tracemalloc.start()
     try:
-        rep = telescope_check(desk_params, desk.levels[4], desk.levels[5], ks)
+        reps = telescope_check(desk_params, desk.levels[4], desk.levels[5])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep["passed"]
-    assert peak < 3.25 * 2**20
+    assert all(rep["passed"] for rep in reps)
+    assert peak < 2 * 2**20
 
 
 def test_decay_report_shape():
@@ -601,25 +608,37 @@ def test_trivial_bound_witness_is_the_direct_one(odd_base):
     assert rep["worst_k"] == ks[ratio.argmax()]
 
 
-def test_telescope_witness_is_the_direct_one(odd_base):
-    params, con = odd_base
-    lo, hi = con.levels[4], con.levels[5]
-    ks = _verify_frequencies(params, 4)
-    rep = telescope_check(params, lo, hi, ks, ell=4)
-    ks = ks[ks != 0]
-    # the signed measure: +1/t on the window's points at level 5, -1/N on
-    # every child of its points at level 4
-    parents = restricted_atoms(params, lo, 4)
-    points = np.concatenate([restricted_atoms(params, hi, 4),
-                             (parents[:, None] * 9 + np.arange(9)).ravel()])
-    weights = np.concatenate([np.full(4 * len(parents), 1 / 4),
-                              np.full(9 * len(parents), -1 / 9)])
-    sums = exp_sum(points, ks, 9**5, weights=weights)
-    envelope = np.minimum(1.0, 9**5 / np.abs(ks).astype(np.float64))
-    rhs = rep["constant"] * envelope * 4 ** (-5 / 2) * math.log(8 * 9**5)
-    ratio = np.abs(prefactor(ks, 9**5) * sums * 4.0 ** -4) / rhs
-    assert rep["max_ratio"] == ratio.max()
-    assert rep["worst_k"] == ks[ratio.argmax()]
+@pytest.mark.parametrize("N0", [4, 3], ids=["even-base", "odd-base"])
+def test_telescope_records_are_the_whole_line_maxima(N0):
+    # each window's record against an independent scan of the coefficient
+    # difference over the envelope bound at every k in [-4P, 4P] \ {0}: the
+    # ratio is largest at a folded residue k' <= P/2, where it is read
+    params = derive_params(N0, 2, 1, j_max=3, seed=7)
+    con = build_construction(params)
+    for lo, hi in zip(con.levels[:-1], con.levels[1:]):
+        j, P, t = lo.j, params.period(lo.j + 1), params.t
+        ks = np.arange(-4 * P, 4 * P + 1, dtype=np.int64)
+        ks = ks[ks != 0]
+        reps = telescope_check(params, lo, hi)
+        assert [rep["ell"] for rep in reps] == list(range(j + 1))
+        for rep in reps:
+            ell = rep["ell"]
+            diff = np.abs(f_mu_hat(params, hi, ell, ks) - f_mu_hat(params, lo, ell, ks))
+            rhs = (2 * params.c_rot * np.minimum(1.0, P / np.abs(ks))
+                   * t ** (-(j + 1) / 2) * math.log(8 * P))
+            ratio = diff / rhs
+            k = abs(int(ks[ratio.argmax()])) % P
+            assert rep["max_ratio"] == pytest.approx(ratio.max(), rel=1e-12)
+            assert rep["worst_k"] == min(k, P - k)
+            assert rep["checked"] == P // 2
+
+
+def test_telescope_reads_the_whole_period_maximum(desk_params, desk):
+    # desk seed 7, step 4 -> 5, window 2: the maximum over k = 1..P - 1 of a
+    # direct scan of the deviation measure is 1.2716e-5; a sample of 72k
+    # frequencies read 1.2024e-5
+    rep = telescope_check(desk_params, desk.levels[4], desk.levels[5])[2]
+    assert rep["max_ratio"] == pytest.approx(1.2716183401837e-05, rel=1e-9)
 
 
 @pytest.mark.parametrize("N0", [4, 3], ids=["even-base", "odd-base"])
@@ -663,28 +682,31 @@ def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
 
 @pytest.mark.parametrize("config", ["desk", "odd_base"])
 def test_verify_screens_equal_the_checks_called_alone(request, monkeypatch, config):
-    # every telescoping and trivial-bound report of run_verification, read
-    # through the plan its level shares, equals the same check given the
-    # raw frequency array
+    # every trivial-bound report of run_verification, read through the plan
+    # its level shares, equals the same check given the raw frequency array,
+    # and the telescoping record is the worst of its per-window reports
     if config == "desk":
         params, con = request.getfixturevalue("desk_params"), request.getfixturevalue("desk")
     else:
         params, con = request.getfixturevalue("odd_base")
-    seen = []
+    seen = {}
     for name in ("telescope_check", "trivial_bound_check"):
         def traced(*args, check=getattr(checks, name), **kwargs):
-            seen.append((check, args, kwargs, check(*args, **kwargs)))
-            return seen[-1][-1]
+            seen.setdefault(check, []).append((args, kwargs, check(*args, **kwargs)))
+            return seen[check][-1][-1]
         monkeypatch.setattr(checks, name, traced)
     records = {r["name"]: r for r in checks.run_verification(con)}
-    assert len(seen) == sum(2 * j + 3 for j in range(params.j_max)) - 1
-    for check, args, kwargs, got in seen:
+    assert len(seen[trivial_bound_check]) == sum(j + 2 for j in range(params.j_max))
+    for args, kwargs, got in seen[trivial_bound_check]:
         plan = args[3]
         assert isinstance(plan, expsums.Frequencies)
         j = next(j for j in range(params.j_max) if params.period(j + 1) == plan.period)
-        alone = check(*args[:3], _verify_frequencies(params, j), **kwargs)
-        assert alone == got
-    telescoping = [got for check, *_, got in seen if check is telescope_check]
+        assert trivial_bound_check(*args[:3], _verify_frequencies(params, j), **kwargs) == got
+    # telescoping reads no plan: one call per step j -> j + 1, j >= 1
+    assert [args[1].j for args, _, _ in seen[telescope_check]] == list(range(1, params.j_max))
+    telescoping = [rep for *_, reps in seen[telescope_check] for rep in reps]
     worst = max(telescoping, key=lambda r: r["max_ratio"])
-    assert records["telescoping"]["max_ratio"] == worst["max_ratio"]
-    assert records["telescoping"]["witness"]["k"] == worst["worst_k"]
+    record = records["telescoping"]
+    assert record["max_ratio"] == worst["max_ratio"]
+    assert record["witness"] == {"j": worst["j"], "ell": worst["ell"], "k": worst["worst_k"]}
+    assert record["checked"] == sum(rep["checked"] for rep in telescoping)
