@@ -7,6 +7,9 @@ passes, and its ``worst`` is the first case at the extreme of ``worst_by``.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,40 @@ from .spectral import f_mu_hat, restricted_atoms, telescope_check, trivial_bound
 
 def record(name: str, inequality: str, passed, **detail) -> dict:
     return {"name": name, "inequality": inequality, "passed": bool(passed), **detail}
+
+
+@contextlib.contextmanager
+def forked(fn):
+    """Run ``fn()`` in a forked child while the with-block runs; its ``join``
+    reads the child's pipe to the end and returns fn's result or raises its
+    exception, with its type. Leaving the block kills and reaps the child."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:    # the child never returns, and never flushes stdio
+        try:
+            with open(write, "wb") as out:
+                try:
+                    out.write(pickle.dumps((None, fn())))
+                except BaseException as exc:
+                    out.write(pickle.dumps((exc, None)))
+        finally:
+            os._exit(0)
+    os.close(write)
+
+    def join():
+        data = pipe.read()
+        if not data:
+            raise ChildProcessError(f"forked child {pid} ended without a result")
+        error, result = pickle.loads(data)
+        if error is not None:
+            raise error
+        return result
+    try:
+        with open(read, "rb") as pipe:
+            yield join
+    finally:
+        os.kill(pid, 9)     # SIGKILL
+        os.waitpid(pid, 0)
 
 
 def gate(name: str, inequality: str, cases: list[dict], worst_by) -> dict:
@@ -94,77 +131,75 @@ def run_verification(con: Construction) -> list[dict]:
                        error=str(exc))]
     checks = [record("construction-invariants", "nesting/cardinality", True)]
 
-    # Parseval per level; the witness is the first level at the largest error
-    errors = []
-    for level in con.levels:
-        period = params.period(level.j)
-        expected = period * len(level.atoms)
-        errors.append(abs(_plancherel_sum(level.atoms, period) - expected) / expected)
-    worst = max(errors)
-    checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst,
-                         witness={"j": errors.index(worst)}))
-
-    # normalization and window masses: the coefficient at 0 and the exact
-    # atom count of each window; the witness is the first window whose count
-    # is off, else the first at the largest error
-    cases = []
-    for level in con.levels:
-        for ell in range(level.j + 1):
-            coef = f_mu_hat(params, level, ell, 0)
-            cases.append((direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
-                          abs(complex(coef) - float(params.t) ** (-ell / 2)),
-                          {"j": level.j, "ell": ell}))
-    wrong, _, witness = max(cases, key=lambda case: case[:2])
-    worst = max(error for _, error, _ in cases)
-    checks.append(record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
-                         worst_abs_error=worst, witness=witness))
-
-    # telescoping decay j -> j + 1 at every residue and the trivial bound of
-    # level j + 1 over the frequencies of j; without a step from j >= 1
-    # telescoping checks nothing, and its record says so (checked 0, no
-    # witness)
-    reports, cases = [], []
-    for j in range(params.j_max):
-        level_reports, level_cases = _decay_screens(con, j)
-        reports += level_reports
-        cases += level_cases
-    worst = max(reports, key=lambda r: r["max_ratio"], default=None)
-    checks.append(record(
-        "telescoping", "2.7/2.8", all(r["passed"] for r in reports),
-        max_ratio=worst and worst["max_ratio"],
-        witness=worst and {"j": worst["j"], "ell": worst["ell"], "k": worst["worst_k"]},
-        checked=sum(r["checked"] for r in reports),
-    ))
-
-    checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
-
-    # energy lower bound; the interpolation chain below rereads the top-level
-    # tables of its order from the memo of sum_distribution
-    cases = []
-    for level in con.levels:
-        for ell in range(0, level.j + 1):
-            for r in (2, 3):
-                table = sum_distribution(restricted_atoms(params, level, ell), r)
-                case = energy_case(params, level, ell, r, table)
-                cases.append({k: case[k] for k in ("j", "ell", "r", "slack", "passed")})
-    checks.append(gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"]))
-
-    # interpolation chain at the top level
+    # the interpolation chain at the top level runs in a forked child
     top = con.levels[-1]
-    cases = sorted(
-        ({"ell": rep["ell"], "p": p, "slack": rep["slack"],
-          "passed": rep["chain_holds"] and rep["bound_3_1_holds"]}
-         for p in (2, 3) for rep in holder_chain_check(
-             params, top, range(min(top.j, 2) + 1), p, pick_r(params, 4))),
-        key=lambda c: c["ell"])
-    checks.append(gate("holder-chain", "3.1", cases, lambda c: c["slack"]))
+    with forked(lambda: [rep for p in (2, 3) for rep in holder_chain_check(
+            params, top, range(min(top.j, 2) + 1), p, pick_r(params, 4))]) as chain:
+        # Parseval per level; the witness is the first level at the largest error
+        errors = []
+        for level in con.levels:
+            period = params.period(level.j)
+            expected = period * len(level.atoms)
+            errors.append(abs(_plancherel_sum(level.atoms, period) - expected) / expected)
+        worst = max(errors)
+        checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst,
+                             witness={"j": errors.index(worst)}))
 
-    # ball condition
-    rep = ball_condition_report(params, top)
-    checks.append(record(
-        "ball-condition", "frostman",
-        rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
-        sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
-        witness={"adic": rep["sup_adic_witness"], "window": rep["sup_window_witness"]},
-    ))
+        # normalization and window masses: the coefficient at 0 and the exact
+        # atom count of each window; the witness is the first window whose count
+        # is off, else the first at the largest error
+        cases = []
+        for level in con.levels:
+            for ell in range(level.j + 1):
+                coef = f_mu_hat(params, level, ell, 0)
+                cases.append((direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
+                              abs(complex(coef) - float(params.t) ** (-ell / 2)),
+                              {"j": level.j, "ell": ell}))
+        wrong, _, witness = max(cases, key=lambda case: case[:2])
+        worst = max(error for _, error, _ in cases)
+        checks.append(record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
+                             worst_abs_error=worst, witness=witness))
+
+        # telescoping decay j -> j + 1 at every residue and the trivial bound of
+        # level j + 1 over the frequencies of j; without a step from j >= 1
+        # telescoping checks nothing, and its record says so (checked 0, no
+        # witness)
+        reports, cases = [], []
+        for j in range(params.j_max):
+            level_reports, level_cases = _decay_screens(con, j)
+            reports += level_reports
+            cases += level_cases
+        worst = max(reports, key=lambda r: r["max_ratio"], default=None)
+        checks.append(record(
+            "telescoping", "2.7/2.8", all(r["passed"] for r in reports),
+            max_ratio=worst and worst["max_ratio"],
+            witness=worst and {"j": worst["j"], "ell": worst["ell"], "k": worst["worst_k"]},
+            checked=sum(r["checked"] for r in reports),
+        ))
+
+        checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
+
+        # energy lower bound
+        cases = []
+        for level in con.levels:
+            for ell in range(0, level.j + 1):
+                for r in (2, 3):
+                    table = sum_distribution(restricted_atoms(params, level, ell), r)
+                    case = energy_case(params, level, ell, r, table)
+                    cases.append({k: case[k] for k in ("j", "ell", "r", "slack", "passed")})
+        checks.append(gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"]))
+
+        # ball condition
+        rep = ball_condition_report(params, top)
+        checks.append(record(
+            "ball-condition", "frostman",
+            rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
+            sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
+            witness={"adic": rep["sup_adic_witness"], "window": rep["sup_window_witness"]},
+        ))
+        # the chain's record goes back in its place
+        cases = sorted(({"ell": rep["ell"], "p": rep["p"], "slack": rep["slack"],
+                         "passed": rep["chain_holds"] and rep["bound_3_1_holds"]}
+                        for rep in chain()), key=lambda c: c["ell"])
+        checks.insert(6, gate("holder-chain", "3.1", cases, lambda c: c["slack"]))
     return checks

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import energy_case, gate, record, run_verification
+from .checks import energy_case, forked, gate, record, run_verification
 from .construction import ConstructionError, build_construction
 from .energy import EnergyError, sum_distribution
 from .expsums import Frequencies
@@ -125,67 +125,68 @@ def cmd_analyze(args) -> int:
     level = con.levels[j]
     lmax = min(args.lmax, j)
 
-    if args.spectrum or args.decay:
-        # the spectra share one plan of the frequencies, and each is dropped
-        # before the next; --decay reads |coef| of the ell = 0 spectrum that
-        # --spectrum writes (decay_report drops k = 0)
-        plan = Frequencies(np.arange(args.kmax, dtype=np.int64), params.period(j))
-        for ell in range(0, lmax + 1 if args.spectrum else 1):
-            spec = compute_spectrum(params, level, plan, ell=ell)
-            if ell == 0 and args.decay:
-                decay = decay_report(plan.ks, spec.coefficients, args.beta)
-            if args.spectrum:
-                name = f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
-                spec.to_csv(out_dir / name)
-                manifest["outputs"].append(str(out_dir / name))
-            del spec
-        del plan
+    # the spectra share one plan of the frequencies; a forked child writes those of
+    # ell >= 1 beside the rest, each dropped before the next. --decay reads |coef|
+    # of the ell = 0 spectrum that --spectrum writes (decay_report drops k = 0)
+    plan = (Frequencies(np.arange(args.kmax, dtype=np.int64), params.period(j))
+            if args.spectrum or args.decay else None)
+    paths = [out_dir / f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
+             for ell in range(lmax + 1 if args.spectrum else 0)]
 
-    if args.decay:
-        path = out_dir / f"decay_mu_j{j}.json"
-        write_json(path, asdict(decay))
-        manifest["outputs"].append(str(path))
+    def write_spectra(ells):
+        for ell in ells:
+            compute_spectrum(params, level, plan, ell=ell).to_csv(paths[ell])
 
-    if args.energy:
-        rows = [
-            energy_case(params, level, ell, r,
-                        sum_distribution(restricted_atoms(params, level, ell), r))
-            for ell in range(0, lmax + 1) for r in args.r
-        ]
-        path = out_dir / f"energy_j{j}.json"
-        write_json(path, rows)
-        manifest["outputs"].append(str(path))
-        manifest["checks"].append(
-            gate("energy-lower-bound", "3.2/3.3", rows, lambda c: c["slack"])
-        )
+    with forked(lambda: write_spectra(range(1, len(paths)))) as spectra:
+        if plan is not None:
+            spec = compute_spectrum(params, level, plan, ell=0)
+            if paths:
+                spec.to_csv(paths[0])
+            manifest["outputs"] += map(str, paths)
+            if args.decay:
+                path = out_dir / f"decay_mu_j{j}.json"
+                write_json(path, asdict(decay_report(plan.ks, spec.coefficients, args.beta)))
+                manifest["outputs"].append(str(path))
+            del spec, plan
 
-    # one lattice pass per p serves every window; rows stay in window order
-    ells = range(0, lmax + 1)
-    if args.norms:
-        rows = sorted(({**asdict(est), "j": j, "ell": ell} for p in args.p
-                       for ell, est in zip(ells, lp_norm(params, level, ells, p))),
-                      key=lambda row: row["ell"])
-        path = out_dir / f"norms_j{j}.json"
-        write_json(path, rows)
-        manifest["outputs"].append(str(path))
+        if args.energy:
+            rows = [energy_case(params, level, ell, r,
+                                sum_distribution(restricted_atoms(params, level, ell), r))
+                    for ell in range(0, lmax + 1) for r in args.r]
+            path = out_dir / f"energy_j{j}.json"
+            write_json(path, rows)
+            manifest["outputs"].append(str(path))
+            manifest["checks"].append(gate("energy-lower-bound", "3.2/3.3", rows,
+                                           lambda c: c["slack"]))
 
-    if args.ratio:
-        reports = sorted((rep for p in args.p
-                          for rep in restriction_ratio(params, level, ells, p, args.q)),
-                         key=lambda rep: rep.ell)
-        lines = ["ell,p,q,numerator,denominator,ratio,bound_3_1,slack"] + [
-            f"{rep.ell},{rep.p},{rep.q},{rep.numerator!r},{rep.denominator!r},"
-            f"{rep.ratio!r},{rep.bound_3_1!r},{rep.slack!r}" for rep in reports]
-        reps = [asdict(rep) for rep in reports]
-        path = out_dir / f"ratios_j{j}.csv"
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        jpath = out_dir / f"ratios_j{j}.json"
-        write_json(jpath, reps)
-        manifest["outputs"] += [str(path), str(jpath)]
-        cases = [{**rep, "passed": rep["slack"] >= 0} for rep in reps]
-        manifest["checks"].append(
-            gate("ratio-lower-bound", "3.1", cases, lambda c: c["slack"])
-        )
+        # one lattice pass per p serves every window; rows stay in window order
+        ells = range(0, lmax + 1)
+        if args.norms:
+            rows = sorted(({**asdict(est), "j": j, "ell": ell} for p in args.p
+                           for ell, est in zip(ells, lp_norm(params, level, ells, p))),
+                          key=lambda row: row["ell"])
+            path = out_dir / f"norms_j{j}.json"
+            write_json(path, rows)
+            manifest["outputs"].append(str(path))
+
+        if args.ratio:
+            reports = sorted((rep for p in args.p
+                              for rep in restriction_ratio(params, level, ells, p, args.q)),
+                             key=lambda rep: rep.ell)
+            lines = ["ell,p,q,numerator,denominator,ratio,bound_3_1,slack"] + [
+                f"{rep.ell},{rep.p},{rep.q},{rep.numerator!r},{rep.denominator!r},"
+                f"{rep.ratio!r},{rep.bound_3_1!r},{rep.slack!r}" for rep in reports]
+            reps = [asdict(rep) for rep in reports]
+            path = out_dir / f"ratios_j{j}.csv"
+            atomic_write_text(path, "\n".join(lines) + "\n")
+            jpath = out_dir / f"ratios_j{j}.json"
+            write_json(jpath, reps)
+            manifest["outputs"] += [str(path), str(jpath)]
+            cases = [{**rep, "passed": rep["slack"] >= 0} for rep in reps]
+            manifest["checks"].append(gate("ratio-lower-bound", "3.1", cases,
+                                           lambda c: c["slack"]))
+
+        spectra()
 
     manifest["thresholds"] = thresholds(params.alpha, beta=params.alpha, q=args.q)
     print(f"analyze: {len(manifest['outputs'])} report files in {out_dir}")

@@ -247,24 +247,24 @@ def rotation_sums(params: ConstructionParams, level: LevelSet, digits):
 
     the sum at period P of the ``deviation_measure`` of A_ell and its
     children C_ell = {aN + d : a in A_ell, d in D_a}, as written. So
-    s_ell(P - k) = conj s_ell(k): the j + 1 measures are built once and read
-    by one table each per class of ``expsums.half_classes``, a class that is
-    its own mirror (c = 0, c = M/2) only at k <= P/2, so that each pair of
-    twins k, P - k is read once. A period above ``expsums.FFT_BUDGET`` is a
-    SpectralError at the first block, before any measure is built.
+    s_ell(P - k) = conj s_ell(k): A_0's measure is built once, and each
+    class of ``expsums.half_classes`` reads one table per window's mask of
+    it, a class that is its own mirror (c = 0, c = M/2) only at k <= P/2, so
+    that each pair of twins k, P - k is read once. A period above
+    ``expsums.FFT_BUDGET`` is a SpectralError before the measure is built.
     """
     N, j = params.N, level.j
     period = N ** (j + 1)
     expsums.split(period)
-    measures = []
-    for ell in range(j + 1):
-        mask = structured_mask(params, level, ell)
-        a = level.atoms[mask]
-        measures.append(deviation_measure(params, a, (a[:, None] * N + digits[mask]).ravel()))
+    points, weights = deviation_measure(
+        params, level.atoms, (level.atoms[:, None] * N + digits).ravel())
+    # the measure's rows of t kept points, then of N children, per atom
+    masks = [np.concatenate([np.repeat(mask, params.t), np.repeat(mask, N)])
+             for mask in (structured_mask(params, level, ell) for ell in range(j + 1))]
     for kb, table, mirrored in half_classes(period):
         # a class that is its own mirror holds both twins k and P - k
         n = len(kb) if mirrored else np.searchsorted(kb, period // 2, side="right")
-        yield kb[:n], (table(points, weights=weights)[:n] for points, weights in measures)
+        yield kb[:n], (s[:n] for s in table(points, weights=weights, masks=masks))
 
 
 def choose_rotations(params: ConstructionParams, level: LevelSet, members,

@@ -37,9 +37,9 @@ class EnergyTable:
     support_size: int
 
 
-# Tables kept by the memo of ``sum_distribution``. verify builds one per
-# window and order, and its interpolation chain rereads the 2(j_max + 1)
-# top-level ones; j_max + 1 <= 19 for every accepted base, so 64 keeps them.
+# Tables kept by the memo of ``sum_distribution``. analyze's norms and ratios
+# reread the 2(lmax + 1) of its energy rows, lmax <= j_max < 19 for every
+# accepted base, and verify's interpolation chain its own across p: 64 keeps them.
 _TABLES_KEPT = 64
 
 

@@ -8,8 +8,8 @@ once into the residue classes k = c + M m, m < B, of P = B M (``split``,
 B <= ``BLOCK``), each class one length-B FFT (``class_sums``, the one table
 kernel); a whole period its classes c <= M/2 (``half_classes``), which
 decide every k as S(P - k) = conj S(k). Each pass over the classes scatters
-into one length-B array of its own; every table is a fresh FFT output.
-Every table refuses a period above ``FFT_BUDGET`` through ``split``.
+into one length-B array of its own, transformed in place: a table is valid
+until the next table of its pass. ``split`` refuses a period above ``FFT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -81,27 +81,32 @@ def split(n):
     return B, n // B
 
 
-def class_sums(atoms, n, x, c, *, weights=1.0):
-    """S(k) of period n at k = c + (n // B) m, m < B = len(x): the FFT of the
-    weighted atoms aliased mod B into the scatter array x, which is
-    overwritten, twiddled by e(a c / n) of exact residues (the four-step
-    split of D. H. Bailey, J. Supercomputing 4, 1990)."""
-    x.fill(0)
-    np.add.at(x, atoms % len(x), _unit(_mulmod(atoms, c, n), n) * weights)
-    return np.fft.fft(x)
+def class_sums(atoms, n, x, c, *, weights=1.0, masks=None):
+    """S(k) of period n at k = c + (n // B) m, m < B = len(x): the FFT, in
+    place in the scatter array x, of the weighted atoms aliased mod B and
+    twiddled by e(a c / n) of exact residues (the four-step split of D. H.
+    Bailey, J. Supercomputing 4, 1990). With ``masks``, one table per mask
+    of the atoms, lazily, each scattering its slice of the same twiddles."""
+    terms, rows = _unit(_mulmod(atoms, c, n), n) * weights, atoms % len(x)
+
+    def table(at):
+        x.fill(0)
+        np.add.at(x, rows[at], terms[at])
+        return np.fft.fft(x, out=x)
+    return table(slice(None)) if masks is None else map(table, masks)
 
 
 def half_classes(period):
-    """(ks, sums, mirrored), sums(atoms, weights=w) = S(ks), per class
-    c <= M/2 of ``split(period)`` (M = 1: c = 0 and ks = [0, period));
-    together they decide every k. ``mirrored`` is 0 < 2c < M: the class also
-    stands for its mirror M - c, whose sums are the conjugates."""
+    """(ks, sums, mirrored), sums(atoms, weights=w, masks=m) = S(ks) by
+    ``class_sums``, per class c <= M/2 of ``split(period)`` (M = 1: c = 0,
+    ks = [0, period)); together they decide every k. ``mirrored`` is 0 < 2c
+    < M: the class also stands for its mirror M - c, of conjugate sums."""
     B, M = split(period)
     x = np.empty(B, dtype=np.complex128)
     for c in range(M // 2 + 1):
         ks = c + M * np.arange(B, dtype=np.int64)
-        yield ks, lambda atoms, c=c, *, weights=1.0: class_sums(
-            atoms, period, x, c, weights=weights), 0 < 2 * c < M
+        yield ks, lambda atoms, c=c, *, weights=1.0, masks=None: class_sums(
+            atoms, period, x, c, weights=weights, masks=masks), 0 < 2 * c < M
 
 
 class Frequencies:

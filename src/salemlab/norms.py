@@ -20,11 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import LevelSet
+from .construction import LevelSet, structured_mask
 from .energy import exact_l2r_norm, l2r_lower_bound
 from .expsums import half_classes, split
 from .params import ConstructionParams
-from .spectral import restricted_atoms
 
 
 class NormError(RuntimeError):
@@ -168,8 +167,8 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     The n_per = 4 N^j samples of a period are read in the residue classes
     i = c + M m, m < B, of ``expsums.split``, one length-B FFT each. |T| is
     even, so only the classes c <= M/2 are evaluated
-    (``expsums.half_classes``), each one's weights
-    dotted with |T|^p of every window. Class c samples eta = m / B + delta,
+    (``expsums.half_classes``), each one's weights dotted with |T|^p of
+    every window, a mask of the level's atoms. Class c samples eta = m / B + delta,
     delta = c / n_per <= 1 / (2B): the weights of every period past the
     first come by Horner in delta from one ``_weight_table`` on the grid
     m / B.
@@ -190,18 +189,18 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     n_per = period * _SAMPLES_PER_UNIT
     B, M = split(n_per)
     table = _weight_table(p, B, M // 2 / n_per)
-    windows = [restricted_atoms(params, level, ell) for ell in ells]
+    windows = [structured_mask(params, level, ell) for ell in ells]
     tj = float(params.t) ** (-j)
     # the origin counts once; lattice points at nonzero multiples of the
     # period carry sin = 0 and drop out, and -xi doubles the rest
-    head = [(len(atoms) * tj) ** p for atoms in windows]
+    head = [(int(np.count_nonzero(mask)) * tj) ** p for mask in windows]
     tail = [0.0] * len(windows)
     for ks, sums, mirrored in half_classes(n_per):
         c = int(ks[0])
         skip = int(c == 0)
         head_w, tail_w = _class_weights(table, c, n_per, p, folded=mirrored)
-        for w, atoms in enumerate(windows):
-            A = (np.abs(sums(atoms)[skip:]) * tj) ** p
+        for w, s in enumerate(sums(level.atoms, masks=windows)):
+            A = (np.abs(s[skip:]) * tj) ** p
             head[w] += 2.0 * float(np.dot(A, head_w))
             tail[w] += 2.0 * float(np.dot(A, tail_w))
     # 2 (N^j env_peak / pi)^p K^(1-p) / (p - 1), with no large power formed
@@ -238,7 +237,7 @@ def lq_mass(params: ConstructionParams, ell: int, q: float) -> dict:
 def direct_mass(params: ConstructionParams, level: LevelSet, ell: int) -> Fraction:
     """Window mass by direct atom counting; equals t^(-ell/2) exactly for a
     valid construction."""
-    count = len(restricted_atoms(params, level, ell))
+    count = int(np.count_nonzero(structured_mask(params, level, ell)))
     return Fraction(count, params.t**level.j)
 
 

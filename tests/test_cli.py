@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
 import json
+import os
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -423,6 +427,68 @@ def test_verify_records_a_vacuous_telescoping(tmp_path, capsys, j_max):
     checks = json.loads((out / "manifest.json").read_text())["checks"]
     assert checks[3] == {"name": "telescoping", "inequality": "2.7/2.8", "passed": True,
                          "max_ratio": None, "witness": None, "checked": 0}
+
+
+def test_holder_chain_error_in_the_child_exits_3(built, capsys, monkeypatch):
+    # the chain runs in a forked child; its exception comes back with its
+    # type, so the exit code and the message are those of an inline run
+    def refused(*args):
+        raise EnergyError("planted in the child")
+
+    monkeypatch.setattr(checks, "holder_chain_check", refused)
+    assert main(["verify", str(built)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: planted in the child\n"
+
+
+def test_parent_error_kills_and_reaps_the_running_child(built, capsys, monkeypatch):
+    # the child would sleep for a minute; the parent's SpectralError kills
+    # it, and no child of this process is left, running or unreaped
+    monkeypatch.setattr(checks, "holder_chain_check", lambda *args: time.sleep(60))
+
+    def refused(*args):
+        raise SpectralError("planted in the parent")
+
+    monkeypatch.setattr(checks, "ball_condition_report", refused)
+    start = time.monotonic()
+    assert main(["verify", str(built)]) == 3
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "resource limit: planted in the parent\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _inline(fn):
+    result = fn()
+    yield lambda: result
+
+
+def test_forked_runs_equal_inline_runs_byte_for_byte(built, tmp_path, monkeypatch):
+    analyze = ["--level", "3", "--kmax", "4096", "--spectrum", "--decay", "--energy",
+               "--norms", "--ratio", "--p", "2,3"]
+
+    def run(out):
+        assert main(["verify", str(built)]) == 0
+        assert main(["analyze", str(built), "--out", str(out), *analyze]) == 0
+        records = json.loads((built / "manifest.json").read_text())["checks"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs = [Path(path).relative_to(out) for path in manifest["outputs"]]
+        return (json.dumps(records), json.dumps(manifest["checks"]), outputs,
+                {name: (out / name).read_bytes() for name in outputs})
+
+    forked = run(tmp_path / "forked")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(checks, "forked", _inline)
+    monkeypatch.setattr(cli, "forked", _inline)
+    inline = run(tmp_path / "inline")
+    assert forked == inline
+    assert [path.name for path in forked[2]] == [
+        "spectrum_mu_j3.csv", "spectrum_f1_j3.csv", "spectrum_f2_j3.csv",
+        "decay_mu_j3.json", "energy_j3.json", "norms_j3.json", "ratios_j3.csv",
+        "ratios_j3.json"]
 
 
 def test_verify_missing_dir_exits_2(tmp_path, capsys):

@@ -291,7 +291,8 @@ def test_rotation_sums_match_per_atom_formula(N0, j, block, monkeypatch):
     covered, blocks = set(), []
     for kb, block_sums in rotation_sums(params, level, digits):
         blocks.append(kb)
-        got = list(block_sums)
+        # each table is valid until the next, so each is copied
+        got = [s.copy() for s in block_sums]
         want = _per_atom_sums(params, level, digits, kb)
         assert len(got) == j + 1
         for ell, (g, w) in enumerate(zip(got, want)):
@@ -793,10 +794,11 @@ def test_deep_base_block_is_decided_on_its_grid():
     assert base["block_verified_k"] == 16 * params.period(6)
 
 
-def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
+def test_exhaustive_rotation_sums_build_one_measure_per_draw(
         desk_params, desk, monkeypatch):
-    # P = 16^4 in M = 256 classes of B = 2^8: j + 1 measures per draw, read
-    # in each of the 129 classes c <= M/2
+    # P = 16^4 in M = 256 classes of B = 2^8: one measure per draw, that of
+    # window 0, whose masks give the j + 1 windows read in each of the 129
+    # classes c <= M/2
     j = 3
     level = desk.levels[j]
     monkeypatch.setattr(expsums, "BLOCK", 2**8)
@@ -809,7 +811,8 @@ def test_exhaustive_rotation_sums_build_each_measure_once_per_draw(
         blocks = rotation_sums(desk_params, level, digits)
         tables = sum(len(list(block)) for _, block in blocks)
         assert tables == (256 // 2 + 1) * (j + 1)
-        assert len(built) == draw * (j + 1)
+        assert len(built) == draw
+        assert np.array_equal(built[-1][1], level.atoms)
 
 
 @pytest.mark.parametrize("block", [2**14, 64], ids=["M1", "M64"])

@@ -256,7 +256,14 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
         assert mirrored == (0 < 2 * kb[0] < period // B)
         assert np.abs(sums(atoms) - got[kb]).max() < 1e-11 * len(atoms)
         assert np.abs(sums(points, weights=weights) - want[kb]).max() < scale
-        assert np.array_equal(sums(atoms, weights=ones), sums(atoms))
+        # a table is valid until the next, so the first is copied
+        assert np.array_equal(sums(atoms, weights=ones).copy(), sums(atoms))
+        # a mask of the points reads, bit for bit, the table of its points
+        odd = points % 2 == 1
+        masked = [s.copy() for s in sums(points, weights=weights, masks=[odd, ~odd])]
+        for mask, table in zip([odd, ~odd], masked):
+            assert np.array_equal(table.view(np.uint64),
+                                  sums(points[mask], weights=weights[mask]).view(np.uint64))
         covered.update(np.minimum(kb, period - kb).tolist())
     assert covered == set(range(period // 2 + 1))
 
