@@ -1,8 +1,8 @@
 """The verification suite behind ``verify`` and the gates of ``analyze``.
 
-Every check is one JSON-ready record ``{name, inequality, passed, ...}``.
-A check over many cases goes through ``gate``: it passes when every case
-passes, and its ``worst`` is the first case at the extreme of ``worst_by``.
+Every check is one JSON-ready record ``{name, inequality, passed, ...}``;
+``verify`` writes one per gate of ``GATES``, in order. A check over many
+cases goes through ``gate``, which names a failing case when one fails.
 """
 
 from __future__ import annotations
@@ -31,58 +31,60 @@ def forked(fn):
     reads the child's pipe to the end and returns fn's result or raises its
     exception, with its type. Leaving the block kills and reaps the child."""
     read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:    # the child never returns, and never flushes stdio
+    with open(read, "rb") as pipe, open(write, "wb") as out:
         try:
-            with open(write, "wb") as out:
+            pid = os.fork()
+        except OSError as exc:      # a process limit: a resource limit of the stage
+            raise ChildProcessError(f"cannot fork: {exc}") from None
+        if pid == 0:    # the child never returns, and never flushes stdio
+            try:
                 try:
                     out.write(pickle.dumps((None, fn())))
                 except BaseException as exc:
                     out.write(pickle.dumps((exc, None)))
-        finally:
-            os._exit(0)
-    os.close(write)
+                out.close()
+            finally:
+                os._exit(0)
+        out.close()
 
-    def join():
-        data = pipe.read()
-        if not data:
-            raise ChildProcessError(f"forked child {pid} ended without a result")
-        error, result = pickle.loads(data)
-        if error is not None:
-            raise error
-        return result
-    try:
-        with open(read, "rb") as pipe:
+        def join():
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"forked child {pid} ended without a result")
+            error, result = pickle.loads(data)
+            if error is not None:
+                raise error
+            return result
+        try:
             yield join
-    finally:
-        os.kill(pid, 9)     # SIGKILL
-        os.waitpid(pid, 0)
+        finally:
+            os.kill(pid, 9)     # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def gate(name: str, inequality: str, cases: list[dict], worst_by) -> dict:
     """The record of a check over ``cases``, each a dict with a ``passed``
-    flag: it passes when every case passes, and ``worst`` is the first case
-    that minimises ``worst_by``, without its flag (None without cases)."""
-    worst = min(cases, key=worst_by, default=None)
-    if worst is not None:
-        worst = {k: v for k, v in worst.items() if k != "passed"}
-    return record(name, inequality, all(c["passed"] for c in cases), worst=worst)
+    flag: it passes when every case passes, and ``worst``, without its flag,
+    is the first case that minimises ``worst_by`` among the failing cases, or
+    among all when none fails (None without cases)."""
+    failed = [c for c in cases if not c["passed"]]
+    worst = min(failed or cases, key=worst_by, default=None)
+    worst = worst and {k: v for k, v in worst.items() if k != "passed"}
+    return record(name, inequality, not failed, worst=worst)
 
 
-def energy_case(params, level, ell: int, r: int, table) -> dict:
+def energy_case(params, level, ell: int, r: int) -> dict:
     """The energy bounds 3.2 and 3.3 for one window and order, decided
     exactly: M >= the rational bound and the support fits the sumset bound.
     ``slack`` is M - bound rounded to a float, for reports only."""
+    table = sum_distribution(restricted_atoms(params, level, ell), r)
     lb = energy_lower_bound(params, level.j, ell, r)
     z_holds = table.support_size <= lb["z_bound"]
-    return {
-        "j": level.j, "ell": ell, "r": r, "M": table.M,
-        "support_size": table.support_size,
-        "bound_3_2": lb["bound_float"], "slack": float(table.M - lb["bound"]),
-        "z_bound_3_3": lb["z_bound"], "z_bound_holds": bool(z_holds),
-        "inequality": "3.2",
-        "passed": bool(table.M >= lb["bound"] and z_holds),
-    }
+    return {"j": level.j, "ell": ell, "r": r, "M": table.M,
+            "support_size": table.support_size,
+            "bound_3_2": lb["bound_float"], "slack": float(table.M - lb["bound"]),
+            "z_bound_3_3": lb["z_bound"], "z_bound_holds": bool(z_holds),
+            "inequality": "3.2", "passed": bool(table.M >= lb["bound"] and z_holds)}
 
 
 def _plancherel_sum(atoms, period) -> float:
@@ -108,98 +110,95 @@ def _verify_frequencies(params, j) -> np.ndarray:
     return expsums.sorted_unique(np.concatenate(ks))
 
 
-def _decay_screens(con: Construction, j: int) -> tuple[list, list]:
-    """The telescoping reports of j -> j + 1, one per window, every residue
-    read (none at j = 0), and the trivial bound cases of level j + 1, every
-    window, over the nonzero frequencies of j at period N^(j+1): one plan of
-    them serves the j + 2 trivial-bound screens and is dropped on return."""
-    params, lo, hi = con.params, con.levels[j], con.levels[j + 1]
-    reports = telescope_check(params, lo, hi) if j else []
-    plan = expsums.Frequencies(_verify_frequencies(params, j), params.period(j + 1))
-    cases = [trivial_bound_check(params, hi, ell, plan) for ell in range(j + 2)]
-    return reports, cases
+def parseval(con: Construction) -> dict:
+    """Parseval per level; the witness is the first level at the largest error."""
+    sums = [(_plancherel_sum(level.atoms, con.params.period(level.j)),
+             con.params.period(level.j) * len(level.atoms)) for level in con.levels]
+    errors = [abs(got - expected) / expected for got, expected in sums]
+    worst = max(errors)
+    return record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst,
+                  witness={"j": errors.index(worst)})
+
+
+def mass_identity(con: Construction) -> dict:
+    """Each window's exact atom count and its coefficient at 0; the witness is
+    the first window whose count is off, else the first at the largest error."""
+    params = con.params
+    cases = [(direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
+              abs(complex(f_mu_hat(params, level, ell, 0)) - float(params.t) ** (-ell / 2)),
+              {"j": level.j, "ell": ell})
+             for level in con.levels for ell in range(level.j + 1)]
+    wrong, _, witness = max(cases, key=lambda case: case[:2])
+    worst = max(error for _, error, _ in cases)
+    return record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
+                  worst_abs_error=worst, witness=witness)
+
+
+def telescoping(con: Construction) -> dict:
+    """Decay j -> j + 1, j >= 1, of every window at every residue; with no such
+    step it checks nothing, and its record says so (checked 0, no witness)."""
+    reports = [rep for j in range(1, con.params.j_max)
+               for rep in telescope_check(con.params, con.levels[j], con.levels[j + 1])]
+    worst = max(reports, key=lambda r: r["max_ratio"], default=None)
+    return record("telescoping", "2.7/2.8", all(r["passed"] for r in reports),
+                  max_ratio=worst and worst["max_ratio"], witness=worst and {
+                      "j": worst["j"], "ell": worst["ell"], "k": worst["worst_k"]},
+                  checked=sum(r["checked"] for r in reports))
+
+
+def trivial_bound(con: Construction) -> dict:
+    """Level j + 1's windows over the nonzero frequencies of j at period
+    N^(j+1), through one plan per level, dropped before the next is built."""
+    params, cases = con.params, []
+    for j in range(params.j_max):
+        plan = expsums.Frequencies(_verify_frequencies(params, j), params.period(j + 1))
+        cases += [trivial_bound_check(params, con.levels[j + 1], ell, plan)
+                  for ell in range(j + 2)]
+        del plan
+    return gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"])
+
+
+def energy_bounds(con: Construction) -> dict:
+    """3.2/3.3 for every window of every level, r = 2 and 3."""
+    cases = [energy_case(con.params, level, ell, r)
+             for level in con.levels for ell in range(level.j + 1) for r in (2, 3)]
+    cases = [{k: c[k] for k in ("j", "ell", "r", "slack", "passed")} for c in cases]
+    return gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"])
+
+
+def holder_chain(con: Construction) -> dict:
+    """The interpolation chain 3.1 of the top level's windows 0..min(j, 2)."""
+    params, top = con.params, con.levels[-1]
+    reports = [rep for p in (2, 3) for rep in holder_chain_check(
+        params, top, range(min(top.j, 2) + 1), p, pick_r(params, 4))]
+    cases = [{"ell": rep["ell"], "p": rep["p"], "slack": rep["slack"],
+              "passed": rep["chain_holds"] and rep["bound_3_1_holds"]}
+             for rep in sorted(reports, key=lambda rep: rep["ell"])]
+    return gate("holder-chain", "3.1", cases, lambda c: c["slack"])
+
+
+def ball_condition(con: Construction) -> dict:
+    rep = ball_condition_report(con.params, con.levels[-1])
+    return record("ball-condition", "frostman",
+                  rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
+                  sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
+                  witness={k: rep[f"sup_{k}_witness"] for k in ("adic", "window")})
+
+
+GATES = (parseval, mass_identity, telescoping, trivial_bound, energy_bounds,
+         holder_chain, ball_condition)
 
 
 def run_verification(con: Construction) -> list[dict]:
-    """The full invariant suite; one record per check."""
-    params = con.params
+    """The construction's invariants, then one record per gate of ``GATES``,
+    in order; a forked child runs the holder chain, which needs no other gate."""
     try:
         verify_construction(con)
     except ConstructionError as exc:
         # downstream checks assume a consistent construction
         return [record("construction-invariants", "nesting/cardinality", False,
                        error=str(exc))]
-    checks = [record("construction-invariants", "nesting/cardinality", True)]
-
-    # the interpolation chain at the top level runs in a forked child
-    top = con.levels[-1]
-    with forked(lambda: [rep for p in (2, 3) for rep in holder_chain_check(
-            params, top, range(min(top.j, 2) + 1), p, pick_r(params, 4))]) as chain:
-        # Parseval per level; the witness is the first level at the largest error
-        errors = []
-        for level in con.levels:
-            period = params.period(level.j)
-            expected = period * len(level.atoms)
-            errors.append(abs(_plancherel_sum(level.atoms, period) - expected) / expected)
-        worst = max(errors)
-        checks.append(record("parseval", "plancherel", worst < 1e-6, worst_rel_error=worst,
-                             witness={"j": errors.index(worst)}))
-
-        # normalization and window masses: the coefficient at 0 and the exact
-        # atom count of each window; the witness is the first window whose count
-        # is off, else the first at the largest error
-        cases = []
-        for level in con.levels:
-            for ell in range(level.j + 1):
-                coef = f_mu_hat(params, level, ell, 0)
-                cases.append((direct_mass(params, level, ell) != Fraction(1, params.sqrt_t**ell),
-                              abs(complex(coef) - float(params.t) ** (-ell / 2)),
-                              {"j": level.j, "ell": ell}))
-        wrong, _, witness = max(cases, key=lambda case: case[:2])
-        worst = max(error for _, error, _ in cases)
-        checks.append(record("mass-identity", "3.1-mass", not wrong and worst < 1e-12,
-                             worst_abs_error=worst, witness=witness))
-
-        # telescoping decay j -> j + 1 at every residue and the trivial bound of
-        # level j + 1 over the frequencies of j; without a step from j >= 1
-        # telescoping checks nothing, and its record says so (checked 0, no
-        # witness)
-        reports, cases = [], []
-        for j in range(params.j_max):
-            level_reports, level_cases = _decay_screens(con, j)
-            reports += level_reports
-            cases += level_cases
-        worst = max(reports, key=lambda r: r["max_ratio"], default=None)
-        checks.append(record(
-            "telescoping", "2.7/2.8", all(r["passed"] for r in reports),
-            max_ratio=worst and worst["max_ratio"],
-            witness=worst and {"j": worst["j"], "ell": worst["ell"], "k": worst["worst_k"]},
-            checked=sum(r["checked"] for r in reports),
-        ))
-
-        checks.append(gate("trivial-bound", "2.11", cases, lambda c: -c["max_ratio"]))
-
-        # energy lower bound
-        cases = []
-        for level in con.levels:
-            for ell in range(0, level.j + 1):
-                for r in (2, 3):
-                    table = sum_distribution(restricted_atoms(params, level, ell), r)
-                    case = energy_case(params, level, ell, r, table)
-                    cases.append({k: case[k] for k in ("j", "ell", "r", "slack", "passed")})
-        checks.append(gate("energy-lower-bound", "3.2/3.3", cases, lambda c: c["slack"]))
-
-        # ball condition
-        rep = ball_condition_report(params, top)
-        checks.append(record(
-            "ball-condition", "frostman",
-            rep["sup_adic_exact_one"] and rep["sup_window_ratio"] <= 2.0,
-            sup_adic=rep["sup_adic_ratio"], sup_window=rep["sup_window_ratio"],
-            witness={"adic": rep["sup_adic_witness"], "window": rep["sup_window_witness"]},
-        ))
-        # the chain's record goes back in its place
-        cases = sorted(({"ell": rep["ell"], "p": rep["p"], "slack": rep["slack"],
-                         "passed": rep["chain_holds"] and rep["bound_3_1_holds"]}
-                        for rep in chain()), key=lambda c: c["ell"])
-        checks.insert(6, gate("holder-chain", "3.1", cases, lambda c: c["slack"]))
-    return checks
+    with forked(lambda: holder_chain(con)) as chain:
+        done = {fn: fn(con) for fn in GATES if fn is not holder_chain}
+        return [record("construction-invariants", "nesting/cardinality", True),
+                *(done[fn] if fn in done else chain() for fn in GATES)]

@@ -19,11 +19,11 @@ import numpy as np
 from . import __version__
 from .checks import energy_case, forked, gate, record, run_verification
 from .construction import ConstructionError, build_construction
-from .energy import EnergyError, sum_distribution
+from .energy import EnergyError
 from .expsums import Frequencies
 from .norms import NormError, lp_norm, restriction_ratio, thresholds
 from .params import CONFIG_KEYS, ParamError, derive_params
-from .spectral import SpectralError, compute_spectrum, decay_report, restricted_atoms
+from .spectral import SpectralError, compute_spectrum, decay_report
 from .storage import (
     StorageError, atomic_write_text, level_sha256, load_construction,
     write_construction, write_json, write_manifest,
@@ -150,8 +150,7 @@ def cmd_analyze(args) -> int:
             del spec, plan
 
         if args.energy:
-            rows = [energy_case(params, level, ell, r,
-                                sum_distribution(restricted_atoms(params, level, ell), r))
+            rows = [energy_case(params, level, ell, r)
                     for ell in range(0, lmax + 1) for r in args.r]
             path = out_dir / f"energy_j{j}.json"
             write_json(path, rows)
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (SpectralError, NormError, EnergyError, MemoryError) as exc:
+    except (SpectralError, NormError, EnergyError, MemoryError, ChildProcessError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -1,8 +1,11 @@
 import contextlib
+import dataclasses
+import errno
 import hashlib
 import json
 import os
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from salemlab.energy import EnergyError
 from salemlab.expsums import SpectralError
 from salemlab.norms import NormError
 from salemlab.params import ParamError
-from salemlab.storage import StorageError, level_filename
+from salemlab.storage import StorageError, level_filename, load_construction
 
 
 CONFIG = "N0 = 4\nt0 = 2\nn0 = 1\nj_max = 3\nseed = 7\n"
@@ -329,7 +332,12 @@ def test_verify_names_a_parent_without_t_children(built, capsys):
     assert "level 3: parent 0 has 3 children != t=4" in captured.err
 
 
-def test_failing_parseval_names_its_level(built, capsys, monkeypatch):
+# One planted failure per gate, each in the check behind it, patched where
+# the gate calls it. Where a gate reads cases through ``gate``, the planted
+# case fails on a flag that its ``worst_by`` does not read, so the record
+# must name a failing case, not the extreme of all cases.
+
+def _doubled_parseval(monkeypatch):
     # the tables of level 2's period, 16^2, read twice the sums
     half_classes = expsums.half_classes
 
@@ -339,13 +347,9 @@ def test_failing_parseval_names_its_level(built, capsys, monkeypatch):
                    else sums, mirrored)
 
     monkeypatch.setattr(expsums, "half_classes", doubled)
-    assert main(["verify", str(built)]) == 1
-    captured = capsys.readouterr()
-    assert "FAIL parseval" in captured.out
-    assert "verify: FAILED parseval: {'j': 2}" in captured.err
 
 
-def test_failing_mass_identity_names_its_window(built, capsys, monkeypatch):
+def _short_mass(monkeypatch):
     # level 2's window 1 counts one atom short
     direct_mass = checks.direct_mass
 
@@ -354,23 +358,87 @@ def test_failing_mass_identity_names_its_window(built, capsys, monkeypatch):
         return mass - Fraction(1, params.t**level.j) if (level.j, ell) == (2, 1) else mass
 
     monkeypatch.setattr(checks, "direct_mass", short)
-    assert main(["verify", str(built)]) == 1
-    captured = capsys.readouterr()
-    assert "FAIL mass-identity" in captured.out
-    assert "verify: FAILED mass-identity: {'j': 2, 'ell': 1}" in captured.err
 
 
-def test_failing_ball_condition_names_its_witness(built, capsys, monkeypatch):
+def _planted(monkeypatch, owner, name, where, **fields):
+    # each report of owner.name that holds the items ``where`` gets
+    # ``fields``; the check returns one report or a list of them
+    check = getattr(owner, name)
+
+    def plant(rep):
+        return {**rep, **fields} if where.items() <= rep.items() else rep
+
+    def planted(*args):
+        got = check(*args)
+        return [plant(rep) for rep in got] if isinstance(got, list) else plant(got)
+
+    monkeypatch.setattr(owner, name, planted)
+
+
+def _zero_z_bound(monkeypatch):
+    # 3.3 bounds the support of level 3's window 1 at r = 3 by 0; its slack,
+    # which the gate's worst_by reads, is unchanged
+    lower = checks.energy_lower_bound
+    monkeypatch.setattr(checks, "energy_lower_bound", lambda params, j, ell, r: {
+        **lower(params, j, ell, r), **({"z_bound": 0} if (j, ell, r) == (3, 1, 3) else {})})
+
+
+def _doubled_ball_window(monkeypatch):
     # the window supremum doubled past 2: the record names the scale and
     # start of each supremum, the first scale that reaches it
     report = checks.ball_condition_report
     monkeypatch.setattr(checks, "ball_condition_report", lambda *args: {
         **report(*args), "sup_window_ratio": 2 * report(*args)["sup_window_ratio"]})
-    assert main(["verify", str(built)]) == 1
+
+
+def _negative_ratio_slack(monkeypatch):
+    # window 1 at p = 2 falls short of Theorem 3.1's bound
+    ratio = cli.restriction_ratio
+    monkeypatch.setattr(cli, "restriction_ratio", lambda params, level, ells, p, q: [
+        dataclasses.replace(rep, slack=-1.0) if (rep.ell, rep.p) == (1, 2.0) else rep
+        for rep in ratio(params, level, ells, p, q)])
+
+
+FAILING_GATES = [
+    # argv after the run directory, gate, inequality, plant, the start of
+    # the detail on stderr
+    (["verify"], "parseval", "plancherel", _doubled_parseval, "{'j': 2}"),
+    (["verify"], "mass-identity", "3.1-mass", _short_mass, "{'j': 2, 'ell': 1}"),
+    (["verify"], "telescoping", "2.7/2.8",
+     lambda mp: _planted(mp, checks, "telescope_check", {"j": 2, "ell": 1},
+                         max_ratio=1.5, worst_k=77, passed=False),
+     "{'j': 2, 'ell': 1, 'k': 77}"),
+    (["verify"], "trivial-bound", "2.11",
+     lambda mp: _planted(mp, checks, "trivial_bound_check", {"j": 2, "ell": 1},
+                         passed=False),
+     "{'j': 2, 'ell': 1, 'max_ratio': "),
+    (["verify"], "energy-lower-bound", "3.2/3.3", _zero_z_bound,
+     "{'j': 3, 'ell': 1, 'r': 3, 'slack': "),
+    # the chain runs in the forked child, which inherits the patch
+    (["verify"], "holder-chain", "3.1",
+     lambda mp: _planted(mp, checks, "holder_chain_check", {"ell": 1, "p": 3},
+                         bound_3_1_holds=False),
+     "{'ell': 1, 'p': 3, 'slack': "),
+    (["verify"], "ball-condition", "frostman", _doubled_ball_window,
+     "{'adic': {'m': 0, 'cell': 0}, 'window': {'m': 1, 'start': 0}}"),
+    (["analyze", "--energy"], "energy-lower-bound", "3.2/3.3", _zero_z_bound,
+     "{'j': 3, 'ell': 1, 'r': 3, 'M': "),
+    (["analyze", "--ratio"], "ratio-lower-bound", "3.1", _negative_ratio_slack,
+     "{'j': 3, 'ell': 1, 'p': 2.0, "),
+]
+
+
+@pytest.mark.parametrize("argv, name, inequality, plant, detail", FAILING_GATES,
+                         ids=[f"{row[0][0]}-{row[1]}" for row in FAILING_GATES])
+def test_failing_gate_names_its_witness(built, capsys, monkeypatch, argv, name,
+                                        inequality, plant, detail):
+    plant(monkeypatch)
+    assert main([argv[0], str(built), *argv[1:]]) == 1
     captured = capsys.readouterr()
-    assert "FAIL ball-condition" in captured.out
-    assert ("verify: FAILED ball-condition: {'adic': {'m': 0, 'cell': 0}, "
-            "'window': {'m': 1, 'start': 0}}") in captured.err
+    assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL {name} [{inequality}]"]
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"{argv[0]}: FAILED {name}: {detail}")
 
 
 def test_construct_beyond_the_transform_budget_exits_3(tmp_path, capsys, monkeypatch):
@@ -408,7 +476,8 @@ def test_verify_beyond_the_transform_budget_exits_3(built, capsys, monkeypatch):
     # Parseval reads every level's period before the decay screens run:
     # the top level's 16^3 points are refused there
     monkeypatch.setattr(expsums, "FFT_BUDGET", 4095)
-    monkeypatch.setattr(checks, "_decay_screens", None)
+    monkeypatch.setattr(checks, "telescope_check", None)
+    monkeypatch.setattr(checks, "trivial_bound_check", None)
     assert main(["verify", str(built)]) == 3
     assert "resource limit: transform length 4096 exceeds" in capsys.readouterr().err
 
@@ -457,6 +526,45 @@ def test_parent_error_kills_and_reaps_the_running_child(built, capsys, monkeypat
     assert capsys.readouterr().err == "resource limit: planted in the parent\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["analyze", "--energy"]],
+                         ids=["verify", "analyze"])
+def test_a_refused_fork_closes_its_pipe_and_exits_3(built, capsys, monkeypatch, argv):
+    # os.fork refused at the process limit, planted so that no process
+    # starts: both ends of the pipe are closed, and the stage exits 3
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "planted")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert main([argv[0], str(built), *argv[1:]]) == 3
+    assert capsys.readouterr().err == (
+        f"resource limit: cannot fork: [Errno {errno.EAGAIN}] planted\n")
+    [fds] = pipes
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_trivial_bound_holds_one_plan_at_a_time(built, monkeypatch):
+    # each level's plan of frequencies is dropped before the next is built:
+    # count the live plans as each one is made
+    live, seen = [], []
+    init = expsums.Frequencies.__init__
+
+    def counted(self, k, period):
+        live.append(None)
+        weakref.finalize(self, live.pop)
+        seen.append(len(live))
+        init(self, k, period)
+
+    monkeypatch.setattr(expsums.Frequencies, "__init__", counted)
+    assert all(c["passed"] for c in checks.run_verification(load_construction(built)))
+    assert seen == [1, 1, 1]
 
 
 @contextlib.contextmanager
@@ -720,6 +828,7 @@ EXIT_CASES = [
     (NormError, 3, "resource limit:"),
     (EnergyError, 3, "resource limit:"),
     (MemoryError, 3, "resource limit:"),
+    (ChildProcessError, 3, "resource limit:"),
 ]
 
 

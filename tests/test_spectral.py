@@ -670,8 +670,8 @@ def test_telescope_sum_is_the_coefficient_difference(N0):
 
 
 def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
-    # telescoping j -> j + 1 and the trivial bound of level j + 1 share the
-    # set of j
+    # the trivial bound of level j + 1 reads the set of j; telescoping reads
+    # no set
     params, con = odd_base
     calls = []
     monkeypatch.setattr(checks, "_verify_frequencies",
