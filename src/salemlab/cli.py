@@ -126,8 +126,9 @@ def cmd_analyze(args) -> int:
     lmax = min(args.lmax, j)
 
     # the spectra share one plan of the frequencies; a forked child writes those of
-    # ell >= 1 beside the rest, each dropped before the next. --decay reads |coef|
-    # of the ell = 0 spectrum that --spectrum writes (decay_report drops k = 0)
+    # ell >= 1 beside the rest, each dropped before the next. The plan is kept to
+    # the join, whose job reads it. --decay reads |coef| of the ell = 0 spectrum
+    # that --spectrum writes (decay_report drops k = 0)
     plan = (Frequencies(np.arange(args.kmax, dtype=np.int64), params.period(j))
             if args.spectrum or args.decay else None)
     paths = [out_dir / f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
@@ -147,7 +148,7 @@ def cmd_analyze(args) -> int:
                 path = out_dir / f"decay_mu_j{j}.json"
                 write_json(path, asdict(decay_report(plan.ks, spec.coefficients, args.beta)))
                 manifest["outputs"].append(str(path))
-            del spec, plan
+            del spec
 
         if args.energy:
             rows = [energy_case(params, level, ell, r)

@@ -39,7 +39,10 @@ class EnergyTable:
 
 # Tables kept by the memo of ``sum_distribution``. analyze's norms and ratios
 # reread the 2(lmax + 1) of its energy rows, lmax <= j_max < 19 for every
-# accepted base, and verify's interpolation chain its own across p: 64 keeps them.
+# accepted base. verify's holder chain rereads the energy gate's tables of the
+# top level's windows 0..2, built among its last 2(j_max + 1), and adds its
+# order-1 tables (and its order-r ones where the gate builds no such r): 64
+# keeps them.
 _TABLES_KEPT = 64
 
 

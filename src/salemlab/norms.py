@@ -305,19 +305,20 @@ def restriction_ratio(params: ConstructionParams, level: LevelSet, ells,
 # interpolation chain
 
 def holder_chain_check(params: ConstructionParams, level: LevelSet, ells,
-                       p: float, r: int) -> list[dict]:
+                       p: float, r: int, estimates) -> list[dict]:
     """Check the interpolation chain on each window's transform phi:
 
         ||phi||_{2r}^{2r} <= ||phi||_p^p * ||phi||_inf^{2r-p},
 
     with ||phi||_inf <= t^(-ell/2) (attained at 0), and the implied lower
-    bound on ||phi||_p^p against the structured-energy bound. The p-th
-    powers of all windows come from one ``lp_norm``.
+    bound on ||phi||_p^p against the structured-energy bound. ``estimates``
+    holds the p-th powers, one per window of ``ells``, as ``lp_norm``
+    returns them; the 2r-th come from ``exact_l2r_norm``.
     """
     if not 1 <= p < 2 * r:
         raise NormError(f"need 1 <= p < 2r, got p={p}, r={r}")
     reports = []
-    for ell, est in zip(ells, lp_norm(params, level, ells, p)):
+    for ell, est in zip(ells, estimates):
         lhs, pp = exact_l2r_norm(params, level, ell, r)["value_float"], est.value
         sup = float(params.t) ** (-ell / 2)
         rhs = pp * sup ** (2 * r - p)

@@ -14,7 +14,7 @@ from salemlab import (
 from salemlab.cli import main as cli_main
 from salemlab.energy import _centered_bspline_at
 from salemlab.norms import (
-    ball_condition_report, direct_mass, holder_chain_check,
+    ball_condition_report, direct_mass, holder_chain_check, lp_norm,
     lp_norm_quadrature, thresholds,
 )
 from salemlab.spectral import compute_spectrum, exp_sum_all, restricted_atoms
@@ -231,7 +231,8 @@ def test_criterion_13_holder_chain(desk_params, desk):
     min_slack = None
     for ell in range(0, 3):
         for p in (2.0, 3.0, 4.0):
-            rep = holder_chain_check(desk_params, desk.levels[5], [ell], p, 3)[0]
+            rep = holder_chain_check(desk_params, desk.levels[5], [ell], p, 3,
+                                     lp_norm(desk_params, desk.levels[5], [ell], p))[0]
             ok = (ok and rep["chain_holds"] and rep["implied_holds"]
                   and rep["bound_3_1_holds"] and rep["slack"] >= -1e-9)
             rel = rep["slack"] / rep["rhs"]

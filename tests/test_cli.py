@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -19,6 +18,7 @@ from salemlab.expsums import SpectralError
 from salemlab.norms import NormError
 from salemlab.params import ParamError
 from salemlab.storage import StorageError, level_filename, load_construction
+from _inline import lazy_inline
 
 
 CONFIG = "N0 = 4\nt0 = 2\nn0 = 1\nj_max = 3\nseed = 7\n"
@@ -414,7 +414,7 @@ FAILING_GATES = [
      "{'j': 2, 'ell': 1, 'max_ratio': "),
     (["verify"], "energy-lower-bound", "3.2/3.3", _zero_z_bound,
      "{'j': 3, 'ell': 1, 'r': 3, 'slack': "),
-    # the chain runs in the forked child, which inherits the patch
+    # the chain's record is made in the stage process, from the child's lattice
     (["verify"], "holder-chain", "3.1",
      lambda mp: _planted(mp, checks, "holder_chain_check", {"ell": 1, "p": 3},
                          bound_3_1_holds=False),
@@ -498,13 +498,14 @@ def test_verify_records_a_vacuous_telescoping(tmp_path, capsys, j_max):
                          "max_ratio": None, "witness": None, "checked": 0}
 
 
-def test_holder_chain_error_in_the_child_exits_3(built, capsys, monkeypatch):
-    # the chain runs in a forked child; its exception comes back with its
-    # type, so the exit code and the message are those of an inline run
+def test_lattice_error_in_the_child_exits_3(built, capsys, monkeypatch):
+    # the holder chain's lattice runs in a forked child; its exception comes
+    # back with its type, so the exit code and the message are those of an
+    # inline run
     def refused(*args):
         raise EnergyError("planted in the child")
 
-    monkeypatch.setattr(checks, "holder_chain_check", refused)
+    monkeypatch.setattr(checks, "lp_norm_quadrature", refused)
     assert main(["verify", str(built)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -512,9 +513,10 @@ def test_holder_chain_error_in_the_child_exits_3(built, capsys, monkeypatch):
 
 
 def test_parent_error_kills_and_reaps_the_running_child(built, capsys, monkeypatch):
-    # the child would sleep for a minute; the parent's SpectralError kills
-    # it, and no child of this process is left, running or unreaped
-    monkeypatch.setattr(checks, "holder_chain_check", lambda *args: time.sleep(60))
+    # the child's lattice would sleep for a minute; the parent's
+    # SpectralError kills it, and no child of this process is left, running
+    # or unreaped
+    monkeypatch.setattr(checks, "lp_norm_quadrature", lambda *args: time.sleep(60))
 
     def refused(*args):
         raise SpectralError("planted in the parent")
@@ -563,14 +565,9 @@ def test_trivial_bound_holds_one_plan_at_a_time(built, monkeypatch):
         init(self, k, period)
 
     monkeypatch.setattr(expsums.Frequencies, "__init__", counted)
+    monkeypatch.setattr(checks, "forked", lazy_inline)
     assert all(c["passed"] for c in checks.run_verification(load_construction(built)))
     assert seen == [1, 1, 1]
-
-
-@contextlib.contextmanager
-def _inline(fn):
-    result = fn()
-    yield lambda: result
 
 
 def test_forked_runs_equal_inline_runs_byte_for_byte(built, tmp_path, monkeypatch):
@@ -589,8 +586,8 @@ def test_forked_runs_equal_inline_runs_byte_for_byte(built, tmp_path, monkeypatc
     forked = run(tmp_path / "forked")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    monkeypatch.setattr(checks, "forked", _inline)
-    monkeypatch.setattr(cli, "forked", _inline)
+    monkeypatch.setattr(checks, "forked", lazy_inline)
+    monkeypatch.setattr(cli, "forked", lazy_inline)
     inline = run(tmp_path / "inline")
     assert forked == inline
     assert [path.name for path in forked[2]] == [
@@ -677,6 +674,24 @@ def test_energy_tables_are_counted_once_per_process(built, monkeypatch):
     assert main(["verify", str(built)]) == 0
     assert len(counted) > n_analyze
     assert len(counted) == len(set(counted))
+
+
+def test_verify_child_builds_no_energy_table(built, capsys, monkeypatch):
+    # the stage process builds every table of verify, the holder chain's
+    # included: the child's share reads none
+    pid = os.getpid()
+    count = energy._sum_counts
+
+    def here_only(Y, r):
+        if os.getpid() != pid:
+            raise EnergyError("an energy table built in the child")
+        return count(Y, r)
+
+    energy._table.cache_clear()
+    monkeypatch.setattr(energy, "_sum_counts", here_only)
+    assert main(["verify", str(built)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("PASS ") for line in lines)
 
 
 def test_lattice_beyond_the_budget_exits_3(built, capsys, monkeypatch):

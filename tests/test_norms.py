@@ -260,7 +260,8 @@ def test_holder_chain(desk_params, desk):
     level = desk.levels[4]
     for ell in range(0, 3):
         for p in (2, 3, 4):
-            rep = holder_chain_check(desk_params, level, [ell], float(p), 3)[0]
+            rep = holder_chain_check(desk_params, level, [ell], float(p), 3,
+                                     lp_norm(desk_params, level, [ell], p))[0]
             assert rep["chain_holds"], rep
             assert rep["implied_holds"], rep
             assert rep["bound_3_1_holds"], rep
@@ -274,13 +275,15 @@ def test_restriction_ratio_and_holder_chain_share_the_3_1_bound(desk_params, des
         for level in desk.levels[2:4]:
             ells = list(range(level.j + 1))
             ratios = restriction_ratio(desk_params, level, ells, p, 2.0)
-            chains = holder_chain_check(desk_params, level, ells, p, r)
+            chains = holder_chain_check(desk_params, level, ells, p, r,
+                                        lp_norm(desk_params, level, ells, p))
             assert [rep.bound_3_1 for rep in ratios] == [rep["bound_3_1"] for rep in chains]
 
 
 def test_holder_chain_rejects_bad_p(desk_params, desk):
     with pytest.raises(NormError):
-        holder_chain_check(desk_params, desk.levels[2], [0], 6.0, 3)
+        holder_chain_check(desk_params, desk.levels[2], [0], 6.0, 3,
+                           lp_norm(desk_params, desk.levels[2], [0], 6.0))
 
 
 @pytest.mark.parametrize("base", [(4, 2), (3, 2)], ids=["N16", "N9"])

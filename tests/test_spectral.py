@@ -16,6 +16,7 @@ from salemlab import checks, expsums
 from salemlab.checks import _verify_frequencies
 from salemlab.construction import ConstructionError, deviation_measure
 from salemlab.spectral import Spectrum, exp_sum_all, prefactor
+from _inline import lazy_inline
 from _oracles import f_mu_hat_real
 
 
@@ -682,6 +683,7 @@ def test_verify_builds_each_frequency_set_once(odd_base, monkeypatch):
     monkeypatch.setattr(expsums.Frequencies, "__init__",
                         lambda self, k, period: plans.append(period)
                         or init(self, k, period))
+    monkeypatch.setattr(checks, "forked", lazy_inline)
     assert all(c["passed"] for c in checks.run_verification(con))
     assert calls == list(range(params.j_max))
     assert plans == [params.period(j + 1) for j in range(params.j_max)]
@@ -702,6 +704,7 @@ def test_verify_screens_equal_the_checks_called_alone(request, monkeypatch, conf
             seen.setdefault(check, []).append((args, kwargs, check(*args, **kwargs)))
             return seen[check][-1][-1]
         monkeypatch.setattr(checks, name, traced)
+    monkeypatch.setattr(checks, "forked", lazy_inline)
     records = {r["name"]: r for r in checks.run_verification(con)}
     assert len(seen[trivial_bound_check]) == sum(j + 2 for j in range(params.j_max))
     for args, kwargs, got in seen[trivial_bound_check]:
