@@ -38,9 +38,13 @@ def record(name: str, inequality: str, passed, **detail) -> dict:
 def forked(fn):
     """Run ``fn()`` in a forked child while the with-block runs; its ``join``
     reads the child's pipe to the end and returns fn's result or raises its
-    exception, with its type. Leaving the block kills and reaps the child."""
+    exception, with its type. Leaving the block kills and reaps the child.
+    A 512 KB block freed before the fork raises glibc's mmap threshold past
+    numpy's 256 KB FFT scratch: neither process maps it afresh per call."""
     read, write = os.pipe()
     with open(read, "rb") as pipe, open(write, "wb") as out:
+        # mapped and freed: FFT scratch then comes from the heap, not mmap
+        np.empty(2 * expsums.BLOCK, dtype=np.complex128)
         try:
             pid = os.fork()
         except OSError as exc:      # a process limit: a resource limit of the stage
@@ -222,11 +226,11 @@ def child_share(con: Construction) -> tuple:
     trivial-bound cases, then the holder chain's p = 3 lattice of the top
     level's windows. It builds no energy table.
 
-    The trivial level goes first. numpy's FFT allocates a 256 KB scratch on
-    every call, which a fresh process maps and unmaps afresh until freeing a
-    larger mapped chunk raises glibc's mmap threshold; the trivial level's
-    plan frees one. Lattice first, desk's child faults on 11.7k pages, not
-    3.7k, and takes 217 ms, not 206."""
+    The trivial level goes first, as its record does. The order no longer
+    sets the child's page faults: ``forked`` has raised glibc's mmap
+    threshold past numpy's FFT scratch before the fork, so desk's child
+    takes 3.6k faults and 186 ms trivial first, and 4.2k and 187 ms
+    lattice first."""
     params, top = con.params, con.levels[-1]
     trivial = [case for j in range(params.j_max)[-1:] for case in _trivial_cases(con, j)]
     return trivial, lp_norm_quadrature(params, top, _chain_windows(top), 3.0)

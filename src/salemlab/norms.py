@@ -8,7 +8,8 @@ tail bound is reported alongside for the truncated window. A period of the
 lattice is evaluated one residue class of at most ``expsums.BLOCK`` points
 at a time, so no array of half a period is formed. The samples of a class
 lie at one offset from the grid k / B, so their weights over every period
-past the first are read by Horner's rule from one Taylor table per call.
+past the first are read by Horner's rule from one Taylor table per call,
+folded once over the mirror.
 """
 
 from __future__ import annotations
@@ -89,19 +90,20 @@ def _hurwitz(p: float, a):
 
 
 def _weight_table(p: float, B: int, delta: float):
-    """Taylor rows in the class offset of the smooth lattice weights, on the
-    grid x = k / B, k = 0..B: a list of (2, B + 1) arrays.
+    """Taylor rows in the class offset of the smooth lattice weights of a
+    sample and its mirror, at k / B, k < B: a list of (2, B) arrays.
 
     A sample eta stands for the points eta + m of every period m >= 0. The
     head sum H(eta) = sum over 1 <= m < _HEAD_PERIODS of (eta + m)^-p and the
     tail T(eta) = zeta(p, eta + _HEAD_PERIODS) are smooth on [0, 1]; their
     n-th derivatives over n! are (-1)^n C(p + n - 1, n) times the same sums
-    at exponent p + n. Array n holds those at x: H, term by term below
-    _EM_START and then zeta(p + n, x + _EM_START) - zeta(p + n, x +
-    _HEAD_PERIODS), and T. The list stops at the first n with
-    C(p + n - 1, n) delta^n < 2^-60, which bounds the first omitted
-    term against its sum at every x and offset |delta| or less, as
-    x + m >= 1; the terms after it fall geometrically.
+    at exponent p + n, R_n: H, term by term below _EM_START and then
+    zeta(p + n, x + _EM_START) - zeta(p + n, x + _HEAD_PERIODS), and T. The
+    mirror of eta = k / B + delta is (B - k) / B - delta, so array n holds
+    R_n(k / B) + (-1)^n R_n((B - k) / B), folded once. The list stops at the
+    first n with C(p + n - 1, n) delta^n < 2^-60, which bounds the first
+    omitted term of each direction against its sum at every x and offset
+    |delta| or less, as x + m >= 1; the terms after it fall geometrically.
     """
     x = np.arange(B + 1) / B
     rows, coeff, n = [], 1.0, 0
@@ -109,47 +111,41 @@ def _weight_table(p: float, B: int, delta: float):
         q = p + n
         beyond = _hurwitz(q, x + _HEAD_PERIODS)
         direct = sum((x + m) ** -q for m in range(1, _EM_START))
-        rows.append(np.array((direct + _hurwitz(q, x + _EM_START) - beyond,
-                              beyond)) * coeff)
+        row = np.array((direct + _hurwitz(q, x + _EM_START) - beyond, beyond)) * coeff
+        rows.append(row[:, :B] + (-1.0) ** n * row[:, B:0:-1])
         n += 1
         coeff *= -(q / n)
     return rows
 
 
-def _class_weights(table, c: int, n_per: int, p: float, folded: bool):
-    """Head and tail weights of the lattice samples eta = i / n_per of class
-    c, i = c + M k, 0 < i < n_per, with B + 1 the width of the rows of
-    ``_weight_table`` ``table`` and M = n_per / B.
+def _class_weights(table, c: int, n_per: int, p: float):
+    """Head and tail weights, one (2, len(i)) array, of the lattice samples
+    eta = i / n_per of class c, i = c + M k, 0 < i < n_per, each with its
+    mirror 1 - eta, of the same |T|; B is the width of the rows of the
+    folded ``_weight_table`` ``table`` and M = n_per / B.
 
     The sample at eta stands for the points eta + m of every period m >= 0,
     weighted |sin(pi eta)|^p / (pi (eta + m))^p: summed over m < _HEAD_PERIODS
-    for the head, and beyond for the tail. ``folded`` adds the mirror 1 - eta,
-    whose |T| is the same. With eta = k / B + delta, delta = c / n_per, the
-    smooth sums H(eta) and T(eta) over the periods m >= 1 are the table's
-    rows at k / B by Horner in delta, and the mirror's the rows at (B - k) / B
-    in -delta. The m = 0 terms are formed as (|sin(pi eta)| / (pi eta))^p <= 1
-    and the rest, each at most 1, scaled by (|sin(pi eta)| / pi)^p, so no
-    large p forms inf * 0.
+    for the head, and beyond for the tail. With eta = k / B + delta, delta =
+    c / n_per, the smooth sums over the periods m >= 1 of eta and 1 - eta
+    are one Horner pass in delta over the table's columns k. The m = 0
+    terms are formed as (|sin(pi eta)| / (pi eta))^p <= 1, and at 1 - eta
+    alike, and the rest, each at most 1, scaled by (|sin(pi eta)| / pi)^p,
+    so no large p forms inf * 0.
     """
-    B = table[0].shape[-1] - 1
+    B = table[0].shape[-1]
     skip = int(c == 0)
     i = c + n_per // B * np.arange(skip, B)
-    delta = c / n_per
     # sin(pi eta) = sin(pi (1 - eta)), formed below 1/2: near eta = 1 the
     # rounding of pi eta would cost digits
     amp = np.abs(np.sin(np.pi * (np.minimum(i, n_per - i) / n_per))) / math.pi
-    near, smooth = np.zeros(len(i)), np.zeros((2, len(i)))
-    for eta, at, d in ((i / n_per, slice(skip, B), delta),
-                       ((n_per - i) / n_per, slice(B - skip, 0, -1), -delta)
-                       )[: 1 + folded]:
-        near += (amp / eta) ** p
-        acc = table[-1][:, at].copy()
-        for row in table[-2::-1]:
-            acc *= d
-            acc += row[:, at]
-        smooth += acc
-    h, t = smooth * amp**p
-    return h + near, t
+    weights = table[-1][:, skip:].copy()
+    for row in table[-2::-1]:
+        weights *= c / n_per
+        weights += row[:, skip:]
+    weights *= amp**p
+    weights[0] += (amp / (i / n_per)) ** p + (amp / ((n_per - i) / n_per)) ** p
+    return weights
 
 
 def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
@@ -167,11 +163,11 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     The n_per = 4 N^j samples of a period are read in the residue classes
     i = c + M m, m < B, of ``expsums.split``, one length-B FFT each. |T| is
     even, so only the classes c <= M/2 are evaluated
-    (``expsums.half_classes``), each one's weights dotted with |T|^p of
-    every window, a mask of the level's atoms. Class c samples eta = m / B + delta,
-    delta = c / n_per <= 1 / (2B): the weights of every period past the
-    first come by Horner in delta from one ``_weight_table`` on the grid
-    m / B.
+    (``expsums.half_classes``), each sample weighted with its mirror, in
+    one product with |T|^p of each window, a mask of the level's atoms.
+    Class c samples eta = m / B + delta, delta = c / n_per <= 1 / (2B):
+    the weights of every period past the first come by Horner in delta
+    from one folded ``_weight_table`` on the grid m / B.
 
     For even p = 2r the lattice sum is the integral itself, up to roundoff:
     the window measure lives on [0, 1], so |phi|^(2r) is the Fourier
@@ -192,17 +188,22 @@ def lp_norm_quadrature(params: ConstructionParams, level: LevelSet, ells,
     windows = [structured_mask(params, level, ell) for ell in ells]
     tj = float(params.t) ** (-j)
     # the origin counts once; lattice points at nonzero multiples of the
-    # period carry sin = 0 and drop out, and -xi doubles the rest
+    # period carry sin = 0 and drop out, and -xi doubles the rest. The
+    # weights of a self-mirrored class (0 or M/2) hold each sample twice,
+    # itself and its partner's mirror, so that class counts once
     head = [(int(np.count_nonzero(mask)) * tj) ** p for mask in windows]
     tail = [0.0] * len(windows)
     for ks, sums, mirrored in half_classes(n_per):
         c = int(ks[0])
         skip = int(c == 0)
-        head_w, tail_w = _class_weights(table, c, n_per, p, folded=mirrored)
+        weights = _class_weights(table, c, n_per, p)
+        count = 2.0 if mirrored else 1.0
         for w, s in enumerate(sums(level.atoms, masks=windows)):
-            A = (np.abs(s[skip:]) * tj) ** p
-            head[w] += 2.0 * float(np.dot(A, head_w))
-            tail[w] += 2.0 * float(np.dot(A, tail_w))
+            A = np.abs(s[skip:])
+            A *= tj
+            hd, tl = weights @ np.power(A, p, out=A)
+            head[w] += count * float(hd)
+            tail[w] += count * float(tl)
     # 2 (N^j env_peak / pi)^p K^(1-p) / (p - 1), with no large power formed
     return [NormEstimate(
         p=p, value=h * (hd + tl), method="quadrature", grid={"K": K, "h": h},

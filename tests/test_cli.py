@@ -3,6 +3,10 @@ import errno
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
+import textwrap
 import time
 import weakref
 from fractions import Fraction
@@ -399,9 +403,19 @@ def _negative_ratio_slack(monkeypatch):
         for rep in ratio(params, level, ells, p, q)])
 
 
+def _unnested(monkeypatch):
+    # the invariants fail before any gate runs; their record is the only one
+    def refused(con):
+        raise ConstructionError("planted: level 2 is not nested in level 1")
+
+    monkeypatch.setattr(checks, "verify_construction", refused)
+
+
 FAILING_GATES = [
     # argv after the run directory, gate, inequality, plant, the start of
     # the detail on stderr
+    (["verify"], "construction-invariants", "nesting/cardinality", _unnested,
+     "planted: level 2 is not nested in level 1"),
     (["verify"], "parseval", "plancherel", _doubled_parseval, "{'j': 2}"),
     (["verify"], "mass-identity", "3.1-mass", _short_mass, "{'j': 2, 'ell': 1}"),
     (["verify"], "telescoping", "2.7/2.8",
@@ -550,6 +564,39 @@ def test_a_refused_fork_closes_its_pipe_and_exits_3(built, capsys, monkeypatch, 
     for fd in fds:
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's mmap threshold is what forked raises")
+def test_both_processes_of_forked_reuse_the_fft_scratch():
+    # numpy's FFT takes a 256 KB scratch per call, which a fresh process maps
+    # and faults in afresh on every call until a freed, larger mapped block
+    # raises glibc's mmap threshold; forked frees one before it forks. After
+    # one transform that builds the plan, 100 more fault on a few pages in
+    # either process, against about 9.6k without the freed block. A fresh
+    # interpreter, so that no earlier test has raised the threshold
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from salemlab import checks, expsums
+
+        def transforms():
+            x = np.zeros(expsums.BLOCK, dtype=np.complex128)
+            np.fft.fft(x, out=x)    # the plan, and the module's first import
+            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(100):
+                np.fft.fft(x, out=x)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+        with checks.forked(transforms) as join:
+            stage = transforms()
+            print(stage, join())
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(checks.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    stage, child = map(int, out.split())
+    assert stage < 1000 and child < 1000, (stage, child)
 
 
 def test_trivial_bound_holds_one_plan_at_a_time(built, monkeypatch):

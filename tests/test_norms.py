@@ -137,14 +137,14 @@ def test_blocked_lattice_matches_full_lattice(monkeypatch, N0, block):
 def test_class_weights_are_mirror_symmetric():
     # sin(pi eta) near eta = 1 is formed from 1 - eta: from eta itself the
     # rounding of pi eta costs 1.3e-12 relative at i = n_per - 256, n_per =
-    # 2^22. Folded, the classes 0 and M/2 hold i and n_per - i at mirrored
-    # places; at M/2 the two read H(eta) from different rows of the table
+    # 2^22. The classes 0 and M/2 hold i and n_per - i at mirrored places;
+    # at M/2 the two read the folded table at different columns
     n_per = 2**22
     B, M = expsums.split(n_per)
     for p in (3.0, 50.5):
         table = norms._weight_table(p, B, M // 2 / n_per)
         for c in (0, M // 2):
-            for w in norms._class_weights(table, c, n_per, p, True):
+            for w in norms._class_weights(table, c, n_per, p):
                 np.testing.assert_allclose(w, w[::-1], rtol=1e-14, atol=0)
 
 
@@ -158,11 +158,11 @@ def test_class_weights_match_point_weights(monkeypatch, n_per, block):
     B, M = expsums.split(n_per)
     for p in (1.5, 2.5, 3.0, 8.0, 50.5, 100.5, 200.0, 1001.0):
         table = norms._weight_table(p, B, M // 2 / n_per)
+        # every class weighs each sample with its mirror, 0 and M/2 too
         for c in {0, 1, M // 2 - 1, M // 2} - {-1}:
-            folded = 0 < 2 * c < M
             i = (c + M * np.arange(B))[int(c == 0):]
-            head, tail = norms._class_weights(table, c, n_per, p, folded)
-            want_head, want_tail = point_weights(i, n_per, p, folded)
+            head, tail = norms._class_weights(table, c, n_per, p)
+            want_head, want_tail = point_weights(i, n_per, p, True)
             np.testing.assert_allclose(head, want_head, rtol=1e-13, atol=0)
             # subnormal floats lie 2^-1074 apart, coarser than 1e-13
             # relative below 5e-311
