@@ -14,13 +14,10 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .checks import energy_case, forked, gate, record, run_verification
 from .construction import ConstructionError, build_construction
 from .energy import EnergyError
-from .expsums import Frequencies
 from .norms import NormError, lp_norm, restriction_ratio, thresholds
 from .params import CONFIG_KEYS, ParamError, derive_params
 from .spectral import SpectralError, compute_spectrum, decay_report
@@ -125,28 +122,25 @@ def cmd_analyze(args) -> int:
     level = con.levels[j]
     lmax = min(args.lmax, j)
 
-    # the spectra share one plan of the frequencies; a forked child writes those of
-    # ell >= 1 beside the rest, each dropped before the next. The plan is kept to
-    # the join, whose job reads it. --decay reads |coef| of the ell = 0 spectrum
-    # that --spectrum writes (decay_report drops k = 0)
-    plan = (Frequencies(np.arange(args.kmax, dtype=np.int64), params.period(j))
-            if args.spectrum or args.decay else None)
+    # a forked child writes the spectra of ell >= 1 beside the rest, each dropped
+    # before the next. --decay reads |coef| of the ell = 0 spectrum that
+    # --spectrum writes (decay_report drops k = 0)
     paths = [out_dir / f"spectrum_{'mu' if ell == 0 else f'f{ell}'}_j{j}.csv"
              for ell in range(lmax + 1 if args.spectrum else 0)]
 
     def write_spectra(ells):
         for ell in ells:
-            compute_spectrum(params, level, plan, ell=ell).to_csv(paths[ell])
+            compute_spectrum(params, level, args.kmax, ell=ell).to_csv(paths[ell])
 
     with forked(lambda: write_spectra(range(1, len(paths)))) as spectra:
-        if plan is not None:
-            spec = compute_spectrum(params, level, plan, ell=0)
+        if args.spectrum or args.decay:
+            spec = compute_spectrum(params, level, args.kmax, ell=0)
             if paths:
                 spec.to_csv(paths[0])
             manifest["outputs"] += map(str, paths)
             if args.decay:
                 path = out_dir / f"decay_mu_j{j}.json"
-                write_json(path, asdict(decay_report(plan.ks, spec.coefficients, args.beta)))
+                write_json(path, asdict(decay_report(spec.ks, spec.coefficients, args.beta)))
                 manifest["outputs"].append(str(path))
             del spec
 

@@ -3,11 +3,11 @@
 S(k) = sum over atoms a of w_a exp(-2 pi i a k / period) at integer k, with
 real weights w (1 unless given; weighted atoms may repeat). Each kind of
 input has one reader: a scalar k the direct sum with exact residues
-(``exp_sum``); an array of k its plan (``Frequencies``), folded and split
-once into the residue classes k = c + M m, m < B, of P = B M (``split``,
-B <= ``BLOCK``), each class one length-B FFT (``class_sums``, the one table
-kernel); a whole period its classes c <= M/2 (``half_classes``), which
-decide every k as S(P - k) = conj S(k). Each pass over the classes scatters
+(``exp_sum``); a whole period the classes c <= M/2 (``half_classes``) of its
+residue classes k = c + M m, m < B, of P = B M (``split``, B <= ``BLOCK``),
+each one length-B FFT (``class_sums``, the one table kernel), which decide
+every k as S(P - k) = conj S(k); every k < n one pass of them (``exp_sum_all``);
+the trivial bound's arrays of k their plans (``Frequencies``). Each pass scatters
 into one length-B array of its own, transformed in place: a table is valid
 until the next table of its pass. ``split`` refuses a period above ``FFT_BUDGET``.
 """
@@ -57,17 +57,25 @@ def exp_sum(atoms, k, period, *, weights=1.0):
     return out[0] if np.ndim(k) == 0 else out
 
 
-def exp_sum_all(atoms, period):
-    """S(k) for every k in [0, period), class by class (``half_classes``):
-    each table at its ks and, where mirrored, its conjugate at period - ks."""
-    split(period)   # refuses a period above FFT_BUDGET before anything is built
-    out = np.empty(period, dtype=np.complex128)
+def exp_sum_all(atoms, period, n):
+    """S(k) for every k in [0, n), from one pass of ``half_classes``: each
+    class writes its table at its k < n and, conjugated, at their twins
+    period - k < n; a class c = 0 or M/2 only its k <= period / 2, after the
+    twins, as a plan (``Frequencies``) reads them. Past the period S repeats."""
+    top, M = min(n, period), split(period)[1]     # refuses before any array
+    out = np.empty(n, dtype=np.complex128)
     residues = np.asarray(atoms, dtype=np.int64) % period
     for ks, sums, mirrored in half_classes(period):
-        s = sums(residues)
-        out[ks] = s
-        if mirrored:
-            out[period - ks] = s.conj()
+        half = ks if mirrored else ks[2 * ks <= period]
+        own, twin = half[half < top], half[half > period - top]
+        if len(own) or len(twin):
+            s = sums(residues)
+            out[period - twin] = s[twin // M].conj()
+            out[own] = s[own // M]
+    if n > period:
+        whole = out[: n - n % period].reshape(-1, period)
+        whole[1:] = whole[0]
+        out[len(whole) * period :] = out[: n % period]
     return out
 
 
@@ -150,14 +158,14 @@ class Frequencies:
     def __len__(self):
         return len(self.ks)
 
-    def sums(self, atoms, *, weights=1.0):
+    def sums(self, atoms):
         """(positions, S(k) at them) in blocks of at most ``BLOCK``
         frequencies, class by class, read from the class's table
         (``class_sums``) and conjugated where mirrored."""
         residues = np.asarray(atoms, dtype=np.int64) % self.period
         x = np.empty(self.B, dtype=np.complex128)
         for c, at, rows, flip in self._classes:
-            table = class_sums(residues, self.period, x, c, weights=weights)
+            table = class_sums(residues, self.period, x, c)
             for lo in range(0, len(at), BLOCK):
                 s = table[rows[lo : lo + BLOCK]]
                 np.negative(s.imag, out=s.imag, where=flip[lo : lo + BLOCK])

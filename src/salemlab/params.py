@@ -84,9 +84,9 @@ def derive_params(N0, t0, n0, j_max=5, seed=0, **overrides) -> ConstructionParam
         **overrides,
     )
     for key in ("c_eta", "c_rot"):
-        value = getattr(params, key)
-        if not (math.isfinite(value) and value > 0):
-            raise ParamError(f"need a finite {key} > 0, got {value}")
+        value = getattr(params, key)    # a manifest's may be any JSON value
+        if value is True or not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            raise ParamError(f"need a finite {key} > 0, got {value!r}")
     return params
 
 

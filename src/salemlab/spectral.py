@@ -1,13 +1,13 @@
 """Exponential sums and Fourier coefficients of the level measures.
 
 Integer-frequency coefficients come from the exact exponential sums of
-``expsums``: ``f_mu_hat`` by the direct sum, spectra and the trivial bound
-from the residue-class tables of the period through one plan of the
-frequencies (``expsums.Frequencies``), which refuses a period above
-``expsums.FFT_BUDGET``. The trivial bound screens |S(k)| times one real
-factor per frequency, block by block, and recomputes its witnesses by the
-direct sum. Telescoping decides every integer frequency: it reads the
-deviation sums of ``construction.rotation_sums`` at every residue.
+``expsums``: ``f_mu_hat`` by the direct sum, spectra by ``exp_sum_all``, the
+trivial bound from the residue-class tables through one plan of its
+frequencies (``expsums.Frequencies``); a period above ``expsums.FFT_BUDGET``
+is refused. The trivial bound screens |S(k)| times one real factor per
+frequency, block by block, and recomputes its witnesses by the direct sum.
+Telescoping decides every integer frequency: it reads the deviation sums of
+``construction.rotation_sums`` at every residue.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expsums
 from .construction import LevelSet, check_level_invariants, rotation_sums, structured_mask
-from .expsums import SpectralError, exp_sum, exp_sum_all  # noqa: F401 (re-export)
+from .expsums import SpectralError, exp_sum, exp_sum_all
 from .floatrepr import WIDTH, float_rows, int_rows
 from .params import ConstructionParams
 from .storage import atomic_write_text
@@ -89,27 +89,17 @@ class Spectrum:
         atomic_write_text(path, blocks())
 
 
-def compute_spectrum(params: ConstructionParams, level: LevelSet, ks,
+def compute_spectrum(params: ConstructionParams, level: LevelSet, kmax: int,
                      ell=None) -> Spectrum:
-    """The coefficients of window ell (None or 0: the measure) at ``ks``, an
-    array or a plan at the level's period (``expsums.Frequencies``) that
-    several spectra share; filled class by class, in the plan's blocks."""
-    plan = _plan(ks, params.period(level.j))
-    coeffs = np.empty(len(plan), dtype=np.complex128)
-    for at, sums in plan.sums(restricted_atoms(params, level, ell or 0)):
-        coeffs[at] = _coefficients(params, level.j, plan.ks[at], sums)
+    """The coefficients of window ell (None or 0: the measure) at every k in
+    [0, kmax), from the sums of ``exp_sum_all``, in ``BLOCK``-sized slices."""
+    j, ks = level.j, np.arange(kmax, dtype=np.int64)
+    coeffs = exp_sum_all(restricted_atoms(params, level, ell or 0), params.period(j), kmax)
+    for lo in range(0, kmax, expsums.BLOCK):
+        at = slice(lo, lo + expsums.BLOCK)
+        coeffs[at] = _coefficients(params, j, ks[at], coeffs[at])
     weight = "mu" if ell in (None, 0) else f"f_ell({ell})"
-    return Spectrum(j=level.j, weight=weight, ks=plan.ks, coefficients=coeffs)
-
-
-def _plan(ks, period):
-    """``ks`` itself if it is a plan at ``period``, else a new one over the
-    array ``ks``."""
-    if not isinstance(ks, expsums.Frequencies):
-        return expsums.Frequencies(ks, period)
-    if ks.period != period:
-        raise ValueError(f"a plan at period {ks.period} read at period {period}")
-    return ks
+    return Spectrum(j=j, weight=weight, ks=ks, coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +143,18 @@ def trivial_bound_check(params: ConstructionParams, level: LevelSet, ell: int,
                         ks) -> dict:
     """Check |coef(k)| <= N^j t^(-ell/2) / (pi |k|) over the nonzero
     frequencies ``ks``, an array (k = 0 dropped) or a shared plan of them at
-    the level's period P = N^j; none is a SpectralError. The tables screen
-    the ratio |S(k)| |sin(pi k / P)| t^(ell/2 - j), block by block, and
-    ``_worst`` recomputes the k near its maximum by the direct sum."""
+    the level's period P = N^j (at another, a ValueError); none is a
+    SpectralError. The tables screen the ratio |S(k)| |sin(pi k / P)|
+    t^(ell/2 - j), block by block, and ``_worst`` recomputes the k near its
+    maximum by the direct sum."""
     atoms = restricted_atoms(params, level, ell)
     period = params.period(level.j)
-    if not isinstance(ks, expsums.Frequencies):
+    plan = ks
+    if not isinstance(plan, expsums.Frequencies):
         ks = np.asarray(ks, dtype=np.int64)
-        ks = ks[ks != 0]
-    plan = _plan(ks, period)
+        plan = expsums.Frequencies(ks[ks != 0], period)
+    elif plan.period != period:
+        raise ValueError(f"a plan at period {plan.period} read at period {period}")
     if not plan.ks.any():
         raise SpectralError("trivial_bound_check needs a nonempty set of nonzero frequencies")
     screened = np.empty(len(plan))

@@ -113,6 +113,10 @@ def write_construction(out_dir, con: Construction) -> list[str]:
         p = out_dir / level_filename(level.j)
         write_level(p, con.params, level)
         paths.append(str(p))
+    j = len(con.levels)     # the deeper levels of a run written here before go
+    while (out_dir / level_filename(j)).exists():
+        (out_dir / level_filename(j)).unlink()
+        j += 1
     return paths
 
 

@@ -12,16 +12,17 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from salemlab import checks, cli, construction, energy, expsums
+from salemlab import checks, cli, construction, energy, expsums, spectral
 from salemlab.cli import main
 from salemlab.construction import ConstructionError
 from salemlab.energy import EnergyError
 from salemlab.expsums import SpectralError
 from salemlab.norms import NormError
 from salemlab.params import ParamError
-from salemlab.storage import StorageError, level_filename, load_construction
+from salemlab.storage import StorageError, level_filename, load_construction, write_json
 from _inline import lazy_inline
 
 
@@ -279,6 +280,35 @@ def test_truncated_run_exits_2(built, capsys, command):
     assert main([command[0], str(built), *command[1:]]) == 2
     assert (f"error: {built}: the manifest has j_max = 3, but the level files "
             f"stop before level_2.txt") in capsys.readouterr().err
+
+
+def test_construct_over_a_deeper_run_removes_its_levels(tmp_path, capsys):
+    # a j_max = 3 run written where a j_max = 4 run was keeps none of its
+    # levels: verify reads the new run alone
+    out = tmp_path / "run"
+    argv = ["construct", "-o", str(out), "--set", "N0=3", "--set", "t0=2",
+            "--set", "n0=1", "--set", "seed=1"]
+    assert main(argv + ["--set", "j_max=4"]) == 0
+    assert main(argv + ["--set", "j_max=3"]) == 0
+    assert sorted(path.name for path in out.glob("level_*")) == [
+        level_filename(j) for j in range(4)]
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+@pytest.mark.parametrize("key, value", [("c_eta", None), ("c_rot", "6144"),
+                                        ("c_eta", True), ("c_rot", [1.0])])
+def test_manifest_constant_not_a_number_exits_2(built, capsys, command, key, value):
+    path = built / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"][key] = value
+    path.write_text(json.dumps(manifest))
+    assert main([command, str(built)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: need a finite {key} > 0, got {value!r}" in err
+    assert "Traceback" not in err
 
 
 def test_run_without_manifest_takes_its_levels_from_the_files(built):
@@ -615,6 +645,34 @@ def test_trivial_bound_holds_one_plan_at_a_time(built, monkeypatch):
     monkeypatch.setattr(checks, "forked", lazy_inline)
     assert all(c["passed"] for c in checks.run_verification(load_construction(built)))
     assert seen == [1, 1, 1]
+
+
+def test_analyze_builds_no_frequency_plan(built, tmp_path, monkeypatch):
+    # the spectra, in this process and in the forked child, read whole
+    # periods (expsums.exp_sum_all): with no plan of their frequencies to be
+    # built, their reports are the bytes of a plan's reads
+    con = load_construction(built)
+    params, level, ks = con.params, con.levels[3], np.arange(4096)
+    plan, want = expsums.Frequencies(ks, params.period(3)), tmp_path / "want"
+    want.mkdir()
+    for ell, name in enumerate(["mu", "f1", "f2"]):
+        sums = np.empty(len(ks), dtype=np.complex128)
+        for at, s in plan.sums(spectral.restricted_atoms(params, level, ell)):
+            sums[at] = s
+        coefficients = spectral._coefficients(params, 3, ks, sums)
+        spectral.Spectrum(3, name, ks, coefficients).to_csv(want / f"spectrum_{name}_j3.csv")
+        if ell == 0:
+            write_json(want / "decay_mu_j3.json",
+                       dataclasses.asdict(spectral.decay_report(ks, coefficients, 0.4)))
+
+    def refused(*args):
+        raise AssertionError("a frequency plan was built")
+
+    monkeypatch.setattr(expsums.Frequencies, "__init__", refused)
+    got = tmp_path / "got"
+    assert main(["analyze", str(built), "--out", str(got), "--spectrum", "--decay"]) == 0
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_forked_runs_equal_inline_runs_byte_for_byte(built, tmp_path, monkeypatch):

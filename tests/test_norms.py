@@ -56,7 +56,7 @@ def _full_lattice_quadrature(params, level, ell, p):
     h, m_cut = 0.25, 32
     period = params.period(level.j)
     n_per = period * round(1 / h)
-    T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per))
+    T = np.abs(exp_sum_all(restricted_atoms(params, level, ell), n_per, n_per))
     eta = np.arange(n_per) / n_per
     tj = float(params.t) ** (-level.j)
     P = (T * tj) ** p * np.abs(np.sin(np.pi * eta)) ** p

@@ -37,7 +37,7 @@ def test_exp_sum_fft_vs_naive(data):
     ks = data.draw(st.lists(st.integers(0, 10 * period), min_size=1, max_size=8))
     ks = np.array(ks, dtype=np.int64)
     naive = exp_sum(atoms, ks, period)
-    fft = exp_sum_all(atoms, period)[ks % period]
+    fft = exp_sum_all(atoms, period, period)[ks % period]
     assert np.abs(naive - fft).max() < 1e-9 * max(1.0, len(atoms))
 
 
@@ -77,25 +77,21 @@ def test_lone_frequency_sums_like_a_batch(odd_base):
         assert exp_sum(atoms, int(k), params.period(5)) == batch[i]
 
 
-def _plan_read(atoms, ks, period, weights=1.0):
+def _plan_read(atoms, ks, period):
     """S(ks) in the order of ks, read through one plan of them."""
     plan = expsums.Frequencies(ks, period)
     s = np.empty(len(plan), dtype=np.complex128)
-    for at, sums in plan.sums(atoms, weights=weights):
+    for at, sums in plan.sums(atoms):
         s[at] = sums
     return s
 
 
 def _assert_whole_period_matches(atoms, period, got):
-    """``exp_sum_all`` against the plan's reads ``got`` of k in [0, period):
-    bit for bit, except in the self-mirrored classes 0 and M/2 above
-    period / 2, where the plan reads the twin's conjugate and the whole
-    period the class's own table entry."""
-    B, M = expsums.split(period)
-    whole, k = exp_sum_all(atoms, period), np.arange(period)
-    own = (2 * (k % M) % M == 0) & (k > period // 2)
-    assert np.array_equal(whole[~own], got[:period][~own])
-    assert np.abs(whole[own] - got[:period][own]).max() < 1e-11 * len(atoms)
+    """``exp_sum_all`` against the plan's reads ``got`` of k in [0, period),
+    bit for bit: both read k > period / 2 of the self-mirrored classes 0
+    and M/2 as the twin's conjugate."""
+    whole = exp_sum_all(atoms, period, period)
+    assert np.array_equal(whole.view(np.uint64), got[:period].view(np.uint64))
 
 
 def test_few_frequencies_read_the_tables(odd_base, monkeypatch):
@@ -155,7 +151,7 @@ def test_plan_above_the_budget_is_refused(odd_base, monkeypatch):
     with pytest.raises(SpectralError, match=refused):
         expsums.Frequencies(ks, period)
     with pytest.raises(SpectralError, match=refused):
-        compute_spectrum(params, level, ks)
+        compute_spectrum(params, level, 3000)
     with pytest.raises(SpectralError, match=refused):
         trivial_bound_check(params, level, 1, ks)
 
@@ -202,17 +198,15 @@ def test_half_table_mirrors_to_the_direct_sums(period):
     assert _plan_read(atoms, [period - 7], period)[0] == got[period - 7]
     # unit weights given explicitly change no bit
     ones = np.ones(len(atoms))
-    assert np.array_equal(_plan_read(atoms, ks, period, weights=ones), got)
     assert np.array_equal(exp_sum(atoms, ks, period, weights=ones),
                           exp_sum(atoms, ks, period))
     # signed weights on a repeated atom, the table and the direct sum
     points, weights = _signed_repeated(rng, atoms)
     want = _direct_weighted(points, weights, ks, period)
     scale = 1e-11 * np.abs(weights).sum()
-    weighted = _plan_read(points, ks, period, weights=weights)
-    assert np.abs(weighted - want).max() < scale
+    [(kb, sums, _)] = expsums.half_classes(period)
+    assert np.abs(sums(points, weights=weights) - want[kb]).max() < scale
     assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
-    assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
 
 
 @pytest.mark.parametrize("period, block", [(16**4, 2**12), (9**4, 729), (25**3, 3125)],
@@ -238,18 +232,12 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     extra = got[period:]
     assert extra[3] == got[0] and extra[4] == got[7] and extra[5] == got[period - 1]
     assert extra[7] == got[7].conj()
-    # unit weights given explicitly change no bit
-    ones = np.ones(len(atoms))
-    assert np.array_equal(_plan_read(atoms, ks, period, weights=ones), got)
-    # signed weights on a repeated atom, against the direct sum, with the
-    # same exact twins
+    # signed weights on a repeated atom, the direct sum and the half classes
     points, weights = _signed_repeated(rng, atoms)
     want = _direct_weighted(points, weights, ks, period)
     scale = 1e-11 * np.abs(weights).sum()
-    weighted = _plan_read(points, ks, period, weights=weights)
-    assert np.abs(weighted - want).max() < scale
     assert np.abs(exp_sum(points, ks, period, weights=weights) - want).max() < scale
-    assert np.array_equal(weighted[1:period], weighted[period - 1 : 0 : -1].conj())
+    ones = np.ones(len(atoms))
     # the half classes hold every k up to its twin
     covered = set()
     for kb, sums, mirrored in expsums.half_classes(period):
@@ -269,7 +257,7 @@ def test_class_gather_matches_the_direct_sums(monkeypatch, period, block):
     assert covered == set(range(period // 2 + 1))
 
 
-def _classwise_gather(atoms, ks, period, weights=1.0):
+def _classwise_gather(atoms, ks, period):
     """S(ks) read class by class without a plan: each k folded onto its
     twin where mirrored, each class met found by a mask and read from its
     own table."""
@@ -283,7 +271,7 @@ def _classwise_gather(atoms, ks, period, weights=1.0):
     s, x = np.empty(len(m), dtype=np.complex128), np.empty(B, dtype=np.complex128)
     for cls in np.flatnonzero(np.bincount(c, minlength=M)):
         at = np.flatnonzero(c == cls)
-        s[at] = expsums.class_sums(residues, period, x, cls, weights=weights)[m[at] // M]
+        s[at] = expsums.class_sums(residues, period, x, cls)[m[at] // M]
     np.negative(s.imag, out=s.imag, where=mirrored)
     return s
 
@@ -292,7 +280,7 @@ def _classwise_gather(atoms, ks, period, weights=1.0):
 @given(st.data())
 def test_plan_sums_assemble_to_the_classwise_gather(data):
     # one class (M = 1), even M and odd M, with blocks of BLOCK positions;
-    # one plan serves several atom sets, with unit or signed weights
+    # one plan serves several atom sets
     period, block, M = data.draw(st.sampled_from(
         [(81, 81, 1), (4096, 256, 16), (1000, 100, 10), (2187, 243, 9), (3125, 625, 5)]))
     # k from [-3P, 3P], some of them the twins' edges 0, P/2, P and -P/2
@@ -306,21 +294,43 @@ def test_plan_sums_assemble_to_the_classwise_gather(data):
         for _ in range(data.draw(st.integers(1, 3))):
             atoms = np.array(data.draw(st.lists(st.integers(0, 4 * period),
                                                 min_size=1, max_size=40)))
-            weights = 1.0
-            if data.draw(st.booleans()):
-                weights = np.array(data.draw(st.lists(
-                    st.floats(-2, 2), min_size=len(atoms), max_size=len(atoms))))
             got = np.full(len(ks), np.nan, dtype=np.complex128)
             positions = []
-            for at, sums in plan.sums(atoms, weights=weights):
+            for at, sums in plan.sums(atoms):
                 assert at.dtype == np.int32 and len(at) <= block
                 got[at] = sums
                 positions += at.tolist()
             assert sorted(positions) == list(range(len(ks)))
-            want = _classwise_gather(atoms, ks, period, weights)
+            want = _classwise_gather(atoms, ks, period)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            read = _plan_read(atoms, ks, period, weights=weights)
+            read = _plan_read(atoms, ks, period)
             assert np.array_equal(read.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exp_sum_all_equals_the_plan_reads(data):
+    # level 0's period 1, one class (M = 1), even M and odd M, with n below,
+    # at and above the period: every k in [0, n), bit for bit
+    period, block, M = data.draw(st.sampled_from(
+        [(1, 1, 1), (81, 81, 1), (4096, 256, 16), (1000, 100, 10), (2187, 243, 9),
+         (3125, 625, 5)]))
+    n = max(1, data.draw(st.sampled_from([2, period // 2, period // 2 + 1, period - 1,
+                                          period, period + 1])
+                         | st.integers(1, 5 * period + 3)))
+    atoms = np.array(data.draw(st.lists(st.integers(0, 4 * period), min_size=1,
+                                        max_size=40)))
+    with mock.patch.object(expsums, "BLOCK", block):
+        assert expsums.split(period) == (block, M)
+        got = exp_sum_all(atoms, period, n)
+        want = _plan_read(atoms, np.arange(n), period)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_trivial_bound_refuses_a_plan_at_another_period(desk_params, desk):
+    plan = expsums.Frequencies(np.arange(1, 100), desk_params.period(2))
+    with pytest.raises(ValueError, match="a plan at period 256 read at period 4096"):
+        trivial_bound_check(desk_params, desk.levels[3], 1, plan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,13 +376,13 @@ def test_exp_sum_scalar_and_zero():
 def test_exp_sum_all_budget(monkeypatch):
     monkeypatch.setattr(expsums, "FFT_BUDGET", 2**10)
     with pytest.raises(SpectralError, match="budget"):
-        exp_sum_all([0], 2**12)
+        exp_sum_all([0], 2**12, 2**12)
 
 
 def test_parseval(desk_params, desk):
     for level in desk.levels:
         period = desk_params.period(level.j)
-        table = exp_sum_all(level.atoms, period)
+        table = exp_sum_all(level.atoms, period, period)
         total = np.sum(np.abs(table) ** 2)
         assert total == pytest.approx(period * len(level.atoms), rel=1e-9)
 
@@ -428,7 +438,7 @@ def test_mu_hat_conjugate_symmetry(desk_params, desk):
 
 
 def test_spectrum_csv(tmp_path, desk_params, desk):
-    spec = compute_spectrum(desk_params, desk.levels[2], np.arange(16))
+    spec = compute_spectrum(desk_params, desk.levels[2], 16)
     out = tmp_path / "spec.csv"
     spec.to_csv(out)
     lines = out.read_text().splitlines()
@@ -439,8 +449,7 @@ def test_spectrum_csv(tmp_path, desk_params, desk):
 
 
 def test_spectrum_csv_streams_the_per_row_format(tmp_path, desk_params, desk):
-    spec = compute_spectrum(desk_params, desk.levels[4],
-                            np.arange(2**16, dtype=np.int64))
+    spec = compute_spectrum(desk_params, desk.levels[4], 2**16)
     out = tmp_path / "spec.csv"
     tracemalloc.start()
     try:
@@ -476,7 +485,7 @@ def test_spectrum_csv_spells_every_row_as_the_per_row_format(tmp_path, ks, coeff
 def test_hypot_is_abs_of_complex_on_the_desk_level_4_spectra(desk_params, desk):
     # the CSV's abs column; np.abs differs in the last digit on about a third
     for ell in range(3):
-        c = compute_spectrum(desk_params, desk.levels[4], np.arange(2**16), ell=ell).coefficients
+        c = compute_spectrum(desk_params, desk.levels[4], 2**16, ell=ell).coefficients
         assert np.hypot(c.real, c.imag).tolist() == [abs(v) for v in c.tolist()]
 
 
@@ -513,17 +522,17 @@ def test_trivial_bound(desk_params, desk):
 
 
 def test_one_level_4_spectrum_stays_small(desk_params, desk):
-    # a spectrum is filled class by class in blocks of at most BLOCK
-    # frequencies: 5.69 MiB of temporaries when it was formed whole
-    ks = np.arange(65536, dtype=np.int64)
+    # the sums of one whole-period pass (1 MiB here), its k (0.5 MiB) and one
+    # class's table at a time: 2.77 MiB. A plan of the frequencies took 3.46
+    # MiB beside the k, and 5.69 MiB of temporaries when it was formed whole
     tracemalloc.start()
     try:
-        spec = compute_spectrum(desk_params, desk.levels[4], ks)
+        spec = compute_spectrum(desk_params, desk.levels[4], 65536)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(spec.coefficients) == len(ks)
-    assert peak < 4.5 * 2**20
+    assert len(spec.coefficients) == 65536
+    assert peak < 3.25 * 2**20
 
 
 def test_one_level_4_telescoping_screen_stays_small(desk_params, desk):
@@ -584,7 +593,7 @@ def test_decay_report_forms_no_spectrum_length_array(odd_base):
     # the whole spectrum peaked at 2.13 MiB above these inputs
     params, con = odd_base
     ks = np.arange(2**16, dtype=np.int64)
-    coeffs = compute_spectrum(params, con.levels[4], ks).coefficients
+    coeffs = compute_spectrum(params, con.levels[4], 2**16).coefficients
     tracemalloc.start()
     try:
         rep = decay_report(ks, coeffs, beta=0.5)
@@ -663,7 +672,7 @@ def test_telescope_sum_is_the_coefficient_difference(N0):
             points, weights = deviation_measure(
                 params, restricted_atoms(params, lo, ell),
                 restricted_atoms(params, hi, ell))
-            signed = (prefactor(ks, P) * _plan_read(points, ks, P, weights=weights)
+            signed = (prefactor(ks, P) * exp_sum(points, ks, P, weights=weights)
                       * float(params.t) ** -j)
             coef_lo = f_mu_hat(params, lo, ell, ks)
             diff = f_mu_hat(params, hi, ell, ks) - coef_lo
